@@ -2,11 +2,13 @@
 prepare-and-measure reduction, plus their exact analytic counterparts.
 
 All randomness flows through a counter-based Philox generator seeded from the
-run parameters, with a fixed draw order, so identical parameters give
-identical tallies.  Counterfactual ("gedanken") counters are produced by
-independent Born-rule draws on the exact post-channel state within the same
-run; the physical protocol could not measure these jointly, but the simulator
-can, and the estimation tests need them.
+run parameters, so identical parameters give identical tallies.  Because the
+channel is i.i.d., a run's tallies are drawn directly from their exact
+binomial/multinomial count laws, in O(1) time and memory in the number of
+pairs.  Counterfactual ("gedanken") counters are independent Born-rule count
+draws on the exact post-channel state within the same run; the physical
+protocol could not measure these jointly, but the simulator can, and the
+estimation tests need them.
 """
 
 from __future__ import annotations
@@ -206,44 +208,33 @@ def expected_rates(alpha: float, channel: KrausChannel) -> ExpectedRates:
 def run_protocol1(params: ProtocolParams) -> Tallies:
     """Simulate one full run of the entanglement-based protocol.
 
-    Draw order (fixed for reproducibility): pair permutation, check-pair
-    joint outcomes, check-pair basis outcomes, data-pair filter trials,
-    data-pair X x X outcomes, filtered-pair Z x Z outcomes, filtered-pair
-    X x X outcomes.
+    Only the tallies are returned, so each block of per-pair Born-rule trials
+    is replaced by its count law: the check-pair joint outcomes and check-basis
+    outcomes, the data-pair filter trials and X x X outcomes (each over n
+    pairs), then the filtered-pair Z x Z and X x X outcomes (each over the
+    n_fil pairs that passed).  The draws come in that order from one seeded
+    generator, so identical parameters give identical tallies.
     """
     rng = np.random.Generator(np.random.Philox(params.seed))
     n = params.n_pairs
     rho = _post_channel_state(params.alpha, params.channel)
 
-    # the channel is i.i.d. so the shuffle is statistically idle, but the
-    # protocol prescribes it; the first n slots of the permuted sequence are
-    # the check pairs, the rest the data pairs
-    rng.permutation(2 * n)
-
-    joint = _check_joint_probs(rho, params.alpha)
-    check_outcomes = rng.choice(6, size=n, p=joint.reshape(-1))
-    n_err = int(np.sum((check_outcomes == 1) | (check_outcomes == 3)))
+    joint = rng.multinomial(n, _check_joint_probs(rho, params.alpha).ravel())
+    n_err = int(joint[1] + joint[3])
 
     s_check = _check_basis_probs(rho, params.alpha)
-    check_basis_outcomes = rng.choice(4, size=n, p=s_check.reshape(-1))
-    m_check = np.bincount(check_basis_outcomes, minlength=4).reshape(2, 2)
+    m_check = rng.multinomial(n, s_check.ravel()).reshape(2, 2)
 
     fil_sq = np.kron(np.eye(2, dtype=complex), filter_op(params.alpha).squared())
-    pass_prob = np.trace(rho @ fil_sq).real
-    passed = rng.random(n) < pass_prob
-    n_fil = int(np.sum(passed))
+    n_fil = int(rng.binomial(n, np.trace(rho @ fil_sq).real))
 
-    xx = _xx_probs(rho)
-    xx_outcomes = rng.choice(4, size=n, p=xx.reshape(-1))
-    n_xx = np.bincount(xx_outcomes, minlength=4).reshape(2, 2)
+    n_xx = rng.multinomial(n, _xx_probs(rho).ravel()).reshape(2, 2)
 
     filtered, _ = _filtered_state(rho, params.alpha)
-    zz_f = _zz_probs(filtered).reshape(-1)
-    xx_f = _xx_probs(filtered).reshape(-1)
-    zz_outcomes = rng.choice(4, size=n_fil, p=zz_f)
-    n_bit = int(np.sum((zz_outcomes == 1) | (zz_outcomes == 2)))
-    xx_f_outcomes = rng.choice(4, size=n_fil, p=xx_f)
-    n_ph = int(np.sum((xx_f_outcomes == 1) | (xx_f_outcomes == 2)))
+    zz_f = rng.multinomial(n_fil, _zz_probs(filtered).ravel())
+    n_bit = int(zz_f[1] + zz_f[2])
+    xx_f = rng.multinomial(n_fil, _xx_probs(filtered).ravel())
+    n_ph = int(xx_f[1] + xx_f[2])
 
     return Tallies(
         n_pairs=n,
@@ -275,7 +266,8 @@ def run_b92(params: ProtocolParams) -> B92Record:
     alice = rng.integers(0, 2, size=n).astype(np.uint8)
     u = rng.random(n)
     cum = np.cumsum(cond, axis=1)
-    bob = (u[:, None] >= cum[alice][:, :2]).sum(axis=1).astype(np.uint8)
+    bob = (u >= np.where(alice, cum[1, 0], cum[0, 0])).astype(np.uint8)
+    bob += u >= np.where(alice, cum[1, 1], cum[0, 1])
     return B92Record(alice_bits=alice, bob_outcomes=bob)
 
 

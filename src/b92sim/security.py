@@ -226,8 +226,8 @@ def finite_size_bound(
     anticorrelated mass x and two skews (d, a); the filter-rate and
     sender-marginal bands confine (d, a) to a box per x, the check side
     reduces to a closed-form interval condition, and the objective
-    (x + gap*d)/2 + eps3 is maximized by a grid scan with bisection
-    refinement of the feasibility edge.
+    (x + gap*d)/2 + eps3 is maximized by a grid scan, seeded with the
+    zero-slack optimum, with bisection refinement of the feasibility edge.
     """
     if slacks is None:
         slacks = SlackVector()
@@ -309,6 +309,13 @@ def finite_size_bound(
         return ok.any(axis=(1, 2)), best
 
     xs = np.linspace(0.0, 1.0, 2_001)
+    if alpha > 0.0 and r_err <= 0.5:
+        # the slacks only relax the constraints, so the zero-slack optimum
+        # stays feasible; seeding the grid with it keeps a feasible interval
+        # narrower than the grid spacing (tiny error rates) from being missed
+        exact = phase_error_bound(ObservedRates(r_err=r_err, r_fil=r_fil, alpha=alpha))
+        if exact.feasible:
+            xs = np.union1d(xs, [exact.x_star])
     feas, vals = evaluate(xs, nd=9, na=9)
     if not feas.any():
         return _infeasible(delta_mid)

@@ -197,6 +197,20 @@ class TestSimulateCommand:
         sigma = math.sqrt(n * 0.3272 * (1 - 0.3272))
         assert abs(data["tallies"]["n_fil"] - 0.3272 * n) < 4 * sigma
 
+    def test_billion_pair_run_emits_strict_json(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--p", "0.03", "--alpha-sq", "0.2",
+            "--n", "1000000000", "--seed", "5",
+        )
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-RFC 8259 token {token}")
+
+        data = json.loads(out, parse_constant=reject)
+        assert data["params"]["n_pairs"] == 1_000_000_000
+        assert sum(map(sum, data["tallies"]["n_xx"])) == 1_000_000_000
+
 
 class TestExponentCommand:
     def test_identical_bases_zero_rate(self, capsys):

@@ -1,6 +1,8 @@
 """Tests for the protocol runners and their analytic counterparts."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from b92sim.protocol import (
 from b92sim.quantum import (
     DensityMatrix,
     KrausChannel,
+    b92_povm,
     depolarizing_channel,
     identity_channel,
     projector,
@@ -172,6 +175,24 @@ class TestRunProtocol1:
         np.testing.assert_array_equal(t1.n_xx, t2.n_xx)
         np.testing.assert_array_equal(t1.m_check, t2.m_check)
 
+    def test_count_only_run_is_constant_in_n(self):
+        # the tallies are drawn from their count laws, so a run over 10^12
+        # pairs holds no per-pair array
+        params = ProtocolParams(
+            alpha=ALPHA_02, n_pairs=10**12, channel=depolarizing_channel(0.03), seed=4
+        )
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            t = run_protocol1(params)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 1_000_000
+        assert t.n_pairs == 10**12 and int(t.n_xx.sum()) == 10**12
+
     def test_invalid_params_rejected(self):
         with pytest.raises(ParameterError):
             ProtocolParams(alpha=0.8, n_pairs=10, channel=identity_channel())
@@ -203,6 +224,29 @@ class TestRunB92:
         kept = rec.sifted_alice.size
         rate = 0.01 / 0.3272
         assert abs(errors - kept * rate) < 4 * binom_sigma(kept, rate)
+
+    def test_outcomes_match_gathered_thresholds(self):
+        # the per-signal thresholds must reproduce the cumulative-probability
+        # gather bit for bit on the same draws
+        alpha = 0.4
+        params = ProtocolParams(
+            alpha=alpha, n_pairs=50_000, channel=depolarizing_channel(0.05), seed=12
+        )
+        rec = run_b92(params)
+        pv = b92_povm(alpha)
+        cond = np.empty((2, 3))
+        for j in (0, 1):
+            out = params.channel.apply(projector(signal_state(j, alpha).amplitudes))
+            cond[j] = np.clip(pv.outcome_probabilities(out), 0.0, None)
+            cond[j] /= cond[j].sum()
+        rng = np.random.Generator(np.random.Philox(params.seed))
+        alice = rng.integers(0, 2, size=params.n_pairs).astype(np.uint8)
+        u = rng.random(params.n_pairs)
+        cum = np.cumsum(cond, axis=1)
+        bob = (u[:, None] >= cum[alice][:, :2]).sum(axis=1).astype(np.uint8)
+        np.testing.assert_array_equal(rec.alice_bits, alice)
+        np.testing.assert_array_equal(rec.bob_outcomes, bob)
+        assert rec.bob_outcomes.dtype == np.uint8
 
     def test_sifted_statistics_match_check_pairs(self):
         # the reduction: joint (sent bit, outcome) statistics of the

@@ -217,6 +217,30 @@ class TestFiniteSizeBound:
         if exact.feasible:
             assert res.r_ph_bar == pytest.approx(exact.r_ph_bar, abs=1e-6)
 
+    def test_zero_slack_feasible_at_tiny_error_rate(self):
+        # a run with almost no errors: the exact problem is feasible, and the
+        # zero-slack relaxation must say so too
+        n_err, n_fil, n = 88, 321_586, 3_162_278
+        alpha = math.sqrt(0.054)
+        res = finite_size_bound(n_err, n_fil, n, alpha)
+        exact = phase_error_bound(ObservedRates(r_err=n_err / n, r_fil=n_fil / n, alpha=alpha))
+        assert exact.feasible and res.feasible
+        assert res.r_ph_bar == pytest.approx(exact.r_ph_bar, abs=1e-12)
+
+    def test_tiny_slack_never_shrinks_tiny_error_rate_ceiling(self):
+        # slacks far below the x-grid spacing must keep the narrow feasible
+        # interval of a near-error-free run, and only raise the ceiling
+        n_err, n_fil, n = 88, 321_586, 3_162_278
+        alpha = math.sqrt(0.054)
+        base = finite_size_bound(n_err, n_fil, n, alpha)
+        res = finite_size_bound(n_err, n_fil, n, alpha, SlackVector(eps2=1e-12, eps3=1e-12))
+        assert base.feasible and res.feasible
+        assert res.r_ph_bar >= base.r_ph_bar
+
+    def test_zero_slack_error_weight_above_half_is_infeasible(self):
+        res = finite_size_bound(600, 400, 1_000, ALPHA_02)
+        assert not res.feasible
+
     @pytest.mark.parametrize("idx", range(8))
     def test_monotone_in_each_slack(self, idx):
         n_err, n_fil = self.rates_to_counts(0.03, 0.2)
