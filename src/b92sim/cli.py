@@ -14,6 +14,7 @@ infeasibility/singularity, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -31,6 +32,7 @@ from .security import (
     binary_entropy,
     failure_budget,
     finite_size_bound,
+    key_rate,
     phase_error_bound,
 )
 
@@ -154,21 +156,8 @@ def cmd_rate(p: float, alpha_sq: float) -> RateReport:
     """Analytic report for one (channel strength, nonorthogonality) point."""
     alpha = math.sqrt(alpha_sq)
     rates = expected_rates(alpha, depolarizing_channel(p))
-    obs = ObservedRates(
-        r_err=min(max(rates.r_err, 0.0), 0.5),
-        r_fil=min(max(rates.r_fil, 0.0), 1.0),
-        alpha=alpha,
-    )
+    obs = ObservedRates(r_err=rates.r_err, r_fil=rates.r_fil, alpha=alpha)
     bound = phase_error_bound(obs)
-    if bound.feasible and obs.r_fil > 0.0 and bound.r_ph_bar / obs.r_fil <= 0.5:
-        g = obs.r_fil * (
-            1.0
-            - binary_entropy(min(obs.r_err / obs.r_fil, 1.0))
-            - binary_entropy(min(bound.r_ph_bar / obs.r_fil, 1.0))
-        )
-        g = max(g, 0.0)
-    else:
-        g = 0.0
     return RateReport(
         alpha_sq=alpha_sq,
         overlap=(1.0 - 2.0 * alpha_sq) ** 2,
@@ -178,7 +167,7 @@ def cmd_rate(p: float, alpha_sq: float) -> RateReport:
         r_ph_bar=bound.r_ph_bar if bound.feasible else math.nan,
         r_ph_actual=rates.r_ph,
         r_bit_actual=rates.r_bit,
-        G=g,
+        G=key_rate(obs, bound),
     )
 
 
@@ -187,9 +176,13 @@ def cmd_optimize(p: float) -> tuple[float, float, float]:
     refinement of the key rate over alpha_sq in [0.01, 0.49]."""
     if not 0.0 <= p < 0.75:
         raise ParameterError("depolarizing strength must lie in [0, 3/4)")
+    # cmd_rate's G, with the channel built once rather than per evaluation
+    channel = depolarizing_channel(p)
 
     def g_of(alpha_sq: float) -> float:
-        return cmd_rate(p, alpha_sq).G
+        alpha = math.sqrt(alpha_sq)
+        rates = expected_rates(alpha, channel)
+        return key_rate(ObservedRates(r_err=rates.r_err, r_fil=rates.r_fil, alpha=alpha))
 
     grid = np.linspace(ALPHA_SQ_MIN, ALPHA_SQ_MAX, 200)
     values = np.array([g_of(a) for a in grid])
@@ -505,11 +498,16 @@ def _run(args) -> int:
     raise CliUsageError(f"unknown command {args.command!r}")
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built once per process: parse_args leaves it unchanged."""
+    return make_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         _apply_config(args, argv)
         return _run(args)
     except CliUsageError as exc:

@@ -18,18 +18,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .quantum import (
-    ALPHA_SUP,
+# check_pair_basis, error_povm_element and nonmax_entangled_state are not
+# called here, but the benchmark's tracer (perfbench/tracing.py) wraps them as
+# protocol.<name>, so they must stay resolvable in this module.
+from .quantum import (  # noqa: F401
+    XX_PROJECTORS,
+    ZZ_PROJECTORS,
     DensityMatrix,
     KrausChannel,
     b92_povm,
+    born,
+    check_alpha,
+    check_basis_kets,
+    check_pair_basis,
     error_povm_element,
+    filter_matrix,
     filter_op,
-    ket_x,
     ket_z,
     nonmax_entangled_state,
+    post_channel_states,
     projector,
-    check_pair_basis,
+    projectors,
     signal_state,
 )
 
@@ -48,8 +57,7 @@ class ProtocolParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < ALPHA_SUP:
-            raise ParameterError(f"alpha={self.alpha!r} outside (0, 1/sqrt(2))")
+        check_alpha(self.alpha)
         if self.n_pairs < 1:
             raise ParameterError("n_pairs must be at least 1")
 
@@ -124,84 +132,57 @@ class B92Record:
         return self.bob_outcomes[~self.null_flags]
 
 
-def _post_channel_state(alpha: float, channel: KrausChannel) -> np.ndarray:
-    psi = nonmax_entangled_state(alpha).amplitudes
-    rho = projector(psi)
-    out = np.zeros((4, 4), dtype=complex)
-    for k in channel.kraus_ops:
-        big = np.kron(np.eye(2, dtype=complex), k)
-        out += big @ rho @ big.conj().T
-    return out
+_ZZ_XX_PROJECTORS = np.concatenate([ZZ_PROJECTORS, XX_PROJECTORS])
 
 
-def _born(rho: np.ndarray, ops: list[np.ndarray]) -> np.ndarray:
-    probs = np.array([np.trace(rho @ op).real for op in ops])
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
+def _born_table(alpha: float, channel: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
+    """Born weights behind every rate and tally, plus the post-channel state.
+
+    The table has shape (2, 3, 2, 2): state (post-channel, then its filtered
+    and unnormalized image (I x F) rho (I x F)), projector family (Z x Z,
+    X x X, check basis), then the two outcome indices.  Both states come from
+    one post-channel evaluation and all 24 weights from one Born contraction;
+    rounding-level negative weights are clipped to zero.
+    """
+    kets = check_basis_kets(alpha)
+    kraus = np.asarray(channel.kraus_ops)
+    states = post_channel_states(kets[0], np.stack([kraus, filter_matrix(alpha) @ kraus]))
+    ops = np.concatenate([_ZZ_XX_PROJECTORS, projectors(kets)])
+    table = np.clip(born(states, ops), 0.0, None).reshape(2, 3, 2, 2)
+    return table, states[0]
+
+
+def _normalized(w: np.ndarray) -> np.ndarray:
+    return w / w.sum()
 
 
 def _check_joint_probs(rho: np.ndarray, alpha: float) -> np.ndarray:
     """Joint distribution of (A's Z outcome, B's three-outcome result)."""
-    pv = b92_povm(alpha)
-    ops = [
-        np.kron(projector(ket_z(j)), pv.elements[b]) for j in (0, 1) for b in range(3)
-    ]
-    return _born(rho, ops).reshape(2, 3)
-
-
-def _xx_probs(rho: np.ndarray) -> np.ndarray:
-    ops = [
-        np.kron(projector(ket_x(i)), projector(ket_x(j))) for i in (0, 1) for j in (0, 1)
-    ]
-    return _born(rho, ops).reshape(2, 2)
-
-
-def _zz_probs(rho: np.ndarray) -> np.ndarray:
-    ops = [
-        np.kron(projector(ket_z(i)), projector(ket_z(j))) for i in (0, 1) for j in (0, 1)
-    ]
-    return _born(rho, ops).reshape(2, 2)
-
-
-def _check_basis_probs(rho: np.ndarray, alpha: float) -> np.ndarray:
-    basis = check_pair_basis(alpha)
-    ops = [projector(s.amplitudes) for s in basis]
-    return _born(rho, ops).reshape(2, 2)
-
-
-def _filtered_state(rho: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
-    f = np.kron(np.eye(2, dtype=complex), filter_op(alpha).matrix)
-    unnorm = f @ rho @ f
-    weight = np.trace(unnorm).real
-    return unnorm / weight, weight
+    conditional = rho.reshape(2, 2, 2, 2)[[0, 1], :, [0, 1], :]
+    joint = born(conditional, np.asarray(b92_povm(alpha).elements))
+    return _normalized(np.clip(joint, 0.0, None))
 
 
 def expected_rates(alpha: float, channel: KrausChannel) -> ExpectedRates:
-    """Exact analytic rates of a run: the 4x4 numeric counterpart of sampling.
+    """Exact analytic rates of a run: the numeric counterpart of sampling.
 
-    r_fil/r_err are the filter-pass and check-error probabilities; r_bit and
-    r_ph are the unnormalized weights of the filtered state in the Z- and
-    X-anticorrelated subspaces; r_xx and s_check are the joint outcome
-    distributions feeding the counterfactual counters.
+    r_fil/r_err are the filter-pass and check-error probabilities, clamped to
+    [0, 1] and [0, 1/2] so rounding never leaves the range ObservedRates
+    accepts; r_bit and r_ph are the weights of the filtered state in the Z-
+    and X-anticorrelated subspaces; r_xx and s_check are the joint outcome
+    distributions feeding the counterfactual counters.  Valid for any Kraus
+    channel on B; every weight is one Born contraction on the post-channel
+    state or its filtered image, with no two-qubit Kronecker products.
     """
-    if not 0.0 < alpha < ALPHA_SUP:
-        raise ParameterError(f"alpha={alpha!r} outside (0, 1/sqrt(2))")
-    rho = _post_channel_state(alpha, channel)
-    fil_sq = np.kron(np.eye(2, dtype=complex), filter_op(alpha).squared())
-    r_fil = np.trace(rho @ fil_sq).real
-    r_err = np.trace(rho @ error_povm_element(alpha)).real
-    filtered, weight = _filtered_state(rho, alpha)
-    zz = _zz_probs(filtered)
-    xx = _xx_probs(filtered)
-    r_bit = weight * (zz[0, 1] + zz[1, 0])
-    r_ph = weight * (xx[0, 1] + xx[1, 0])
+    check_alpha(alpha)
+    (zz, xx, check), (zz_f, xx_f, _) = _born_table(alpha, channel)[0]
     return ExpectedRates(
-        r_fil=float(r_fil),
-        r_err=float(r_err),
-        r_bit=float(r_bit),
-        r_ph=float(r_ph),
-        r_xx=_xx_probs(rho),
-        s_check=_check_basis_probs(rho, alpha),
+        r_fil=float(min(zz_f.sum(), 1.0)),
+        r_err=float(min(0.5 * (check[0, 1] + check[1, 1]), 0.5)),
+        r_bit=float(zz_f[0, 1] + zz_f[1, 0]),
+        r_ph=float(xx_f[0, 1] + xx_f[1, 0]),
+        r_xx=_normalized(xx),
+        s_check=_normalized(check),
     )
 
 
@@ -217,24 +198,16 @@ def run_protocol1(params: ProtocolParams) -> Tallies:
     """
     rng = np.random.Generator(np.random.Philox(params.seed))
     n = params.n_pairs
-    rho = _post_channel_state(params.alpha, params.channel)
+    table, rho = _born_table(params.alpha, params.channel)
+    (_, xx, check), (zz_f, xx_f, _) = table
 
     joint = rng.multinomial(n, _check_joint_probs(rho, params.alpha).ravel())
     n_err = int(joint[1] + joint[3])
-
-    s_check = _check_basis_probs(rho, params.alpha)
-    m_check = rng.multinomial(n, s_check.ravel()).reshape(2, 2)
-
-    fil_sq = np.kron(np.eye(2, dtype=complex), filter_op(params.alpha).squared())
-    n_fil = int(rng.binomial(n, np.trace(rho @ fil_sq).real))
-
-    n_xx = rng.multinomial(n, _xx_probs(rho).ravel()).reshape(2, 2)
-
-    filtered, _ = _filtered_state(rho, params.alpha)
-    zz_f = rng.multinomial(n_fil, _zz_probs(filtered).ravel())
-    n_bit = int(zz_f[1] + zz_f[2])
-    xx_f = rng.multinomial(n_fil, _xx_probs(filtered).ravel())
-    n_ph = int(xx_f[1] + xx_f[2])
+    m_check = rng.multinomial(n, _normalized(check).ravel()).reshape(2, 2)
+    n_fil = int(rng.binomial(n, min(zz_f.sum(), 1.0)))
+    n_xx = rng.multinomial(n, _normalized(xx).ravel()).reshape(2, 2)
+    n_bit = int(rng.multinomial(n_fil, _normalized(zz_f).ravel())[[1, 2]].sum())
+    n_ph = int(rng.multinomial(n_fil, _normalized(xx_f).ravel())[[1, 2]].sum())
 
     return Tallies(
         n_pairs=n,

@@ -30,6 +30,9 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
+# X-basis product kets |i_x j_x>, rows in index order (0,0), (0,1), (1,0), (1,1)
+XX_KETS = np.array([np.kron(a, b) for a in (KET_0X, KET_1X) for b in (KET_0X, KET_1X)])
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=complex)
@@ -37,7 +40,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_alpha(alpha: float, *, include_sup: bool = False) -> None:
+def check_alpha(alpha: float, *, include_sup: bool = False) -> None:
     hi_ok = alpha <= ALPHA_SUP + 1e-15 if include_sup else alpha < ALPHA_SUP
     if not (0.0 < alpha and hi_ok):
         bound = "(0, 1/sqrt(2)]" if include_sup else "(0, 1/sqrt(2))"
@@ -48,6 +51,36 @@ def projector(ket: np.ndarray) -> np.ndarray:
     """Rank-1 projector |psi><psi| of a state vector."""
     v = np.asarray(ket, dtype=complex)
     return np.outer(v, v.conj())
+
+
+def projectors(kets: np.ndarray) -> np.ndarray:
+    """Stack of rank-1 projectors, one per row of ``kets``."""
+    return kets[:, :, None] * kets.conj()[:, None, :]
+
+
+ZZ_PROJECTORS = projectors(np.eye(4, dtype=complex))
+XX_PROJECTORS = projectors(XX_KETS)
+X_PROJECTORS = projectors(np.array([KET_0X, KET_1X]))
+
+
+def born(rho: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Weights Tr[rho E_k] for a stack ``ops`` of operators E_k.
+
+    ``rho`` may carry leading batch axes; the result then has shape
+    ``rho.shape[:-2] + (len(ops),)``.
+    """
+    return np.einsum("...ij,kji->...k", rho, ops).real
+
+
+def post_channel_states(psi: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """sum_k (I x K_k)|psi><psi|(I x K_k)^dagger for a two-qubit ket.
+
+    ``ops`` has shape (..., n_kraus, 2, 2); each leading index gives one
+    output matrix.  Uses (I x K)|psi> = psi.reshape(2, 2) @ K.T, so no 4x4
+    Kronecker product is formed.
+    """
+    kets = (np.reshape(psi, (2, 2)) @ np.swapaxes(ops, -1, -2)).reshape(*ops.shape[:-2], 4)
+    return np.einsum("...ki,...kj->...ij", kets, kets.conj())
 
 
 @dataclass(frozen=True)
@@ -130,7 +163,7 @@ class Povm:
 
     def outcome_probabilities(self, rho: DensityMatrix | np.ndarray) -> np.ndarray:
         m = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-        return np.array([np.trace(m @ e).real for e in self.elements])
+        return born(m, np.asarray(self.elements))
 
 
 @dataclass(frozen=True)
@@ -141,7 +174,7 @@ class FilterOp:
     alpha: float
 
     def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
+        check_alpha(self.alpha)
         object.__setattr__(self, "matrix", _frozen(self.matrix))
 
     @property
@@ -187,7 +220,7 @@ def ket_z(j: int) -> np.ndarray:
 
 def signal_state(j: int, alpha: float) -> StateVector:
     """Sender's state beta|0_x> + (-1)^j alpha|1_x> for bit value j."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if j not in (0, 1):
         raise ParameterError("bit value must be 0 or 1")
     beta = math.sqrt(1.0 - alpha**2)
@@ -196,7 +229,7 @@ def signal_state(j: int, alpha: float) -> StateVector:
 
 def dual_state(j: int, alpha: float) -> StateVector:
     """Unit state orthogonal to signal_state(j, alpha)."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if j not in (0, 1):
         raise ParameterError("bit value must be 0 or 1")
     beta = math.sqrt(1.0 - alpha**2)
@@ -210,7 +243,7 @@ def b92_povm(alpha: float) -> Povm:
     conclusive outcome identifies the sent bit; the null element absorbs the
     rest of the identity.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     f0 = projector(dual_state(1, alpha).amplitudes) / 2.0
     f1 = projector(dual_state(0, alpha).amplitudes) / 2.0
     f_null = np.eye(2, dtype=complex) - f0 - f1
@@ -221,10 +254,14 @@ def b92_povm(alpha: float) -> Povm:
 
 def filter_op(alpha: float) -> FilterOp:
     """Local filter diagonal in the X basis with eigenvalues (alpha, beta)."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
+    return FilterOp(filter_matrix(alpha), alpha)
+
+
+def filter_matrix(alpha: float) -> np.ndarray:
+    """Matrix of filter_op(alpha), unvalidated, for hot numeric paths."""
     beta = math.sqrt(1.0 - alpha**2)
-    mat = alpha * projector(KET_0X) + beta * projector(KET_1X)
-    return FilterOp(mat, alpha)
+    return alpha * X_PROJECTORS[0] + beta * X_PROJECTORS[1]
 
 
 def check_pair_basis(alpha: float) -> tuple[StateVector, StateVector, StateVector, StateVector]:
@@ -234,13 +271,20 @@ def check_pair_basis(alpha: float) -> tuple[StateVector, StateVector, StateVecto
     error events of the local Z x B92 measurement; (1,0) completes the basis.
     Returned in index order ((0,0), (0,1), (1,0), (1,1)).
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
+    return tuple(StateVector(g, basis_label="X") for g in check_basis_kets(alpha))
+
+
+def check_basis_kets(alpha: float) -> np.ndarray:
+    """Kets of check_pair_basis(alpha) as rows of a 4x4 array, unvalidated."""
     beta = math.sqrt(1.0 - alpha**2)
-    g00 = beta * np.kron(KET_0X, KET_0X) + alpha * np.kron(KET_1X, KET_1X)
-    g01 = beta * np.kron(KET_0X, KET_1X) - alpha * np.kron(KET_1X, KET_0X)
-    g10 = alpha * np.kron(KET_0X, KET_1X) + beta * np.kron(KET_1X, KET_0X)
-    g11 = alpha * np.kron(KET_0X, KET_0X) - beta * np.kron(KET_1X, KET_1X)
-    return tuple(StateVector(g, basis_label="X") for g in (g00, g01, g10, g11))
+    xx00, xx01, xx10, xx11 = XX_KETS
+    return np.array([
+        beta * xx00 + alpha * xx11,
+        beta * xx01 - alpha * xx10,
+        alpha * xx01 + beta * xx10,
+        alpha * xx00 - beta * xx11,
+    ])
 
 
 def error_povm_element(alpha: float) -> np.ndarray:
@@ -255,10 +299,8 @@ def nonmax_entangled_state(alpha: float) -> StateVector:
     The maximally entangled point alpha = 1/sqrt(2) is allowed here even
     though the protocol range excludes it.
     """
-    _check_alpha(alpha, include_sup=True)
-    beta = math.sqrt(1.0 - alpha**2)
-    amp = beta * np.kron(KET_0X, KET_0X) + alpha * np.kron(KET_1X, KET_1X)
-    return StateVector(amp, basis_label="X")
+    check_alpha(alpha, include_sup=True)
+    return StateVector(check_basis_kets(alpha)[0], basis_label="X")
 
 
 def depolarizing_channel(p: float) -> KrausChannel:
@@ -281,12 +323,7 @@ def apply_channel_on_B(psi_ab: StateVector, channel: KrausChannel) -> DensityMat
     """Send qubit B of a two-qubit pure state through a single-qubit channel."""
     if psi_ab.dim != 4:
         raise ParameterError("expected a two-qubit state")
-    rho = projector(psi_ab.amplitudes)
-    out = np.zeros((4, 4), dtype=complex)
-    for k in channel.kraus_ops:
-        big = np.kron(np.eye(2, dtype=complex), k)
-        out += big @ rho @ big.conj().T
-    return DensityMatrix(out)
+    return DensityMatrix(post_channel_states(psi_ab.amplitudes, np.asarray(channel.kraus_ops)))
 
 
 def measure_sample(rho: DensityMatrix, povm: Povm, rng: np.random.Generator) -> int:

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError, SingularityError
+from .quantum import check_alpha
 
-GRID_POINTS = 10_000
-BISECT_TOL = 1e-12
 GRAZE_TOL = 1e-12
 
 
@@ -32,8 +31,7 @@ class ObservedRates:
             raise ParameterError("r_err must lie in [0, 1/2]")
         if not 0.0 <= self.r_fil <= 1.0:
             raise ParameterError("r_fil must lie in [0, 1]")
-        if not 0.0 < self.alpha < 1.0 / math.sqrt(2.0):
-            raise ParameterError("alpha outside (0, 1/sqrt(2))")
+        check_alpha(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -54,7 +52,8 @@ class BoundResult:
 
 @dataclass(frozen=True)
 class SlackVector:
-    """Nonnegative finite-size slacks for the eight estimation constraints."""
+    """Finite, nonnegative finite-size slacks for the eight estimation
+    constraints."""
 
     eps1: float = 0.0
     eps2: float = 0.0
@@ -67,8 +66,9 @@ class SlackVector:
 
     def __post_init__(self) -> None:
         for name in ("eps1", "eps2", "eps3", "eps4", "eps5", "eps6", "eps7", "eps8"):
-            if getattr(self, name) < 0.0:
-                raise ParameterError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ParameterError(f"{name}={value!r} must be finite and nonnegative")
 
     def as_tuple(self) -> tuple[float, ...]:
         return (self.eps1, self.eps2, self.eps3, self.eps4,
@@ -146,9 +146,19 @@ def _infeasible(delta: float) -> BoundResult:
 def phase_error_bound(obs: ObservedRates) -> BoundResult:
     """Largest phase-error rate consistent with the observed (r_err, r_fil).
 
-    Scans the trade-off curve on a dense grid for the rightmost point where
-    alpha*beta*f(x) still covers |r_fil - 2 r_err|, then refines the crossing
-    by bisection.  Infeasible data (no such point) means abort.
+    The ceiling sits at the rightmost x of the curve's domain where
+    alpha*beta*f(x) still covers |r_fil - 2 r_err|.  f is concave, so that is
+    the domain's right end when f reaches the target there, and otherwise the
+    right root of f(x) = T.  With u, v the two radicals, u + v = T and
+    u^2 - v^2 = L(x) is linear in x, so u = (T^2 + L)/(2T); squaring
+    u^2 = x^2 - delta^2 leaves a quadratic in x.  Each of its real roots in
+    the domain has f >= T, so the rightmost such root is the crossing; a root
+    within GRAZE_TOL outside the domain is rounding and is clipped onto it.
+    A tangency (double root, e.g. every noiseless point, where f(0) = 2 alpha
+    beta is exactly the target) can round to a slightly negative
+    discriminant; its vertex then counts as feasible when alpha*beta*f misses
+    the target there by at most GRAZE_TOL.  Infeasible data (no such point)
+    means abort.
     """
     alpha = obs.alpha
     a2 = alpha * alpha
@@ -160,47 +170,48 @@ def phase_error_bound(obs: ObservedRates) -> BoundResult:
         return _infeasible(delta)
 
     target = abs(obs.r_fil - 2.0 * obs.r_err)
-
-    def excess(x):
-        xs = np.asarray(x, dtype=float)
-        f = np.sqrt(np.clip(xs * xs - delta * delta, 0.0, None)) + np.sqrt(
-            np.clip((1.0 - xs) ** 2 - c * c, 0.0, None)
-        )
-        return ab * f - target
-
-    xs = np.linspace(x_lo, x_hi, GRID_POINTS)
-    g = excess(xs)
-    ok = np.nonzero(g >= 0.0)[0]
-    if ok.size == 0:
-        if g.max() > -GRAZE_TOL:
-            x_star = float(xs[int(np.argmax(g))])
-        else:
-            return _infeasible(delta)
-    elif ok[-1] == xs.size - 1:
+    # the second radical vanishes at the domain's right end
+    if ab * math.sqrt(max(x_hi * x_hi - delta * delta, 0.0)) >= target:
         x_star = x_hi
     else:
-        lo, hi = float(xs[ok[-1]]), float(xs[ok[-1] + 1])
-        while hi - lo > BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            if excess(mid) >= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        x_star = lo
+        t = target / ab
+        if t >= 1.0:
+            # f < 1 on its whole domain, since delta and c cannot both vanish
+            return _infeasible(delta)
+        # roots of a x^2 + m x + k = 0, the squared form of f(x) = t; its
+        # discriminant m^2 - 4ak is t^2 * disc
+        m = t * t - (1.0 + delta * delta - c * c)
+        a = 1.0 - t * t
+        k = 0.25 * m * m + t * t * delta * delta
+        disc = m * m - 4.0 * a * delta * delta
+        if disc < 0.0:
+            # a double root that rounding pushed off the axis: the vertex
+            roots = (-0.5 * m / a,)
+        else:
+            q = -0.5 * (m + math.copysign(t * math.sqrt(disc), m))
+            roots = (q / a, k / q) if q != 0.0 else (0.0,)
+        inside = [r for r in roots if x_lo - GRAZE_TOL <= r <= x_hi + GRAZE_TOL]
+        if not inside:
+            return _infeasible(delta)
+        x_star = min(max(max(inside), x_lo), x_hi)
+        if disc < 0.0 and ab * tradeoff_curve(x_star, delta, alpha) < target - GRAZE_TOL:
+            return _infeasible(delta)
 
     r_ph_bar = 0.5 * (x_star + gap * delta)
     return BoundResult(r_ph_bar=max(r_ph_bar, 0.0), x_star=x_star, delta=delta, feasible=True)
 
 
-def key_rate(obs: ObservedRates) -> float:
+def key_rate(obs: ObservedRates, bound: BoundResult | None = None) -> float:
     """Asymptotic secret bits per pair for the observed rates.
 
     Zero whenever the bound is infeasible, the phase ceiling exceeds half the
     sifted fraction, or the entropy costs consume the whole sifted output.
+    ``bound`` is phase_error_bound(obs) when the caller already has it.
     """
     if obs.r_fil <= 0.0:
         return 0.0
-    bound = phase_error_bound(obs)
+    if bound is None:
+        bound = phase_error_bound(obs)
     if not bound.feasible:
         return 0.0
     e_bit = obs.r_err / obs.r_fil

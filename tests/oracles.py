@@ -52,6 +52,48 @@ def depolarizing_rates(alpha_sq: float, p: float) -> dict[str, object]:
     }
 
 
+def kron_expected_rates(alpha: float, kraus_ops) -> dict[str, object]:
+    """Rates of any single-qubit channel on B, built the direct way.
+
+    Every two-qubit operator is an explicit Kronecker product and every weight
+    a trace against the full 4x4 post-channel or filtered state.
+    """
+    beta = math.sqrt(1.0 - alpha * alpha)
+    eye = np.eye(2, dtype=complex)
+    kz = [np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)]
+    kx = [np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0),
+          np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)]
+
+    def xx(i, j):
+        return np.kron(kx[i], kx[j])
+
+    def weight(m, ket):
+        return float(np.vdot(ket, m @ ket).real)
+
+    psi = beta * xx(0, 0) + alpha * xx(1, 1)
+    rho = sum(
+        np.kron(eye, k) @ np.outer(psi, psi.conj()) @ np.kron(eye, k).conj().T
+        for k in kraus_ops
+    )
+    filt = np.kron(eye, alpha * np.outer(kx[0], kx[0]) + beta * np.outer(kx[1], kx[1]))
+    filtered = filt @ rho @ filt
+    check = [
+        beta * xx(0, 0) + alpha * xx(1, 1),
+        beta * xx(0, 1) - alpha * xx(1, 0),
+        alpha * xx(0, 1) + beta * xx(1, 0),
+        alpha * xx(0, 0) - beta * xx(1, 1),
+    ]
+    anti = ((0, 1), (1, 0))
+    return {
+        "r_fil": float(np.trace(filtered).real),
+        "r_err": 0.5 * (weight(rho, check[1]) + weight(rho, check[3])),
+        "r_bit": sum(weight(filtered, np.kron(kz[i], kz[j])) for i, j in anti),
+        "r_ph": sum(weight(filtered, xx(i, j)) for i, j in anti),
+        "r_xx": np.array([[weight(rho, xx(i, j)) for j in (0, 1)] for i in (0, 1)]),
+        "s_check": np.array([weight(rho, g) for g in check]).reshape(2, 2),
+    }
+
+
 def grid_scan_phase_bound(
     r_err: float, r_fil: float, alpha: float, points: int = 1_000_000,
     graze_tol: float = 1e-12,

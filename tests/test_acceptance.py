@@ -181,23 +181,28 @@ class TestAcceptance:
         start = time.time()
         worst = 0.0
         ok = True
-        for p in np.linspace(0.0, 0.045, 10):
-            for alpha_sq in np.linspace(0.05, 0.45, 10):
-                r = depolarizing_rates(alpha_sq, p)
-                alpha = math.sqrt(alpha_sq)
-                res = phase_error_bound(
-                    ObservedRates(r_err=r["r_err"], r_fil=r["r_fil"], alpha=alpha)
-                )
-                x_grid = grid_scan_phase_bound(r["r_err"], r["r_fil"], alpha)
-                if x_grid is None:
-                    ok &= not res.feasible
-                else:
-                    ok &= res.feasible and abs(res.x_star - x_grid) < 1e-6
-                    if res.feasible:
-                        worst = max(worst, abs(res.x_star - x_grid))
+        # the 10 x 10 grid, plus the noiseless column (crossing at x = 0,
+        # where f(0) = 2 alpha beta equals the target) and (0.125, 0.4),
+        # whose crossing is the domain's right end
+        points = [(p, a) for p in np.linspace(0.0, 0.045, 10)
+                  for a in np.linspace(0.05, 0.45, 10)]
+        points += [(0.0, a) for a in np.linspace(0.01, 0.49, 25)] + [(0.125, 0.4)]
+        for p, alpha_sq in points:
+            r = depolarizing_rates(alpha_sq, p)
+            alpha = math.sqrt(alpha_sq)
+            res = phase_error_bound(
+                ObservedRates(r_err=r["r_err"], r_fil=r["r_fil"], alpha=alpha)
+            )
+            x_grid = grid_scan_phase_bound(r["r_err"], r["r_fil"], alpha)
+            if x_grid is None:
+                ok &= not res.feasible
+            else:
+                ok &= res.feasible and abs(res.x_star - x_grid) < 1e-6
+                if res.feasible:
+                    worst = max(worst, abs(res.x_star - x_grid))
         elapsed = time.time() - start
         ok = ok and elapsed < 30.0
-        report(6, f"bisection vs 1e6-point scan, max |dx| = {worst:.2e}", ok,
+        report(6, f"closed-form root vs 1e6-point scan, max |dx| = {worst:.2e}", ok,
                elapsed, 30.0)
 
     def test_criterion_07_noiseless_fixed_point(self):

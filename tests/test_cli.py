@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from b92sim import cli
 from b92sim.cli import (
     CSV_HEADER,
     cmd_optimize,
@@ -80,6 +81,13 @@ class TestOptimizeCommand:
     def test_threshold_point_near_zero(self):
         _, _, g = cmd_optimize(0.034)
         assert g < 1e-4
+
+    @pytest.mark.parametrize("p", [0.0, 0.02, 0.03])
+    def test_optimum_is_the_rate_report_at_that_point(self, p):
+        # the search evaluates G through its own channel-reusing path; it
+        # must be exactly the G that the rate command reports
+        alpha_sq, _, g = cmd_optimize(p)
+        assert g == cmd_rate(p, alpha_sq).G
 
     def test_command_output(self, capsys):
         code, out, _ = run_cli(capsys, "optimize", "--p", "0.02", "--format", "json")
@@ -301,6 +309,16 @@ class TestExitCodes:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_slack_exits_2(self, capsys, bad):
+        code, out, err = run_cli(
+            capsys, "simulate", "--p", "0.03", "--alpha-sq", "0.2", "--n", "1000",
+            f"--eps2={bad}",
+        )
+        assert code == 2
+        assert out == ""
+        assert "eps2" in err
+
     def test_singularity_exit(self, capsys):
         code, _, err = run_cli(capsys, "rate", "--p", "0.03", "--alpha-sq", "0.4999")
         assert code == 2
@@ -312,6 +330,39 @@ class TestExitCodes:
             capsys, "rate", "--p", "0.03", "--alpha-sq", "0.2", "--out", str(missing)
         )
         assert code == 3
+
+
+class TestParserReuse:
+    def test_cached_parser_matches_fresh_parsers(self, capsys, tmp_path):
+        # one parser serves every call in a process; back-to-back commands,
+        # config files and usage errors must behave as with a fresh parser
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": 0.02, "alpha-sq": 0.25, "format": "json"}))
+        runs = [
+            ["rate", "--p", "0.03", "--alpha-sq", "0.2"],
+            ["optimize", "--p", "0.02", "--format", "json"],
+            ["rate", "--config", str(cfg)],
+            ["rate", "--config", str(cfg), "--p", "0.01"],
+            ["sweep", "--p", "0.03", "--alpha-min", "0.1", "--alpha-max", "0.3",
+             "--alpha-steps", "3"],
+            ["rate", "--p", "0.03"],
+            ["no-such-command"],
+            ["simulate", "--p", "0.03", "--alpha-sq", "0.2", "--n", "1000", "--seed", "3"],
+            ["rate", "--p", "0.03", "--alpha-sq", "0.2", "--format", "json"],
+        ]
+
+        def run_all(fresh):
+            results = []
+            for argv in runs:
+                if fresh:
+                    cli._parser.cache_clear()
+                code = main(argv)
+                results.append((code, capsys.readouterr().out))
+            return results
+
+        cached = run_all(fresh=False)
+        assert cached == run_all(fresh=True)
+        assert [code for code, _ in cached] == [0, 0, 0, 0, 0, 1, 1, 0, 0]
 
 
 class TestDeterministicFormatting:

@@ -21,13 +21,16 @@ from b92sim.protocol import (
 from b92sim.quantum import (
     DensityMatrix,
     KrausChannel,
+    apply_channel_on_B,
     b92_povm,
     depolarizing_channel,
     identity_channel,
+    nonmax_entangled_state,
     projector,
     signal_state,
 )
-from oracles import depolarizing_rates, random_density_matrix
+from b92sim.security import ObservedRates, key_rate
+from oracles import depolarizing_rates, kron_expected_rates, random_density_matrix
 
 ALPHA_02 = math.sqrt(0.2)
 
@@ -78,6 +81,32 @@ class TestExpectedRates:
         )
         # filtered state carries weight (a2+b2^2... ) check via direct sums
         assert r.r_bit == pytest.approx(r.r_fil / 2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("alpha_sq", [0.05, 0.2, 0.45])
+    def test_amplitude_damping_against_kron_reference(self, gamma, alpha_sq):
+        # a non-unital channel: every field against explicit 4x4 products
+        channel = KrausChannel((
+            np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=complex),
+            np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex),
+        ))
+        alpha = math.sqrt(alpha_sq)
+        r = expected_rates(alpha, channel)
+        ref = kron_expected_rates(alpha, channel.kraus_ops)
+        for name in ("r_fil", "r_err", "r_bit", "r_ph"):
+            assert getattr(r, name) == pytest.approx(ref[name], abs=1e-14), name
+        np.testing.assert_allclose(r.r_xx, ref["r_xx"], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(r.s_check, ref["s_check"], rtol=0, atol=1e-14)
+
+    def test_readme_pattern_at_zero_noise(self):
+        # the rates feed ObservedRates unchanged: rounding below zero is
+        # clamped at the source, and the noiseless key rate is r_fil
+        for alpha_sq in np.linspace(0.01, 0.49, 49):
+            alpha = math.sqrt(alpha_sq)
+            rates = expected_rates(alpha, depolarizing_channel(0.0))
+            assert 0.0 <= rates.r_err <= 0.5 and 0.0 <= rates.r_fil <= 1.0
+            obs = ObservedRates(r_err=rates.r_err, r_fil=rates.r_fil, alpha=alpha)
+            assert key_rate(obs) == pytest.approx(rates.r_fil, abs=1e-9)
 
     def test_error_rate_equals_bit_rate(self):
         # the check-pair error probability must equal the filtered bit-error
@@ -267,9 +296,11 @@ class TestRunB92:
 
         rng = np.random.Generator(np.random.Philox(params_b.seed))
         rng.permutation(2 * n)
-        from b92sim.protocol import _check_joint_probs, _post_channel_state
+        from b92sim.protocol import _check_joint_probs
 
-        rho = _post_channel_state(ALPHA_02, depolarizing_channel(p))
+        rho = apply_channel_on_B(
+            nonmax_entangled_state(ALPHA_02), depolarizing_channel(p)
+        ).entries
         joint = _check_joint_probs(rho, ALPHA_02)
         outcomes = rng.choice(6, size=n, p=joint.reshape(-1))
         check_counts = np.bincount(outcomes, minlength=6).reshape(2, 3)

@@ -24,6 +24,11 @@ from oracles import depolarizing_rates, grid_scan_phase_bound
 
 ALPHA_02 = math.sqrt(0.2)
 
+# p = 0 puts the bound's crossing at x = 0, where f(0) = 2 alpha beta equals
+# the target; (0.125, 0.4) puts it on the domain's right end, where the
+# second radical vanishes; both must stay feasible
+EDGE_POINTS = [(0.0, a) for a in np.linspace(0.01, 0.49, 25)] + [(0.125, 0.4)]
+
 
 def observed(p: float, alpha_sq: float) -> ObservedRates:
     r = depolarizing_rates(alpha_sq, p)
@@ -131,6 +136,51 @@ class TestPhaseErrorBound:
             assert res.feasible
             assert abs(res.x_star - x_grid) < 1e-6
 
+    @pytest.mark.parametrize("p, alpha_sq", EDGE_POINTS)
+    def test_grid_oracle_agreement_at_edge_points(self, p, alpha_sq):
+        obs = observed(p, alpha_sq)
+        res = phase_error_bound(obs)
+        x_grid = grid_scan_phase_bound(obs.r_err, obs.r_fil, obs.alpha)
+        assert x_grid is not None and res.feasible
+        assert abs(res.x_star - x_grid) < 1e-6
+
+    @pytest.mark.parametrize("p, alpha_sq", EDGE_POINTS)
+    def test_edge_points_feasible_from_numeric_rates(self, p, alpha_sq):
+        # the 4x4 rates carry rounding the closed forms do not; it may push
+        # the root just outside the domain or the discriminant below zero
+        from b92sim.protocol import expected_rates
+        from b92sim.quantum import depolarizing_channel
+
+        alpha = math.sqrt(alpha_sq)
+        rates = expected_rates(alpha, depolarizing_channel(p))
+        res = phase_error_bound(ObservedRates(r_err=rates.r_err, r_fil=rates.r_fil, alpha=alpha))
+        exact = phase_error_bound(observed(p, alpha_sq))
+        assert res.feasible
+        assert res.r_ph_bar == pytest.approx(exact.r_ph_bar, abs=1e-12)
+
+    def test_closed_form_against_grid_on_random_rates(self):
+        # arbitrary observed rates, not only depolarizing ones: no grid point
+        # right of the closed-form x_star is feasible, and x_star is either
+        # the domain's right end or a point exactly on the target level
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            alpha = math.sqrt(rng.uniform(0.01, 0.49))
+            r_fil = rng.uniform(0.0, 1.0)
+            obs = ObservedRates(r_err=rng.uniform(0.0, min(0.5, r_fil)), r_fil=r_fil,
+                                alpha=alpha)
+            res = phase_error_bound(obs)
+            x_grid = grid_scan_phase_bound(obs.r_err, obs.r_fil, alpha, points=20_001)
+            if not res.feasible:
+                assert x_grid is None
+                continue
+            assert x_grid is None or x_grid <= res.x_star + 1e-12
+            a2 = alpha * alpha
+            ab = alpha * math.sqrt(1.0 - a2)
+            f = tradeoff_curve(res.x_star, res.delta, alpha)
+            x_hi = 1.0 - abs(1.0 - 2.0 * a2 - res.delta)
+            assert res.x_star == x_hi or ab * f == pytest.approx(
+                abs(obs.r_fil - 2.0 * obs.r_err), abs=1e-12)
+
     def test_abort_branch(self):
         # error-free but excessive filter rate cannot be explained
         res = phase_error_bound(ObservedRates(r_err=0.0, r_fil=0.9, alpha=ALPHA_02))
@@ -222,6 +272,22 @@ class TestFiniteSizeBound:
         # zero-slack relaxation must say so too
         n_err, n_fil, n = 88, 321_586, 3_162_278
         alpha = math.sqrt(0.054)
+        res = finite_size_bound(n_err, n_fil, n, alpha)
+        exact = phase_error_bound(ObservedRates(r_err=n_err / n, r_fil=n_fil / n, alpha=alpha))
+        assert exact.feasible and res.feasible
+        assert res.r_ph_bar == pytest.approx(exact.r_ph_bar, abs=1e-12)
+
+    @pytest.mark.parametrize("n_err,n_fil,n,alpha_sq", [
+        (9, 1_231_037, 2_701_347, 0.3512),
+        (107, 3_149_803, 9_709_746, 0.2037),
+        (99, 1_178_648, 4_175_037, 0.1701),
+        (128, 136_634, 1_230_781, 0.0589),
+    ])
+    def test_zero_slack_seeded_optimum_stays_feasible(self, n_err, n_fil, n, alpha_sq):
+        # near-error-free runs whose feasible x-interval is narrower than the
+        # grid spacing: only the seeded x_star of phase_error_bound finds it,
+        # so that root must lie on the feasible side of the crossing
+        alpha = math.sqrt(alpha_sq)
         res = finite_size_bound(n_err, n_fil, n, alpha)
         exact = phase_error_bound(ObservedRates(r_err=n_err / n, r_fil=n_fil / n, alpha=alpha))
         assert exact.feasible and res.feasible
@@ -373,6 +439,12 @@ class TestValidation:
     def test_slack_vector_nonnegative(self):
         with pytest.raises(ParameterError):
             SlackVector(eps3=-0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("idx", range(1, 9))
+    def test_slack_vector_rejects_non_finite(self, bad, idx):
+        with pytest.raises(ParameterError):
+            SlackVector(**{f"eps{idx}": bad})
 
     def test_bound_result_fields(self):
         res = BoundResult(r_ph_bar=0.1, x_star=0.2, delta=0.0, feasible=True)
