@@ -19,24 +19,23 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, ParameterError
 from .exponent import SolverOptions, TwoBasisSampling, min_exponent, zero_region_contains
 from .protocol import ProtocolParams, expected_rates, run_protocol1
-from .quantum import depolarizing_channel
+from .quantum import check_alpha, depolarizing_channel
 from .security import (
     ObservedRates,
     SlackVector,
-    binary_entropy,
     failure_budget,
+    finite_key_length,
     finite_size_bound,
     key_rate,
     phase_error_bound,
 )
-
-CSV_HEADER = "alpha_sq,overlap,p,r_fil,r_err,r_ph_bar,r_ph_actual,r_bit_actual,G"
 
 ALPHA_SQ_MIN = 0.01
 ALPHA_SQ_MAX = 0.49
@@ -51,34 +50,34 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
-    """Fill options from a JSON config file; explicit flags win.
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """The options of a JSON config file as ``--key=value`` flag tokens.
 
     Config keys use flag spelling without the leading dashes (either - or _
-    separators).  A key is ignored when the matching flag appears in argv.
+    separators); values are strings or numbers, which the parser then
+    type-checks exactly as it does flags.
     """
-    if getattr(args, "config", None) is None:
-        return
-    try:
-        with open(args.config) as fh:
+    with open(args.config) as fh:
+        try:
             loaded = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise CliUsageError(f"config file is not valid JSON: {exc}") from exc
+        except ValueError as exc:  # also a file that is not UTF-8
+            raise CliUsageError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(loaded, dict):
         raise CliUsageError("config file must hold a JSON object")
+    flags = []
     for key, value in loaded.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr) or attr in ("command", "config"):
             raise CliUsageError(f"config key {key!r} is not an option of this command")
-        flag = "--" + attr.replace("_", "-")
-        if flag in argv:
-            continue
-        setattr(args, attr, value)
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise CliUsageError(f"config key {key!r} must hold a string or a number")
+        flags.append(f"--{attr.replace('_', '-')}={value}")
+    return flags
 
 
-@dataclass(frozen=True)
-class RateReport:
-    """One analytic row: channel point, observed-rate analogue, bound, rate."""
+class RateReport(NamedTuple):
+    """One analytic row: channel point, observed-rate analogue, bound, rate.
+    The field order is the CSV column order."""
 
     alpha_sq: float
     overlap: float
@@ -90,46 +89,17 @@ class RateReport:
     r_bit_actual: float
     G: float
 
-    def row(self) -> str:
-        return ",".join(
-            fmt(v)
-            for v in (
-                self.alpha_sq,
-                self.overlap,
-                self.p,
-                self.r_fil,
-                self.r_err,
-                self.r_ph_bar,
-                self.r_ph_actual,
-                self.r_bit_actual,
-                self.G,
-            )
-        )
 
-    def as_dict(self) -> dict:
-        return {
-            "alpha_sq": jf(self.alpha_sq),
-            "overlap": jf(self.overlap),
-            "p": jf(self.p),
-            "r_fil": jf(self.r_fil),
-            "r_err": jf(self.r_err),
-            "r_ph_bar": jf(self.r_ph_bar),
-            "r_ph_actual": jf(self.r_ph_actual),
-            "r_bit_actual": jf(self.r_bit_actual),
-            "G": jf(self.G),
-        }
+CSV_HEADER = ",".join(RateReport._fields)
+OPTIMUM_FIELDS = ("alpha_sq_star", "overlap_star", "G_star")
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid specification for sweep/simulate runs."""
+    """Channel and nonorthogonality grid of a sweep."""
 
     p_values: tuple[float, ...]
     alpha_sq_values: tuple[float, ...] | None  # None means optimize per p
-    n_pairs: int = 0
-    seed: int = 0
-    fmt: str = "csv"
-    out: str | None = None
 
     def __post_init__(self) -> None:
         if not self.p_values:
@@ -142,8 +112,11 @@ def fmt(v) -> str:
     return f"{float(v):.12g}"
 
 
-def jf(v) -> float:
-    return float(fmt(v))
+def jf(v) -> float | None:
+    """A JSON value at 12 significant digits: null for nan and +-inf, which
+    RFC 8259 cannot spell."""
+    x = float(fmt(v))
+    return x if math.isfinite(x) else None
 
 
 def overlap_to_alpha_sq(overlap: float) -> float:
@@ -152,9 +125,18 @@ def overlap_to_alpha_sq(overlap: float) -> float:
     return (1.0 - math.sqrt(overlap)) / 2.0
 
 
+def _alpha(alpha_sq: float) -> float:
+    """The amplitude alpha of a nonorthogonality alpha^2, range-checked."""
+    if not alpha_sq > 0.0:
+        raise ParameterError(f"alpha_sq={alpha_sq!r} must be positive")
+    alpha = math.sqrt(alpha_sq)
+    check_alpha(alpha)
+    return alpha
+
+
 def cmd_rate(p: float, alpha_sq: float) -> RateReport:
     """Analytic report for one (channel strength, nonorthogonality) point."""
-    alpha = math.sqrt(alpha_sq)
+    alpha = _alpha(alpha_sq)
     rates = expected_rates(alpha, depolarizing_channel(p))
     obs = ObservedRates(r_err=rates.r_err, r_fil=rates.r_fil, alpha=alpha)
     bound = phase_error_bound(obs)
@@ -164,7 +146,7 @@ def cmd_rate(p: float, alpha_sq: float) -> RateReport:
         p=p,
         r_fil=rates.r_fil,
         r_err=rates.r_err,
-        r_ph_bar=bound.r_ph_bar if bound.feasible else math.nan,
+        r_ph_bar=bound.r_ph_bar,
         r_ph_actual=rates.r_ph,
         r_bit_actual=rates.r_bit,
         G=key_rate(obs, bound),
@@ -230,25 +212,12 @@ def cmd_sweep(cfg: SweepConfig) -> list[RateReport]:
 def cmd_simulate(p: float, alpha_sq: float, n_pairs: int, seed: int,
                  slacks: SlackVector) -> dict:
     """Run the protocol once and evaluate the finite-size estimation chain."""
-    alpha = math.sqrt(alpha_sq)
+    alpha = _alpha(alpha_sq)
     params = ProtocolParams(alpha=alpha, n_pairs=n_pairs,
                             channel=depolarizing_channel(p), seed=seed)
     t = run_protocol1(params)
     bound = finite_size_bound(t.n_err, t.n_fil, n_pairs, alpha, slacks)
-    if bound.feasible and t.n_fil > 0:
-        n_ph_bar = bound.r_ph_bar * n_pairs
-        n_bit_bar = min(t.n_err + slacks.eps1 * n_pairs, float(t.n_fil))
-        if n_ph_bar / t.n_fil <= 0.5:
-            key_length = t.n_fil * (
-                1.0
-                - binary_entropy(n_bit_bar / t.n_fil)
-                - binary_entropy(min(n_ph_bar / t.n_fil, 1.0))
-            )
-            key_length = max(key_length, 0.0)
-        else:
-            key_length = 0.0
-    else:
-        key_length = 0.0
+    key_length = finite_key_length(t.n_err, t.n_fil, n_pairs, bound, slacks)
     budget = failure_budget(n_pairs, slacks, 0, 0.0)
     return {
         "params": {
@@ -268,8 +237,8 @@ def cmd_simulate(p: float, alpha_sq: float, n_pairs: int, seed: int,
         },
         "bound": {
             "feasible": bound.feasible,
-            "r_ph_bar": jf(bound.r_ph_bar) if bound.feasible else None,
-            "x_star": jf(bound.x_star) if bound.feasible else None,
+            "r_ph_bar": jf(bound.r_ph_bar),
+            "x_star": jf(bound.x_star),
             "delta": jf(bound.delta),
         },
         "key_length": jf(key_length),
@@ -353,10 +322,15 @@ def _emit(text: str, out_path: str | None) -> None:
         fh.write(text)
 
 
-def _render_rows(rows: list[RateReport], fmt_name: str) -> str:
+def _render(fields: tuple[str, ...], rows: list[tuple], fmt_name: str,
+            *, many: bool = False) -> str:
+    """CSV with a header line, or JSON: a list of objects when ``many``,
+    else the one row's object."""
     if fmt_name == "csv":
-        return "\n".join([CSV_HEADER] + [r.row() for r in rows]) + "\n"
-    return json.dumps([r.as_dict() for r in rows], indent=2) + "\n"
+        lines = [",".join(fields)] + [",".join(map(fmt, row)) for row in rows]
+        return "\n".join(lines) + "\n"
+    objs = [{name: jf(v) for name, v in zip(fields, row)} for row in rows]
+    return json.dumps(objs if many else objs[0], indent=2) + "\n"
 
 
 def make_parser() -> _Parser:
@@ -364,57 +338,48 @@ def make_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--out", default=None, metavar="PATH")
-        sp.add_argument("--config", default=None, metavar="PATH",
+    def add_common(sp, formats=True):
+        if formats:
+            sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        sp.add_argument("--out", metavar="PATH")
+        sp.add_argument("--config", metavar="PATH",
                         help="JSON file of option defaults; flags win")
 
+    def add_floats(sp, *flags):
+        for flag in flags:
+            sp.add_argument(flag, type=float)
+
     sp = sub.add_parser("rate", help="analytic report for one channel point")
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--alpha-sq", type=float, default=None)
-    sp.add_argument("--overlap", type=float, default=None)
+    add_floats(sp, "--p", "--alpha-sq", "--overlap")
     add_common(sp)
 
     sp = sub.add_parser("optimize", help="best nonorthogonality for a channel")
-    sp.add_argument("--p", type=float, default=None)
+    add_floats(sp, "--p")
     add_common(sp)
 
     sp = sub.add_parser("sweep", help="grid of analytic reports")
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--p-min", type=float, default=None)
-    sp.add_argument("--p-max", type=float, default=None)
-    sp.add_argument("--p-steps", type=int, default=None)
-    sp.add_argument("--alpha-sq", type=float, default=None)
-    sp.add_argument("--overlap", type=float, default=None)
-    sp.add_argument("--alpha-min", type=float, default=None)
-    sp.add_argument("--alpha-max", type=float, default=None)
-    sp.add_argument("--alpha-steps", type=int, default=None)
+    add_floats(sp, "--p", "--p-min", "--p-max")
+    sp.add_argument("--p-steps", type=int)
+    add_floats(sp, "--alpha-sq", "--overlap", "--alpha-min", "--alpha-max")
+    sp.add_argument("--alpha-steps", type=int)
     add_common(sp)
 
     sp = sub.add_parser("simulate", help="one protocol run plus finite-size report")
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--alpha-sq", type=float, default=None)
-    sp.add_argument("--overlap", type=float, default=None)
-    sp.add_argument("--n", type=int, default=None)
+    add_floats(sp, "--p", "--alpha-sq", "--overlap")
+    sp.add_argument("--n", type=int)
     sp.add_argument("--seed", type=int, default=0)
     for i in range(1, 9):
         sp.add_argument(f"--eps{i}", type=float, default=0.0)
-    sp.add_argument("--out", default=None, metavar="PATH")
-    sp.add_argument("--config", default=None, metavar="PATH",
-                    help="JSON file of option defaults; flags win")
+    add_common(sp, formats=False)
 
     sp = sub.add_parser("exponent", help="two-basis sampling exponent")
-    sp.add_argument("--basis0", default=None, metavar="SPEC")
-    sp.add_argument("--basis1", default=None, metavar="SPEC")
-    sp.add_argument("--m0", type=int, default=None)
-    sp.add_argument("--m1", type=int, default=None)
-    sp.add_argument("--delta0", type=float, default=None)
-    sp.add_argument("--delta1", type=float, default=None)
+    sp.add_argument("--basis0", metavar="SPEC")
+    sp.add_argument("--basis1", metavar="SPEC")
+    sp.add_argument("--m0", type=int)
+    sp.add_argument("--m1", type=int)
+    add_floats(sp, "--delta0", "--delta1")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default=None, metavar="PATH")
-    sp.add_argument("--config", default=None, metavar="PATH",
-                    help="JSON file of option defaults; flags win")
+    add_common(sp, formats=False)
 
     return parser
 
@@ -430,34 +395,12 @@ def _run(args) -> int:
     if args.command == "rate":
         _require(args, "p")
         report = cmd_rate(args.p, _resolve_alpha_sq(args))
-        if args.format == "csv":
-            _emit(CSV_HEADER + "\n" + report.row() + "\n", args.out)
-        else:
-            _emit(json.dumps(report.as_dict(), indent=2) + "\n", args.out)
+        _emit(_render(RateReport._fields, [report], args.format), args.out)
         return 0
 
     if args.command == "optimize":
         _require(args, "p")
-        alpha_sq, overlap, g = cmd_optimize(args.p)
-        if args.format == "csv":
-            _emit(
-                "alpha_sq_star,overlap_star,G_star\n"
-                f"{fmt(alpha_sq)},{fmt(overlap)},{fmt(g)}\n",
-                args.out,
-            )
-        else:
-            _emit(
-                json.dumps(
-                    {
-                        "alpha_sq_star": jf(alpha_sq),
-                        "overlap_star": jf(overlap),
-                        "G_star": jf(g),
-                    },
-                    indent=2,
-                )
-                + "\n",
-                args.out,
-            )
+        _emit(_render(OPTIMUM_FIELDS, [cmd_optimize(args.p)], args.format), args.out)
         return 0
 
     if args.command == "sweep":
@@ -473,10 +416,8 @@ def _run(args) -> int:
             alpha_values = _grid(args.alpha_min, args.alpha_max, args.alpha_steps)
         else:
             alpha_values = None  # optimize per p
-        cfg = SweepConfig(p_values=p_values, alpha_sq_values=alpha_values,
-                          fmt=args.format, out=args.out)
-        rows = cmd_sweep(cfg)
-        _emit(_render_rows(rows, cfg.fmt), cfg.out)
+        rows = cmd_sweep(SweepConfig(p_values=p_values, alpha_sq_values=alpha_values))
+        _emit(_render(RateReport._fields, rows, args.format, many=True), args.out)
         return 0
 
     if args.command == "simulate":
@@ -486,16 +427,14 @@ def _run(args) -> int:
         _emit(json.dumps(result, indent=2) + "\n", args.out)
         return 0
 
-    if args.command == "exponent":
-        _require(args, "basis0", "basis1", "m0", "m1", "delta0", "delta1")
-        result = cmd_exponent(
-            args.basis0, args.basis1, args.m0, args.m1,
-            args.delta0, args.delta1, args.seed,
-        )
-        _emit(json.dumps(result, indent=2) + "\n", args.out)
-        return 0
-
-    raise CliUsageError(f"unknown command {args.command!r}")
+    # the parser admits no other command
+    _require(args, "basis0", "basis1", "m0", "m1", "delta0", "delta1")
+    result = cmd_exponent(
+        args.basis0, args.basis1, args.m0, args.m1,
+        args.delta0, args.delta1, args.seed,
+    )
+    _emit(json.dumps(result, indent=2) + "\n", args.out)
+    return 0
 
 
 @functools.cache
@@ -508,7 +447,10 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         args = _parser().parse_args(argv)
-        _apply_config(args, argv)
+        if args.config is not None:
+            # config options go ahead of the command's own flags, which win
+            at = argv.index(args.command) + 1
+            args = _parser().parse_args(argv[:at] + _config_flags(args) + argv[at:])
         return _run(args)
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -60,6 +60,8 @@ class ProtocolParams:
         check_alpha(self.alpha)
         if self.n_pairs < 1:
             raise ParameterError("n_pairs must be at least 1")
+        if self.seed < 0:
+            raise ParameterError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)

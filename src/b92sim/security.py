@@ -201,6 +201,14 @@ def phase_error_bound(obs: ObservedRates) -> BoundResult:
     return BoundResult(r_ph_bar=max(r_ph_bar, 0.0), x_star=x_star, delta=delta, feasible=True)
 
 
+def _secret_fraction(e_bit: float, e_ph: float) -> float:
+    """Secret bits per sifted bit, 1 - h(e_bit) - h(e_ph), floored at zero;
+    zero when the phase-error ceiling e_ph exceeds 1/2 or e_bit exceeds 1."""
+    if e_ph > 0.5 or e_bit > 1.0:
+        return 0.0
+    return max(1.0 - binary_entropy(e_bit) - binary_entropy(e_ph), 0.0)
+
+
 def key_rate(obs: ObservedRates, bound: BoundResult | None = None) -> float:
     """Asymptotic secret bits per pair for the observed rates.
 
@@ -214,12 +222,30 @@ def key_rate(obs: ObservedRates, bound: BoundResult | None = None) -> float:
         bound = phase_error_bound(obs)
     if not bound.feasible:
         return 0.0
-    e_bit = obs.r_err / obs.r_fil
-    e_ph = bound.r_ph_bar / obs.r_fil
-    if e_ph > 0.5 or e_bit > 1.0:
+    return obs.r_fil * _secret_fraction(obs.r_err / obs.r_fil, bound.r_ph_bar / obs.r_fil)
+
+
+def finite_key_length(
+    n_err: int,
+    n_fil: int,
+    n_pairs: int,
+    bound: BoundResult,
+    slacks: SlackVector | None = None,
+) -> float:
+    """Secret bits n_fil [1 - h(e_bit) - h(e_ph)] of a finite run.
+
+    ``bound`` is finite_size_bound for the same tallies and slacks, and
+    e_ph = r_ph_bar n_pairs / n_fil.  e_bit is the upper bound
+    (n_err + eps1 n_pairs) / n_fil on the sifted bit-error rate, charged at
+    most h(1/2) = 1: any rate up to the bound is possible, so a bound above
+    1/2 leaves no key.  Zero when the bound is infeasible or no pair passed
+    the filter.
+    """
+    if n_fil <= 0 or not bound.feasible:
         return 0.0
-    g = obs.r_fil * (1.0 - binary_entropy(e_bit) - binary_entropy(e_ph))
-    return max(g, 0.0)
+    eps1 = 0.0 if slacks is None else slacks.eps1
+    e_bit = min((n_err + eps1 * n_pairs) / n_fil, 0.5)
+    return n_fil * _secret_fraction(e_bit, bound.r_ph_bar * n_pairs / n_fil)
 
 
 def finite_size_bound(
@@ -242,14 +268,12 @@ def finite_size_bound(
     """
     if slacks is None:
         slacks = SlackVector()
-    if not 0 <= n_err <= n_pairs or not 0 <= n_fil <= n_pairs:
-        raise ParameterError("counts must lie in [0, n_pairs]")
+    if n_pairs < 1 or not 0 <= n_err <= n_pairs or not 0 <= n_fil <= n_pairs:
+        raise ParameterError("counts must lie in [0, n_pairs] with n_pairs >= 1")
+    check_alpha(alpha)
     # eps1 enters the key-length formula, not the phase ceiling
     _, e2, e3, e4, e5, e6, e7, e8 = slacks.as_tuple()
-    a2 = alpha * alpha
-    gap = 1.0 - 2.0 * a2
-    if gap < 1e-3:
-        raise SingularityError("alpha too close to 1/sqrt(2)")
+    gap = 1.0 - 2.0 * alpha * alpha
     r_fil = n_fil / n_pairs
     r_err = n_err / n_pairs
     theta = math.asin(alpha)

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from b92sim import cli
+from b92sim.security import SlackVector
 from b92sim.cli import (
     CSV_HEADER,
     cmd_optimize,
     cmd_rate,
+    cmd_simulate,
     main,
     overlap_to_alpha_sq,
     parse_basis,
@@ -205,6 +207,15 @@ class TestSimulateCommand:
         sigma = math.sqrt(n * 0.3272 * (1 - 0.3272))
         assert abs(data["tallies"]["n_fil"] - 0.3272 * n) < 4 * sigma
 
+    def test_key_length_never_grows_with_eps1(self):
+        # eps1 widens the upper bound on the bit errors, so it can only cost key
+        lengths = [
+            cmd_simulate(0.01, 0.2, 100_000, 1, SlackVector(eps1=e))["key_length"]
+            for e in (0.0, 0.01, 0.1, 0.3, 1.0)
+        ]
+        assert lengths[0] > 0.0
+        assert all(b <= a for a, b in zip(lengths, lengths[1:]))
+
     def test_billion_pair_run_emits_strict_json(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--p", "0.03", "--alpha-sq", "0.2",
@@ -283,6 +294,32 @@ class TestConfigFile:
         assert code == 1
         assert "bogus" in err
 
+    def test_flag_with_equals_wins_over_config(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": 0.02}))
+        _, out, _ = run_cli(capsys, "rate", "--config", str(cfg), "--p=0.01",
+                            "--alpha-sq", "0.25")
+        _, expected, _ = run_cli(capsys, "rate", "--p", "0.01", "--alpha-sq", "0.25")
+        assert out == expected
+
+    @pytest.mark.parametrize("command,config", [
+        ("rate", {"p": 0.02, "alpha-sq": 0.25, "format": "xml"}),
+        ("rate", {"p": "abc", "alpha-sq": 0.25}),
+        ("simulate", {"p": 0.03, "alpha-sq": 0.2, "n": 1.5}),
+        ("rate", {"p": None, "alpha-sq": 0.25}),
+        ("rate", {"p": True, "alpha-sq": 0.25}),
+        ("rate", {"p": [0.02], "alpha-sq": 0.25}),
+        ("rate", {"p": {"value": 0.02}, "alpha-sq": 0.25}),
+        ("rate", {"p": 0.02, "alpha-sq": 0.25, "config": "other.json"}),
+    ])
+    def test_config_values_checked_like_flags(self, capsys, tmp_path, command, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_invalid_json_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
@@ -318,6 +355,19 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "eps2" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("rate", "--p", "0.03", "--alpha-sq", "-0.1"),
+        ("sweep", "--p", "0.01", "--alpha-min", "-0.1", "--alpha-max", "0.2",
+         "--alpha-steps", "3"),
+        ("simulate", "--p", "0.03", "--alpha-sq", "-0.2", "--n", "1000"),
+        ("rate", "--p", "0.03", "--alpha-sq", "0.6"),
+    ])
+    def test_alpha_sq_out_of_range_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "alpha" in err
 
     def test_singularity_exit(self, capsys):
         code, _, err = run_cli(capsys, "rate", "--p", "0.03", "--alpha-sq", "0.4999")

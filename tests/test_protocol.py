@@ -227,6 +227,8 @@ class TestRunProtocol1:
             ProtocolParams(alpha=0.8, n_pairs=10, channel=identity_channel())
         with pytest.raises(ParameterError):
             ProtocolParams(alpha=0.2, n_pairs=0, channel=identity_channel())
+        with pytest.raises(ParameterError):
+            ProtocolParams(alpha=0.2, n_pairs=10, channel=identity_channel(), seed=-1)
 
 
 class TestRunB92:

@@ -14,6 +14,7 @@ from b92sim.security import (
     binary_entropy,
     delta_param,
     failure_budget,
+    finite_key_length,
     finite_size_bound,
     key_rate,
     phase_error_bound,
@@ -247,6 +248,34 @@ class TestKeyRate:
                 assert key_rate(obs) <= obs.r_fil + 1e-12
 
 
+class TestFiniteKeyLength:
+    N = 1_000_000
+
+    @pytest.mark.parametrize("p", [0.0, 0.03, 0.05])
+    @pytest.mark.parametrize("alpha_sq", [0.1, 0.3])
+    def test_zero_slack_is_the_asymptotic_rate(self, p, alpha_sq):
+        # with the asymptotic bound the key length is n times the key rate
+        r = depolarizing_rates(alpha_sq, p)
+        obs = ObservedRates(r_err=r["r_err"], r_fil=r["r_fil"], alpha=math.sqrt(alpha_sq))
+        bound = phase_error_bound(obs)
+        n_err, n_fil = r["r_err"] * self.N, r["r_fil"] * self.N
+        assert finite_key_length(n_err, n_fil, self.N, bound) == pytest.approx(
+            self.N * key_rate(obs, bound), rel=1e-12, abs=1e-6)
+
+    def test_no_key_without_a_feasible_bound_or_sifted_pairs(self):
+        bound = BoundResult(r_ph_bar=0.0, x_star=0.0, delta=0.0, feasible=True)
+        assert finite_key_length(0, 0, self.N, bound) == 0.0
+        infeasible = BoundResult(math.nan, math.nan, 0.0, feasible=False)
+        assert finite_key_length(0, 1_000, self.N, infeasible) == 0.0
+
+    @pytest.mark.parametrize("n_bit_bar", [500, 501, 700, 999, 1_000])
+    def test_bit_error_bound_above_half_leaves_no_key(self, n_bit_bar):
+        # n_err + eps1 n is an upper bound, so any rate up to it is possible
+        bound = BoundResult(r_ph_bar=0.0, x_star=0.0, delta=0.0, feasible=True)
+        slacks = SlackVector(eps1=(n_bit_bar - 100) / self.N)
+        assert finite_key_length(100, 1_000, self.N, bound, slacks) == pytest.approx(0.0, abs=1e-9)
+
+
 class TestFiniteSizeBound:
     N = 1_000_000
 
@@ -445,6 +474,12 @@ class TestValidation:
     def test_slack_vector_rejects_non_finite(self, bad, idx):
         with pytest.raises(ParameterError):
             SlackVector(**{f"eps{idx}": bad})
+
+    @pytest.mark.parametrize("args", [(10, 300, 1_000, -0.3), (0, 0, 0, 0.4)])
+    def test_finite_size_bound_rejects_bad_inputs(self, args):
+        # a negative alpha, and a run of no pairs
+        with pytest.raises(ParameterError):
+            finite_size_bound(*args)
 
     def test_bound_result_fields(self):
         res = BoundResult(r_ph_bar=0.1, x_star=0.2, delta=0.0, feasible=True)
