@@ -281,6 +281,8 @@ def parse_basis(spec: str) -> np.ndarray:
         parts = [float(tok) for tok in spec.split(",")]
     except ValueError as exc:
         raise CliUsageError(f"cannot parse basis spec {spec!r}") from exc
+    if not all(map(math.isfinite, parts)):
+        raise ParameterError(f"basis spec {spec!r} holds a non-finite number")
     if len(parts) == 1:
         return basis_from_bloch(parts[0])
     if len(parts) == 2:

@@ -11,14 +11,19 @@ and a pure-product remainder |n>.
 R is computed in nats (so exp(-M*R) is literal) and convertible to bits.
 For fixed (k_frac, n) the candidate distributions minimizing R solve a
 convex program whose entropic dual is a smooth concave function of four
-multipliers; min_exponent scans (k_frac, n) and solves that dual by damped
-Newton, then polishes with local simplex search.
+multipliers (one per outcome cell; cells with a zero count drop out).
+min_exponent scans (k_frac, n), solving that dual by damped Newton on the
+rows still unconverged, then refines with bounded L-BFGS-B, whose gradient
+the envelope theorem gives from the optimal dual.  A value counts only when
+the dual's distributions reproduce the observed counts to CERT_TOL, so the
+returned exponent is certified by its point or min_exponent raises.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import optimize
@@ -26,6 +31,8 @@ from scipy import optimize
 from .errors import DomainError, ParameterError
 
 LN2 = math.log(2.0)
+# largest count residual of a point that certifies an exponent value
+CERT_TOL = 1e-8
 
 
 def _as_basis(mat) -> np.ndarray:
@@ -34,7 +41,8 @@ def _as_basis(mat) -> np.ndarray:
     if b.shape != (2, 2):
         raise ParameterError("a basis is a 2x2 array of row kets")
     gram = b @ b.conj().T
-    if np.max(np.abs(gram - np.eye(2))) > 1e-12:
+    # written so that a nan entry fails too
+    if not np.max(np.abs(gram - np.eye(2))) <= 1e-12:
         raise ParameterError("basis rows are not orthonormal to 1e-12")
     out = b.copy()
     out.setflags(write=False)
@@ -43,6 +51,8 @@ def _as_basis(mat) -> np.ndarray:
 
 def basis_from_bloch(theta: float, phi: float = 0.0) -> np.ndarray:
     """Basis whose outcome-1 ket points along Bloch angles (theta, phi)."""
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise ParameterError("Bloch angles must be finite")
     one = np.array([math.cos(theta / 2.0), math.sin(theta / 2.0) * np.exp(1j * phi)])
     zero = np.array([-math.sin(theta / 2.0) * np.exp(-1j * phi), math.cos(theta / 2.0)])
     return np.stack([zero, one])
@@ -171,10 +181,20 @@ class ExponentPoint:
 
 @dataclass(frozen=True)
 class ExponentSolution:
+    """Minimum exponent and the decomposition attaining it.
+
+    ``residual`` is the largest gap between the point's implied count
+    fractions and the observed ones; ``r_primal`` is exponent_direct at the
+    point, the primal value that the dual ``r_nats`` certifies.  Both are nan
+    when not computed.
+    """
+
     point: ExponentPoint
     r_nats: float
     r_bits: float
     converged: bool
+    residual: float = math.nan
+    r_primal: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -185,6 +205,17 @@ class SolverOptions:
     seed: int = 0
     newton_iters: int = 80
     grad_tol: float = 1e-11
+
+    def __post_init__(self) -> None:
+        if not self.seed >= 0:
+            raise ParameterError("seed must be nonnegative")
+        if not self.k_grid >= 2:
+            raise ParameterError("k_grid must be at least 2")
+        for name in ("sphere_points", "restarts", "newton_iters"):
+            if not getattr(self, name) >= 1:
+                raise ParameterError(f"{name} must be at least 1")
+        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0.0):
+            raise ParameterError("grad_tol must be finite and positive")
 
 
 def singlet_pair_probs(problem: TwoBasisSampling) -> np.ndarray:
@@ -219,12 +250,18 @@ def _rel_entropy_nats(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
 
 
-def _check_count_matching(point: ExponentPoint, problem: TwoBasisSampling) -> None:
+def count_residual(point: ExponentPoint, problem: TwoBasisSampling) -> float:
+    """Largest gap between the point's implied count fractions and the
+    observed ones (0 for a point that reproduces the counts)."""
     gapv = point.implied_count_fractions() - problem.count_fractions()
-    if np.max(np.abs(gapv)) > 1e-8:
+    return float(np.max(np.abs(gapv)))
+
+
+def _check_count_matching(point: ExponentPoint, problem: TwoBasisSampling) -> None:
+    residual = count_residual(point, problem)
+    if not residual <= CERT_TOL:
         raise DomainError(
-            "point does not reproduce the observed counts "
-            f"(max deviation {np.max(np.abs(gapv)):.3e})"
+            f"point does not reproduce the observed counts (max deviation {residual:.3e})"
         )
 
 
@@ -369,25 +406,99 @@ def iid_probability(sigma: np.ndarray, problem: TwoBasisSampling) -> float:
 # ---------------------------------------------------------------------------
 
 
+class _Dual(NamedTuple):
+    """Dual solution for a batch of rows: value g, pair joint q (P,4,4),
+    remainder p (P,4), log partition functions and multipliers (P,4)."""
+
+    g: np.ndarray
+    q: np.ndarray
+    p: np.ndarray
+    ln_zq: np.ndarray
+    ln_zp: np.ndarray
+    lam: np.ndarray
+
+
+def _bloch_axes(problem: TwoBasisSampling) -> np.ndarray:
+    """(4, 3) Bloch vectors v of the outcome kets, flattened [b, j]; the
+    remainder reference is alpha = (1 + n.v) / 4."""
+    return np.array([bloch_vector(ket) for ket in problem.kets().reshape(4, 2)])
+
+
 def _log_refs(problem: TwoBasisSampling, bloch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(log beta as 4x4 over pair indices, log alpha as (P,4)) for a batch of
-    remainder directions ``bloch`` of shape (P, 3)."""
+    remainder directions ``bloch`` of shape (P, 3).
+
+    Cells whose observed count is 0 get weight 0 (log -inf): count matching
+    leaves no mass there, so their multipliers drop out of the dual.
+    """
     beta = singlet_pair_probs(problem)
     bmat = beta.transpose(0, 2, 1, 3).reshape(4, 4)
+    alpha = np.clip(1.0 + bloch @ _bloch_axes(problem).T, 0.0, None) / 4.0
+    zero = problem.count_fractions().reshape(4) == 0.0
+    bmat[zero, :] = 0.0
+    bmat[:, zero] = 0.0
+    alpha[:, zero] = 0.0
     with np.errstate(divide="ignore"):
-        log_beta = np.log(bmat)
+        return np.log(bmat), np.log(alpha)
 
-    kets = problem.kets().reshape(4, 2)
-    theta = np.arccos(np.clip(bloch[:, 2], -1.0, 1.0))
-    phi = np.arctan2(bloch[:, 1], bloch[:, 0])
-    ket_n = np.stack(
-        [np.cos(theta / 2.0), np.sin(theta / 2.0) * np.exp(1j * phi)], axis=1
-    )
-    amps = ket_n @ kets.conj().T
-    alpha = np.abs(amps) ** 2 / 2.0
-    with np.errstate(divide="ignore"):
-        log_alpha = np.log(alpha)
-    return log_beta, log_alpha
+
+def _gibbs(expo: np.ndarray, axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, log of the sum of exp(expo) over ``axes`` and the normalized
+    weights.  A row of all -inf gives -inf and uniform weights: no
+    distribution fits it, so its block must carry zero weight (else the dual
+    is +inf) and any distribution stands in."""
+    top = expo.max(axis=axes, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    z = np.exp(expo - top)
+    s = z.sum(axis=axes, keepdims=True)
+    empty = (s == 0.0).reshape(-1)
+    z[empty] = s.size / z.size
+    s[empty] = 1.0
+    z /= s
+    return np.where(empty, -np.inf, np.log(s).reshape(-1) + top.reshape(-1)), z
+
+
+def _dual_at(lam, xi1, log_beta, log_alpha, m_flat) -> _Dual:
+    """The entropic dual and its Gibbs distributions at multipliers ``lam``."""
+    xi2 = 0.5 * (1.0 - xi1)
+    ln_zq, q = _gibbs(log_beta[None, :, :] - lam[:, :, None] - lam[:, None, :], (1, 2))
+    ln_zp, p = _gibbs(log_alpha - lam, (1,))
+    # a block with zero weight drops out even where its partition function is 0
+    with np.errstate(invalid="ignore"):
+        g = (
+            -np.where(xi2 > 0.0, xi2 * ln_zq, 0.0)
+            - np.where(xi1 > 0.0, xi1 * ln_zp, 0.0)
+            - lam @ m_flat
+        )
+    return _Dual(g, q, p, ln_zq, ln_zp, lam)
+
+
+def _count_gap(xi1: np.ndarray, q: np.ndarray, p: np.ndarray, m_flat: np.ndarray) -> np.ndarray:
+    """Implied minus observed count fractions for each row (P,4): the count
+    residual of the row's (q, p), and the gradient of the dual."""
+    xi2 = 0.5 * (1.0 - xi1)
+    return xi2[:, None] * (q.sum(axis=2) + q.sum(axis=1)) + xi1[:, None] * p - m_flat
+
+
+def _newton_step(
+    xi1: np.ndarray, q: np.ndarray, p: np.ndarray, grad: np.ndarray, free: np.ndarray
+) -> np.ndarray:
+    """Newton direction for the dual: minus its Hessian is the weighted
+    covariance of the cell counts under (q, p).  A rank-one term pins the
+    gauge (a common shift of the free multipliers) and the multipliers of
+    zero-count cells are pinned at 0."""
+    xi2 = 0.5 * (1.0 - xi1)
+    eye = np.eye(4)
+    v = q.sum(axis=2) + q.sum(axis=1)
+    cov_q = v[:, :, None] * eye + q + q.transpose(0, 2, 1) - v[:, :, None] * v[:, None, :]
+    cov_p = p[:, :, None] * eye - p[:, :, None] * p[:, None, :]
+    hess = xi2[:, None, None] * cov_q + xi1[:, None, None] * cov_p
+    scale = np.trace(hess, axis1=1, axis2=2)[:, None, None] / free.sum() + 1e-12
+    hess += scale * (np.outer(free, free) / free.sum()) + np.diag(~free) + 1e-13 * eye
+    try:
+        return np.linalg.solve(hess, grad[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        return np.einsum("pij,pj->pi", np.linalg.pinv(hess), grad)
 
 
 def _dual_solve(
@@ -397,83 +508,45 @@ def _dual_solve(
     m_flat: np.ndarray,
     iters: int,
     grad_tol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Maximize the entropic dual for a batch of (xi1, alpha) rows.
+) -> _Dual:
+    """Maximize the entropic dual for a batch of (xi1, alpha) rows by damped
+    Newton.
 
-    Returns (dual value g*, pair joint q (P,4,4), remainder p (P,4)).  The
-    dual is concave and gauge-invariant under a common shift of the four
-    multipliers; a rank-one term pins the gauge in the Newton solve.
+    The dual is concave.  Each Newton step and each backtracking halving
+    touches only the rows still in play: a row leaves once its gradient (its
+    count residual) is below ``grad_tol``, its dual is +inf (no distribution
+    fits its reference weights), or backtracking cannot improve it.
     """
-    n_pts = xi1.shape[0]
-    xi2 = 0.5 * (1.0 - xi1)
-    lam = np.zeros((n_pts, 4))
-
-    def parts(lam_):
-        w = -lam_
-        eq = log_beta[None, :, :] + w[:, :, None] + w[:, None, :]
-        mq = eq.max(axis=(1, 2), keepdims=True)
-        zq = np.exp(eq - mq)
-        sq = zq.sum(axis=(1, 2))
-        ln_zq = np.log(sq) + mq[:, 0, 0]
-        q = zq / sq[:, None, None]
-
-        ep = log_alpha + w
-        mp = ep.max(axis=1, keepdims=True)
-        zp = np.exp(ep - mp)
-        sp = zp.sum(axis=1)
-        ln_zp = np.log(sp) + mp[:, 0]
-        p = zp / sp[:, None]
-        return ln_zq, q, ln_zp, p
-
-    def value(lam_):
-        ln_zq, q, ln_zp, p = parts(lam_)
-        g = -xi2 * ln_zq - np.where(xi1 > 0.0, xi1 * ln_zp, 0.0) - lam_ @ m_flat
-        return g, q, p
-
-    g, q, p = value(lam)
-    eye = np.eye(4)
-    ones = np.full((4, 4), 0.25)
+    free = m_flat > 0.0
+    sol = _dual_at(np.zeros((xi1.shape[0], 4)), xi1, log_beta, log_alpha, m_flat)
+    live = np.arange(xi1.shape[0])
     for _ in range(iters):
-        q1 = q.sum(axis=2)
-        q2 = q.sum(axis=1)
-        grad = xi2[:, None] * (q1 + q2) + xi1[:, None] * p - m_flat[None, :]
-        if np.max(np.abs(grad)) < grad_tol:
+        grad = _count_gap(xi1[live], sol.q[live], sol.p[live], m_flat)
+        going = np.isfinite(sol.g[live]) & (np.max(np.abs(grad), axis=1) >= grad_tol)
+        live, grad = live[going], grad[going]
+        if live.size == 0:
             break
-        v = q1 + q2
-        cov_q = (
-            np.einsum("pi,ij->pij", q1 + q2, eye)
-            + q
-            + q.transpose(0, 2, 1)
-            - np.einsum("pi,pj->pij", v, v)
-        )
-        cov_p = np.einsum("pi,ij->pij", p, eye) - np.einsum("pi,pj->pij", p, p)
-        hess = xi2[:, None, None] * cov_q + xi1[:, None, None] * cov_p
-        scale = np.trace(hess, axis1=1, axis2=2)[:, None, None] / 4.0 + 1e-12
-        hess = hess + scale * ones[None, :, :] + 1e-13 * eye[None, :, :]
-        try:
-            step = np.linalg.solve(hess, grad[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            step = np.einsum("pij,pj->pi", np.linalg.pinv(hess), grad)
+        step = _newton_step(xi1[live], sol.q[live], sol.p[live], grad, free)
 
-        # backtracking on the concave dual
-        t = np.ones(n_pts)
-        improved = np.zeros(n_pts, dtype=bool)
-        lam_new = lam.copy()
+        # backtracking on the concave dual, over the rows not yet improved
+        base = sol.lam[live]
+        todo = np.arange(live.size)
+        t = 1.0
         for _ in range(30):
-            trial = lam + t[:, None] * step
-            trial -= trial.mean(axis=1, keepdims=True)
+            rows = live[todo]
+            trial = base[todo] + t * step[todo]
+            trial[:, free] -= trial[:, free].mean(axis=1, keepdims=True)
             np.clip(trial, -200.0, 200.0, out=trial)
-            g_t, _, _ = value(trial)
-            better = (g_t >= g - 1e-15) & ~improved
-            lam_new[better] = trial[better]
-            improved |= better
-            if improved.all():
+            new = _dual_at(trial, xi1[rows], log_beta, log_alpha[rows], m_flat)
+            better = new.g >= sol.g[rows] - 1e-15
+            for field, val in zip(sol, new):
+                field[rows[better]] = val[better]
+            todo = todo[~better]
+            if todo.size == 0:
                 break
-            t[~improved] *= 0.5
-        lam = lam_new
-        g, q, p = value(lam)
-
-    return g, q, p
+            t *= 0.5
+        live = np.delete(live, todo)
+    return sol
 
 
 def _fibonacci_sphere(n: int) -> np.ndarray:
@@ -491,14 +564,48 @@ def _rate_batch(
     blochs: np.ndarray,
     iters: int,
     grad_tol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exponent value for each (k_frac, bloch) row, plus optimal (q, p)."""
+) -> tuple[np.ndarray, _Dual]:
+    """Exponent value for each (k_frac, bloch) row, plus its dual solution.
+
+    A row whose (q, p) misses the observed counts by more than CERT_TOL gets
+    +inf: its primal is infeasible (or its solve did not converge), so the
+    dual value there certifies nothing.
+    """
     m_flat = problem.count_fractions().reshape(4)
-    h_b = problem.weight_entropy()
     log_beta, log_alpha = _log_refs(problem, blochs)
     xi1 = 1.0 - 2.0 * k_fracs
-    g, q, p = _dual_solve(xi1, log_beta, log_alpha, m_flat, iters, grad_tol)
-    return h_b - LN2 + g, q, p
+    sol = _dual_solve(xi1, log_beta, log_alpha, m_flat, iters, grad_tol)
+    residual = np.max(np.abs(_count_gap(xi1, sol.q, sol.p, m_flat)), axis=1)
+    rates = np.where(residual <= CERT_TOL, problem.weight_entropy() - LN2 + sol.g, np.inf)
+    return rates, sol
+
+
+def _rate_and_grad(
+    problem: TwoBasisSampling, x: np.ndarray, iters: int, grad_tol: float
+) -> tuple[float, np.ndarray]:
+    """Exponent at x = (k_frac, u), with remainder direction n = u / |u|, and
+    its gradient in x; +inf with a zero gradient where uncertified.
+
+    Envelope theorem: at optimal multipliers only the explicit dependence of
+    the dual on k_frac and on log alpha counts, with dg/dk_frac =
+    2 ln Z_p - ln Z_q, dg/dlog alpha_i = -xi1 p_i and
+    dlog alpha_i/dn = v_i / (4 alpha_i), so p_i / alpha_i = exp(-lam_i) / Z_p.
+    """
+    k_frac, u = x[0], x[1:]
+    norm = np.linalg.norm(u)
+    n = u / norm
+    rate, sol = _rate_batch(problem, np.array([k_frac]), n[None, :], iters, grad_tol)
+    if not math.isfinite(rate[0]):
+        return math.inf, np.zeros(4)
+    xi1 = 1.0 - 2.0 * k_frac
+    d_k = 2.0 * sol.ln_zp[0] - sol.ln_zq[0]
+    d_n = np.zeros(3)
+    if xi1 > 0.0:
+        free = problem.count_fractions().reshape(4) > 0.0
+        p_over_alpha = np.where(free, np.exp(-sol.lam[0] - sol.ln_zp[0]), 0.0)
+        d_n = -xi1 * (p_over_alpha @ _bloch_axes(problem)) / 4.0
+    d_u = (d_n - n * (n @ d_n)) / norm
+    return float(rate[0]), np.concatenate([[d_k], d_u])
 
 
 def _point_from_solution(
@@ -515,13 +622,15 @@ def _point_from_solution(
 
 
 def min_exponent(problem: TwoBasisSampling, options: SolverOptions | None = None) -> ExponentSolution:
-    """Approximate global minimum of the exponent over all decompositions.
+    """Certified global minimum of the exponent over all decompositions.
 
     Coarse stage: a (k_frac grid) x (Fibonacci sphere) scan with the batched
-    dual solver.  Refinement: local simplex searches over (k_frac, sphere
-    angles) from the best scan cells, a jittered start, and a smart start at
-    the minimum-norm Bloch fit (which is the exact optimum whenever the
-    observations sit inside the zero region).
+    dual solver.  Refinement: bounded L-BFGS-B over (k_frac, n) from the best
+    scan cells, a smart start at the minimum-norm Bloch fit (the exact
+    optimum whenever the observations sit inside the zero region) and
+    jittered starts, with the gradient from the envelope theorem.  Every
+    value compared is certified by a point reproducing the counts to
+    CERT_TOL; DomainError when the returned point misses them.
     """
     opts = options or SolverOptions()
     rng = np.random.default_rng(opts.seed)
@@ -531,9 +640,8 @@ def min_exponent(problem: TwoBasisSampling, options: SolverOptions | None = None
     kk = np.repeat(k_vals, sphere.shape[0])
     nn = np.tile(sphere, (k_vals.size, 1))
     # a short Newton budget suffices to rank the coarse cells
-    rates, _, _ = _rate_batch(problem, kk, nn, 25, 1e-9)
-    finite = np.where(np.isfinite(rates), rates, np.inf)
-    order = np.argsort(finite)
+    rates, _ = _rate_batch(problem, kk, nn, 25, 1e-9)
+    order = np.argsort(rates)
 
     starts: list[tuple[float, np.ndarray]] = []
     for idx in order[:3]:
@@ -557,56 +665,56 @@ def min_exponent(problem: TwoBasisSampling, options: SolverOptions | None = None
         v = rng.normal(size=3)
         starts.append((float(rng.uniform(0.0, 0.5)), v / np.linalg.norm(v)))
 
-    def eval_single(k_frac: float, bloch: np.ndarray) -> float:
-        r, _, _ = _rate_batch(
-            problem,
-            np.array([k_frac]),
-            bloch[None, :],
-            opts.newton_iters,
-            opts.grad_tol,
-        )
-        return float(r[0])
+    # with collinear bases and zero counts the singlet may give no pair of
+    # outcomes with nonzero counts; then every k_frac > 0 is infeasible
+    free = problem.count_fractions().reshape(4) > 0.0
+    pair_ref = singlet_pair_probs(problem).transpose(0, 2, 1, 3).reshape(4, 4)
+    k_max = 0.5 if pair_ref[np.ix_(free, free)].any() else 0.0
 
-    def objective(vec: np.ndarray) -> float:
-        k_frac = float(np.clip(vec[0], 0.0, 0.5))
-        th, ph = vec[1], vec[2]
-        n = np.array(
-            [math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)]
-        )
-        return eval_single(k_frac, n)
+    def objective(x: np.ndarray, seen: list) -> tuple[float, np.ndarray]:
+        rate, grad = _rate_and_grad(problem, x, opts.newton_iters, opts.grad_tol)
+        if math.isfinite(rate):
+            seen.append((rate, float(x[0]), x[1:] / np.linalg.norm(x[1:])))
+        return rate, grad
 
+    bounds = [(0.0, k_max), (None, None), (None, None), (None, None)]
     refined: list[tuple[float, float, np.ndarray]] = []
     for k0, n0 in starts[: opts.restarts]:
-        th0 = math.acos(max(-1.0, min(1.0, n0[2])))
-        ph0 = math.atan2(n0[1], n0[0])
-        res = optimize.minimize(
+        # keep the best certified evaluation, whatever point the search
+        # reports when its line search ends abnormally
+        seen: list[tuple[float, float, np.ndarray]] = [(math.inf, k0, n0)]
+        optimize.minimize(
             objective,
-            np.array([k0, th0, ph0]),
-            method="Nelder-Mead",
-            options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": 200},
+            np.concatenate([[min(k0, k_max)], n0]),
+            args=(seen,),
+            jac=True,
+            method="L-BFGS-B",
+            bounds=bounds,
+            options={"ftol": 1e-14, "gtol": 1e-10, "maxiter": 200},
         )
-        k_best = float(np.clip(res.x[0], 0.0, 0.5))
-        n_best = np.array(
-            [
-                math.sin(res.x[1]) * math.cos(res.x[2]),
-                math.sin(res.x[1]) * math.sin(res.x[2]),
-                math.cos(res.x[1]),
-            ]
-        )
-        refined.append((float(res.fun), k_best, n_best))
+        refined.append(min(seen, key=lambda t: t[0]))
 
     refined.sort(key=lambda t: t[0])
     best_val, best_k, best_n = refined[0]
+    if not math.isfinite(best_val):
+        raise DomainError("no start reproduced the observed counts; solver failure")
     near = sum(1 for v, _, _ in refined if v - best_val <= max(1e-6, 0.01 * abs(best_val)))
     converged = near >= 2
 
-    _, q, p = _rate_batch(
+    _, sol = _rate_batch(
         problem, np.array([best_k]), best_n[None, :], opts.newton_iters, opts.grad_tol
     )
-    point = _point_from_solution(best_k, best_n, q[0], p[0])
+    point = _point_from_solution(best_k, best_n, sol.q[0], sol.p[0])
+    # raises DomainError when the point misses the counts by more than CERT_TOL
+    r_primal = exponent_direct(point, problem)
     r_nats = max(best_val, 0.0) if best_val > -1e-9 else best_val
     if r_nats < 0.0:
         raise DomainError(f"negative exponent {best_val!r}; solver failure")
     return ExponentSolution(
-        point=point, r_nats=r_nats, r_bits=r_nats / LN2, converged=converged
+        point=point,
+        r_nats=r_nats,
+        r_bits=r_nats / LN2,
+        converged=converged,
+        residual=count_residual(point, problem),
+        r_primal=r_primal,
     )

@@ -2,8 +2,9 @@
 
 Everything here is derived separately from the package code paths: the
 depolarizing-channel rates come from expanding the channel in Pauli terms by
-hand, the bound oracle is a plain dense grid scan, and the two-basis region
-oracle samples the Bloch ball directly.
+hand, the bound oracle is a plain dense grid scan, the two-basis region
+oracle samples the Bloch ball directly, and the collinear-basis exponent is
+the classical sampling-without-replacement closed form.
 """
 
 from __future__ import annotations
@@ -120,6 +121,30 @@ def grid_scan_phase_bound(
     if len(ok) == 0:
         return None
     return float(xs[ok[-1]])
+
+
+def _binary_divergence(p: float, q: float) -> float:
+    """D(p || q) between Bernoulli laws, in nats."""
+    out = 0.0
+    for a, b in ((p, q), (1.0 - p, 1.0 - q)):
+        if a > 0.0:
+            out += math.inf if b <= 0.0 else a * math.log(a / b)
+    return out
+
+
+def collinear_exponent(m0: int, m1: int, d0: float, d1: float, antipodal: bool) -> float:
+    """Two-basis exponent for collinear bases, in nats.
+
+    Both bases then measure one observable (the second with its outcomes
+    swapped when its axis is antipodal), so the problem is classical sampling
+    without replacement from one population: w0 D(d0 || d) + w1 D(d1 || d)
+    with d = w0 d0 + w1 d1 and w_b = m_b / (m0 + m1).
+    """
+    if antipodal:
+        d1 = 1.0 - d1
+    w0, w1 = m0 / (m0 + m1), m1 / (m0 + m1)
+    d_bar = w0 * d0 + w1 * d1
+    return w0 * _binary_divergence(d0, d_bar) + w1 * _binary_divergence(d1, d_bar)
 
 
 def bloch_vector(ket: np.ndarray) -> np.ndarray:

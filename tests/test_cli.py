@@ -369,6 +369,15 @@ class TestExitCodes:
         assert out == ""
         assert "alpha" in err
 
+    def test_negative_exponent_seed_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "exponent", "--basis0", "0", "--basis1", "1.0",
+            "--m0", "5", "--m1", "5", "--delta0", "0.5", "--delta1", "0.5", "--seed", "-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "seed" in err
+
     def test_singularity_exit(self, capsys):
         code, _, err = run_cli(capsys, "rate", "--p", "0.03", "--alpha-sq", "0.4999")
         assert code == 2

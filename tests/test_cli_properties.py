@@ -1,8 +1,6 @@
 """Property tests over the command line: whatever the numbers or the config
 file, ``main`` returns a documented exit code instead of raising, and a
 successful JSON command prints strict RFC 8259 JSON.
-
-No ``exponent`` queries: one solve takes seconds.
 """
 
 import contextlib
@@ -73,6 +71,29 @@ ALPHA = st.one_of(
 )
 
 
+# exponent inputs: collinear, antipodal and general bases as Bloch angles or
+# amplitudes, qubit counts up to 12 (a solve then takes a fraction of a
+# second) and outcome fractions on the count grid; each value is one of
+# nan, +-inf, a negative or another invalid token one time in eight
+EDGE = [math.nan, math.inf, -math.inf, -1.0]
+
+
+def mostly(valid, invalid):
+    return st.integers(0, 7).flatmap(lambda r: invalid if r == 0 else valid)
+
+
+BASES = mostly(
+    st.one_of(st.sampled_from(["0", "3.141592653589793", "1.0", "0.4,0.3", "0.6,0,0.8,0",
+                               "1.2386489116583281,4.866353449734718"]),
+              st.tuples(st.floats(0.0, 3.2), st.floats(-7.0, 7.0))
+              .map(lambda t: f"{t[0]!r},{t[1]!r}")),
+    st.sampled_from(["nan", "inf,0", "0,-inf", "0,0,nan,0", "zzz"]),
+)
+COUNTS = mostly(st.integers(1, 12), st.sampled_from([0, -2] + EDGE))
+DELTAS = mostly(st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.integers(0, 12).map(lambda k: k / 12)),
+                st.one_of(st.sampled_from(EDGE), st.floats(1.0, 2.0, exclude_min=True)))
+SEEDS = mostly(st.integers(0, 3), st.sampled_from([-2, 2**64] + EDGE))
+
 ARGVS = st.one_of(
     with_flags("rate", always("p", NUMBERS), ALPHA),
     with_flags("optimize", always("p", NUMBERS)),
@@ -83,6 +104,12 @@ ARGVS = st.one_of(
     with_flags("simulate", always("p", NUMBERS), ALPHA, always("n", st.integers(-2, 10_000)),
                maybe("seed", st.one_of(st.integers(-2, 3), st.just(2**64))),
                *(maybe(f"eps{i}", SLACKS) for i in range(1, 9))),
+)
+# basis specs are passed as typed, not as a Python repr
+EXPONENT_ARGVS = with_flags(
+    "exponent", *(BASES.map(lambda spec, b=b: [f"--{b}={spec}"]) for b in ("basis0", "basis1")),
+    always("m0", COUNTS), always("m1", COUNTS), always("delta0", DELTAS),
+    always("delta1", DELTAS), maybe("seed", SEEDS),
 )
 
 
@@ -138,3 +165,13 @@ class TestCliProperties:
         path.write_text(json.dumps(data.draw(configs(argv[0]))))
         # flags after the config options win, so --format json still holds
         check(json_format(argv[:1] + ["--config", str(path)] + argv[1:]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(EXPONENT_ARGVS)
+    @example(["exponent", "--basis0=0", "--basis1=1.0", "--m0=5", "--m1=5",
+              "--delta0=0.5", "--delta1=0.5", "--seed=-1"])
+    @example(["exponent", "--basis0=0", "--basis1=0", "--m0=8", "--m1=12",
+              "--delta0=0.0", "--delta1=0.0"])
+    def test_exponent_gives_documented_exit_code_and_strict_json(self, argv):
+        # exponent always prints JSON
+        check(argv)

@@ -8,12 +8,14 @@ import pytest
 from b92sim.errors import DomainError, ParameterError
 from b92sim.exponent import (
     ExponentPoint,
+    ExponentSolution,
     SolverOptions,
     TwoBasisSampling,
     b92_angle_bounds,
     basis_from_bloch,
     bloch_fit_radius,
     bloch_vector,
+    count_residual,
     exponent_decomposed,
     exponent_direct,
     iid_probability,
@@ -21,8 +23,10 @@ from b92sim.exponent import (
     remainder_probs,
     singlet_pair_probs,
     zero_region_contains,
+    _rate_and_grad,
+    _rate_batch,
 )
-from oracles import brute_force_region_distance, random_density_matrix
+from oracles import brute_force_region_distance, collinear_exponent, random_density_matrix
 
 
 def random_basis(rng) -> np.ndarray:
@@ -364,6 +368,15 @@ class TestIidProbability:
 FAST_OPTS = SolverOptions(k_grid=21, sphere_points=72, restarts=4, seed=5)
 
 
+def assert_certified(sol, prob):
+    """The solution's point reproduces the counts and its primal value is the
+    reported exponent."""
+    assert sol.residual == count_residual(sol.point, prob)
+    assert sol.residual <= 1e-8
+    assert sol.r_primal == exponent_direct(sol.point, prob)
+    assert abs(sol.r_primal - sol.r_nats) <= 1e-8
+
+
 class TestMinExponent:
     def test_zero_inside_region(self):
         rng = np.random.default_rng(40)
@@ -377,6 +390,7 @@ class TestMinExponent:
             found += 1
             sol = min_exponent(prob, FAST_OPTS)
             assert sol.r_nats < 1e-6
+            assert_certified(sol, prob)
 
     def test_positive_outside_region(self):
         theta = math.pi / 4.0
@@ -387,6 +401,7 @@ class TestMinExponent:
         sol = min_exponent(prob, FAST_OPTS)
         assert sol.r_nats > 1e-4
         assert sol.r_bits == pytest.approx(sol.r_nats / math.log(2.0), rel=1e-12)
+        assert_certified(sol, prob)
 
     def test_rate_decreases_toward_region(self):
         theta = math.asin(math.sqrt(0.2))
@@ -395,7 +410,9 @@ class TestMinExponent:
         rates = []
         for d1 in np.linspace(min(hi + 0.25, 1.0), hi + 0.02, 5):
             prob = TwoBasisSampling(basis0, basis1, 8, 8, 0.3, float(d1))
-            rates.append(min_exponent(prob, FAST_OPTS).r_nats)
+            sol = min_exponent(prob, FAST_OPTS)
+            assert_certified(sol, prob)
+            rates.append(sol.r_nats)
         for a, b in zip(rates, rates[1:]):
             assert b <= a + 1e-7
 
@@ -406,9 +423,124 @@ class TestMinExponent:
         sol = min_exponent(prob, FAST_OPTS)
         r_direct = exponent_direct(sol.point, prob)
         assert r_direct == pytest.approx(sol.r_nats, abs=1e-6)
+        assert_certified(sol, prob)
+
+
+# the benchmark's collinear edge instance: one basis for both, m = 17/17
+COLLINEAR_ANGLES = (1.2386489116583281, 4.866353449734718)
+
+
+class TestCertifiedSolver:
+    @pytest.mark.parametrize("basis1_theta, d0, d1, opts, expected", [
+        # identical bases, default options
+        (0.0, 0.1, 0.8, None, 0.275396),
+        # identical bases, all outcomes 0: no singlet pair fits, so k_frac = 0
+        (0.0, 0.0, 0.0, None, 0.0),
+        # antipodal bases, a small scan
+        (math.pi, 0.2, 0.6, SolverOptions(k_grid=10, sphere_points=40, restarts=3), 0.024157),
+    ])
+    def test_collinear_bases_match_closed_form(self, basis1_theta, d0, d1, opts, expected):
+        prob = TwoBasisSampling(basis_from_bloch(0.0), basis_from_bloch(basis1_theta),
+                                20, 20, d0, d1)
+        sol = min_exponent(prob, opts)
+        closed = collinear_exponent(20, 20, d0, d1, antipodal=basis1_theta > 0.0)
+        assert closed == pytest.approx(expected, abs=1e-6)
+        assert sol.r_nats == pytest.approx(closed, abs=1e-6)
+        assert_certified(sol, prob)
+
+    @pytest.mark.parametrize("delta0, expected", [(0.1, 0.041190997), (0.0, 0.123452347)])
+    def test_general_bases_match_reference_values(self, delta0, expected):
+        # reference values from a derivative-free simplex search over
+        # (k_frac, n), which agrees with this solver to 1e-11
+        prob = TwoBasisSampling(basis_from_bloch(0.0), basis_from_bloch(1.1), 9, 11, delta0, 0.85)
+        sol = min_exponent(prob)
+        assert sol.r_nats == pytest.approx(expected, abs=1e-6)
+        assert_certified(sol, prob)
+
+    def test_benchmark_collinear_instance(self):
+        basis = basis_from_bloch(*COLLINEAR_ANGLES)
+        prob = TwoBasisSampling(basis, basis, 17, 17, 16 / 17, 1 / 17)
+        sol = min_exponent(prob)
+        closed = collinear_exponent(17, 17, 16 / 17, 1 / 17, antipodal=False)
+        assert closed == pytest.approx(0.469429, abs=1e-6)
+        assert sol.r_nats == pytest.approx(closed, abs=1e-6)
+        assert_certified(sol, prob)
+
+    def test_infeasible_cell_scores_infinity(self):
+        # with n on the shared axis the remainder is deterministic, every pair
+        # gives one 1 and one 0, so the ones fraction 1/2 needs k_frac = 1/2;
+        # at k_frac = 0.49 no (q, p) reproduces the counts
+        basis = basis_from_bloch(*COLLINEAR_ANGLES)
+        prob = TwoBasisSampling(basis, basis, 17, 17, 16 / 17, 1 / 17)
+        axis = bloch_vector(basis[1])
+        rates, _ = _rate_batch(prob, np.array([0.49, 0.49]), np.stack([axis, -axis]), 80, 1e-11)
+        assert np.all(rates == np.inf)
+
+    def test_envelope_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(51)
+        for case in range(6):
+            # counts at 0, in the middle and at m0 on the first basis
+            k0 = (0, 3, 7)[case % 3]
+            prob = TwoBasisSampling(random_basis(rng), random_basis(rng), 7, 9,
+                                    k0 / 7, int(rng.integers(0, 10)) / 9)
+            x = np.concatenate([[rng.uniform(0.05, 0.45)], 1.3 * random_unit_vector(rng)])
+            rate, grad = _rate_and_grad(prob, x, 80, 1e-12)
+            assert math.isfinite(rate)
+            h = 1e-6
+            for i in range(4):
+                step = np.zeros(4)
+                step[i] = h
+                up, _ = _rate_and_grad(prob, x + step, 80, 1e-12)
+                down, _ = _rate_and_grad(prob, x - step, 80, 1e-12)
+                assert grad[i] == pytest.approx((up - down) / (2.0 * h), abs=1e-6)
+
+    def test_seeded_batch_certified(self):
+        rng = np.random.default_rng(50)
+        opts = SolverOptions(k_grid=21, sphere_points=72, restarts=4, seed=6)
+        for case in range(12):
+            m0, m1 = (int(v) for v in rng.integers(3, 13, size=2))
+            k0 = int(rng.choice([0, m0, rng.integers(0, m0 + 1)]))
+            k1 = int(rng.choice([0, m1, rng.integers(0, m1 + 1)]))
+            theta, phi = math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2.0 * math.pi)
+            basis0 = basis_from_bloch(theta, phi)
+            kind = case % 3
+            if kind == 0:
+                basis1 = random_basis(rng)
+            elif kind == 1:
+                basis1 = basis_from_bloch(math.pi - theta, phi + math.pi)
+            else:
+                basis1 = basis0
+            prob = TwoBasisSampling(basis0, basis1, m0, m1, k0 / m0, k1 / m1)
+            sol = min_exponent(prob, opts)
+            assert_certified(sol, prob)
+            if kind > 0:
+                closed = collinear_exponent(m0, m1, k0 / m0, k1 / m1, antipodal=kind == 1)
+                assert sol.r_nats == pytest.approx(closed, abs=1e-6)
+
+    def test_uncertified_solution_raises(self):
+        # one Newton step per refinement evaluation certifies no point
+        prob = TwoBasisSampling(basis_from_bloch(0.0), basis_from_bloch(1.1), 9, 11, 0.1, 0.85)
+        with pytest.raises(DomainError):
+            min_exponent(prob, SolverOptions(k_grid=21, sphere_points=72, restarts=4,
+                                             newton_iters=1))
+
+    def test_solution_diagnostics_default_to_nan(self):
+        prob = TwoBasisSampling(np.eye(2), np.eye(2), 2, 2, 0.5, 0.5)
+        point = zero_rate_point(prob, 0.2, np.array([1.0, 0.0, 0.0]))
+        sol = ExponentSolution(point=point, r_nats=0.0, r_bits=0.0, converged=True)
+        assert math.isnan(sol.residual) and math.isnan(sol.r_primal)
 
 
 class TestValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("k_grid", 1), ("sphere_points", 0), ("restarts", 0),
+        ("newton_iters", 0), ("grad_tol", 0.0), ("grad_tol", -1e-9),
+        ("grad_tol", math.nan), ("grad_tol", math.inf),
+    ])
+    def test_solver_options_rejected(self, field, value):
+        with pytest.raises(ParameterError):
+            SolverOptions(**{field: value})
+
     def test_basis_orthonormality_enforced(self):
         with pytest.raises(ParameterError):
             TwoBasisSampling(np.ones((2, 2)), np.eye(2), 2, 2, 0.5, 0.5)
