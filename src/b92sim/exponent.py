@@ -91,8 +91,8 @@ class TwoBasisSampling:
     def __post_init__(self) -> None:
         object.__setattr__(self, "basis0", _as_basis(self.basis0))
         object.__setattr__(self, "basis1", _as_basis(self.basis1))
-        if self.m0 < 1 or self.m1 < 1:
-            raise ParameterError("m0 and m1 must be positive")
+        if not (1 <= self.m0 < math.inf and 1 <= self.m1 < math.inf):
+            raise ParameterError("m0 and m1 must be finite and positive")
         for d in (self.delta0, self.delta1):
             if not 0.0 <= d <= 1.0:
                 raise ParameterError("outcome fractions must lie in [0, 1]")
@@ -145,10 +145,12 @@ class ExponentPoint:
         if not 0.0 <= self.k_frac <= 0.5:
             raise ParameterError("k_frac must lie in [0, 1/2]")
         n = np.asarray(self.bloch_n, dtype=float)
-        if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > 1e-9:
-            raise ParameterError("bloch_n must be a unit 3-vector")
         q = np.asarray(self.q, dtype=float)
         p = np.asarray(self.p, dtype=float)
+        if not all(np.all(np.isfinite(arr)) for arr in (n, q, p)):
+            raise ParameterError("bloch_n, q and p must be finite")
+        if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > 1e-9:
+            raise ParameterError("bloch_n must be a unit 3-vector")
         if q.shape != (2, 2, 2, 2) or p.shape != (2, 2):
             raise ParameterError("q must be (2,2,2,2) and p (2,2)")
         for arr, name in ((q, "q"), (p, "p")):
@@ -207,13 +209,13 @@ class SolverOptions:
     grad_tol: float = 1e-11
 
     def __post_init__(self) -> None:
-        if not self.seed >= 0:
-            raise ParameterError("seed must be nonnegative")
-        if not self.k_grid >= 2:
-            raise ParameterError("k_grid must be at least 2")
+        if not 0 <= self.seed < math.inf:
+            raise ParameterError("seed must be finite and nonnegative")
+        if not 2 <= self.k_grid < math.inf:
+            raise ParameterError("k_grid must be finite and at least 2")
         for name in ("sphere_points", "restarts", "newton_iters"):
-            if not getattr(self, name) >= 1:
-                raise ParameterError(f"{name} must be at least 1")
+            if not 1 <= getattr(self, name) < math.inf:
+                raise ParameterError(f"{name} must be finite and at least 1")
         if not (math.isfinite(self.grad_tol) and self.grad_tol > 0.0):
             raise ParameterError("grad_tol must be finite and positive")
 

@@ -13,6 +13,7 @@ estimation tests need them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,10 +59,10 @@ class ProtocolParams:
 
     def __post_init__(self) -> None:
         check_alpha(self.alpha)
-        if self.n_pairs < 1:
-            raise ParameterError("n_pairs must be at least 1")
-        if self.seed < 0:
-            raise ParameterError("seed must be nonnegative")
+        if not 1 <= self.n_pairs < math.inf:
+            raise ParameterError("n_pairs must be finite and at least 1")
+        if not 0 <= self.seed < math.inf:
+            raise ParameterError("seed must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -133,6 +134,9 @@ class B92Record:
     def sifted_bob(self) -> np.ndarray:
         return self.bob_outcomes[~self.null_flags]
 
+
+# signals per draw in run_b92
+_CHUNK = 1 << 16
 
 _ZZ_XX_PROJECTORS = np.concatenate([ZZ_PROJECTORS, XX_PROJECTORS])
 
@@ -238,11 +242,19 @@ def run_b92(params: ProtocolParams) -> B92Record:
         cond[j] = np.clip(pv.outcome_probabilities(out), 0.0, None)
         cond[j] /= cond[j].sum()
 
-    alice = rng.integers(0, 2, size=n).astype(np.uint8)
-    u = rng.random(n)
+    # every bit, then every uniform, as one full-length draw of each would
+    # give; chunking keeps the float64 temporaries O(1) in n
+    alice = np.empty(n, dtype=np.uint8)
+    for i in range(0, n, _CHUNK):
+        alice[i:i + _CHUNK] = rng.integers(0, 2, size=min(_CHUNK, n - i))
+    bob = np.empty(n, dtype=np.uint8)
     cum = np.cumsum(cond, axis=1)
-    bob = (u >= np.where(alice, cum[1, 0], cum[0, 0])).astype(np.uint8)
-    bob += u >= np.where(alice, cum[1, 1], cum[0, 1])
+    for i in range(0, n, _CHUNK):
+        sent = alice[i:i + _CHUNK]
+        u = rng.random(sent.size)
+        out = bob[i:i + _CHUNK]
+        np.greater_equal(u, cum[:, 0][sent], out=out, casting="unsafe")
+        out += u >= cum[:, 1][sent]
     return B92Record(alice_bits=alice, bob_outcomes=bob)
 
 

@@ -99,7 +99,8 @@ class StateVector:
         if amp.shape not in ((2,), (4,)):
             raise ParameterError(f"state dimension must be 2 or 4, got shape {amp.shape}")
         norm = float(np.vdot(amp, amp).real)
-        if abs(norm - 1.0) > NORM_TOL:
+        # written so that a nan or inf entry fails too, as in the checks below
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ParameterError(f"state not normalized: |psi|^2 = {norm!r}")
         object.__setattr__(self, "amplitudes", amp)
 
@@ -121,8 +122,8 @@ class DensityMatrix:
         m = _frozen(self.entries)
         if m.shape not in ((2, 2), (4, 4)):
             raise ParameterError(f"density matrix must be 2x2 or 4x4, got {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
-            raise ParameterError("density matrix not Hermitian")
+        if not np.max(np.abs(m - m.conj().T)) <= HERM_TOL:
+            raise ParameterError("density matrix not finite and Hermitian")
         if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
             raise ParameterError(f"density matrix trace {np.trace(m)!r} != 1")
         if np.min(np.linalg.eigvalsh(m)) < -PSD_TOL:
@@ -149,8 +150,8 @@ class Povm:
         for e in elems:
             if e.shape != (d, d):
                 raise ParameterError("POVM elements must share one square shape")
-            if np.max(np.abs(e - e.conj().T)) > HERM_TOL:
-                raise ParameterError("POVM element not Hermitian")
+            if not np.max(np.abs(e - e.conj().T)) <= HERM_TOL:
+                raise ParameterError("POVM element not finite and Hermitian")
             if np.min(np.linalg.eigvalsh(e)) < -PSD_TOL:
                 raise ParameterError("POVM element not positive semidefinite")
             total = total + e
@@ -175,7 +176,10 @@ class FilterOp:
 
     def __post_init__(self) -> None:
         check_alpha(self.alpha)
-        object.__setattr__(self, "matrix", _frozen(self.matrix))
+        m = _frozen(self.matrix)
+        if not np.isfinite(m).all():
+            raise ParameterError("filter matrix must be finite")
+        object.__setattr__(self, "matrix", m)
 
     @property
     def beta(self) -> float:
@@ -196,7 +200,7 @@ class KrausChannel:
         if not ops:
             raise ParameterError("channel needs at least one Kraus operator")
         total = sum(k.conj().T @ k for k in ops)
-        if np.max(np.abs(total - np.eye(2))) > NORM_TOL:
+        if not np.max(np.abs(total - np.eye(2))) <= NORM_TOL:
             raise ParameterError("Kraus operators do not satisfy completeness")
         object.__setattr__(self, "kraus_ops", ops)
 

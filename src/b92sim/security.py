@@ -11,11 +11,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize
 
 from .errors import DomainError, ParameterError, SingularityError
 from .quantum import check_alpha
 
 GRAZE_TOL = 1e-12
+# rounding allowance on the bands and the error weight of the slacked check
+ROUND_TOL = 1e-14
+_INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -120,7 +124,11 @@ def delta_param(r_fil: float, alpha: float, *, delta_min: float = 1e-3) -> float
 def _domain(delta: float, alpha: float) -> tuple[float, float, float]:
     gap = 1.0 - 2.0 * alpha * alpha
     c = gap - delta
-    return abs(delta), 1.0 - abs(c), c
+    x_hi = 1.0 - abs(c)
+    if x_hi < abs(delta) and c > 0.0:
+        # 1 - c lost alpha^2 to the rounding of 1; recover it as 2 alpha^2 + delta
+        x_hi = 2.0 * alpha * alpha + delta
+    return abs(delta), x_hi, c
 
 
 def tradeoff_curve(x, delta: float, alpha: float):
@@ -156,9 +164,11 @@ def phase_error_bound(obs: ObservedRates) -> BoundResult:
     within GRAZE_TOL outside the domain is rounding and is clipped onto it.
     A tangency (double root, e.g. every noiseless point, where f(0) = 2 alpha
     beta is exactly the target) can round to a slightly negative
-    discriminant; its vertex then counts as feasible when alpha*beta*f misses
-    the target there by at most GRAZE_TOL.  Infeasible data (no such point)
-    means abort.
+    discriminant; its vertex then counts as feasible when f misses T there
+    by at most GRAZE_TOL, a miss relative to alpha*beta so that it means the
+    same at every alpha.  Where alpha^2 is below the rounding of 1, the
+    domain's right end 1 - (gap - delta) is taken as 2 alpha^2 + delta.
+    Infeasible data (no such point) means abort.
     """
     alpha = obs.alpha
     a2 = alpha * alpha
@@ -194,7 +204,7 @@ def phase_error_bound(obs: ObservedRates) -> BoundResult:
         if not inside:
             return _infeasible(delta)
         x_star = min(max(max(inside), x_lo), x_hi)
-        if disc < 0.0 and ab * tradeoff_curve(x_star, delta, alpha) < target - GRAZE_TOL:
+        if disc < 0.0 and tradeoff_curve(x_star, delta, alpha) < t - GRAZE_TOL:
             return _infeasible(delta)
 
     r_ph_bar = 0.5 * (x_star + gap * delta)
@@ -248,6 +258,208 @@ def finite_key_length(
     return n_fil * _secret_fraction(e_bit, bound.r_ph_bar * n_pairs / n_fil)
 
 
+def _slacked_width(alpha: float, r_err: float, delta: float, slacks: SlackVector):
+    """Feasibility margin of (x, d) under the slacked constraints, with the
+    skew a eliminated in closed form.
+
+    The data-side count matrix is (v00, v01, v10, v11) = ((1-x-a), (x+d),
+    (x-d), (1-x+a))/2.  Its correlated and anticorrelated sectors have
+    outcome ratios sin^2(phi0) = v11/(1-x) and sin^2(phi1) = v01/x, so
+    a = -(1-x) cos(2 phi0), d = -x cos(2 phi1), and each check window edge
+    sin^2(phi -+ theta) is algebraic in (x, d) or (x, a).  For fixed (x, d)
+    the check side (mass y within eps6 of x, eps7/eps8-widened windows,
+    error weight within eps5) confines phi0 to two intervals, one centred on
+    theta and one on pi/2 - theta; either endpoint y gives intervals with the
+    same centre, so the wider one is the union.  Mapped through the
+    increasing a(phi0) and intersected with the two linear bands this is an
+    interval of a.  ``width(x, d)`` is the smallest of its length and the
+    two margins no choice of a can change (the lower check needs l0 <= some
+    l0_max >= 0, the upper u0 >= some u0_min <= 1); it is >= 0 exactly when
+    some a is feasible and falls continuously with the violation otherwise.
+    Also returns the band limits on d = (s - f)/2.
+    """
+    _, e2, _, e4, e5, e6, e7, e8 = slacks.as_tuple()
+    a2 = alpha * alpha
+    b2 = 1.0 - a2
+    ab4 = 4.0 * alpha * math.sqrt(b2)
+    gap = 1.0 - 2.0 * a2
+    # the filter-rate band pins s = a + d, the sender-marginal band f = a - d
+    s_lo = 2.0 * delta - gap - 2.0 * e2 / gap
+    s_hi = 2.0 * delta - gap + 2.0 * e2 / gap
+    f_lo = -gap - 2.0 * e4
+    f_hi = -gap + 2.0 * e4
+    d_bot, d_top = 0.5 * (s_lo - f_hi), 0.5 * (s_hi - f_lo)
+    # zero-width bands make the a-window a single point, which rounding
+    # alone must not empty
+    s_lo, f_lo, s_hi, f_hi = s_lo - ROUND_TOL, f_lo - ROUND_TOL, s_hi + ROUND_TOL, f_hi + ROUND_TOL
+    w_hi = 2.0 * r_err + 2.0 * e5 + ROUND_TOL
+    w_lo = 2.0 * r_err - 2.0 * e5 - ROUND_TOL
+
+    def width(x: float, d: float) -> float:
+        m = 1.0 - x
+        if x > 0.0:
+            mid = 0.5 * (x + gap * d) / x
+            spread = 0.25 * ab4 * math.sqrt(max(x * x - d * d, 0.0)) / x
+            l1 = max(mid - spread - e7, 0.0)
+            u1 = min(mid + spread + e8, 1.0)
+        else:  # an empty sector leaves its outcome ratio unconstrained
+            l1, u1 = 0.0, 1.0
+        y_lo = max(x - e6, 0.0)
+        y_hi = min(x + e6, 1.0)
+        m_lo = max(1.0 - y_lo, 1e-300)
+        m_hi = max(1.0 - y_hi, 1e-300)
+        # largest lower window ratio l0 and smallest upper u0 some y allows
+        l0_max = max((w_hi - y_lo * l1) / m_lo, (w_hi - y_hi * l1) / m_hi)
+        u0_min = min((w_lo - y_lo * u1) / m_lo, (w_lo - y_hi * u1) / m_hi)
+        # phi0 within asin(sqrt(k)) of theta, and phi0 + theta within
+        # [asin(sqrt(j)), pi - asin(sqrt(j))]; edges a = -m cos(2 phi0)
+        k = min(max(l0_max + e7, 0.0), 1.0)
+        j = min(max(u0_min - e8, 0.0), 1.0)
+        gk, rk = gap * (1.0 - 2.0 * k), ab4 * math.sqrt(k * (1.0 - k))
+        gj, rj = gap * (1.0 - 2.0 * j), ab4 * math.sqrt(j * (1.0 - j))
+        lo = max(-m if k >= a2 else -m * (gk + rk), -m if j <= a2 else -m * (gj + rj),
+                 s_lo - d, f_lo + d, -m)
+        hi = min(m if k >= b2 else -m * (gk - rk), m if j <= b2 else -m * (gj - rj),
+                 s_hi - d, f_hi + d, m)
+        return min(hi - lo, l0_max, 1.0 - u0_min)
+
+    return width, d_bot, d_top
+
+
+def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Golden-section search for the maximum of a unimodal f on [lo, hi];
+    returns (argmax, max)."""
+    c = hi - _INV_PHI * (hi - lo)
+    d = lo + _INV_PHI * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > tol:
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INV_PHI * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INV_PHI * (hi - lo)
+            fd = f(d)
+    return (c, fc) if fc >= fd else (d, fd)
+
+
+def _shifted_witness(r_err: float, r_fil: float, alpha: float, slacks: SlackVector):
+    """Zero-slack optimum (x, d) for the observed rates moved within their
+    eps5 and eps2 bands to where the zero-slack problem is most feasible, or
+    None.
+
+    Such a point meets the slacked constraints.  The zero-slack problem at
+    rates (r_err', r_fil') is feasible iff alpha*beta*sqrt(1 - s^2) covers
+    |r_fil' - 2 r_err'| with s = |delta'| + |gap - delta'| <= 1 (the peak of
+    the trade-off curve), and that margin is concave in r_fil' once r_err'
+    is taken nearest r_fil'/2.
+    """
+    err_lo = max(r_err - slacks.eps5, 0.0)
+    err_hi = min(r_err + slacks.eps5, 0.5)
+    if err_lo > err_hi:
+        return None
+    a2 = alpha * alpha
+    ab = alpha * math.sqrt(1.0 - a2)
+
+    def margin(fil: float) -> float:
+        delta = delta_param(fil, alpha)
+        s = abs(delta) + abs(1.0 - 2.0 * a2 - delta)
+        reach = ab * math.sqrt(1.0 - s * s) if s <= 1.0 else 1.0 - s
+        return reach - abs(fil - 2.0 * min(max(0.5 * fil, err_lo), err_hi))
+
+    fil, _ = _golden_max(margin, max(r_fil - slacks.eps2, 0.0), min(r_fil + slacks.eps2, 1.0),
+                         1e-15)
+    err = min(max(0.5 * fil, err_lo), err_hi)
+    bound = phase_error_bound(ObservedRates(r_err=err, r_fil=fil, alpha=alpha))
+    return (bound.x_star, bound.delta) if bound.feasible else None
+
+
+def _widest_point(width, d_bot: float, d_top: float) -> tuple[float, float, float]:
+    """(x, d, width) at the largest width found by golden sections over d
+    nested in golden sections over x, one per piece of the x range between
+    the corners of the count box.
+
+    The start of last resort, when neither closed-form seed is feasible.
+    width is not unimodal away from the feasible set, so a feasible set much
+    smaller than the x range can be missed and the data then abort.
+    """
+    def column(x: float) -> tuple[float, float]:
+        return _golden_max(lambda d: width(x, d), max(-x, d_bot), min(x, d_top), 1e-13)
+
+    x_lo = min(max(0.0, d_bot, -d_top), 1.0)
+    cuts = sorted({x_lo, 1.0} | {c for c in (d_top, -d_bot) if x_lo < c < 1.0})
+    best = (-math.inf, 0.0, 0.0)
+    for lo, hi in zip(cuts, cuts[1:]):
+        x, _ = _golden_max(lambda x: column(x)[1], lo, hi, 1e-13)
+        d, w = column(x)
+        best = max(best, (w, x, d))
+    return best[1], best[2], best[0]
+
+
+def _slacked_optimum(width, gap: float, d_bot: float, d_top: float,
+                     seeds: tuple) -> tuple[float, float] | None:
+    """Largest x + gap*d over {width(x, d) >= 0} within the count box
+    |d| <= x <= 1, d_bot <= d <= d_top; None when that set is empty.
+
+    With eps6 = eps7 = eps8 = 0 the set is convex: the check reduces to
+    2 alpha beta [sqrt(x^2 - d^2) + sqrt((1-x)^2 - a^2)] >= |1 + gap (a + d)
+    - 4 r_err|, whose left side is jointly concave; with them it has been
+    convex on every instance tried.  So every ray from an interior point
+    leaves it once, and the objective along its boundary is unimodal in the
+    ray angle.  The solver starts at the first feasible point of ``seeds``
+    or, failing that, at _widest_point; centres it on its x and d chords;
+    then runs a golden section over the angles that gain on the start, each
+    ray's exit a bracketed root of width (brentq).
+    """
+    best = [-math.inf, 0.0, 0.0]
+
+    def reach(px: float, pd: float, ux: float, ud: float) -> float:
+        # distance along (ux, ud) to the count box, then to the set's edge
+        t = math.inf
+        for gx, gd, b in ((-1.0, 1.0, 0.0), (-1.0, -1.0, 0.0), (1.0, 0.0, 1.0),
+                          (0.0, 1.0, d_top), (0.0, -1.0, -d_bot)):
+            rate = gx * ux + gd * ud
+            if rate > 0.0:
+                t = min(t, max(b - gx * px - gd * pd, 0.0) / rate)
+        if width(px + t * ux, pd + t * ud) < 0.0:
+            t = optimize.brentq(lambda s: width(px + s * ux, pd + s * ud), 0.0, t, xtol=1e-15)
+        x, d = px + t * ux, pd + t * ud
+        if x + gap * d > best[0]:
+            best[:] = [x + gap * d, x, d]
+        return t
+
+    start = next((s for s in seeds if s is not None and width(*s) >= 0.0), None)
+    if start is None:
+        *start, margin = _widest_point(width, d_bot, d_top)
+        if margin < 0.0:
+            return None
+    px, pd = start
+    best[:] = [px + gap * pd, px, pd]
+    if d_top - d_bot < 1e-15:
+        reach(px, pd, 1.0, 0.0)
+        return best[1], best[2]
+
+    # centre the start on its chords; their lengths scale the ray directions
+    right, left = reach(px, pd, 1.0, 0.0), reach(px, pd, -1.0, 0.0)
+    if width(px + 0.5 * (right - left), pd) >= 0.0:
+        px += 0.5 * (right - left)
+    up, down = reach(px, pd, 0.0, 1.0), reach(px, pd, 0.0, -1.0)
+    if width(px, pd + 0.5 * (up - down)) >= 0.0:
+        pd += 0.5 * (up - down)
+    sx, sd = max(right + left, 1e-15), max(up + down, 1e-15)
+
+    def gain(psi: float) -> float:
+        ux, ud = sx * math.cos(psi), sd * math.sin(psi)
+        return reach(px, pd, ux, ud) * (ux + gap * ud)
+
+    # the optimum gains on the centre, so it lies within pi/2 of the
+    # objective's direction in the scaled frame
+    psi0 = math.atan2(gap * sd, sx)
+    _golden_max(gain, psi0 - 0.5 * math.pi, psi0 + 0.5 * math.pi, 1e-12)
+    return best[1], best[2]
+
+
 def finite_size_bound(
     n_err: int,
     n_fil: int,
@@ -258,134 +470,43 @@ def finite_size_bound(
     """Maximize the phase-error count over all count matrices consistent with
     the observed tallies under the slack-relaxed estimation constraints.
 
-    Counts are relaxed to reals.  With all slacks zero this reduces to
-    phase_error_bound.  The data-side count matrix is parametrized by its
-    anticorrelated mass x and two skews (d, a); the filter-rate and
-    sender-marginal bands confine (d, a) to a box per x, the check side
-    reduces to a closed-form interval condition, and the objective
-    (x + gap*d)/2 + eps3 is maximized by a grid scan, seeded with the
-    zero-slack optimum, with bisection refinement of the feasibility edge.
+    Counts are relaxed to reals.  The data-side count matrix has
+    anticorrelated mass x and skews (d, a); the objective is
+    (x + gap*d)/2 + eps3 with gap = 1 - 2 alpha^2.  eps1 enters the key
+    length, not this ceiling.  When eps2 and eps4..eps8 are all zero the
+    constraints are exactly those of phase_error_bound, whose optimum is
+    used directly (error weights above 1/2 are infeasible).  Otherwise a is
+    eliminated in closed form (see _slacked_width) and the remaining
+    two-variable problem is solved by bracketed 1-D root finds and golden
+    sections (see _slacked_optimum); ``x_star`` is the maximizing x and
+    ``delta`` the filter-rate excess of the observed tallies.
     """
     if slacks is None:
         slacks = SlackVector()
     if n_pairs < 1 or not 0 <= n_err <= n_pairs or not 0 <= n_fil <= n_pairs:
         raise ParameterError("counts must lie in [0, n_pairs] with n_pairs >= 1")
     check_alpha(alpha)
-    # eps1 enters the key-length formula, not the phase ceiling
-    _, e2, e3, e4, e5, e6, e7, e8 = slacks.as_tuple()
     gap = 1.0 - 2.0 * alpha * alpha
     r_fil = n_fil / n_pairs
     r_err = n_err / n_pairs
-    theta = math.asin(alpha)
-    delta_mid = delta_param(r_fil, alpha)
+    delta = delta_param(r_fil, alpha)
 
-    # the filter-rate band pins a + d, the sender-marginal band pins a - d
-    sum_lo = 2.0 * delta_mid - gap - 2.0 * e2 / gap
-    sum_hi = 2.0 * delta_mid - gap + 2.0 * e2 / gap
-    diff_lo = -gap - 2.0 * e4
-    diff_hi = -gap + 2.0 * e4
-
-    def evaluate(xs: np.ndarray, nd: int, na: int) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized feasibility and best objective per x.
-
-        The two bands act on s = a + d and f = a - d independently, so
-        (s, f) is gridded over its exact box; count nonnegativity is
-        enforced pointwise below.
-        """
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        s = np.linspace(sum_hi, sum_lo, nd if sum_hi - sum_lo > 1e-14 else 1)
-        f = np.linspace(diff_lo, diff_hi, na if diff_hi - diff_lo > 1e-14 else 1)
-        x3 = xs[:, None, None]
-        d3 = (0.5 * (s[:, None] - f[None, :]))[None, :, :]
-        a3 = (0.5 * (s[:, None] + f[None, :]))[None, :, :]
-
-        v00 = 0.5 * (1.0 - x3 - a3)
-        v01 = 0.5 * (x3 + d3)
-        v10 = 0.5 * (x3 - d3)
-        v11 = 0.5 * (1.0 - x3 + a3)
-        nonneg = (
-            (v00 >= -1e-14) & (v01 >= -1e-14) & (v10 >= -1e-14) & (v11 >= -1e-14)
-        )
-
-        corr = v00 + v11
-        anti = v01 + v10
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio0 = np.clip(np.where(corr > 1e-300, v11 / np.maximum(corr, 1e-300), 0.0), 0.0, 1.0)
-            ratio1 = np.clip(np.where(anti > 1e-300, v01 / np.maximum(anti, 1e-300), 0.0), 0.0, 1.0)
-        th0 = np.arcsin(np.sqrt(ratio0))
-        th1 = np.arcsin(np.sqrt(ratio1))
-        l0 = np.maximum(0.0, np.sin(th0 - theta) ** 2 - e7)
-        u0 = np.minimum(1.0, np.sin(th0 + theta) ** 2 + e8)
-        l1 = np.maximum(0.0, np.sin(th1 - theta) ** 2 - e7)
-        u1 = np.minimum(1.0, np.sin(th1 + theta) ** 2 + e8)
-        # empty sectors leave their outcome ratio unconstrained
-        l0 = np.where(corr <= 1e-300, 0.0, l0)
-        u0 = np.where(corr <= 1e-300, 1.0, u0)
-        l1 = np.where(anti <= 1e-300, 0.0, l1)
-        u1 = np.where(anti <= 1e-300, 1.0, u1)
-
-        # check side: anticorrelated mass y within eps6 of x, mixture of the
-        # window ratios must reproduce the observed error weight
-        y_lo = np.clip(x3 - e6, 0.0, 1.0)
-        y_hi = np.clip(x3 + e6, 0.0, 1.0)
-        lo_reach = np.minimum(
-            (1.0 - y_lo) * l0 + y_lo * l1, (1.0 - y_hi) * l0 + y_hi * l1
-        )
-        hi_reach = np.maximum(
-            (1.0 - y_lo) * u0 + y_lo * u1, (1.0 - y_hi) * u0 + y_hi * u1
-        )
-        mu_ok = (lo_reach <= 2.0 * r_err + 2.0 * e5 + 1e-14) & (
-            hi_reach >= 2.0 * r_err - 2.0 * e5 - 1e-14
-        )
-
-        ok = nonneg & mu_ok
-        obj = np.where(ok, 0.5 * (x3 + gap * d3), -np.inf)
-        best = obj.max(axis=(1, 2))
-        return ok.any(axis=(1, 2)), best
-
-    xs = np.linspace(0.0, 1.0, 2_001)
-    if alpha > 0.0 and r_err <= 0.5:
-        # the slacks only relax the constraints, so the zero-slack optimum
-        # stays feasible; seeding the grid with it keeps a feasible interval
-        # narrower than the grid spacing (tiny error rates) from being missed
+    exact = _infeasible(delta)
+    if r_err <= 0.5:
         exact = phase_error_bound(ObservedRates(r_err=r_err, r_fil=r_fil, alpha=alpha))
-        if exact.feasible:
-            xs = np.union1d(xs, [exact.x_star])
-    feas, vals = evaluate(xs, nd=9, na=9)
-    if not feas.any():
-        return _infeasible(delta_mid)
-
-    # rightmost feasible x, refined by bisection on the feasibility edge
-    i_last = int(np.nonzero(feas)[0][-1])
-    lo = float(xs[i_last])
-    if i_last + 1 < xs.size:
-        hi = float(xs[i_last + 1])
-        while hi - lo > 1e-10:
-            mid = 0.5 * (lo + hi)
-            ok, _ = evaluate(np.array([mid]), nd=9, na=9)
-            if ok[0]:
-                lo = mid
-            else:
-                hi = mid
-    edge_ok, edge_val = evaluate(np.array([lo]), nd=129, na=65)
-    candidates = [(float(edge_val[0]), lo)] if edge_ok[0] else []
-
-    # the objective can peak before the feasibility edge when the skew box
-    # shrinks with x, so also refine around the best interior grid point
-    i_best = int(np.argmax(vals))
-    local = np.linspace(
-        xs[max(i_best - 1, 0)], xs[min(i_best + 1, xs.size - 1)], 201
-    )
-    loc_ok, loc_val = evaluate(local, nd=129, na=65)
-    if loc_ok.any():
-        j = int(np.argmax(np.where(loc_ok, loc_val, -np.inf)))
-        candidates.append((float(loc_val[j]), float(local[j])))
-    if not candidates:
-        return _infeasible(delta_mid)
-
-    val, x_star = max(candidates)
-    return BoundResult(r_ph_bar=max(val + e3, 0.0), x_star=x_star,
-                       delta=delta_mid, feasible=True)
+    seed = (exact.x_star, delta) if exact.feasible else None
+    # eps1 enters the key length and eps3 only lifts the ceiling
+    if not any((slacks.eps2, slacks.eps4, slacks.eps5, slacks.eps6, slacks.eps7, slacks.eps8)):
+        point = seed
+    else:
+        width, d_bot, d_top = _slacked_width(alpha, r_err, delta, slacks)
+        seeds = (seed, _shifted_witness(r_err, r_fil, alpha, slacks))
+        point = _slacked_optimum(width, gap, d_bot, d_top, seeds)
+    if point is None:
+        return _infeasible(delta)
+    x, d = point
+    return BoundResult(r_ph_bar=max(0.5 * (x + gap * d) + slacks.eps3, 0.0), x_star=x,
+                       delta=delta, feasible=True)
 
 
 def failure_budget(n_pairs: int, slacks: SlackVector, m_samples: int, min_rate: float) -> float:

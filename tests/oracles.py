@@ -2,9 +2,11 @@
 
 Everything here is derived separately from the package code paths: the
 depolarizing-channel rates come from expanding the channel in Pauli terms by
-hand, the bound oracle is a plain dense grid scan, the two-basis region
-oracle samples the Bloch ball directly, and the collinear-basis exponent is
-the classical sampling-without-replacement closed form.
+hand, the bound oracle is a plain dense grid scan, the finite-size oracle
+evaluates the raw (x, a, d) constraints by dense scans and local solves,
+the two-basis region oracle samples the Bloch ball directly, and the
+collinear-basis exponent is the classical sampling-without-replacement
+closed form.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import optimize
 
 
 def depolarizing_rates(alpha_sq: float, p: float) -> dict[str, object]:
@@ -121,6 +124,160 @@ def grid_scan_phase_bound(
     if len(ok) == 0:
         return None
     return float(xs[ok[-1]])
+
+
+def _finite_size_setup(n_err, n_fil, n_pairs, alpha, eps):
+    a2 = alpha * alpha
+    gap = 1.0 - 2.0 * a2
+    delta = (n_fil / n_pairs - 2.0 * a2 * (1.0 - a2)) / gap
+    _, e2, e3, e4, e5, e6, e7, e8 = eps
+    return {
+        "gap": gap, "delta": delta, "theta": math.asin(alpha), "ab": alpha * math.sqrt(1.0 - a2),
+        "r_err": n_err / n_pairs, "e3": e3, "e5": e5, "e6": e6, "e7": e7, "e8": e8,
+        "s": (2.0 * delta - gap - 2.0 * e2 / gap, 2.0 * delta - gap + 2.0 * e2 / gap),
+        "f": (-gap - 2.0 * e4, -gap + 2.0 * e4),
+    }
+
+
+def finite_size_predicate(n_err, n_fil, n_pairs, alpha, eps, x, a, d, tol=1e-14):
+    """The slack-relaxed estimation constraints at raw points (x, a, d).
+
+    The data-side count matrix is (v00, v01, v10, v11) = ((1-x-a), (x+d),
+    (x-d), (1-x+a))/2; s = a + d and f = a - d must lie in the filter-rate and
+    sender-marginal bands; each sector's outcome ratio sets eps7/eps8-widened
+    check windows, and a check-side anticorrelated mass y within eps6 of x
+    must mix them to within eps5 of the observed error weight.  ``tol``
+    widens every comparison.  Broadcasts over arrays.
+    """
+    c = _finite_size_setup(n_err, n_fil, n_pairs, alpha, eps)
+    x, a, d = (np.asarray(v, dtype=float) for v in (x, a, d))
+    s, f = a + d, a - d
+    ok = (s >= c["s"][0] - tol) & (s <= c["s"][1] + tol)
+    ok = ok & (f >= c["f"][0] - tol) & (f <= c["f"][1] + tol)
+    v00, v01, v10, v11 = 0.5 * (1 - x - a), 0.5 * (x + d), 0.5 * (x - d), 0.5 * (1 - x + a)
+    ok = ok & (v00 >= -tol) & (v01 >= -tol) & (v10 >= -tol) & (v11 >= -tol)
+    windows = []
+    for mass, top in ((v00 + v11, v11), (v01 + v10, v01)):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratio = np.clip(np.where(mass > 1e-300, top / np.maximum(mass, 1e-300), 0.0), 0.0, 1.0)
+        phi = np.arcsin(np.sqrt(ratio))
+        lo = np.maximum(0.0, np.sin(phi - c["theta"]) ** 2 - c["e7"])
+        hi = np.minimum(1.0, np.sin(phi + c["theta"]) ** 2 + c["e8"])
+        empty = mass <= 1e-300
+        windows.append((np.where(empty, 0.0, lo), np.where(empty, 1.0, hi)))
+    (l0, u0), (l1, u1) = windows
+    ys = [np.clip(x - c["e6"], 0.0, 1.0), np.clip(x + c["e6"], 0.0, 1.0)]
+    low = np.minimum(*[(1 - y) * l0 + y * l1 for y in ys])
+    high = np.maximum(*[(1 - y) * u0 + y * u1 for y in ys])
+    w = 2.0 * c["r_err"]
+    return ok & (low <= w + 2.0 * c["e5"] + tol) & (high >= w - 2.0 * c["e5"] - tol)
+
+
+def _dense_finite_size(n_err, n_fil, n_pairs, alpha, eps, shape, chunk_bytes):
+    """Best objective and point on an (x, s, f) grid, evaluated in x-chunks
+    that keep the predicate's temporaries near ``chunk_bytes``."""
+    c = _finite_size_setup(n_err, n_fil, n_pairs, alpha, eps)
+    nx, ns, nf = shape
+    s = np.linspace(*c["s"], ns)[:, None]
+    f = np.linspace(*c["f"], nf)[None, :]
+    d, a = 0.5 * (s - f), 0.5 * (s + f)
+    xs = np.linspace(0.0, 1.0, nx)
+    step = max(1, int(chunk_bytes // (40 * 8 * ns * nf)))
+    best = (-math.inf, None)
+    for i in range(0, nx, step):
+        x = xs[i:i + step, None, None]
+        ok = finite_size_predicate(n_err, n_fil, n_pairs, alpha, eps, x, a[None], d[None])
+        obj = np.where(ok, 0.5 * (x + c["gap"] * d[None]) + c["e3"], -np.inf)
+        k = int(np.argmax(obj))
+        if obj.flat[k] > best[0]:
+            j, r = divmod(k, ns * nf)
+            best = (float(obj.flat[k]), (float(x.flat[j]), float(a.flat[r]), float(d.flat[r])))
+    return best
+
+
+def _slsqp_finite_size(n_err, n_fil, n_pairs, alpha, eps, start, signs):
+    """Local maximum of the objective for one choice of the check-side
+    masses y = x -+ eps6 (one for the lower check, one for the upper).
+
+    The skews are written through the sector angles, a = -(1-x) cos(2 phi0)
+    and d = -x cos(2 phi1), so count nonnegativity becomes the bounds
+    phi in [0, pi/2] and every window edge sin^2(phi -+ theta) is smooth.
+    The clipped windows max(0, q - eps7) and min(1, q + eps8) are split
+    into one smooth constraint per subset of clipped sectors.  Returns the
+    solution as (x, a, d).
+    """
+    c = _finite_size_setup(n_err, n_fil, n_pairs, alpha, eps)
+    gap, theta, w = c["gap"], c["theta"], 2.0 * c["r_err"]
+
+    def raw(v):
+        x, p0, p1 = v
+        return x, -(1.0 - x) * math.cos(2.0 * p0), -x * math.cos(2.0 * p1)
+
+    def cons(v):
+        x, a, d = raw(v)
+        y_low = min(max(x + signs[0] * c["e6"], 0.0), 1.0)
+        y_up = min(max(x + signs[1] * c["e6"], 0.0), 1.0)
+        l0, l1 = (math.sin(p - theta) ** 2 - c["e7"] for p in v[1:])
+        u0, u1 = (math.sin(p + theta) ** 2 + c["e8"] for p in v[1:])
+        out = [a + d - c["s"][0], c["s"][1] - a - d, a - d - c["f"][0], c["f"][1] - a + d]
+        for t0 in (0.0, 1.0):
+            for t1 in (0.0, 1.0):
+                out.append(w + 2 * c["e5"] - (1 - y_low) * t0 * l0 - y_low * t1 * l1)
+                out.append((1 - y_up) * (1.0 if t0 else u0) + y_up * (1.0 if t1 else u1)
+                           - (w - 2 * c["e5"]))
+        return np.array(out)
+
+    x, a, d = start
+    angles = [0.5 * math.acos(min(max(-a / (1.0 - x), -1.0), 1.0)),
+              0.5 * math.acos(min(max(-d / x, -1.0), 1.0))]
+    res = optimize.minimize(lambda v: -(v[0] + gap * raw(v)[2]), [x] + angles, method="SLSQP",
+                            bounds=[(1e-9, 1 - 1e-9), (0.0, 0.5 * math.pi), (0.0, 0.5 * math.pi)],
+                            constraints=[{"type": "ineq", "fun": cons}],
+                            options={"maxiter": 300, "ftol": 1e-15})
+    return raw(res.x)
+
+
+def finite_size_oracle(n_err, n_fil, n_pairs, alpha, eps, *, dense_shape=None,
+                       chunk_bytes=200e6):
+    """Largest phase-error ceiling the oracle can certify, or None.
+
+    The larger of two searches over raw (x, a, d) points: a chunked dense
+    scan of the (x, s, f) predicate when ``dense_shape`` is given, and the
+    best of the four y-branch SLSQP solves, started at the zero-slack
+    witness (grid_scan_phase_bound's x with d = delta, a = delta - gap) and
+    at the dense scan's best point.  A solve is kept only if it satisfies the
+    predicate to 1e-9, and is then pulled back along the segment from its
+    start until it satisfies it at the predicate's own 1e-14, so every value
+    returned belongs to a feasible point.
+    """
+    c = _finite_size_setup(n_err, n_fil, n_pairs, alpha, eps)
+
+    def feasible(point):
+        return bool(finite_size_predicate(n_err, n_fil, n_pairs, alpha, eps, *point))
+
+    best, starts = -math.inf, []
+    if dense_shape is not None:
+        best, point = _dense_finite_size(n_err, n_fil, n_pairs, alpha, eps, dense_shape,
+                                         chunk_bytes)
+        if point is not None:
+            starts.append(point)
+    x_zero = grid_scan_phase_bound(c["r_err"], n_fil / n_pairs, alpha, points=200_001)
+    if x_zero is not None and feasible(p := (x_zero, c["delta"] - c["gap"], c["delta"])):
+        starts.append(p)
+    for start in map(np.array, starts):
+        for signs in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
+            end = np.array(_slsqp_finite_size(n_err, n_fil, n_pairs, alpha, eps, start, signs))
+            if not finite_size_predicate(n_err, n_fil, n_pairs, alpha, eps, *end, tol=1e-9):
+                continue
+            if not feasible(end):
+                # SLSQP may stop up to ~1e-9 outside: bisect back toward the start
+                lo, hi = 0.0, 1.0
+                for _ in range(50):
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (mid, hi) if feasible(start + mid * (end - start)) else (lo, mid)
+                end = start + lo * (end - start)
+            best = max(best, 0.5 * (end[0] + c["gap"] * end[2]) + c["e3"])
+    return None if best == -math.inf else best
 
 
 def _binary_divergence(p: float, q: float) -> float:

@@ -152,6 +152,8 @@ class TestCliProperties:
     @given(ARGVS)
     # an alpha^2 this small makes the bound infeasible: r_ph_bar prints null
     @example(["rate", "--p=0.0", "--alpha-sq=1.3472021460402302e-272"])
+    # alpha^2 below the rounding of 1: noiseless data must stay feasible
+    @example(["rate", "--p=0.0", "--alpha-sq=1e-17"])
     @example(["simulate", "--p=0.03", "--alpha-sq=0.2", "--n=1000", "--seed=-1"])
     def test_flags_give_documented_exit_code_and_strict_json(self, argv):
         check(json_format(argv))

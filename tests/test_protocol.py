@@ -39,6 +39,24 @@ def binom_sigma(n: int, q: float) -> float:
     return math.sqrt(n * q * (1.0 - q))
 
 
+def one_shot_b92(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
+    """run_b92's record drawn the direct way: every bit in one draw, then
+    every uniform in one draw, each compared with its sent state's
+    cumulative outcome probabilities."""
+    alpha = params.alpha
+    pv = b92_povm(alpha)
+    cond = np.empty((2, 3))
+    for j in (0, 1):
+        out = params.channel.apply(projector(signal_state(j, alpha).amplitudes))
+        cond[j] = np.clip(pv.outcome_probabilities(out), 0.0, None)
+        cond[j] /= cond[j].sum()
+    rng = np.random.Generator(np.random.Philox(params.seed))
+    alice = rng.integers(0, 2, size=params.n_pairs).astype(np.uint8)
+    u = rng.random(params.n_pairs)
+    cum = np.cumsum(cond, axis=1)
+    return alice, (u[:, None] >= cum[alice][:, :2]).sum(axis=1).astype(np.uint8)
+
+
 class TestExpectedRates:
     def test_identity_channel(self):
         alpha = 0.4
@@ -264,20 +282,32 @@ class TestRunB92:
             alpha=alpha, n_pairs=50_000, channel=depolarizing_channel(0.05), seed=12
         )
         rec = run_b92(params)
-        pv = b92_povm(alpha)
-        cond = np.empty((2, 3))
-        for j in (0, 1):
-            out = params.channel.apply(projector(signal_state(j, alpha).amplitudes))
-            cond[j] = np.clip(pv.outcome_probabilities(out), 0.0, None)
-            cond[j] /= cond[j].sum()
-        rng = np.random.Generator(np.random.Philox(params.seed))
-        alice = rng.integers(0, 2, size=params.n_pairs).astype(np.uint8)
-        u = rng.random(params.n_pairs)
-        cum = np.cumsum(cond, axis=1)
-        bob = (u[:, None] >= cum[alice][:, :2]).sum(axis=1).astype(np.uint8)
+        alice, bob = one_shot_b92(params)
         np.testing.assert_array_equal(rec.alice_bits, alice)
         np.testing.assert_array_equal(rec.bob_outcomes, bob)
         assert rec.bob_outcomes.dtype == np.uint8
+
+    def test_chunked_draw_equals_one_shot_draw(self):
+        # n spans several draw chunks and ends part-way through one
+        params = ProtocolParams(
+            alpha=0.4, n_pairs=3 * 2**16 + 4_321, channel=depolarizing_channel(0.05), seed=12
+        )
+        rec = run_b92(params)
+        alice, bob = one_shot_b92(params)
+        np.testing.assert_array_equal(rec.alice_bits, alice)
+        np.testing.assert_array_equal(rec.bob_outcomes, bob)
+
+    def test_peak_memory_below_three_times_output(self):
+        params = ProtocolParams(
+            alpha=ALPHA_02, n_pairs=1_000_000, channel=depolarizing_channel(0.03), seed=5
+        )
+        tracemalloc.start()
+        try:
+            rec = run_b92(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * (rec.alice_bits.nbytes + rec.bob_outcomes.nbytes)
 
     def test_sifted_statistics_match_check_pairs(self):
         # the reduction: joint (sent bit, outcome) statistics of the

@@ -2,9 +2,12 @@
 relaxations."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from b92sim.errors import DomainError, ParameterError, SingularityError
 from b92sim.security import (
@@ -21,7 +24,7 @@ from b92sim.security import (
     relative_entropy,
     tradeoff_curve,
 )
-from oracles import depolarizing_rates, grid_scan_phase_bound
+from oracles import depolarizing_rates, finite_size_oracle, grid_scan_phase_bound
 
 ALPHA_02 = math.sqrt(0.2)
 
@@ -158,6 +161,19 @@ class TestPhaseErrorBound:
         exact = phase_error_bound(observed(p, alpha_sq))
         assert res.feasible
         assert res.r_ph_bar == pytest.approx(exact.r_ph_bar, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha_sq", [1e-15, 1e-17, 1e-20, 1e-30])
+    def test_noiseless_tiny_alpha_stays_feasible(self, alpha_sq):
+        # 1 - 2 alpha^2 rounds to 1 below alpha^2 ~ 1e-16; the domain's right
+        # end must not round away with it
+        from b92sim.protocol import expected_rates
+        from b92sim.quantum import depolarizing_channel
+
+        alpha = math.sqrt(alpha_sq)
+        rates = expected_rates(alpha, depolarizing_channel(0.0))
+        res = phase_error_bound(ObservedRates(r_err=rates.r_err, r_fil=rates.r_fil, alpha=alpha))
+        assert res.feasible
+        assert 0.0 <= res.r_ph_bar <= 10.0 * alpha_sq
 
     def test_closed_form_against_grid_on_random_rates(self):
         # arbitrary observed rates, not only depolarizing ones: no grid point
@@ -355,6 +371,61 @@ class TestFiniteSizeBound:
         assert res.feasible
         assert res.r_ph_bar == pytest.approx(oracle, abs=1e-4)
 
+    def test_zero_slack_is_phase_error_bound(self):
+        # eps1 enters the key length and eps3 only lifts the ceiling
+        n_err, n_fil = self.rates_to_counts(0.03, 0.2)
+        exact = phase_error_bound(
+            ObservedRates(r_err=n_err / self.N, r_fil=n_fil / self.N, alpha=ALPHA_02))
+        res = finite_size_bound(n_err, n_fil, self.N, ALPHA_02, SlackVector(eps1=0.01, eps3=0.002))
+        assert res.x_star == exact.x_star and res.delta == exact.delta
+        assert res.r_ph_bar == exact.r_ph_bar + 0.002
+
+    @staticmethod
+    def seeded_batch(size, seed):
+        """Slacked instances as a run would produce them: depolarizing
+        channel p in [0, 0.06], alpha^2 in [0.05, 0.45], n log-uniform in
+        [1e4, 1e7], binomial counts, each slack log-uniform in [1e-4, 1e-2]."""
+        rng = np.random.default_rng(seed)
+        for _ in range(size):
+            p, a2 = rng.uniform(0.0, 0.06), rng.uniform(0.05, 0.45)
+            n = int(round(10 ** rng.uniform(4, 7)))
+            r = depolarizing_rates(a2, p)
+            n_err, n_fil = int(rng.binomial(n, r["r_err"])), int(rng.binomial(n, r["r_fil"]))
+            eps = tuple(float(10 ** rng.uniform(-4, -2)) for _ in range(8))
+            yield n_err, n_fil, n, math.sqrt(a2), eps
+
+    def test_slacked_ceiling_matches_oracle_on_seeded_batch(self):
+        # every ceiling is feasible and at least as high as any feasible
+        # point the oracle finds, within 1e-9 each way; the first three also
+        # get a finer dense scan
+        for i, (n_err, n_fil, n, alpha, eps) in enumerate(self.seeded_batch(150, 2024)):
+            res = finite_size_bound(n_err, n_fil, n, alpha, SlackVector(*eps))
+            shape = (513, 65, 65) if i < 3 else (201, 17, 17)
+            oracle = finite_size_oracle(n_err, n_fil, n, alpha, eps, dense_shape=shape)
+            assert res.feasible and oracle is not None
+            assert res.r_ph_bar == pytest.approx(oracle, abs=1e-9), (n_err, n_fil, n, alpha, eps)
+
+    def test_feasible_where_only_the_slacks_explain_the_data(self):
+        # no error in 2069 pairs is too few for the zero-slack problem; the
+        # slacked one is feasible only on a small set near the lowest x
+        eps = (3e-3, 2e-4, 4e-3, 3e-3, 7e-4, 2e-3, 8e-4, 8e-4)
+        alpha = math.sqrt(0.0876)
+        assert not finite_size_bound(0, 341, 2069, alpha).feasible
+        res = finite_size_bound(0, 341, 2069, alpha, SlackVector(*eps))
+        oracle = finite_size_oracle(0, 341, 2069, alpha, eps, dense_shape=(1001, 33, 33))
+        assert res.feasible and oracle is not None
+        assert res.r_ph_bar == pytest.approx(oracle, abs=1e-9)
+
+    def test_slacked_call_peaks_below_one_megabyte(self):
+        n_err, n_fil = self.rates_to_counts(0.03, 0.2)
+        tracemalloc.start()
+        try:
+            finite_size_bound(n_err, n_fil, self.N, ALPHA_02, SlackVector(*([1e-3] * 8)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     @staticmethod
     def _mu_feasible(x, lo0, hi0, lo1, hi1, r_err, e):
         """Dense grid over check-side count splits in simplex coordinates.
@@ -431,6 +502,30 @@ class TestFiniteSizeBound:
                             center = v01
                             break
         return best + e
+
+
+SLACK = st.one_of(st.just(0.0), st.floats(-6.0, -2.0).map(lambda e: 10.0 ** e))
+
+
+class TestFiniteSizeProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(100, 10_000_000), fil=st.floats(0.0, 1.0), err=st.floats(0.0, 0.5),
+           alpha_sq=st.floats(0.01, 0.49), eps=st.lists(SLACK, min_size=8, max_size=8),
+           idx=st.integers(0, 7), factor=st.floats(1.0, 10.0))
+    def test_slacks_only_relax(self, n, fil, err, alpha_sq, eps, idx, factor):
+        # feasible and no lower than the zero-slack ceiling, and raising any
+        # one slack never lowers the ceiling
+        n_fil, n_err = int(fil * n), int(err * n)
+        alpha = math.sqrt(alpha_sq)
+        zero = finite_size_bound(n_err, n_fil, n, alpha)
+        res = finite_size_bound(n_err, n_fil, n, alpha, SlackVector(*eps))
+        if zero.feasible:
+            assert res.feasible and res.r_ph_bar >= zero.r_ph_bar - 1e-12
+        raised = list(eps)
+        raised[idx] = max(raised[idx] * factor, 1e-6)
+        more = finite_size_bound(n_err, n_fil, n, alpha, SlackVector(*raised))
+        if res.feasible:
+            assert more.feasible and more.r_ph_bar >= res.r_ph_bar - 1e-12
 
 
 class TestFailureBudget:
