@@ -11,12 +11,21 @@ and a pure-product remainder |n>.
 R is computed in nats (so exp(-M*R) is literal) and convertible to bits.
 For fixed (k_frac, n) the candidate distributions minimizing R solve a
 convex program whose entropic dual is a smooth concave function of four
-multipliers (one per outcome cell; cells with a zero count drop out).
-min_exponent scans (k_frac, n), solving that dual by damped Newton on the
-rows still unconverged, then refines with bounded L-BFGS-B, whose gradient
-the envelope theorem gives from the optimal dual.  A value counts only when
-the dual's distributions reproduce the observed counts to CERT_TOL, so the
-returned exponent is certified by its point or min_exponent raises.
+multipliers lam (one per outcome cell; cells with a zero count drop out).
+
+min_exponent is dual-first.  For any lam, minimizing the dual over n is
+closed form (n* = V/|V| with V = sum exp(-lam_i) v_i over the outcome Bloch
+axes v_i) and it is affine in k_frac, so weak duality gives a lower bound
+L(lam) on min R.  Three candidate points are tried in order: the Bloch fit
+inside the zero region (R = 0), the classical point of collinear bases, and
+the minimizer of psi(k_frac) = max over lam of the n-minimized dual, a
+convex function searched by a bracketed root find on its slope with damped
+Newton in lam inside.  The first whose point reproduces the observed counts
+to CERT_TOL and whose exponent exceeds L by at most GAP_TOL is returned.
+Only if none certifies does the older path run: a (k_frac, n) scan with the
+batched dual solver, refined by bounded L-BFGS-B with envelope-theorem
+gradients.  Every returned exponent is certified by its point or
+min_exponent raises.
 """
 
 from __future__ import annotations
@@ -33,6 +42,9 @@ from .errors import DomainError, ParameterError
 LN2 = math.log(2.0)
 # largest count residual of a point that certifies an exponent value
 CERT_TOL = 1e-8
+# largest primal-dual gap that certifies a point as the global minimum
+GAP_TOL = 1e-8
+_ANTISYM = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def _as_basis(mat) -> np.ndarray:
@@ -187,8 +199,9 @@ class ExponentSolution:
 
     ``residual`` is the largest gap between the point's implied count
     fractions and the observed ones; ``r_primal`` is exponent_direct at the
-    point, the primal value that the dual ``r_nats`` certifies.  Both are nan
-    when not computed.
+    point, the primal value that the dual ``r_nats`` certifies; ``gap`` is
+    r_primal minus the dual lower bound on the global minimum, and
+    ``converged`` means gap <= GAP_TOL.  The three are nan when not computed.
     """
 
     point: ExponentPoint
@@ -197,6 +210,7 @@ class ExponentSolution:
     converged: bool
     residual: float = math.nan
     r_primal: float = math.nan
+    gap: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -223,18 +237,10 @@ class SolverOptions:
 def singlet_pair_probs(problem: TwoBasisSampling) -> np.ndarray:
     """Reference pair distribution beta[b, b', j, j'] = S / 4, where S is the
     probability of outcomes (j, j') when a singlet pair is measured in bases
-    (b, b')."""
-    kets = problem.kets()
-    out = np.empty((2, 2, 2, 2))
-    for b in (0, 1):
-        for bp in (0, 1):
-            for j in (0, 1):
-                for jp in (0, 1):
-                    u = kets[b, j].conj()
-                    v = kets[bp, jp].conj()
-                    amp = (u[0] * v[1] - u[1] * v[0]) / math.sqrt(2.0)
-                    out[b, bp, j, jp] = abs(amp) ** 2 / 4.0
-    return out
+    (b, b').  The singlet amplitude of kets u (x) v is det[u; v]* / sqrt 2."""
+    kets = problem.kets().conj()
+    det = np.einsum("bjx,xy,cky->bcjk", kets, _ANTISYM, kets)
+    return np.abs(det / math.sqrt(2.0)) ** 2 / 4.0
 
 
 def remainder_probs(problem: TwoBasisSampling, bloch_n: np.ndarray) -> np.ndarray:
@@ -426,22 +432,45 @@ def _bloch_axes(problem: TwoBasisSampling) -> np.ndarray:
     return np.array([bloch_vector(ket) for ket in problem.kets().reshape(4, 2)])
 
 
-def _log_refs(problem: TwoBasisSampling, bloch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(log beta as 4x4 over pair indices, log alpha as (P,4)) for a batch of
-    remainder directions ``bloch`` of shape (P, 3).
+class _Refs(NamedTuple):
+    """Per-instance data of the dual: observed fractions m (4,) flattened
+    [b, j], the free (nonzero-count) cells, the outcome Bloch axes (4, 3),
+    log beta as 4x4 over pair indices, the largest feasible k_frac and the
+    constant H(w) - ln 2 that turns a dual value into an exponent.
 
     Cells whose observed count is 0 get weight 0 (log -inf): count matching
     leaves no mass there, so their multipliers drop out of the dual.
     """
-    beta = singlet_pair_probs(problem)
-    bmat = beta.transpose(0, 2, 1, 3).reshape(4, 4)
-    alpha = np.clip(1.0 + bloch @ _bloch_axes(problem).T, 0.0, None) / 4.0
-    zero = problem.count_fractions().reshape(4) == 0.0
-    bmat[zero, :] = 0.0
-    bmat[:, zero] = 0.0
-    alpha[:, zero] = 0.0
+
+    m_flat: np.ndarray
+    free: np.ndarray
+    axes: np.ndarray
+    log_beta: np.ndarray
+    k_max: float
+    offset: float
+
+
+def _refs(problem: TwoBasisSampling) -> _Refs:
+    m_flat = problem.count_fractions().reshape(4)
+    free = m_flat > 0.0
+    bmat = singlet_pair_probs(problem).transpose(0, 2, 1, 3).reshape(4, 4)
+    bmat[~free, :] = 0.0
+    bmat[:, ~free] = 0.0
+    # with collinear bases and zero counts the singlet may give no pair of
+    # outcomes with nonzero counts; then every k_frac > 0 is infeasible
+    k_max = 0.5 if bmat.any() else 0.0
     with np.errstate(divide="ignore"):
-        return np.log(bmat), np.log(alpha)
+        log_beta = np.log(bmat)
+    return _Refs(m_flat, free, _bloch_axes(problem), log_beta, k_max,
+                 problem.weight_entropy() - LN2)
+
+
+def _log_alpha(refs: _Refs, bloch: np.ndarray) -> np.ndarray:
+    """log alpha (P,4) for a batch of remainder directions of shape (P, 3)."""
+    alpha = np.clip(1.0 + bloch @ refs.axes.T, 0.0, None) / 4.0
+    alpha[:, ~refs.free] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(alpha)
 
 
 def _gibbs(expo: np.ndarray, axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -483,17 +512,25 @@ def _count_gap(xi1: np.ndarray, q: np.ndarray, p: np.ndarray, m_flat: np.ndarray
 
 
 def _newton_step(
-    xi1: np.ndarray, q: np.ndarray, p: np.ndarray, grad: np.ndarray, free: np.ndarray
+    xi1: np.ndarray,
+    q: np.ndarray,
+    p: np.ndarray,
+    grad: np.ndarray,
+    free: np.ndarray,
+    curv: np.ndarray | None = None,
 ) -> np.ndarray:
     """Newton direction for the dual: minus its Hessian is the weighted
-    covariance of the cell counts under (q, p).  A rank-one term pins the
-    gauge (a common shift of the free multipliers) and the multipliers of
-    zero-count cells are pinned at 0."""
+    covariance of the cell counts under (q, p), plus ``curv`` (P,4,4) in the
+    remainder block when the remainder direction moves with the multipliers.
+    A rank-one term pins the gauge (a common shift of the free multipliers)
+    and the multipliers of zero-count cells are pinned at 0."""
     xi2 = 0.5 * (1.0 - xi1)
     eye = np.eye(4)
     v = q.sum(axis=2) + q.sum(axis=1)
     cov_q = v[:, :, None] * eye + q + q.transpose(0, 2, 1) - v[:, :, None] * v[:, None, :]
     cov_p = p[:, :, None] * eye - p[:, :, None] * p[:, None, :]
+    if curv is not None:
+        cov_p = cov_p + curv
     hess = xi2[:, None, None] * cov_q + xi1[:, None, None] * cov_p
     scale = np.trace(hess, axis1=1, axis2=2)[:, None, None] / free.sum() + 1e-12
     hess += scale * (np.outer(free, free) / free.sum()) + np.diag(~free) + 1e-13 * eye
@@ -551,15 +588,6 @@ def _dual_solve(
     return sol
 
 
-def _fibonacci_sphere(n: int) -> np.ndarray:
-    idx = np.arange(n, dtype=float) + 0.5
-    z = 1.0 - 2.0 * idx / n
-    r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-    ang = golden * idx
-    return np.stack([r * np.cos(ang), r * np.sin(ang), z], axis=1)
-
-
 def _rate_batch(
     problem: TwoBasisSampling,
     k_fracs: np.ndarray,
@@ -573,12 +601,11 @@ def _rate_batch(
     +inf: its primal is infeasible (or its solve did not converge), so the
     dual value there certifies nothing.
     """
-    m_flat = problem.count_fractions().reshape(4)
-    log_beta, log_alpha = _log_refs(problem, blochs)
+    refs = _refs(problem)
     xi1 = 1.0 - 2.0 * k_fracs
-    sol = _dual_solve(xi1, log_beta, log_alpha, m_flat, iters, grad_tol)
-    residual = np.max(np.abs(_count_gap(xi1, sol.q, sol.p, m_flat)), axis=1)
-    rates = np.where(residual <= CERT_TOL, problem.weight_entropy() - LN2 + sol.g, np.inf)
+    sol = _dual_solve(xi1, refs.log_beta, _log_alpha(refs, blochs), refs.m_flat, iters, grad_tol)
+    residual = np.max(np.abs(_count_gap(xi1, sol.q, sol.p, refs.m_flat)), axis=1)
+    rates = np.where(residual <= CERT_TOL, refs.offset + sol.g, np.inf)
     return rates, sol
 
 
@@ -623,19 +650,310 @@ def _point_from_solution(
     return ExponentPoint(k_frac=float(k_frac), bloch_n=n, q=q, p=p)
 
 
-def min_exponent(problem: TwoBasisSampling, options: SolverOptions | None = None) -> ExponentSolution:
-    """Certified global minimum of the exponent over all decompositions.
+# ---------------------------------------------------------------------------
+# dual-first global minimum: the dual minimized over n in closed form
+# ---------------------------------------------------------------------------
 
-    Coarse stage: a (k_frac grid) x (Fibonacci sphere) scan with the batched
-    dual solver.  Refinement: bounded L-BFGS-B over (k_frac, n) from the best
-    scan cells, a smart start at the minimum-norm Bloch fit (the exact
-    optimum whenever the observations sit inside the zero region) and
-    jittered starts, with the gradient from the envelope theorem.  Every
-    value compared is certified by a point reproducing the counts to
-    CERT_TOL; DomainError when the returned point misses them.
+
+def _dual_star(lam: np.ndarray, k_frac: float, refs: _Refs) -> tuple[_Dual, np.ndarray, np.ndarray]:
+    """The dual at multipliers ``lam`` (4,) minimized over remainder
+    directions, the minimizing direction n*, and the curvature that n*'s
+    motion adds to minus the Hessian of -ln Z_p*.
+
+    With w_i = exp(-lam_i) on the free cells, S = sum w_i and
+    V = sum w_i v_i, Z_p = (S + n.V) / 4 is largest, so the dual smallest,
+    at n* = V / |V|.  Then Z_p* = (S + |V|) / 4 and the curvature is
+    w_i w_j v_i.(I - n* n*^T) v_j / (|V| (S + |V|)).  At the kink V = 0
+    n* is any axis and the term is dropped.
     """
-    opts = options or SolverOptions()
+    w = np.where(refs.free, np.exp(-lam), 0.0)
+    vec = w @ refs.axes
+    norm = float(np.linalg.norm(vec))
+    if norm > 0.0:
+        n = vec / norm
+        a = (w / (w.sum() + norm))[:, None] * refs.axes
+        an = a @ n
+        curv = (a @ a.T - np.outer(an, an)) * ((w.sum() + norm) / norm)
+    else:
+        n = refs.axes[int(np.argmax(refs.free))]
+        curv = np.zeros((4, 4))
+    xi1 = np.array([1.0 - 2.0 * k_frac])
+    sol = _dual_at(lam[None], xi1, refs.log_beta, _log_alpha(refs, n[None]), refs.m_flat)
+    return sol, n, curv
+
+
+def _lower_bound(star: _Dual, refs: _Refs) -> float:
+    """Weak-duality bound L(lam) <= min R at the multipliers of ``star`` (a
+    _dual_star solution): the dual there, minimized over n in closed form and
+    over k_frac at the ends of [0, k_max], since it is affine in k_frac."""
+    ln_zq, ln_zp = float(star.ln_zq[0]), float(star.ln_zp[0])
+    base = -float(star.lam[0] @ refs.m_flat)
+    ends = [base - ln_zp]
+    if refs.k_max > 0.0:
+        ends.append(base - refs.k_max * ln_zq - (1.0 - 2.0 * refs.k_max) * ln_zp)
+    return refs.offset + min(ends)
+
+
+def _star_solve(
+    k_frac: float, lam: np.ndarray, refs: _Refs, iters: int, grad_tol: float
+) -> tuple[_Dual, np.ndarray, bool]:
+    """psi(k_frac) = max over lam of the n-minimized dual, by damped Newton
+    from ``lam`` with the exact Hessian.  Returns the solution, its n* and
+    whether the count gap fell below ``grad_tol`` within ``iters`` steps."""
+    xi1 = np.array([1.0 - 2.0 * k_frac])
+    free = refs.free
+    sol, n, curv = _dual_star(lam, k_frac, refs)
+    for step_no in range(iters + 1):
+        grad = _count_gap(xi1, sol.q, sol.p, refs.m_flat)
+        if np.max(np.abs(grad)) < grad_tol:
+            return sol, n, True
+        if step_no == iters:
+            break
+        step = _newton_step(xi1, sol.q, sol.p, grad, free, curv[None])[0]
+        t = 1.0
+        for _ in range(30):
+            trial = sol.lam[0] + t * step
+            trial[free] -= trial[free].mean()
+            np.clip(trial, -200.0, 200.0, out=trial)
+            new = _dual_star(trial, k_frac, refs)
+            if new[0].g[0] >= sol.g[0] - 1e-15:
+                sol, n, curv = new
+                break
+            t *= 0.5
+        else:
+            break
+    return sol, n, False
+
+
+def _search_k(
+    refs: _Refs, lam0: np.ndarray, iters0: int, iters: int, grad_tol: float
+) -> tuple[float, _Dual, np.ndarray] | None:
+    """Minimize the convex psi over k_frac in [0, k_max].
+
+    psi's slope is 2 ln Z_p* - ln Z_q at the optimal multipliers.  After the
+    endpoint slopes, an Illinois regula falsi brackets its root, each solve
+    warm-started from the last converged one.  A solve that does not converge
+    (psi may be +inf near k_max, where pairs alone cannot fit the counts) is
+    treated as a positive slope.  The solve of psi(0) gets ``iters0`` Newton
+    steps, the others ``iters``.  Returns the point of smallest |slope|, or
+    None when psi(0) does not converge.
+    """
+
+    def solve(k: float, lam: np.ndarray, budget: int = iters):
+        sol, n, ok = _star_solve(k, lam, refs, budget, grad_tol)
+        return sol, n, ok, float(2.0 * sol.ln_zp[0] - sol.ln_zq[0])
+
+    sol, n, ok, slope = solve(0.0, lam0, iters0)
+    if not ok:
+        return None
+    best = (abs(slope), 0.0, sol, n)
+    if refs.k_max == 0.0 or slope >= 0.0:
+        return best[1:]
+    lo, s_lo, warm = 0.0, slope, sol.lam[0]
+    hi, s_hi, side = refs.k_max, math.inf, 0
+    sol, n, ok, slope = solve(hi, warm)
+    if ok:
+        if slope <= 0.0:
+            return hi, sol, n
+        s_hi, warm = slope, sol.lam[0]
+    for _ in range(100):
+        k = lo + (hi - lo) * s_lo / (s_lo - s_hi) if math.isfinite(s_hi) else 0.5 * (lo + hi)
+        if not lo < k < hi:
+            k = 0.5 * (lo + hi)
+        sol, n, ok, slope = solve(k, warm)
+        if ok:
+            warm = sol.lam[0]
+            if abs(slope) < best[0]:
+                best = (abs(slope), k, sol, n)
+            if best[0] <= 1e-12:
+                break
+        if ok and slope < 0.0:
+            lo, s_lo = k, slope
+            if side < 0:
+                s_hi *= 0.5
+            side = -1
+        else:
+            hi, s_hi = k, slope if ok else math.inf
+            if side > 0:
+                s_lo *= 0.5
+            side = 1
+        if hi - lo <= 1e-15:
+            break
+    return best[1:]
+
+
+def _bloch_fit(problem: TwoBasisSampling) -> tuple[float, np.ndarray]:
+    """Norm and direction (u_0 when it is 0) of the minimum-norm Bloch vector
+    r with (1 + r.u_b) / 2 = delta_b, in least squares when the two outcome
+    axes are collinear and no r fits both."""
+    u = np.stack([bloch_vector(problem.basis0[1]), bloch_vector(problem.basis1[1])])
+    c = np.array([2.0 * problem.delta0 - 1.0, 2.0 * problem.delta1 - 1.0])
+    r = np.linalg.lstsq(u @ u.T, c, rcond=None)[0] @ u
+    norm = float(np.linalg.norm(r))
+    return norm, (r / norm if norm > 1e-12 else u[0])
+
+
+def _lam_fit(refs: _Refs, n: np.ndarray) -> np.ndarray:
+    """Multipliers ln(alpha(n) / m) on the free cells (0 elsewhere), at which
+    the remainder's Gibbs distribution at n is p = m."""
+    alpha = np.clip(1.0 + refs.axes @ n, 1e-300, None) / 4.0
+    ratio = alpha / np.where(refs.free, refs.m_flat, 1.0)
+    return np.where(refs.free, np.clip(np.log(ratio), -200.0, 200.0), 0.0)
+
+
+def _remainder_fit(
+    refs: _Refs, n: np.ndarray, iters: int, grad_tol: float
+) -> tuple[np.ndarray, int]:
+    """Direction minimizing D(m || alpha(n)) = -sum m_i ln(1 + n.v_i) + const
+    over the unit sphere (psi(0)'s primal, where p = m), by at most ``iters``
+    Riemannian Newton steps from ``n``; returns it and the steps taken.
+
+    Outside the zero region this convex problem over the Bloch ball has its
+    minimum on the sphere, and there V is parallel to n, so ln(alpha(n) / m)
+    is psi(0)'s optimal multiplier, away from the kink V = 0 that a Newton
+    solve in lam can stall on.
+    """
+    m, v = refs.m_flat[refs.free], refs.axes[refs.free]
+
+    def value(n: np.ndarray) -> float:
+        a = 1.0 + v @ n
+        return -float(m @ np.log(a)) if np.all(a > 0.0) else math.inf
+
+    f = value(n)
+    for steps in range(iters):
+        a = 1.0 + v @ n
+        grad = -(m / a) @ v
+        mu = -float(n @ grad)
+        tangent = grad + mu * n
+        if np.max(np.abs(tangent)) < grad_tol:
+            return n, steps
+        step = -tangent
+        if mu > 0.0:
+            # the Riemannian Hessian P H P + mu P, with n n^T on the normal
+            proj = np.eye(3) - np.outer(n, n)
+            hess = proj @ ((m / (a * a)) * v.T) @ v @ proj + mu * proj + np.outer(n, n)
+            step = -np.linalg.solve(hess, tangent)
+        t = 1.0
+        for _ in range(30):
+            trial = n + t * step
+            trial /= np.linalg.norm(trial)
+            f_trial = value(trial)
+            if f_trial <= f + 1e-15:
+                n, f = trial, f_trial
+                break
+            t *= 0.5
+        else:
+            return n, steps + 1
+    return n, iters
+
+
+# A candidate is (k_frac, n, a one-row _Dual whose (q, p) is the point at
+# (k_frac, n), a lower bound on min R), or None when it does not apply.
+_Candidate = tuple[float, np.ndarray, _Dual, float]
+
+
+def _zero_region_candidate(
+    problem: TwoBasisSampling, refs: _Refs, opts: SolverOptions
+) -> _Candidate | None:
+    """Inside the zero region the minimum-norm Bloch fit r gives R = 0 at
+    k_frac = (1 - |r|) / 2 with n = r / |r|, and R >= 0 certifies it."""
+    if not zero_region_contains(problem):
+        return None
+    norm, n = _bloch_fit(problem)
+    k_frac = (1.0 - min(norm, 1.0 - 1e-12)) / 2.0
+    _, sol = _rate_batch(problem, np.array([k_frac]), n[None], opts.newton_iters, opts.grad_tol)
+    return k_frac, n, sol, 0.0
+
+
+def _collinear_candidate(
+    problem: TwoBasisSampling, refs: _Refs, opts: SolverOptions
+) -> _Candidate | None:
+    """Collinear bases measure one observable: k_frac = 0 with p = m and
+    n.u_0 = 2 d - 1, d the pooled ones fraction (outcomes of an antipodal
+    second basis swapped), n otherwise perpendicular to u_0.  At
+    lam = ln(alpha(n) / m) V vanishes, so the dual bound there equals the
+    classical sampling-without-replacement exponent that this point attains."""
+    u0 = refs.axes[1]
+    cos_w = float(u0 @ refs.axes[3])
+    if 1.0 - cos_w * cos_w >= 1e-12:
+        return None
+    w0 = problem.m0 / problem.m_total
+    d1 = problem.delta1 if cos_w > 0.0 else 1.0 - problem.delta1
+    c_bar = 2.0 * (w0 * problem.delta0 + (1.0 - w0) * d1) - 1.0
+    perp = np.cross(u0, np.eye(3)[int(np.argmin(np.abs(u0)))])
+    n = c_bar * u0 + math.sqrt(max(0.0, 1.0 - c_bar * c_bar)) * perp / np.linalg.norm(perp)
+    n /= np.linalg.norm(n)
+    lam = _lam_fit(refs, n)
+    sol = _dual_at(lam[None], np.array([1.0]), refs.log_beta, _log_alpha(refs, n[None]), refs.m_flat)
+    star, _, _ = _dual_star(lam, 0.0, refs)
+    return 0.0, n, sol, _lower_bound(star, refs)
+
+
+def _dual_candidate(
+    problem: TwoBasisSampling, refs: _Refs, opts: SolverOptions
+) -> _Candidate | None:
+    """The minimizer of the convex psi(k_frac), with n* and (q, p) from its
+    optimal multipliers.  The search starts at lam_0 = ln(alpha(n_0) / m),
+    n_0 the remainder fit from the normalized Bloch fit (not at lam = 0,
+    where V = 0 is a kink)."""
+    n0, steps = _remainder_fit(refs, _bloch_fit(problem)[1], opts.newton_iters, opts.grad_tol)
+    # psi(0)'s solve spends one newton_iters budget across n and then lam
+    found = _search_k(refs, _lam_fit(refs, n0), opts.newton_iters - steps,
+                      opts.newton_iters, opts.grad_tol)
+    if found is None:
+        return None
+    k_frac, sol, n = found
+    return k_frac, n, sol, _lower_bound(sol, refs)
+
+
+def _certified(
+    problem: TwoBasisSampling, k_frac: float, n: np.ndarray, sol: _Dual, lower: float,
+    r_nats: float | None = None,
+) -> ExponentSolution:
+    """The solution at (k_frac, n) with the row's (q, p).  ``r_nats``
+    defaults to the lower bound (at least 0); ``gap`` is r_primal minus the
+    bound.  DomainError when the point misses the counts by more than
+    CERT_TOL."""
+    point = _point_from_solution(k_frac, n, sol.q[0], sol.p[0])
+    r_primal = exponent_direct(point, problem)
+    residual = count_residual(point, problem)
+    gap = r_primal - lower
+    r = max(lower, 0.0) if r_nats is None else r_nats
+    return ExponentSolution(
+        point=point,
+        r_nats=r,
+        r_bits=r / LN2,
+        converged=bool(gap <= GAP_TOL),
+        residual=residual,
+        r_primal=r_primal,
+        gap=gap,
+    )
+
+
+# ---------------------------------------------------------------------------
+# fallback: coarse scan plus L-BFGS-B restarts
+# ---------------------------------------------------------------------------
+
+
+def _fibonacci_sphere(n: int) -> np.ndarray:
+    idx = np.arange(n, dtype=float) + 0.5
+    z = 1.0 - 2.0 * idx / n
+    r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+    golden = math.pi * (3.0 - math.sqrt(5.0))
+    ang = golden * idx
+    return np.stack([r * np.cos(ang), r * np.sin(ang), z], axis=1)
+
+
+def _scan_min(problem: TwoBasisSampling, opts: SolverOptions) -> ExponentSolution:
+    """Minimum from a (k_frac grid) x (Fibonacci sphere) scan with the batched
+    dual solver, refined by bounded L-BFGS-B over (k_frac, n) from the best
+    scan cells, the minimum-norm Bloch fit and seeded random starts, with the
+    gradient from the envelope theorem.  Every value compared is certified by
+    a point reproducing the counts to CERT_TOL; DomainError when the returned
+    point misses them.  ``gap`` comes from the dual bound at the final
+    point's multipliers."""
     rng = np.random.default_rng(opts.seed)
+    refs = _refs(problem)
 
     k_vals = np.linspace(0.0, 0.5, opts.k_grid)
     sphere = _fibonacci_sphere(opts.sphere_points)
@@ -653,25 +971,11 @@ def min_exponent(problem: TwoBasisSampling, options: SolverOptions | None = None
     if math.isfinite(radius):
         # the minimum-norm Bloch fit r: k_frac = (1 - |r|)/2 with direction
         # r/|r| is the exact optimum whenever |r| <= 1
-        u0 = bloch_vector(problem.basis0[1])
-        u1 = bloch_vector(problem.basis1[1])
-        c = np.array([2.0 * problem.delta0 - 1.0, 2.0 * problem.delta1 - 1.0])
-        basis_mat = np.stack([u0, u1])
-        coef = np.linalg.lstsq(basis_mat @ basis_mat.T, c, rcond=None)[0]
-        r_vec = coef @ basis_mat
-        nrm = np.linalg.norm(r_vec)
-        direction = r_vec / nrm if nrm > 1e-12 else u0
-        starts.append(((1.0 - min(radius, 1.0 - 1e-12)) / 2.0, direction))
+        starts.append(((1.0 - min(radius, 1.0 - 1e-12)) / 2.0, _bloch_fit(problem)[1]))
 
     while len(starts) < opts.restarts:
         v = rng.normal(size=3)
         starts.append((float(rng.uniform(0.0, 0.5)), v / np.linalg.norm(v)))
-
-    # with collinear bases and zero counts the singlet may give no pair of
-    # outcomes with nonzero counts; then every k_frac > 0 is infeasible
-    free = problem.count_fractions().reshape(4) > 0.0
-    pair_ref = singlet_pair_probs(problem).transpose(0, 2, 1, 3).reshape(4, 4)
-    k_max = 0.5 if pair_ref[np.ix_(free, free)].any() else 0.0
 
     def objective(x: np.ndarray, seen: list) -> tuple[float, np.ndarray]:
         rate, grad = _rate_and_grad(problem, x, opts.newton_iters, opts.grad_tol)
@@ -679,7 +983,7 @@ def min_exponent(problem: TwoBasisSampling, options: SolverOptions | None = None
             seen.append((rate, float(x[0]), x[1:] / np.linalg.norm(x[1:])))
         return rate, grad
 
-    bounds = [(0.0, k_max), (None, None), (None, None), (None, None)]
+    bounds = [(0.0, refs.k_max), (None, None), (None, None), (None, None)]
     refined: list[tuple[float, float, np.ndarray]] = []
     for k0, n0 in starts[: opts.restarts]:
         # keep the best certified evaluation, whatever point the search
@@ -687,7 +991,7 @@ def min_exponent(problem: TwoBasisSampling, options: SolverOptions | None = None
         seen: list[tuple[float, float, np.ndarray]] = [(math.inf, k0, n0)]
         optimize.minimize(
             objective,
-            np.concatenate([[min(k0, k_max)], n0]),
+            np.concatenate([[min(k0, refs.k_max)], n0]),
             args=(seen,),
             jac=True,
             method="L-BFGS-B",
@@ -696,27 +1000,52 @@ def min_exponent(problem: TwoBasisSampling, options: SolverOptions | None = None
         )
         refined.append(min(seen, key=lambda t: t[0]))
 
-    refined.sort(key=lambda t: t[0])
-    best_val, best_k, best_n = refined[0]
+    best_val, best_k, best_n = min(refined, key=lambda t: t[0])
     if not math.isfinite(best_val):
         raise DomainError("no start reproduced the observed counts; solver failure")
-    near = sum(1 for v, _, _ in refined if v - best_val <= max(1e-6, 0.01 * abs(best_val)))
-    converged = near >= 2
 
     _, sol = _rate_batch(
         problem, np.array([best_k]), best_n[None, :], opts.newton_iters, opts.grad_tol
     )
-    point = _point_from_solution(best_k, best_n, sol.q[0], sol.p[0])
-    # raises DomainError when the point misses the counts by more than CERT_TOL
-    r_primal = exponent_direct(point, problem)
-    r_nats = max(best_val, 0.0) if best_val > -1e-9 else best_val
-    if r_nats < 0.0:
+    star, _, _ = _dual_star(sol.lam[0], best_k, refs)
+    out = _certified(problem, best_k, best_n, sol, _lower_bound(star, refs), max(best_val, 0.0))
+    if best_val < -1e-9:
         raise DomainError(f"negative exponent {best_val!r}; solver failure")
-    return ExponentSolution(
-        point=point,
-        r_nats=r_nats,
-        r_bits=r_nats / LN2,
-        converged=converged,
-        residual=count_residual(point, problem),
-        r_primal=r_primal,
-    )
+    return out
+
+
+def min_exponent(problem: TwoBasisSampling, options: SolverOptions | None = None) -> ExponentSolution:
+    """Certified global minimum of the exponent over all decompositions.
+
+    Three candidates are tried in order; the first whose point reproduces
+    the counts to CERT_TOL with a primal-dual gap r_primal - L <= GAP_TOL is
+    returned, with r_nats the bound L (at least 0):
+
+    1. inside the zero region, the minimum-norm Bloch fit (R = 0, and
+       R >= 0 is the bound);
+    2. for collinear bases, k_frac = 0 with p = m, whose dual bound is the
+       classical sampling-without-replacement exponent;
+    3. otherwise the minimizer of the convex psi(k_frac), the dual
+       maximized over its multipliers after a closed-form minimum over n,
+       found by a bracketed root search on its slope.
+
+    L is the weak-duality bound at the candidate's multipliers.  Only when
+    no candidate certifies does the coarse scan with L-BFGS-B refinement
+    run (the fields of SolverOptions other than ``newton_iters`` and
+    ``grad_tol`` only steer that fallback); its ``converged`` reports whether
+    its own gap closed.  DomainError when the returned point misses the
+    counts.
+    """
+    opts = options or SolverOptions()
+    refs = _refs(problem)
+    for candidate in (_zero_region_candidate, _collinear_candidate, _dual_candidate):
+        found = candidate(problem, refs, opts)
+        if found is None:
+            continue
+        try:
+            sol = _certified(problem, *found)
+        except DomainError:
+            continue
+        if sol.converged:
+            return sol
+    return _scan_min(problem, opts)

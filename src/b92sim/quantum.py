@@ -334,10 +334,10 @@ def measure_sample(rho: DensityMatrix, povm: Povm, rng: np.random.Generator) -> 
     """Draw one outcome index from the Born distribution Tr[rho F_i]."""
     if povm.elements[0].shape[0] != rho.dim:
         raise ParameterError("POVM dimension does not match the state")
-    probs = povm.outcome_probabilities(rho)
-    total = float(probs.sum())
+    cum = np.maximum(povm.outcome_probabilities(rho), 0.0).cumsum()
+    total = float(cum[-1])
     if abs(total - 1.0) > 1e-6:
         raise ConsistencyError(f"outcome probabilities sum to {total!r}")
-    probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum()
-    return int(rng.choice(len(probs), p=probs))
+    # u * total < total for u in [0, 1), so the index is in range and never
+    # lands on a zero-probability outcome
+    return int(cum.searchsorted(rng.random() * total, side="right"))

@@ -4,9 +4,9 @@ Everything here is derived separately from the package code paths: the
 depolarizing-channel rates come from expanding the channel in Pauli terms by
 hand, the bound oracle is a plain dense grid scan, the finite-size oracle
 evaluates the raw (x, a, d) constraints by dense scans and local solves,
-the two-basis region oracle samples the Bloch ball directly, and the
-collinear-basis exponent is the classical sampling-without-replacement
-closed form.
+the two-basis region oracle samples the Bloch ball directly, the singlet
+pair reference is built one cell at a time, and the collinear-basis exponent
+is the classical sampling-without-replacement closed form.
 """
 
 from __future__ import annotations
@@ -237,19 +237,52 @@ def _slsqp_finite_size(n_err, n_fil, n_pairs, alpha, eps, start, signs):
     return raw(res.x)
 
 
+def _pinned_finite_size(n_err, n_fil, n_pairs, alpha, eps, points=1_000_001, chunk=50_000):
+    """Best objective when eps2 = eps4 = 0 pin s and f, and so a and d.
+
+    Only x is free and the objective rises with x, so the ceiling is the
+    largest feasible x: a dense x scan from the top down, in chunks, then
+    bisection of the grid step above the highest feasible grid point.
+    Returns None when no grid point is feasible.
+    """
+    c = _finite_size_setup(n_err, n_fil, n_pairs, alpha, eps)
+    a, d = 0.5 * (c["s"][0] + c["f"][0]), 0.5 * (c["s"][0] - c["f"][0])
+
+    def feasible(x):
+        return finite_size_predicate(n_err, n_fil, n_pairs, alpha, eps, x, a, d)
+
+    xs = np.linspace(0.0, 1.0, points)
+    for stop in range(points, 0, -chunk):
+        ok = np.nonzero(feasible(xs[max(0, stop - chunk):stop]))[0]
+        if ok.size:
+            i = max(0, stop - chunk) + int(ok[-1])
+            break
+    else:
+        return None
+    lo, hi = xs[i], xs[min(i + 1, points - 1)]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
+    return 0.5 * (lo + c["gap"] * d) + c["e3"]
+
+
 def finite_size_oracle(n_err, n_fil, n_pairs, alpha, eps, *, dense_shape=None,
                        chunk_bytes=200e6):
     """Largest phase-error ceiling the oracle can certify, or None.
 
-    The larger of two searches over raw (x, a, d) points: a chunked dense
-    scan of the (x, s, f) predicate when ``dense_shape`` is given, and the
-    best of the four y-branch SLSQP solves, started at the zero-slack
-    witness (grid_scan_phase_bound's x with d = delta, a = delta - gap) and
-    at the dense scan's best point.  A solve is kept only if it satisfies the
+    With eps2 = eps4 = 0 the bands have zero width and pin (a, d); then the
+    answer is the exact x scan of _pinned_finite_size.  Otherwise it is the
+    larger of two searches over raw (x, a, d) points: a chunked dense scan of
+    the (x, s, f) predicate when ``dense_shape`` is given, and the best of
+    the four y-branch SLSQP solves, started at the zero-slack witness
+    (grid_scan_phase_bound's x with d = delta, a = delta - gap) and at the
+    dense scan's best point.  A solve is kept only if it satisfies the
     predicate to 1e-9, and is then pulled back along the segment from its
     start until it satisfies it at the predicate's own 1e-14, so every value
     returned belongs to a feasible point.
     """
+    if eps[1] == 0.0 and eps[3] == 0.0:
+        return _pinned_finite_size(n_err, n_fil, n_pairs, alpha, eps)
     c = _finite_size_setup(n_err, n_fil, n_pairs, alpha, eps)
 
     def feasible(point):
@@ -302,6 +335,22 @@ def collinear_exponent(m0: int, m1: int, d0: float, d1: float, antipodal: bool) 
     w0, w1 = m0 / (m0 + m1), m1 / (m0 + m1)
     d_bar = w0 * d0 + w1 * d1
     return w0 * _binary_divergence(d0, d_bar) + w1 * _binary_divergence(d1, d_bar)
+
+
+def singlet_pair_probs_loop(kets: np.ndarray) -> np.ndarray:
+    """Singlet pair reference beta[b, b', j, j'] from kets indexed [b, j],
+    one cell at a time: |<singlet| u (x) v>|^2 / 4 over the four basis pairs,
+    with the singlet amplitude (u0 v1 - u1 v0)* / sqrt 2."""
+    out = np.empty((2, 2, 2, 2))
+    for b in (0, 1):
+        for bp in (0, 1):
+            for j in (0, 1):
+                for jp in (0, 1):
+                    u = kets[b, j].conj()
+                    v = kets[bp, jp].conj()
+                    amp = (u[0] * v[1] - u[1] * v[0]) / math.sqrt(2.0)
+                    out[b, bp, j, jp] = abs(amp) ** 2 / 4.0
+    return out
 
 
 def bloch_vector(ket: np.ndarray) -> np.ndarray:

@@ -26,7 +26,13 @@ from b92sim.exponent import (
     _rate_and_grad,
     _rate_batch,
 )
-from oracles import brute_force_region_distance, collinear_exponent, random_density_matrix
+from b92sim import exponent
+from oracles import (
+    brute_force_region_distance,
+    collinear_exponent,
+    random_density_matrix,
+    singlet_pair_probs_loop,
+)
 
 
 def random_basis(rng) -> np.ndarray:
@@ -127,6 +133,18 @@ class TestReferenceDistributions:
         beta = singlet_pair_probs(prob)
         assert beta[0, 0, 0, 1] == pytest.approx(0.125, abs=1e-14)
         assert beta[0, 0, 1, 0] == pytest.approx(0.125, abs=1e-14)
+
+    def test_singlet_pair_probs_matches_cell_loop(self):
+        rng = np.random.default_rng(3)
+        for case in range(200):
+            basis0 = random_basis(rng)
+            basis1 = basis0 if case % 4 == 0 else random_basis(rng)
+            prob = TwoBasisSampling(basis0, basis1, 3, 5, 0.5, 0.5)
+            beta = singlet_pair_probs(prob)
+            loop = singlet_pair_probs_loop(prob.kets())
+            assert np.max(np.abs(beta - loop)) <= 1e-16
+            # impossible outcome pairs stay exactly impossible
+            np.testing.assert_array_equal(beta == 0.0, loop == 0.0)
 
     def test_remainder_probs_normalization(self):
         rng = np.random.default_rng(2)
@@ -529,6 +547,137 @@ class TestCertifiedSolver:
         point = zero_rate_point(prob, 0.2, np.array([1.0, 0.0, 0.0]))
         sol = ExponentSolution(point=point, r_nats=0.0, r_bits=0.0, converged=True)
         assert math.isnan(sol.residual) and math.isnan(sol.r_primal)
+        assert math.isnan(sol.gap)
+
+
+def criterion_10_instances():
+    """The 20 instances of acceptance criterion 10, drawn the same way."""
+    rng = np.random.default_rng(1010)
+    for _ in range(20):
+        m0 = int(rng.integers(8, 31))
+        m1 = int(rng.integers(8, 31))
+        if m0 + m1 > 60:
+            m1 = 60 - m0
+        random_density_matrix(2, rng)
+        basis0, basis1 = random_basis(rng), random_basis(rng)
+        k0 = int(rng.integers(0, m0 + 1))
+        k1 = int(rng.integers(0, m1 + 1))
+        yield TwoBasisSampling(basis0, basis1, m0, m1, k0 / m0, k1 / m1)
+
+
+# the six exponent-queries benchmark instances: Bloch angles of the two
+# bases, (m0, m1) and the ones counts (k0, k1)
+BENCHMARK_CORPUS = (
+    ((1.4405993451072054, 3.5068998601808077), (1.392147308823917, 5.031459034864608), 21, 24, 4, 19),
+    ((2.3215763481225338, 5.216228780585104), (2.5753261021740275, 4.196704113991341), 24, 23, 11, 2),
+    ((1.2832619957076763, 3.981183847147571), (2.305142645737157, 3.652413974650182), 9, 8, 3, 6),
+    ((1.0619826861838721, 4.901463261832676), (1.1307281323577043, 4.233829896184263), 21, 23, 5, 15),
+    ((1.8496661797238123, 0.22090935003420673), (0.615620946249653, 4.328371260886526), 10, 21, 0, 19),
+    (COLLINEAR_ANGLES, COLLINEAR_ANGLES, 17, 17, 16, 1),
+)
+
+
+def benchmark_instances():
+    for b0, b1, m0, m1, k0, k1 in BENCHMARK_CORPUS:
+        yield TwoBasisSampling(basis_from_bloch(*b0), basis_from_bloch(*b1), m0, m1,
+                               k0 / m0, k1 / m1)
+
+
+def certification_batch(size=150, seed=2027):
+    """General, identical and antipodal bases in turn, m0 and m1 in [1, 30],
+    each ones count 0, all, or uniform."""
+    rng = np.random.default_rng(seed)
+    for case in range(size):
+        m0, m1 = (int(v) for v in rng.integers(1, 31, size=2))
+        k0 = int(rng.choice([0, m0, rng.integers(0, m0 + 1)]))
+        k1 = int(rng.choice([0, m1, rng.integers(0, m1 + 1)]))
+        theta, phi = math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2.0 * math.pi)
+        basis0 = basis_from_bloch(theta, phi)
+        basis1 = (random_basis(rng), basis0,
+                  basis_from_bloch(math.pi - theta, phi + math.pi))[case % 3]
+        yield TwoBasisSampling(basis0, basis1, m0, m1, k0 / m0, k1 / m1)
+
+
+@pytest.fixture
+def no_fallback(monkeypatch):
+    """Fail any min_exponent call that reaches the scan fallback."""
+    def refuse(problem, opts):
+        raise AssertionError("the scan fallback ran")
+    monkeypatch.setattr(exponent, "_scan_min", refuse)
+
+
+def assert_gap_certified(sol, prob):
+    assert_certified(sol, prob)
+    assert sol.converged and sol.gap <= 1e-8
+
+
+class TestDualFirstSolver:
+    @pytest.mark.parametrize("instances", [criterion_10_instances, benchmark_instances])
+    def test_certified_without_the_scan(self, instances, no_fallback):
+        for prob in instances():
+            assert_gap_certified(min_exponent(prob), prob)
+
+    def test_collinear_candidate_meets_closed_form(self, no_fallback):
+        basis = basis_from_bloch(*COLLINEAR_ANGLES)
+        prob = TwoBasisSampling(basis, basis, 17, 17, 16 / 17, 1 / 17)
+        sol = min_exponent(prob)
+        assert_gap_certified(sol, prob)
+        assert sol.point.k_frac == 0.0
+        assert sol.r_nats == pytest.approx(collinear_exponent(17, 17, 16 / 17, 1 / 17, False),
+                                           abs=1e-12)
+
+    def test_batch_agrees_with_scan(self):
+        # the scan uses a small grid; its Bloch-fit start and L-BFGS-B
+        # refinement still reach the minimum on every instance here
+        scan_opts = SolverOptions(k_grid=11, sphere_points=40, restarts=4)
+        for prob in certification_batch():
+            sol = min_exponent(prob)
+            assert_gap_certified(sol, prob)
+            scan = exponent._scan_min(prob, scan_opts)
+            assert sol.r_nats <= scan.r_nats + 1e-9
+            assert sol.r_nats == pytest.approx(scan.r_nats, abs=1e-9)
+
+    def test_seed_only_steers_the_fallback(self, no_fallback):
+        probs = [next(criterion_10_instances())] + list(benchmark_instances())
+        for prob in probs:
+            a, b = min_exponent(prob, SolverOptions(seed=1)), min_exponent(prob, SolverOptions(seed=2))
+            assert (a.r_nats, a.r_primal, a.gap, a.residual) == (b.r_nats, b.r_primal, b.gap, b.residual)
+            for field in ("bloch_n", "q", "p"):
+                np.testing.assert_array_equal(getattr(a.point, field), getattr(b.point, field))
+            assert a.point.k_frac == b.point.k_frac
+
+    def test_scan_fallback_reports_its_gap(self):
+        prob = TwoBasisSampling(basis_from_bloch(0.0), basis_from_bloch(1.1), 9, 11, 0.1, 0.85)
+        scan = exponent._scan_min(prob, FAST_OPTS)
+        assert_certified(scan, prob)
+        assert scan.converged == (scan.gap <= 1e-8)
+        assert scan.r_nats == pytest.approx(min_exponent(prob).r_nats, abs=1e-9)
+
+    def test_k_search_finds_an_interior_minimum(self):
+        # outside the zero region psi's slope at k_frac = 0 is positive, so
+        # the search stops there; raising every log beta by c subtracts
+        # c * k_frac from psi, which moves the minimum inside (0, 1/2)
+        prob = next(p for p in benchmark_instances() if not zero_region_contains(p))
+        refs = exponent._refs(prob)
+        n0, _ = exponent._remainder_fit(refs, exponent._bloch_fit(prob)[1], 80, 1e-11)
+        lam0 = exponent._lam_fit(refs, n0)
+        sol0, _, _ = exponent._star_solve(0.0, lam0, refs, 80, 1e-11)
+        slope0 = 2.0 * sol0.ln_zp[0] - sol0.ln_zq[0]
+        assert slope0 > 0.0
+        shifted = refs._replace(log_beta=refs.log_beta + slope0 + 0.3)
+
+        def psi(k):
+            sol, _, ok = exponent._star_solve(k, lam0, shifted, 200, 1e-11)
+            return float(sol.g[0]) if ok else math.inf
+
+        k_star, sol, _ = exponent._search_k(shifted, lam0, 80, 80, 1e-11)
+        assert 0.0 < k_star < 0.5
+        assert abs(2.0 * sol.ln_zp[0] - sol.ln_zq[0]) <= 1e-9
+        grid = [psi(k) for k in np.linspace(0.0, 0.5, 26)]
+        assert sol.g[0] <= min(grid) + 1e-12
+        # the dual bound at the optimal multipliers meets psi's minimum
+        lower = exponent._lower_bound(sol, shifted) - shifted.offset
+        assert lower == pytest.approx(float(sol.g[0]), abs=1e-9)
 
 
 class TestValidation:

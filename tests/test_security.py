@@ -405,6 +405,16 @@ class TestFiniteSizeBound:
             assert res.feasible and oracle is not None
             assert res.r_ph_bar == pytest.approx(oracle, abs=1e-9), (n_err, n_fil, n, alpha, eps)
 
+    def test_zero_width_bands_match_pinned_oracle(self):
+        # eps2 = eps4 = 0 pin a and d, so the oracle's exact x scan applies;
+        # the ceiling never drops below it and overshoots by at most 1e-9
+        for n_err, n_fil, n, alpha, eps in self.seeded_batch(5, 77):
+            eps = (eps[0], 0.0, eps[2], 0.0) + eps[4:]
+            res = finite_size_bound(n_err, n_fil, n, alpha, SlackVector(*eps))
+            oracle = finite_size_oracle(n_err, n_fil, n, alpha, eps)
+            assert res.feasible and oracle is not None
+            assert oracle - 1e-12 <= res.r_ph_bar <= oracle + 1e-9, (n_err, n_fil, n, alpha, eps)
+
     def test_feasible_where_only_the_slacks_explain_the_data(self):
         # no error in 2069 pairs is too few for the zero-slack problem; the
         # slacked one is feasible only on a small set near the lowest x
