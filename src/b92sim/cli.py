@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy import optimize
 
 from .errors import DomainError, ParameterError
 from .exponent import SolverOptions, TwoBasisSampling, min_exponent, zero_region_contains
@@ -30,6 +31,7 @@ from .quantum import check_alpha, depolarizing_channel
 from .security import (
     ObservedRates,
     SlackVector,
+    binary_entropy,
     failure_budget,
     finite_key_length,
     finite_size_bound,
@@ -154,45 +156,42 @@ def cmd_rate(p: float, alpha_sq: float) -> RateReport:
 
 
 def cmd_optimize(p: float) -> tuple[float, float, float]:
-    """Best nonorthogonality for a channel: 200-point grid plus golden-section
-    refinement of the key rate over alpha_sq in [0.01, 0.49]."""
+    """Best nonorthogonality for a channel over alpha_sq in [0.01, 0.49].
+
+    One bounded Brent search maximizes the unfloored key rate
+    S = r_fil (1 - h(e_bit) - h(min(e_ph, 1/2))), or -r_fil (its least value)
+    where the bound is infeasible: unlike G = max(S, 0), S keeps a slope
+    outside the secure window, and G = S wherever S > 0.  The best of the
+    Brent point and both ends is reported with G from key_rate; no S > 0
+    gives (0.01, 0.9604, 0.0).
+    """
     if not 0.0 <= p < 0.75:
         raise ParameterError("depolarizing strength must lie in [0, 3/4)")
-    # cmd_rate's G, with the channel built once rather than per evaluation
+    # cmd_rate's rates, with the channel built once rather than per evaluation
     channel = depolarizing_channel(p)
 
-    def g_of(alpha_sq: float) -> float:
+    def observed(alpha_sq: float) -> ObservedRates:
         alpha = math.sqrt(alpha_sq)
         rates = expected_rates(alpha, channel)
-        return key_rate(ObservedRates(r_err=rates.r_err, r_fil=rates.r_fil, alpha=alpha))
+        return ObservedRates(r_err=rates.r_err, r_fil=rates.r_fil, alpha=alpha)
 
-    grid = np.linspace(ALPHA_SQ_MIN, ALPHA_SQ_MAX, 200)
-    values = np.array([g_of(a) for a in grid])
-    i = int(np.argmax(values))
-    if values[i] <= 0.0:
-        best = float(grid[i])
-        return best, (1.0 - 2.0 * best) ** 2, 0.0
+    def unfloored(alpha_sq: float) -> float:
+        obs = observed(alpha_sq)
+        bound = phase_error_bound(obs)
+        if not bound.feasible:
+            return -obs.r_fil
+        e_ph = min(bound.r_ph_bar / obs.r_fil, 0.5)
+        return obs.r_fil * (1.0 - binary_entropy(obs.r_err / obs.r_fil) - binary_entropy(e_ph))
 
-    lo = float(grid[max(i - 1, 0)])
-    hi = float(grid[min(i + 1, grid.size - 1)])
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    gc, gd = g_of(c), g_of(d)
-    for _ in range(60):
-        if b - a < 1e-10:
-            break
-        if gc > gd:
-            b, d, gd = d, c, gc
-            c = b - inv_phi * (b - a)
-            gc = g_of(c)
-        else:
-            a, c, gc = c, d, gd
-            d = a + inv_phi * (b - a)
-            gd = g_of(d)
-    best = 0.5 * (a + b)
-    return best, (1.0 - 2.0 * best) ** 2, g_of(best)
+    # xatol ~ 0 leaves Brent's sqrt(eps) |x| to stop it: ~1e-8 in alpha^2
+    res = optimize.minimize_scalar(lambda a: -unfloored(a), method="bounded",
+                                   bounds=(ALPHA_SQ_MIN, ALPHA_SQ_MAX),
+                                   options={"xatol": 1e-12})
+    s_best, best = max((-res.fun, float(res.x)),
+                       *((unfloored(a), a) for a in (ALPHA_SQ_MIN, ALPHA_SQ_MAX)))
+    if s_best <= 0.0:
+        return ALPHA_SQ_MIN, (1.0 - 2.0 * ALPHA_SQ_MIN) ** 2, 0.0
+    return best, (1.0 - 2.0 * best) ** 2, key_rate(observed(best))
 
 
 def cmd_sweep(cfg: SweepConfig) -> list[RateReport]:

@@ -17,6 +17,15 @@ from b92sim.cli import (
     overlap_to_alpha_sq,
     parse_basis,
 )
+from oracles import optimize_oracle
+
+# the secure window finely, the threshold (p ~ 0.034), then seeded points
+# up to the end of the channel range
+OPTIMIZE_P = (
+    [round(0.001 * i, 3) for i in range(61)]
+    + [0.0339, 0.034, 0.0341]
+    + list(np.random.default_rng(10).uniform(0.06, 0.75, 20))
+)
 
 
 def run_cli(capsys, *argv):
@@ -83,6 +92,33 @@ class TestOptimizeCommand:
     def test_threshold_point_near_zero(self):
         _, _, g = cmd_optimize(0.034)
         assert g < 1e-4
+
+    def test_noiseless_optimum_is_exactly_the_upper_end(self):
+        alpha_sq, _, g = cmd_optimize(0.0)
+        assert alpha_sq == 0.49
+        assert g == cmd_rate(0.0, 0.49).G
+
+    @pytest.mark.parametrize("p", OPTIMIZE_P)
+    def test_optimum_is_at_least_a_dense_scan(self, p):
+        alpha_sq, _, g = cmd_optimize(p)
+        _, scan_g = optimize_oracle(p, 101)
+        assert g >= scan_g - 1e-12
+        if scan_g == 0.0:
+            assert (alpha_sq, g) == (0.01, 0.0)
+
+    def test_evaluation_budget(self, monkeypatch):
+        calls = []
+        rates = cli.expected_rates
+
+        def counted(*args):
+            calls.append(None)
+            return rates(*args)
+
+        monkeypatch.setattr(cli, "expected_rates", counted)
+        for p in OPTIMIZE_P:
+            calls.clear()
+            cmd_optimize(p)
+            assert len(calls) <= 60, f"{len(calls)} rate evaluations at p = {p}"
 
     @pytest.mark.parametrize("p", [0.0, 0.02, 0.03])
     def test_optimum_is_the_rate_report_at_that_point(self, p):
