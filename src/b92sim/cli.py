@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize
 
+from ._brent import brent_min
 from .errors import DomainError, ParameterError
 from .exponent import SolverOptions, TwoBasisSampling, min_exponent, zero_region_contains
 from .protocol import ProtocolParams, expected_rates, run_protocol1
@@ -184,10 +184,8 @@ def cmd_optimize(p: float) -> tuple[float, float, float]:
         return obs.r_fil * (1.0 - binary_entropy(obs.r_err / obs.r_fil) - binary_entropy(e_ph))
 
     # xatol ~ 0 leaves Brent's sqrt(eps) |x| to stop it: ~1e-8 in alpha^2
-    res = optimize.minimize_scalar(lambda a: -unfloored(a), method="bounded",
-                                   bounds=(ALPHA_SQ_MIN, ALPHA_SQ_MAX),
-                                   options={"xatol": 1e-12})
-    s_best, best = max((-res.fun, float(res.x)),
+    x, fun = brent_min(lambda a: -unfloored(a), ALPHA_SQ_MIN, ALPHA_SQ_MAX, xatol=1e-12)
+    s_best, best = max((-fun, x),
                        *((unfloored(a), a) for a in (ALPHA_SQ_MIN, ALPHA_SQ_MAX)))
     if s_best <= 0.0:
         return ALPHA_SQ_MIN, (1.0 - 2.0 * ALPHA_SQ_MIN) ** 2, 0.0

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize
 
 from .errors import DomainError, ParameterError
 
@@ -820,6 +819,12 @@ def _remainder_fit(
         return -float(m @ np.log(a)) if np.all(a > 0.0) else math.inf
 
     f = value(n)
+    if not math.isfinite(f):
+        # n is the antipode of a cell's axis, where a = 0 and D = +inf (a
+        # Bloch fit along collinear axes); start instead perpendicular to
+        # every axis, where each a = 1
+        n = np.linalg.svd(v)[2][-1]
+        f = value(n)
     for steps in range(iters):
         a = 1.0 + v @ n
         grad = -(m / a) @ v
@@ -952,6 +957,10 @@ def _scan_min(problem: TwoBasisSampling, opts: SolverOptions) -> ExponentSolutio
     a point reproducing the counts to CERT_TOL; DomainError when the returned
     point misses them.  ``gap`` comes from the dual bound at the final
     point's multipliers."""
+    # the package's one use of SciPy, imported here so that no other path
+    # pays for loading it
+    from scipy import optimize
+
     rng = np.random.default_rng(opts.seed)
     refs = _refs(problem)
 

@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
+from ._brent import brent_root
 from .errors import DomainError, ParameterError, SingularityError
 from .quantum import check_alpha
 
@@ -410,7 +410,7 @@ def _slacked_optimum(width, gap: float, d_bot: float, d_top: float,
     ray angle.  The solver starts at the first feasible point of ``seeds``
     or, failing that, at _widest_point; centres it on its x and d chords;
     then runs a golden section over the angles that gain on the start, each
-    ray's exit a bracketed root of width (brentq).
+    ray's exit a bracketed root of width (Brent's method, brent_root).
     """
     best = [-math.inf, 0.0, 0.0]
 
@@ -423,7 +423,7 @@ def _slacked_optimum(width, gap: float, d_bot: float, d_top: float,
             if rate > 0.0:
                 t = min(t, max(b - gx * px - gd * pd, 0.0) / rate)
         if width(px + t * ux, pd + t * ud) < 0.0:
-            t = optimize.brentq(lambda s: width(px + s * ux, pd + s * ud), 0.0, t, xtol=1e-15)
+            t = brent_root(lambda s: width(px + s * ux, pd + s * ud), 0.0, t, xtol=1e-15)
         x, d = px + t * ux, pd + t * ud
         if x + gap * d > best[0]:
             best[:] = [x + gap * d, x, d]

@@ -2,11 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from b92sim import cli
+from b92sim._brent import brent_min
 from b92sim.security import SlackVector
 from b92sim.cli import (
     CSV_HEADER,
@@ -99,12 +105,25 @@ class TestOptimizeCommand:
         assert g == cmd_rate(0.0, 0.49).G
 
     @pytest.mark.parametrize("p", OPTIMIZE_P)
-    def test_optimum_is_at_least_a_dense_scan(self, p):
+    def test_optimum_is_at_least_a_dense_scan(self, p, monkeypatch):
+        searches = []
+
+        def recorded(f, lo, hi, xatol):
+            found = brent_min(f, lo, hi, xatol)
+            searches.append((f, lo, hi, xatol, found))
+            return found
+
+        monkeypatch.setattr(cli, "brent_min", recorded)
         alpha_sq, _, g = cmd_optimize(p)
         _, scan_g = optimize_oracle(p, 101)
         assert g >= scan_g - 1e-12
         if scan_g == 0.0:
             assert (alpha_sq, g) == (0.01, 0.0)
+        # the search is SciPy's bounded Brent, bit for bit
+        [(f, lo, hi, xatol, found)] = searches
+        res = optimize.minimize_scalar(f, method="bounded", bounds=(lo, hi),
+                                       options={"xatol": xatol})
+        assert found == (res.x, res.fun)
 
     def test_evaluation_budget(self, monkeypatch):
         calls = []
@@ -458,6 +477,41 @@ class TestParserReuse:
         cached = run_all(fresh=False)
         assert cached == run_all(fresh=True)
         assert [code for code, _ in cached] == [0, 0, 0, 0, 0, 1, 1, 0, 0]
+
+
+class TestRunTimeImports:
+    def test_no_command_loads_scipy(self):
+        # a fresh process runs each command once: optimize and sweep run the
+        # bounded Brent search, simulate with slacks the slacked bound's
+        # root finder, and a certified exponent query never needs the scan
+        script = """
+import contextlib, io, sys
+from b92sim import _brent, cli, security
+calls = []
+def counted(fn):
+    return lambda *args, **kw: calls.append(fn.__name__) or fn(*args, **kw)
+cli.brent_min = counted(_brent.brent_min)
+security.brent_root = counted(_brent.brent_root)
+runs = [
+    ["rate", "--p", "0.03", "--alpha-sq", "0.2"],
+    ["optimize", "--p", "0.02"],
+    ["sweep", "--p-min", "0", "--p-max", "0.04", "--p-steps", "3"],
+    ["simulate", "--p", "0.03", "--alpha-sq", "0.2", "--n", "10000"]
+    + [f"--eps{i}=1e-3" for i in range(2, 9)],
+    ["exponent", "--basis0", "1.4405993451072054,3.5068998601808077",
+     "--basis1", "1.392147308823917,5.031459034864608", "--m0", "21", "--m1", "24",
+     "--delta0", "0.19047619047619047", "--delta1", "0.7916666666666666"],
+]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(sorted(set(calls)), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "['brent_min', 'brent_root'] []\n"
 
 
 class TestDeterministicFormatting:

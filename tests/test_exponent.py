@@ -1,6 +1,7 @@
 """Tests for the two-basis sampling exponent machinery."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -652,6 +653,25 @@ class TestDualFirstSolver:
         assert_certified(scan, prob)
         assert scan.converged == (scan.gap <= 1e-8)
         assert scan.r_nats == pytest.approx(min_exponent(prob).r_nats, abs=1e-9)
+
+    def test_remainder_fit_start_on_an_axis_antipode(self):
+        # near-collinear bases put the Bloch fit on a cell's antipode, where
+        # a = 1 + v.n = 0 and the fit's objective is +inf; the fit must start
+        # elsewhere with no division by zero or nan.  The instance still ends
+        # in the scan fallback, whose r_nats stays 1.277032080709839e-05.
+        prob = TwoBasisSampling(basis_from_bloch(1.9320882482313846, 2.9021905852649343),
+                                basis_from_bloch(1.932088270170213, 2.9021905852649343),
+                                19, 96, 0.631578947368421, 0.625)
+        refs = exponent._refs(prob)
+        start = exponent._bloch_fit(prob)[1]
+        assert np.min(1.0 + refs.axes @ start) <= 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            n, _ = exponent._remainder_fit(refs, start, 80, 1e-11)
+            sol = min_exponent(prob, SolverOptions(seed=1))
+        assert np.all(np.isfinite(n)) and np.min(1.0 + refs.axes @ n) > 0.0
+        assert_certified(sol, prob)
+        assert sol.r_nats == pytest.approx(1.277032080709839e-05, abs=1e-12)
 
     def test_k_search_finds_an_interior_minimum(self):
         # outside the zero region psi's slope at k_frac = 0 is positive, so

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
+from b92sim import security
+from b92sim._brent import brent_root
 from b92sim.errors import DomainError, ParameterError, SingularityError
 from b92sim.security import (
     BoundResult,
@@ -404,6 +407,22 @@ class TestFiniteSizeBound:
             oracle = finite_size_oracle(n_err, n_fil, n, alpha, eps, dense_shape=shape)
             assert res.feasible and oracle is not None
             assert res.r_ph_bar == pytest.approx(oracle, abs=1e-9), (n_err, n_fil, n, alpha, eps)
+
+    def test_ray_exits_are_brentq_roots(self, monkeypatch):
+        # each ray exit the slacked solver finds (xtol = 1e-15) is SciPy's
+        # brentq root bit for bit, so the ceilings are too
+        roots = []
+
+        def checked(f, a, b, xtol):
+            t = brent_root(f, a, b, xtol)
+            assert t == optimize.brentq(f, a, b, xtol=xtol)
+            roots.append(t)
+            return t
+
+        monkeypatch.setattr(security, "brent_root", checked)
+        for n_err, n_fil, n, alpha, eps in self.seeded_batch(10, 2024):
+            assert finite_size_bound(n_err, n_fil, n, alpha, SlackVector(*eps)).feasible
+        assert len(roots) >= 100
 
     def test_zero_width_bands_match_pinned_oracle(self):
         # eps2 = eps4 = 0 pin a and d, so the oracle's exact x scan applies;
