@@ -20,14 +20,16 @@ import numpy as np
 
 from .errors import ParameterError
 # check_pair_basis, error_povm_element and nonmax_entangled_state are not
-# called here, but the benchmark's tracer (perfbench/tracing.py) wraps them as
-# protocol.<name>, so they must stay resolvable in this module.
+# called here, and b92_povm only by reduction_equivalence (the samplers use
+# b92_povm_elements), but the benchmark's tracer (perfbench/tracing.py) wraps
+# each of them as protocol.<name>, so they must stay resolvable in this module.
 from .quantum import (  # noqa: F401
     XX_PROJECTORS,
     ZZ_PROJECTORS,
     DensityMatrix,
     KrausChannel,
     b92_povm,
+    b92_povm_elements,
     born,
     check_alpha,
     check_basis_kets,
@@ -135,8 +137,15 @@ class B92Record:
         return self.bob_outcomes[~self.null_flags]
 
 
-# signals per draw in run_b92
+# signals per draw in run_b92.  Even, so every chunk but the last takes
+# exactly _CHUNK / 2 raw words for its bits; the last chunk's spare half-word
+# is the one integers(0, 2) would leave unread, so nothing is carried.
 _CHUNK = 1 << 16
+assert _CHUNK % 2 == 0
+
+# random() returns (x >> 11) * 2**-53 for a raw 64-bit word x
+_DOUBLE_SHIFT = np.uint64(11)
+_DOUBLE_SCALE = 2.0**53
 
 _ZZ_XX_PROJECTORS = np.concatenate([ZZ_PROJECTORS, XX_PROJECTORS])
 
@@ -165,7 +174,7 @@ def _normalized(w: np.ndarray) -> np.ndarray:
 def _check_joint_probs(rho: np.ndarray, alpha: float) -> np.ndarray:
     """Joint distribution of (A's Z outcome, B's three-outcome result)."""
     conditional = rho.reshape(2, 2, 2, 2)[[0, 1], :, [0, 1], :]
-    joint = born(conditional, np.asarray(b92_povm(alpha).elements))
+    joint = born(conditional, b92_povm_elements(alpha))
     return _normalized(np.clip(joint, 0.0, None))
 
 
@@ -226,35 +235,71 @@ def run_protocol1(params: ProtocolParams) -> Tallies:
     )
 
 
+def _uniform_thresholds(c: np.ndarray) -> np.ndarray:
+    """Integer thresholds T with random() >= c exactly when k >= T.
+
+    random() is k * 2**-53 with k = x >> 11, which is exact, and so is
+    c * 2**53; hence u >= c holds exactly when k >= ceil(c * 2**53).  c <= 0
+    gives 0 (always fires) and c >= 1 gives 2**53 (never fires, k < 2**53).
+    Comparing the integers skips forming u and cannot round differently.
+    """
+    return np.clip(np.ceil(c * _DOUBLE_SCALE), 0.0, _DOUBLE_SCALE).astype(np.int64)
+
+
 def run_b92(params: ProtocolParams) -> B92Record:
     """Simulate the reduced prepare-and-measure protocol.
 
     Per signal: a uniform bit selects the sent state, the channel acts, and
     the three-outcome measurement is sampled; sifting drops null outcomes.
+
+    Stream contract: the record is the one that ``integers(0, 2)`` for every
+    bit, then ``random()`` for every signal, drawn from a
+    ``Generator(Philox(seed))`` would give, compared with the sent state's
+    cumulative outcome probabilities.  The same Philox words are read raw
+    instead, in fixed chunks, so memory is the two outputs plus O(1).
     """
-    rng = np.random.Generator(np.random.Philox(params.seed))
+    bit_gen = np.random.Philox(params.seed)
     n = params.n_pairs
-    pv = b92_povm(params.alpha)
+    elements = b92_povm_elements(params.alpha)
     cond = np.empty((2, 3))
     for j in (0, 1):
         sent = projector(signal_state(j, params.alpha).amplitudes)
         out = params.channel.apply(sent)
-        cond[j] = np.clip(pv.outcome_probabilities(out), 0.0, None)
+        cond[j] = np.clip(born(out, elements), 0.0, None)
         cond[j] /= cond[j].sum()
 
-    # every bit, then every uniform, as one full-length draw of each would
-    # give; chunking keeps the float64 temporaries O(1) in n
+    # integers(0, 2) is the top bit of a 32-bit Lemire draw, and the 32-bit
+    # draws are each raw word's low half, then its high half ("<u8" makes
+    # the uint32 view put the low half first on any host)
     alice = np.empty(n, dtype=np.uint8)
     for i in range(0, n, _CHUNK):
-        alice[i:i + _CHUNK] = rng.integers(0, 2, size=min(_CHUNK, n - i))
+        m = min(_CHUNK, n - i)
+        words = bit_gen.random_raw((m + 1) // 2).astype("<u8", copy=False)
+        np.right_shift(words.view("<u4")[:m], 31, out=alice[i:i + m], casting="unsafe")
+
+    # each signal's two thresholds are base + sent * step, exact in int64,
+    # in place of a gather of the sent state's row
+    thresholds = _uniform_thresholds(np.cumsum(cond, axis=1)[:, :2])
+    base, step = thresholds[0], thresholds[1] - thresholds[0]
     bob = np.empty(n, dtype=np.uint8)
-    cum = np.cumsum(cond, axis=1)
+    sent64 = np.empty(min(_CHUNK, n), dtype=np.int64)
+    thr = np.empty_like(sent64)
+    fired = np.empty(sent64.size, dtype=bool)
     for i in range(0, n, _CHUNK):
-        sent = alice[i:i + _CHUNK]
-        u = rng.random(sent.size)
-        out = bob[i:i + _CHUNK]
-        np.greater_equal(u, cum[:, 0][sent], out=out, casting="unsafe")
-        out += u >= cum[:, 1][sent]
+        m = min(_CHUNK, n - i)
+        # shift as uint64 before the int64 view: an arithmetic shift of the
+        # view would smear the sign bit
+        k = bit_gen.random_raw(m)
+        k >>= _DOUBLE_SHIFT
+        k = k.view(np.int64)
+        s, t, f, out = sent64[:m], thr[:m], fired[:m], bob[i:i + m]
+        np.copyto(s, alice[i:i + m])
+        out[:] = 0
+        for b, st in zip(base, step):
+            np.multiply(s, st, out=t)
+            t += b
+            np.greater_equal(k, t, out=f)
+            out += f
     return B92Record(alice_bits=alice, bob_outcomes=bob)
 
 

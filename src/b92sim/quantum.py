@@ -236,8 +236,12 @@ def dual_state(j: int, alpha: float) -> StateVector:
     check_alpha(alpha)
     if j not in (0, 1):
         raise ParameterError("bit value must be 0 or 1")
+    return StateVector(_dual_ket(j, alpha), basis_label="X")
+
+
+def _dual_ket(j: int, alpha: float) -> np.ndarray:
     beta = math.sqrt(1.0 - alpha**2)
-    return StateVector(alpha * KET_0X - (-1) ** j * beta * KET_1X, basis_label="X")
+    return alpha * KET_0X - (-1) ** j * beta * KET_1X
 
 
 def b92_povm(alpha: float) -> Povm:
@@ -248,12 +252,18 @@ def b92_povm(alpha: float) -> Povm:
     rest of the identity.
     """
     check_alpha(alpha)
-    f0 = projector(dual_state(1, alpha).amplitudes) / 2.0
-    f1 = projector(dual_state(0, alpha).amplitudes) / 2.0
-    f_null = np.eye(2, dtype=complex) - f0 - f1
-    if np.min(np.linalg.eigvalsh(f_null)) < -PSD_TOL:
+    elements = b92_povm_elements(alpha)
+    if np.min(np.linalg.eigvalsh(elements[2])) < -PSD_TOL:
         raise ConsistencyError("null element not PSD; invalid construction")
-    return Povm((f0, f1, f_null))
+    return Povm(tuple(elements))
+
+
+def b92_povm_elements(alpha: float) -> np.ndarray:
+    """Elements of b92_povm(alpha) stacked in outcome order, unvalidated,
+    for hot numeric paths."""
+    f0 = projector(_dual_ket(1, alpha)) / 2.0
+    f1 = projector(_dual_ket(0, alpha)) / 2.0
+    return np.stack([f0, f1, np.eye(2, dtype=complex) - f0 - f1])
 
 
 def filter_op(alpha: float) -> FilterOp:

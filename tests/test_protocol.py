@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from b92sim import protocol
 from b92sim.errors import ParameterError
 from b92sim.protocol import (
     B92Record,
@@ -296,6 +297,53 @@ class TestRunB92:
         alice, bob = one_shot_b92(params)
         np.testing.assert_array_equal(rec.alice_bits, alice)
         np.testing.assert_array_equal(rec.bob_outcomes, bob)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 4_321])
+    @pytest.mark.parametrize(
+        "alpha_sq, channel",
+        [(0.2, identity_channel()), (0.2, depolarizing_channel(0.03)),
+         (0.1, depolarizing_channel(0.75))],
+        ids=["identity", "p0.03", "p0.75"],
+    )
+    def test_raw_stream_equals_public_draws(self, n, alpha_sq, channel):
+        # run_b92 reads Philox's words raw and relies on numpy's Lemire
+        # integers, next_double and 32-bit buffering; the oracle uses the
+        # public Generator calls, so a numpy that changes any of them shows here
+        for seed in (0, 7, 2**40 + 3):
+            params = ProtocolParams(
+                alpha=math.sqrt(alpha_sq), n_pairs=n, channel=channel, seed=seed
+            )
+            rec = run_b92(params)
+            alice, bob = one_shot_b92(params)
+            np.testing.assert_array_equal(rec.alice_bits, alice)
+            np.testing.assert_array_equal(rec.bob_outcomes, bob)
+
+    @pytest.mark.parametrize("chunk", [2, 64, 4098])
+    def test_chunk_size_does_not_change_the_record(self, chunk, monkeypatch):
+        monkeypatch.setattr(protocol, "_CHUNK", chunk)
+        for n in (1, chunk - 1, chunk + 1, 3 * chunk + 1):
+            params = ProtocolParams(
+                alpha=0.4, n_pairs=n, channel=depolarizing_channel(0.05), seed=n
+            )
+            rec = run_b92(params)
+            alice, bob = one_shot_b92(params)
+            np.testing.assert_array_equal(rec.alice_bits, alice)
+            np.testing.assert_array_equal(rec.bob_outcomes, bob)
+
+    def test_uniform_thresholds_match_float_comparison(self):
+        # k * 2**-53 >= c exactly when k >= T, checked on both sides of T
+        rng = np.random.default_rng(3)
+        c = np.concatenate([
+            [0.0, 5e-324, 2.0**-53, 2.0**-54, 0.5, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52],
+            rng.random(200),
+        ])
+        t = protocol._uniform_thresholds(c)
+        assert t.dtype == np.int64
+        assert t[0] == 0 and t[6] == 2**53 and t[7] == 2**53
+        for ci, ti in zip(c, t):
+            for k in (ti - 1, ti, ti + 1):
+                if 0 <= k < 2**53:
+                    assert (float(k) * 2.0**-53 >= ci) == (k >= ti)
 
     def test_peak_memory_below_three_times_output(self):
         params = ProtocolParams(
