@@ -286,6 +286,18 @@ class TestSimulateCommand:
         assert sum(map(sum, data["tallies"]["n_xx"])) == 1_000_000_000
 
 
+# near-collinear exponent queries: the first once ended in a LinAlgError,
+# the second printed an uncertified value
+NEAR_COLLINEAR_REPROS = (
+    ["exponent", "--basis0", "0.8529706049278587,4.89203417088622",
+     "--basis1", "0.8529706188692087,4.892034170894268", "--m0", "93", "--m1", "124",
+     "--delta0", "0.12903225806451613", "--delta1", "0.8467741935483871"],
+    ["exponent", "--basis0", "1.0129376613401553,4.854508878081949",
+     "--basis1", "1.0129376910975731,4.854508878081949", "--m0", "28", "--m1", "38",
+     "--delta0", "0.7857142857142857", "--delta1", "0.2894736842105263"],
+)
+
+
 class TestExponentCommand:
     def test_identical_bases_zero_rate(self, capsys):
         code, out, _ = run_cli(
@@ -318,6 +330,17 @@ class TestExponentCommand:
         assert set(data) == {"r_nats", "r_bits", "zero_region_member", "converged", "point"}
         assert set(data["point"]) == {"k_frac", "bloch_n", "p", "q"}
         assert data["r_bits"] == pytest.approx(data["r_nats"] / math.log(2), rel=1e-9)
+
+    @pytest.mark.parametrize("argv, r_nats", [
+        (NEAR_COLLINEAR_REPROS[0], 0.280548974100),
+        (NEAR_COLLINEAR_REPROS[1], 0.126297685735),
+    ])
+    def test_near_collinear_queries_certified(self, capsys, argv, r_nats):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        data = json.loads(out)
+        assert data["converged"] is True
+        assert data["r_nats"] == pytest.approx(r_nats, abs=1e-9)
 
     def test_amplitude_basis_spec(self):
         b = parse_basis("0.6,0,0.8,0")
@@ -483,7 +506,8 @@ class TestRunTimeImports:
     def test_no_command_loads_scipy(self):
         # a fresh process runs each command once: optimize and sweep run the
         # bounded Brent search, simulate with slacks the slacked bound's
-        # root finder, and a certified exponent query never needs the scan
+        # root finder, and exponent queries, near-collinear ones too, the
+        # circle fit's root finder
         script = """
 import contextlib, io, sys
 from b92sim import _brent, cli, security
@@ -501,12 +525,12 @@ runs = [
     ["exponent", "--basis0", "1.4405993451072054,3.5068998601808077",
      "--basis1", "1.392147308823917,5.031459034864608", "--m0", "21", "--m1", "24",
      "--delta0", "0.19047619047619047", "--delta1", "0.7916666666666666"],
-]
+] + %r
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
 print(sorted(set(calls)), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-"""
+""" % [list(argv) for argv in NEAR_COLLINEAR_REPROS]
         src = str(Path(cli.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, timeout=120)

@@ -1,6 +1,7 @@
 """Tests for the two-basis sampling exponent machinery."""
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -24,14 +25,16 @@ from b92sim.exponent import (
     remainder_probs,
     singlet_pair_probs,
     zero_region_contains,
-    _rate_and_grad,
-    _rate_batch,
 )
 from b92sim import exponent
+from b92sim.cli import main
 from oracles import (
     brute_force_region_distance,
     collinear_exponent,
     random_density_matrix,
+    rate_and_grad,
+    rate_batch,
+    scan_exponent,
     singlet_pair_probs_loop,
 )
 
@@ -146,6 +149,22 @@ class TestReferenceDistributions:
             assert np.max(np.abs(beta - loop)) <= 1e-16
             # impossible outcome pairs stay exactly impossible
             np.testing.assert_array_equal(beta == 0.0, loop == 0.0)
+
+    def test_singlet_pair_probs_from_bloch_axes(self):
+        # beta[b, b', j, j'] = (1 - v_bj . v_b'j') / 16 for the outcome Bloch
+        # axes v, so Z_q = sum beta_ij w_i w_j = (S^2 - |V|^2) / 16 with
+        # S = sum w_i and V = sum w_i v_i: the lemma that puts min_exponent's
+        # minimum at k_frac = 0 outside the zero region
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            prob = TwoBasisSampling(random_basis(rng), random_basis(rng), 3, 5, 0.5, 0.5)
+            v = np.array([bloch_vector(ket) for ket in prob.kets().reshape(4, 2)])
+            lemma = (1.0 - v @ v.T) / 16.0
+            beta = singlet_pair_probs(prob).transpose(0, 2, 1, 3).reshape(4, 4)
+            assert np.max(np.abs(beta - lemma)) <= 1e-15
+            w = rng.exponential(size=4)
+            z_q = (w.sum() ** 2 - np.linalg.norm(w @ v) ** 2) / 16.0
+            assert w @ beta @ w == pytest.approx(z_q, rel=1e-12, abs=1e-15)
 
     def test_remainder_probs_normalization(self):
         rng = np.random.default_rng(2)
@@ -492,7 +511,7 @@ class TestCertifiedSolver:
         basis = basis_from_bloch(*COLLINEAR_ANGLES)
         prob = TwoBasisSampling(basis, basis, 17, 17, 16 / 17, 1 / 17)
         axis = bloch_vector(basis[1])
-        rates, _ = _rate_batch(prob, np.array([0.49, 0.49]), np.stack([axis, -axis]), 80, 1e-11)
+        rates, _ = rate_batch(prob, np.array([0.49, 0.49]), np.stack([axis, -axis]), 80, 1e-11)
         assert np.all(rates == np.inf)
 
     def test_envelope_gradient_matches_finite_differences(self):
@@ -503,14 +522,14 @@ class TestCertifiedSolver:
             prob = TwoBasisSampling(random_basis(rng), random_basis(rng), 7, 9,
                                     k0 / 7, int(rng.integers(0, 10)) / 9)
             x = np.concatenate([[rng.uniform(0.05, 0.45)], 1.3 * random_unit_vector(rng)])
-            rate, grad = _rate_and_grad(prob, x, 80, 1e-12)
+            rate, grad = rate_and_grad(prob, x, 80, 1e-12)
             assert math.isfinite(rate)
             h = 1e-6
             for i in range(4):
                 step = np.zeros(4)
                 step[i] = h
-                up, _ = _rate_and_grad(prob, x + step, 80, 1e-12)
-                down, _ = _rate_and_grad(prob, x - step, 80, 1e-12)
+                up, _ = rate_and_grad(prob, x + step, 80, 1e-12)
+                down, _ = rate_and_grad(prob, x - step, 80, 1e-12)
                 assert grad[i] == pytest.approx((up - down) / (2.0 * h), abs=1e-6)
 
     def test_seeded_batch_certified(self):
@@ -536,12 +555,20 @@ class TestCertifiedSolver:
                 closed = collinear_exponent(m0, m1, k0 / m0, k1 / m1, antipodal=kind == 1)
                 assert sol.r_nats == pytest.approx(closed, abs=1e-6)
 
-    def test_uncertified_solution_raises(self):
-        # one Newton step per refinement evaluation certifies no point
+    def test_uncertified_solution_raises(self, monkeypatch, capsys):
+        # a circle fit that returns a wrong direction (the in-plane normal of
+        # u_0) leaves a primal-dual gap far above GAP_TOL: min_exponent
+        # raises, and the CLI exits 2 with nothing on stdout
+        monkeypatch.setattr(exponent, "_circle_fit", lambda m, axes, a, b: b)
         prob = TwoBasisSampling(basis_from_bloch(0.0), basis_from_bloch(1.1), 9, 11, 0.1, 0.85)
-        with pytest.raises(DomainError):
-            min_exponent(prob, SolverOptions(k_grid=21, sphere_points=72, restarts=4,
-                                             newton_iters=1))
+        with pytest.raises(DomainError, match="not certified"):
+            min_exponent(prob)
+        code = main(["exponent", "--basis0", "0", "--basis1", "1.1", "--m0", "9", "--m1", "11",
+                     "--delta0", "0.1", "--delta1", "0.85"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "not certified" in err
 
     def test_solution_diagnostics_default_to_nan(self):
         prob = TwoBasisSampling(np.eye(2), np.eye(2), 2, 2, 0.5, 0.5)
@@ -599,12 +626,24 @@ def certification_batch(size=150, seed=2027):
         yield TwoBasisSampling(basis0, basis1, m0, m1, k0 / m0, k1 / m1)
 
 
-@pytest.fixture
-def no_fallback(monkeypatch):
-    """Fail any min_exponent call that reaches the scan fallback."""
-    def refuse(problem, opts):
-        raise AssertionError("the scan fallback ran")
-    monkeypatch.setattr(exponent, "_scan_min", refuse)
+def near_collinear_batch(size=300, seed=2028):
+    """Near-collinear and near-antipodal bases in turn, m0 and m1 in
+    [1, 200], uniform ones counts.  The second axis sits eps rad from the
+    first (or from its antipode) along a meridian, eps log-uniform in
+    [1e-9, 1e-2], and exactly on it for two instances in ten.  Yields
+    (problem, antipodal, eps)."""
+    rng = np.random.default_rng(seed)
+    for case in range(size):
+        m0, m1 = (int(v) for v in rng.integers(1, 201, size=2))
+        k0, k1 = int(rng.integers(0, m0 + 1)), int(rng.integers(0, m1 + 1))
+        theta, phi = math.acos(rng.uniform(-0.98, 0.98)), rng.uniform(0.0, 2.0 * math.pi)
+        eps = 0.0 if case % 10 < 2 else 10.0 ** rng.uniform(-9.0, -2.0)
+        theta1 = theta + eps * rng.choice([-1.0, 1.0])
+        antipodal = case % 2 == 1
+        basis1 = (basis_from_bloch(math.pi - theta1, phi + math.pi) if antipodal
+                  else basis_from_bloch(theta1, phi))
+        prob = TwoBasisSampling(basis_from_bloch(theta, phi), basis1, m0, m1, k0 / m0, k1 / m1)
+        yield prob, antipodal, eps
 
 
 def assert_gap_certified(sol, prob):
@@ -614,11 +653,11 @@ def assert_gap_certified(sol, prob):
 
 class TestDualFirstSolver:
     @pytest.mark.parametrize("instances", [criterion_10_instances, benchmark_instances])
-    def test_certified_without_the_scan(self, instances, no_fallback):
+    def test_certified_without_the_scan(self, instances):
         for prob in instances():
             assert_gap_certified(min_exponent(prob), prob)
 
-    def test_collinear_candidate_meets_closed_form(self, no_fallback):
+    def test_collinear_candidate_meets_closed_form(self):
         basis = basis_from_bloch(*COLLINEAR_ANGLES)
         prob = TwoBasisSampling(basis, basis, 17, 17, 16 / 17, 1 / 17)
         sol = min_exponent(prob)
@@ -630,74 +669,54 @@ class TestDualFirstSolver:
     def test_batch_agrees_with_scan(self):
         # the scan uses a small grid; its Bloch-fit start and L-BFGS-B
         # refinement still reach the minimum on every instance here
-        scan_opts = SolverOptions(k_grid=11, sphere_points=40, restarts=4)
         for prob in certification_batch():
             sol = min_exponent(prob)
             assert_gap_certified(sol, prob)
-            scan = exponent._scan_min(prob, scan_opts)
-            assert sol.r_nats <= scan.r_nats + 1e-9
-            assert sol.r_nats == pytest.approx(scan.r_nats, abs=1e-9)
+            scan = scan_exponent(prob, k_grid=11, sphere_points=40, restarts=4)
+            assert sol.r_nats <= scan + 1e-9
+            assert sol.r_nats == pytest.approx(scan, abs=1e-9)
 
-    def test_seed_only_steers_the_fallback(self, no_fallback):
+    def test_options_steer_nothing(self):
         probs = [next(criterion_10_instances())] + list(benchmark_instances())
+        other = SolverOptions(k_grid=3, sphere_points=1, restarts=1, seed=2, newton_iters=1,
+                              grad_tol=1.0)
         for prob in probs:
-            a, b = min_exponent(prob, SolverOptions(seed=1)), min_exponent(prob, SolverOptions(seed=2))
+            a, b = min_exponent(prob, SolverOptions(seed=1)), min_exponent(prob, other)
             assert (a.r_nats, a.r_primal, a.gap, a.residual) == (b.r_nats, b.r_primal, b.gap, b.residual)
             for field in ("bloch_n", "q", "p"):
                 np.testing.assert_array_equal(getattr(a.point, field), getattr(b.point, field))
             assert a.point.k_frac == b.point.k_frac
 
-    def test_scan_fallback_reports_its_gap(self):
-        prob = TwoBasisSampling(basis_from_bloch(0.0), basis_from_bloch(1.1), 9, 11, 0.1, 0.85)
-        scan = exponent._scan_min(prob, FAST_OPTS)
-        assert_certified(scan, prob)
-        assert scan.converged == (scan.gap <= 1e-8)
-        assert scan.r_nats == pytest.approx(min_exponent(prob).r_nats, abs=1e-9)
+    def test_near_collinear_batch_certified(self):
+        # every query certified in at most 10 ms on average; r_nats meets the
+        # collinear closed form on collinear bases and moves from it by less
+        # than the basis offset, never upward, off them
+        start, size = time.perf_counter(), 0
+        for prob, antipodal, eps in near_collinear_batch():
+            sol = min_exponent(prob)
+            size += 1
+            assert_gap_certified(sol, prob)
+            closed = collinear_exponent(prob.m0, prob.m1, prob.delta0, prob.delta1, antipodal)
+            if eps == 0.0:
+                assert sol.r_nats == pytest.approx(closed, abs=1e-12)
+            else:
+                assert sol.r_nats <= closed + 1e-12
+                assert sol.r_nats >= closed - eps
+        assert time.perf_counter() - start <= 0.01 * size
 
-    def test_remainder_fit_start_on_an_axis_antipode(self):
-        # near-collinear bases put the Bloch fit on a cell's antipode, where
-        # a = 1 + v.n = 0 and the fit's objective is +inf; the fit must start
-        # elsewhere with no division by zero or nan.  The instance still ends
-        # in the scan fallback, whose r_nats stays 1.277032080709839e-05.
+    def test_near_collinear_fit_on_an_axis_antipode(self):
+        # bases 2.2e-8 rad apart: outside the zero region, with the pooled
+        # collinear Bloch fit on a cell's antipode, where 1 + v.n = 0 and
+        # D(m || alpha(n)) is +inf; certified with no division by zero or nan
         prob = TwoBasisSampling(basis_from_bloch(1.9320882482313846, 2.9021905852649343),
                                 basis_from_bloch(1.932088270170213, 2.9021905852649343),
                                 19, 96, 0.631578947368421, 0.625)
-        refs = exponent._refs(prob)
-        start = exponent._bloch_fit(prob)[1]
-        assert np.min(1.0 + refs.axes @ start) <= 0.0
+        assert not zero_region_contains(prob)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            n, _ = exponent._remainder_fit(refs, start, 80, 1e-11)
             sol = min_exponent(prob, SolverOptions(seed=1))
-        assert np.all(np.isfinite(n)) and np.min(1.0 + refs.axes @ n) > 0.0
-        assert_certified(sol, prob)
-        assert sol.r_nats == pytest.approx(1.277032080709839e-05, abs=1e-12)
-
-    def test_k_search_finds_an_interior_minimum(self):
-        # outside the zero region psi's slope at k_frac = 0 is positive, so
-        # the search stops there; raising every log beta by c subtracts
-        # c * k_frac from psi, which moves the minimum inside (0, 1/2)
-        prob = next(p for p in benchmark_instances() if not zero_region_contains(p))
-        refs = exponent._refs(prob)
-        n0, _ = exponent._remainder_fit(refs, exponent._bloch_fit(prob)[1], 80, 1e-11)
-        lam0 = exponent._lam_fit(refs, n0)
-        sol0, _, _ = exponent._star_solve(0.0, lam0, refs, 80, 1e-11)
-        slope0 = 2.0 * sol0.ln_zp[0] - sol0.ln_zq[0]
-        assert slope0 > 0.0
-        shifted = refs._replace(log_beta=refs.log_beta + slope0 + 0.3)
-
-        def psi(k):
-            sol, _, ok = exponent._star_solve(k, lam0, shifted, 200, 1e-11)
-            return float(sol.g[0]) if ok else math.inf
-
-        k_star, sol, _ = exponent._search_k(shifted, lam0, 80, 80, 1e-11)
-        assert 0.0 < k_star < 0.5
-        assert abs(2.0 * sol.ln_zp[0] - sol.ln_zq[0]) <= 1e-9
-        grid = [psi(k) for k in np.linspace(0.0, 0.5, 26)]
-        assert sol.g[0] <= min(grid) + 1e-12
-        # the dual bound at the optimal multipliers meets psi's minimum
-        lower = exponent._lower_bound(sol, shifted) - shifted.offset
-        assert lower == pytest.approx(float(sol.g[0]), abs=1e-9)
+        assert_gap_certified(sol, prob)
+        assert sol.r_nats == pytest.approx(1.2770318066873676e-05, abs=1e-12)
 
 
 class TestValidation:
