@@ -83,7 +83,8 @@ def bloch_vector(ket: np.ndarray) -> np.ndarray:
 
 def ket_from_bloch(n: np.ndarray) -> np.ndarray:
     nx, ny, nz = (float(v) for v in n)
-    theta = math.acos(max(-1.0, min(1.0, nz)))
+    # atan2 keeps full precision near the poles, where acos(n_z) loses ~sqrt(eps)
+    theta = math.atan2(math.hypot(nx, ny), nz)
     phi = math.atan2(ny, nx)
     return np.array([math.cos(theta / 2.0), math.sin(theta / 2.0) * np.exp(1j * phi)])
 

@@ -34,6 +34,7 @@ from .quantum import (  # noqa: F401
     check_alpha,
     check_basis_kets,
     check_pair_basis,
+    check_strength,
     error_povm_element,
     filter_matrix,
     filter_op,
@@ -198,6 +199,36 @@ def expected_rates(alpha: float, channel: KrausChannel) -> ExpectedRates:
         r_ph=float(xx_f[0, 1] + xx_f[1, 0]),
         r_xx=_normalized(xx),
         s_check=_normalized(check),
+    )
+
+
+def depolarizing_rates(alpha: float, p: float) -> ExpectedRates:
+    """expected_rates(alpha, depolarizing_channel(p)) in closed form.
+
+    With a2 = alpha^2, b2 = 1 - a2 and t = p/3:
+      r_fil = 2 a2 b2 + 2t (1 - 4 a2 b2),  r_err = r_bit = t,
+      r_ph = 2t (a2^2 + b2^2),
+    plus the X x X and check-basis outcome distributions.  a2 is formed as
+    alpha * alpha, as delta_param forms it, so a noiseless r_fil is exactly
+    the filter rate the bound subtracts and keeps its alpha^2 scale at any
+    alpha, which the Born table's cancellations lose.
+    """
+    check_strength(p)
+    check_alpha(alpha)
+    a2 = alpha * alpha
+    b2 = 1.0 - a2
+    prod = 2.0 * a2 * b2
+    gap_sq = (b2 - a2) ** 2
+    t = p / 3.0
+    return ExpectedRates(
+        r_fil=prod + 2.0 * t * (1.0 - 2.0 * prod),
+        r_err=t,
+        r_bit=t,
+        r_ph=2.0 * t * (a2 * a2 + b2 * b2),
+        r_xx=np.array([[(1.0 - 2.0 * t) * b2, 2.0 * t * b2],
+                       [2.0 * t * a2, (1.0 - 2.0 * t) * a2]]),
+        s_check=np.array([[1.0 - p + t * gap_sq, t * (gap_sq + 1.0)],
+                          [2.0 * t * prod, 2.0 * t * prod]]),
     )
 
 

@@ -317,10 +317,15 @@ def nonmax_entangled_state(alpha: float) -> StateVector:
     return StateVector(check_basis_kets(alpha)[0], basis_label="X")
 
 
-def depolarizing_channel(p: float) -> KrausChannel:
-    """Channel rho -> (1-p) rho + p/3 sum_a sigma_a rho sigma_a."""
+def check_strength(p: float) -> None:
+    """Reject a depolarizing strength outside [0, 1], nan included."""
     if not 0.0 <= p <= 1.0:
         raise ParameterError(f"depolarizing strength p={p!r} outside [0, 1]")
+
+
+def depolarizing_channel(p: float) -> KrausChannel:
+    """Channel rho -> (1-p) rho + p/3 sum_a sigma_a rho sigma_a."""
+    check_strength(p)
     ops = [math.sqrt(1.0 - p) * np.eye(2, dtype=complex)]
     ops += [math.sqrt(p / 3.0) * s for s in (PAULI_X, PAULI_Y, PAULI_Z)]
     return KrausChannel(tuple(ops))

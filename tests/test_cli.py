@@ -84,6 +84,49 @@ class TestRateCommand:
         assert len(lines[1].split(",")) == 9
 
 
+class TestClosedFormPrecision:
+    """Points where the Born-table rates lost the alpha^2 scale or the last
+    bits of r_fil, and the closed-form rates do not."""
+
+    def test_noiseless_upper_end_is_exact(self, capsys):
+        report = cmd_rate(0.0, 0.49)
+        assert report.r_ph_bar == 0.0
+        assert report.G == pytest.approx(0.4998, abs=1e-16)
+        code, out, _ = run_cli(capsys, "rate", "--p", "0", "--alpha-sq", "0.49",
+                               "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert (data["r_ph_bar"], data["G"]) == (0.0, 0.4998)
+
+    def test_noiseless_rate_is_monotone_below_the_upper_end(self):
+        assert cmd_rate(0.0, 0.489999999952).G <= cmd_rate(0.0, 0.49).G
+
+    @pytest.mark.parametrize("alpha_sq", [1e-100, 1e-300])
+    def test_tiny_alpha_keeps_its_scale(self, capsys, alpha_sq):
+        report = cmd_rate(0.0, alpha_sq)
+        assert report.r_fil == pytest.approx(2.0 * alpha_sq * (1.0 - alpha_sq), rel=1e-15)
+        assert report.r_ph_bar == 0.0
+        assert report.G == report.r_fil
+        code, out, _ = run_cli(capsys, "rate", "--p", "0", "--alpha-sq", str(alpha_sq),
+                               "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["r_ph_bar"] == 0.0
+        assert data["G"] == pytest.approx(2.0 * alpha_sq, rel=1e-11)
+
+    @pytest.mark.parametrize("p", ["1.5", "nan"])
+    def test_rate_strength_out_of_range_exits_2(self, capsys, p):
+        code, out, err = run_cli(capsys, "rate", "--p", p, "--alpha-sq", "0.2")
+        assert (code, out) == (2, "")
+        assert err == f"error: depolarizing strength p={float(p)!r} outside [0, 1]\n"
+
+    @pytest.mark.parametrize("p", ["0.75", "1.0", "nan"])
+    def test_optimize_rejects_strength_from_three_quarters(self, capsys, p):
+        code, out, err = run_cli(capsys, "optimize", "--p", p)
+        assert (code, out) == (2, "")
+        assert err == "error: depolarizing strength must lie in [0, 3/4)\n"
+
+
 class TestOptimizeCommand:
     def test_noiseless_optimum_at_upper_boundary(self):
         alpha_sq, overlap, g = cmd_optimize(0.0)
@@ -127,13 +170,13 @@ class TestOptimizeCommand:
 
     def test_evaluation_budget(self, monkeypatch):
         calls = []
-        rates = cli.expected_rates
+        rates = cli.depolarizing_rates
 
         def counted(*args):
             calls.append(None)
             return rates(*args)
 
-        monkeypatch.setattr(cli, "expected_rates", counted)
+        monkeypatch.setattr(cli, "depolarizing_rates", counted)
         for p in OPTIMIZE_P:
             calls.clear()
             cmd_optimize(p)
@@ -141,7 +184,7 @@ class TestOptimizeCommand:
 
     @pytest.mark.parametrize("p", [0.0, 0.02, 0.03])
     def test_optimum_is_the_rate_report_at_that_point(self, p):
-        # the search evaluates G through its own channel-reusing path; it
+        # the search evaluates G through its own closure over the rates; it
         # must be exactly the G that the rate command reports
         alpha_sq, _, g = cmd_optimize(p)
         assert g == cmd_rate(p, alpha_sq).G

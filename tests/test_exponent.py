@@ -173,6 +173,20 @@ class TestReferenceDistributions:
         assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(alpha.sum(axis=1), [0.5, 0.5], atol=1e-12)
 
+    @pytest.mark.parametrize("pole", [1.0, -1.0])
+    def test_remainder_probs_exact_near_the_poles(self, pole):
+        # |<b,j|n>|^2 / 2 = (1 + n . v_bj) / 4 for the outcome Bloch axes v;
+        # n swept 1e-9 ... 3e-8 rad from a pole, where acos(n_z) lost ~1e-8 rad
+        prob = TwoBasisSampling(basis_from_bloch(math.pi / 2),
+                                basis_from_bloch(math.pi / 2, math.pi / 2), 3, 5, 0.5, 0.5)
+        v = np.array([bloch_vector(ket) for ket in prob.kets().reshape(4, 2)]).reshape(2, 2, 3)
+        rng = np.random.default_rng(27)
+        for tilt in np.geomspace(1e-9, 3e-8, 40):
+            for phi in rng.uniform(0.0, 2.0 * math.pi, 4):
+                n = np.array([math.sin(tilt) * math.cos(phi), math.sin(tilt) * math.sin(phi),
+                              pole * math.cos(tilt)])
+                assert np.max(np.abs(remainder_probs(prob, n) - (1.0 + v @ n) / 4.0)) <= 1e-15
+
 
 class TestExponentForms:
     def test_forms_agree_on_random_points(self):

@@ -49,6 +49,8 @@ CONSTRUCTORS = {
     "FilterOp.matrix": lambda v: b.FilterOp(_first(v, [0, 0, 1.0]).reshape(2, 2), 0.4),
     "KrausChannel": lambda v: b.KrausChannel([_first(v, [0, 0, 1.0]).reshape(2, 2)]),
     "depolarizing_channel": b.depolarizing_channel,
+    "depolarizing_rates.alpha": lambda v: b.depolarizing_rates(v, 0.03),
+    "depolarizing_rates.p": lambda v: b.depolarizing_rates(0.4, v),
     "signal_state": lambda v: b.signal_state(0, v),
     "dual_state": lambda v: b.dual_state(1, v),
     "b92_povm": b.b92_povm,

@@ -136,6 +136,54 @@ class TestExpectedRates:
             assert r.r_err == pytest.approx(r.r_bit, abs=1e-12)
 
 
+class TestDepolarizingRates:
+    # seeded points plus both ends of p, the fully depolarizing point, and
+    # alpha^2 from tiny to next to the singular end of the bound
+    P_GRID = [0.0, 0.75, 1.0, *np.random.default_rng(15).uniform(0.0, 1.0, 7)]
+    ALPHA_SQ_GRID = [1e-12, 0.01, 0.49, 0.4999,
+                     *np.random.default_rng(16).uniform(0.0, 0.5, 6)]
+    FIELDS = ("r_fil", "r_err", "r_bit", "r_ph", "r_xx", "s_check")
+
+    @pytest.mark.parametrize("p", P_GRID)
+    def test_matches_born_table_and_kron_reference(self, p):
+        channel = depolarizing_channel(p)
+        for alpha_sq in self.ALPHA_SQ_GRID:
+            alpha = math.sqrt(alpha_sq)
+            closed = protocol.depolarizing_rates(alpha, p)
+            table = expected_rates(alpha, channel)
+            kron = kron_expected_rates(alpha, channel.kraus_ops)
+            for name in self.FIELDS:
+                value = np.asarray(getattr(closed, name))
+                for ref in (np.asarray(getattr(table, name)), np.asarray(kron[name])):
+                    assert np.max(np.abs(value - ref)) <= 2e-15, (name, alpha_sq)
+
+    @pytest.mark.parametrize("p", P_GRID)
+    def test_error_rates_are_exactly_a_third_of_p(self, p):
+        r = protocol.depolarizing_rates(0.45, p)
+        assert r.r_err == r.r_bit == p / 3.0
+
+    @pytest.mark.parametrize("alpha_sq", [1e-300, 1e-100, 1e-12, 0.2, 0.49])
+    def test_noiseless_filter_rate_is_exact(self, alpha_sq):
+        # the very expression delta_param subtracts, so delta is exactly 0
+        alpha = math.sqrt(alpha_sq)
+        a2 = alpha * alpha
+        r = protocol.depolarizing_rates(alpha, 0.0)
+        assert r.r_fil == 2.0 * a2 * (1.0 - a2)
+        assert r.r_err == r.r_bit == r.r_ph == 0.0
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan, math.inf, -math.inf])
+    def test_rejects_strength_like_the_channel(self, p):
+        with pytest.raises(ParameterError) as channel_error:
+            depolarizing_channel(p)
+        with pytest.raises(ParameterError) as rates_error:
+            protocol.depolarizing_rates(0.45, p)
+        assert str(rates_error.value) == str(channel_error.value)
+
+    def test_rejects_alpha_outside_range(self):
+        with pytest.raises(ParameterError):
+            protocol.depolarizing_rates(0.75, 0.03)
+
+
 class TestRunProtocol1:
     def test_noiseless_run_has_no_errors(self):
         params = ProtocolParams(alpha=ALPHA_02, n_pairs=20_000, channel=identity_channel(), seed=3)
