@@ -26,7 +26,7 @@ import numpy as np
 from ._brent import brent_min
 from .errors import DomainError, ParameterError
 from .exponent import SolverOptions, TwoBasisSampling, min_exponent, zero_region_contains
-from .protocol import ProtocolParams, depolarizing_rates, run_protocol1
+from .protocol import ProtocolParams, _depolarizing_scalars, depolarizing_rates, run_protocol1
 # expected_rates is not called here, but the benchmark's tracer
 # (perfbench/tracing.py) wraps it as cli.expected_rates, so it must stay
 # resolvable in this module.
@@ -35,6 +35,7 @@ from .quantum import check_alpha, depolarizing_channel
 from .security import (
     ObservedRates,
     SlackVector,
+    _phase_ceiling,
     binary_entropy,
     failure_budget,
     finite_key_length,
@@ -160,40 +161,43 @@ def cmd_rate(p: float, alpha_sq: float) -> RateReport:
     )
 
 
-def cmd_optimize(p: float) -> tuple[float, float, float]:
-    """Best nonorthogonality for a channel over alpha_sq in [0.01, 0.49].
+def _best_alpha_sq(p: float) -> float:
+    """The nonorthogonality cmd_optimize reports for a channel.
 
-    One bounded Brent search maximizes the unfloored key rate
-    S = r_fil (1 - h(e_bit) - h(min(e_ph, 1/2))), or -r_fil (its least value)
-    where the bound is infeasible: unlike G = max(S, 0), S keeps a slope
-    outside the secure window, and G = S wherever S > 0.  The best of the
-    Brent point and both ends is reported with G from key_rate; no S > 0
-    gives (0.01, 0.9604, 0.0).  Every evaluation takes cmd_rate's
-    closed-form rates, so G_star is cmd_rate's G at the reported alpha_sq.
+    One bounded Brent search over alpha_sq in [0.01, 0.49] maximizes the
+    unfloored key rate S = r_fil (1 - h(e_bit) - h(min(e_ph, 1/2))), or
+    -r_fil (its least value) where the bound is infeasible: unlike
+    G = max(S, 0), S keeps a slope outside the secure window, and G = S
+    wherever S > 0.  Each evaluation calls the scalar kernels that
+    depolarizing_rates and phase_error_bound wrap, so no object is built per
+    step.  The answer is the best of the Brent point and both ends, or 0.01
+    when no S > 0.
     """
     if not 0.0 <= p < 0.75:
         raise ParameterError("depolarizing strength must lie in [0, 3/4)")
 
-    def observed(alpha_sq: float) -> ObservedRates:
-        alpha = math.sqrt(alpha_sq)
-        rates = depolarizing_rates(alpha, p)
-        return ObservedRates(r_err=rates.r_err, r_fil=rates.r_fil, alpha=alpha)
-
     def unfloored(alpha_sq: float) -> float:
-        obs = observed(alpha_sq)
-        bound = phase_error_bound(obs)
-        if not bound.feasible:
-            return -obs.r_fil
-        e_ph = min(bound.r_ph_bar / obs.r_fil, 0.5)
-        return obs.r_fil * (1.0 - binary_entropy(obs.r_err / obs.r_fil) - binary_entropy(e_ph))
+        alpha = math.sqrt(alpha_sq)
+        r_fil, r_err, _ = _depolarizing_scalars(alpha, p)
+        r_ph_bar, _, _, feasible = _phase_ceiling(r_err, r_fil, alpha)
+        if not feasible:
+            return -r_fil
+        e_ph = min(r_ph_bar / r_fil, 0.5)
+        return r_fil * (1.0 - binary_entropy(r_err / r_fil) - binary_entropy(e_ph))
 
     # xatol ~ 0 leaves Brent's sqrt(eps) |x| to stop it: ~1e-8 in alpha^2
     x, fun = brent_min(lambda a: -unfloored(a), ALPHA_SQ_MIN, ALPHA_SQ_MAX, xatol=1e-12)
     s_best, best = max((-fun, x),
                        *((unfloored(a), a) for a in (ALPHA_SQ_MIN, ALPHA_SQ_MAX)))
-    if s_best <= 0.0:
-        return ALPHA_SQ_MIN, (1.0 - 2.0 * ALPHA_SQ_MIN) ** 2, 0.0
-    return best, (1.0 - 2.0 * best) ** 2, key_rate(observed(best))
+    return best if s_best > 0.0 else ALPHA_SQ_MIN
+
+
+def cmd_optimize(p: float) -> tuple[float, float, float]:
+    """Best nonorthogonality for a channel over alpha_sq in [0.01, 0.49]:
+    (alpha_sq, overlap, G) of cmd_rate's report at _best_alpha_sq(p), so no
+    S > 0 gives (0.01, 0.9604, 0.0)."""
+    report = cmd_rate(p, _best_alpha_sq(p))
+    return report.alpha_sq, report.overlap, report.G
 
 
 def cmd_sweep(cfg: SweepConfig) -> list[RateReport]:
@@ -202,11 +206,9 @@ def cmd_sweep(cfg: SweepConfig) -> list[RateReport]:
     rows: list[RateReport] = []
     for p in cfg.p_values:
         if cfg.alpha_sq_values is None:
-            alpha_sq, _, _ = cmd_optimize(p)
-            rows.append(cmd_rate(p, alpha_sq))
+            rows.append(cmd_rate(p, _best_alpha_sq(p)))
         else:
-            for alpha_sq in cfg.alpha_sq_values:
-                rows.append(cmd_rate(p, alpha_sq))
+            rows += [cmd_rate(p, alpha_sq) for alpha_sq in cfg.alpha_sq_values]
     return rows
 
 
@@ -336,6 +338,15 @@ def _render(fields: tuple[str, ...], rows: list[tuple], fmt_name: str,
     return json.dumps(objs if many else objs[0], indent=2) + "\n"
 
 
+def _float(text: str) -> float:
+    """A float option's value, with -0.0 read as 0.0 so that no output
+    echoes a negative zero."""
+    try:
+        return float(text) + 0.0
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
 def make_parser() -> _Parser:
     parser = _Parser(prog="b92sim", description=__doc__, allow_abbrev=False,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -350,7 +361,7 @@ def make_parser() -> _Parser:
 
     def add_floats(sp, *flags):
         for flag in flags:
-            sp.add_argument(flag, type=float)
+            sp.add_argument(flag, type=_float)
 
     sp = sub.add_parser("rate", help="analytic report for one channel point")
     add_floats(sp, "--p", "--alpha-sq", "--overlap")
@@ -372,7 +383,7 @@ def make_parser() -> _Parser:
     sp.add_argument("--n", type=int)
     sp.add_argument("--seed", type=int, default=0)
     for i in range(1, 9):
-        sp.add_argument(f"--eps{i}", type=float, default=0.0)
+        sp.add_argument(f"--eps{i}", type=_float, default=0.0)
     add_common(sp, formats=False)
 
     sp = sub.add_parser("exponent", help="two-basis sampling exponent")

@@ -202,33 +202,45 @@ def expected_rates(alpha: float, channel: KrausChannel) -> ExpectedRates:
     )
 
 
-def depolarizing_rates(alpha: float, p: float) -> ExpectedRates:
-    """expected_rates(alpha, depolarizing_channel(p)) in closed form.
+def _depolarizing_scalars(alpha: float, p: float) -> tuple[float, float, float]:
+    """(r_fil, r_err, r_ph) of depolarizing_rates, unchecked and math-only.
 
-    With a2 = alpha^2, b2 = 1 - a2 and t = p/3:
-      r_fil = 2 a2 b2 + 2t (1 - 4 a2 b2),  r_err = r_bit = t,
-      r_ph = 2t (a2^2 + b2^2),
-    plus the X x X and check-basis outcome distributions.  a2 is formed as
-    alpha * alpha, as delta_param forms it, so a noiseless r_fil is exactly
-    the filter rate the bound subtracts and keeps its alpha^2 scale at any
-    alpha, which the Born table's cancellations lose.
+    The analytic commands' inner loop calls this directly; with a2 = alpha^2,
+    b2 = 1 - a2 and t = p/3 it returns
+      r_fil = 2 a2 b2 + 2t (1 - 4 a2 b2),  r_err = t,  r_ph = 2t (a2^2 + b2^2).
+    a2 is formed as alpha * alpha, as delta_param forms it, so a noiseless
+    r_fil is exactly the filter rate the bound subtracts and keeps its
+    alpha^2 scale at any alpha, which the Born table's cancellations lose.
     """
-    check_strength(p)
-    check_alpha(alpha)
     a2 = alpha * alpha
     b2 = 1.0 - a2
     prod = 2.0 * a2 * b2
-    gap_sq = (b2 - a2) ** 2
     t = p / 3.0
+    return prod + 2.0 * t * (1.0 - 2.0 * prod), t, 2.0 * t * (a2 * a2 + b2 * b2)
+
+
+def depolarizing_rates(alpha: float, p: float) -> ExpectedRates:
+    """expected_rates(alpha, depolarizing_channel(p)) in closed form.
+
+    The scalar rates come from _depolarizing_scalars, and r_bit = r_err = t;
+    the X x X and check-basis outcome distributions are added here.
+    """
+    check_strength(p)
+    check_alpha(alpha)
+    r_fil, t, r_ph = _depolarizing_scalars(alpha, p)
+    a2 = alpha * alpha
+    b2 = 1.0 - a2
+    cross = 2.0 * t * (2.0 * a2 * b2)
+    gap_sq = (b2 - a2) ** 2
     return ExpectedRates(
-        r_fil=prod + 2.0 * t * (1.0 - 2.0 * prod),
+        r_fil=r_fil,
         r_err=t,
         r_bit=t,
-        r_ph=2.0 * t * (a2 * a2 + b2 * b2),
+        r_ph=r_ph,
         r_xx=np.array([[(1.0 - 2.0 * t) * b2, 2.0 * t * b2],
                        [2.0 * t * a2, (1.0 - 2.0 * t) * a2]]),
         s_check=np.array([[1.0 - p + t * gap_sq, t * (gap_sq + 1.0)],
-                          [2.0 * t * prod, 2.0 * t * prod]]),
+                          [cross, cross]]),
     )
 
 

@@ -131,6 +131,13 @@ def _domain(delta: float, alpha: float) -> tuple[float, float, float]:
     return abs(delta), x_hi, c
 
 
+def _curve(x: float, delta: float, c: float) -> float:
+    """tradeoff_curve at a scalar x in its domain, math-only; c = gap - delta.
+    The squares are products, as numpy squares an array."""
+    return (math.sqrt(max(x * x - delta * delta, 0.0))
+            + math.sqrt(max((1.0 - x) * (1.0 - x) - c * c, 0.0)))
+
+
 def tradeoff_curve(x, delta: float, alpha: float):
     """Curve f(x) = sqrt(x^2 - delta^2) + sqrt((1-x)^2 - (gap - delta)^2).
 
@@ -141,18 +148,22 @@ def tradeoff_curve(x, delta: float, alpha: float):
     xs = np.asarray(x, dtype=float)
     if np.any(xs < x_lo - 1e-12) or np.any(xs > x_hi + 1e-12):
         raise DomainError(f"x outside the positivity domain [{x_lo!r}, {x_hi!r}]")
-    val = np.sqrt(np.clip(xs * xs - delta * delta, 0.0, None)) + np.sqrt(
+    if np.isscalar(x):
+        return _curve(float(x), delta, c)
+    return np.sqrt(np.clip(xs * xs - delta * delta, 0.0, None)) + np.sqrt(
         np.clip((1.0 - xs) ** 2 - c * c, 0.0, None)
     )
-    return float(val) if np.isscalar(x) else val
 
 
 def _infeasible(delta: float) -> BoundResult:
     return BoundResult(r_ph_bar=math.nan, x_star=math.nan, delta=delta, feasible=False)
 
 
-def phase_error_bound(obs: ObservedRates) -> BoundResult:
-    """Largest phase-error rate consistent with the observed (r_err, r_fil).
+def _phase_ceiling(r_err: float, r_fil: float, alpha: float
+                   ) -> tuple[float, float, float, bool]:
+    """phase_error_bound from unchecked rates, math-only, as a plain
+    (r_ph_bar, x_star, delta, feasible) tuple in BoundResult's field order;
+    the analytic commands' inner loop calls it directly.
 
     The ceiling sits at the rightmost x of the curve's domain where
     alpha*beta*f(x) still covers |r_fil - 2 r_err|.  f is concave, so that is
@@ -168,18 +179,16 @@ def phase_error_bound(obs: ObservedRates) -> BoundResult:
     by at most GRAZE_TOL, a miss relative to alpha*beta so that it means the
     same at every alpha.  Where alpha^2 is below the rounding of 1, the
     domain's right end 1 - (gap - delta) is taken as 2 alpha^2 + delta.
-    Infeasible data (no such point) means abort.
     """
-    alpha = obs.alpha
     a2 = alpha * alpha
     ab = alpha * math.sqrt(1.0 - a2)
     gap = 1.0 - 2.0 * a2
-    delta = delta_param(obs.r_fil, alpha)
+    delta = delta_param(r_fil, alpha)
     x_lo, x_hi, c = _domain(delta, alpha)
     if x_lo > x_hi:
-        return _infeasible(delta)
+        return math.nan, math.nan, delta, False
 
-    target = abs(obs.r_fil - 2.0 * obs.r_err)
+    target = abs(r_fil - 2.0 * r_err)
     # the second radical vanishes at the domain's right end
     if ab * math.sqrt(max(x_hi * x_hi - delta * delta, 0.0)) >= target:
         x_star = x_hi
@@ -187,7 +196,7 @@ def phase_error_bound(obs: ObservedRates) -> BoundResult:
         t = target / ab
         if t >= 1.0:
             # f < 1 on its whole domain, since delta and c cannot both vanish
-            return _infeasible(delta)
+            return math.nan, math.nan, delta, False
         # roots of a x^2 + m x + k = 0, the squared form of f(x) = t; its
         # discriminant m^2 - 4ak is t^2 * disc
         m = t * t - (1.0 + delta * delta - c * c)
@@ -202,13 +211,20 @@ def phase_error_bound(obs: ObservedRates) -> BoundResult:
             roots = (q / a, k / q) if q != 0.0 else (0.0,)
         inside = [r for r in roots if x_lo - GRAZE_TOL <= r <= x_hi + GRAZE_TOL]
         if not inside:
-            return _infeasible(delta)
+            return math.nan, math.nan, delta, False
         x_star = min(max(max(inside), x_lo), x_hi)
-        if disc < 0.0 and tradeoff_curve(x_star, delta, alpha) < t - GRAZE_TOL:
-            return _infeasible(delta)
+        if disc < 0.0 and _curve(x_star, delta, c) < t - GRAZE_TOL:
+            return math.nan, math.nan, delta, False
 
     r_ph_bar = 0.5 * (x_star + gap * delta)
-    return BoundResult(r_ph_bar=max(r_ph_bar, 0.0), x_star=x_star, delta=delta, feasible=True)
+    return max(r_ph_bar, 0.0), x_star, delta, True
+
+
+def phase_error_bound(obs: ObservedRates) -> BoundResult:
+    """Largest phase-error rate consistent with the observed (r_err, r_fil),
+    solved by _phase_ceiling.  Infeasible data (no consistent point) means
+    abort: feasible is False and r_ph_bar, x_star are nan."""
+    return BoundResult(*_phase_ceiling(obs.r_err, obs.r_fil, obs.alpha))
 
 
 def _secret_fraction(e_bit: float, e_ph: float) -> float:

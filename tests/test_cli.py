@@ -169,18 +169,19 @@ class TestOptimizeCommand:
         assert found == (res.x, res.fun)
 
     def test_evaluation_budget(self, monkeypatch):
+        # the search's evaluations go through the scalar rates kernel
         calls = []
-        rates = cli.depolarizing_rates
+        rates = cli._depolarizing_scalars
 
         def counted(*args):
             calls.append(None)
             return rates(*args)
 
-        monkeypatch.setattr(cli, "depolarizing_rates", counted)
+        monkeypatch.setattr(cli, "_depolarizing_scalars", counted)
         for p in OPTIMIZE_P:
             calls.clear()
             cmd_optimize(p)
-            assert len(calls) <= 60, f"{len(calls)} rate evaluations at p = {p}"
+            assert 3 <= len(calls) <= 60, f"{len(calls)} rate evaluations at p = {p}"
 
     @pytest.mark.parametrize("p", [0.0, 0.02, 0.03])
     def test_optimum_is_the_rate_report_at_that_point(self, p):
@@ -593,3 +594,25 @@ class TestDeterministicFormatting:
         report = cmd_rate(0.02, 0.3)
         assert report.overlap == pytest.approx((1 - 2 * 0.3) ** 2, abs=1e-15)
         assert report.G <= report.r_fil
+
+    @pytest.mark.parametrize("argv", [
+        ("rate", "--p", "-0.0", "--alpha-sq", "0.2"),
+        ("rate", "--p", "-0.0", "--alpha-sq", "0.2", "--format", "json"),
+        ("sweep", "--p", "-0.0", "--format", "json"),
+        ("sweep", "--p-min", "-0", "--p-max", "0", "--p-steps", "2"),
+        ("simulate", "--p", "-0.0", "--eps1", "-0.0", "--alpha-sq", "0.2",
+         "--n", "100"),
+    ])
+    def test_negative_zero_reads_as_zero(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        negative_zero = ("-0", "-0.0")
+        positive = ["0" if tok in negative_zero else tok for tok in argv]
+        assert out == run_cli(capsys, *positive)[1]
+        assert not set(out.replace(",", " ").split()) & set(negative_zero)
+
+    def test_negative_zero_in_config_reads_as_zero(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"p": -0.0, "alpha-sq": 0.2}')
+        _, out, _ = run_cli(capsys, "rate", "--config", str(cfg))
+        assert out == run_cli(capsys, "rate", "--p", "0", "--alpha-sq", "0.2")[1]

@@ -183,6 +183,18 @@ class TestDepolarizingRates:
         with pytest.raises(ParameterError):
             protocol.depolarizing_rates(0.75, 0.03)
 
+    @pytest.mark.parametrize("p", P_GRID)
+    def test_wrapper_is_the_scalar_kernel(self, p):
+        # the analytic commands' inner loop calls the kernel directly; numpy
+        # scalars must take the same float operations as Python floats
+        for alpha_sq in [*self.ALPHA_SQ_GRID, 1e-300]:
+            alpha = math.sqrt(alpha_sq)
+            r = protocol.depolarizing_rates(alpha, p)
+            kernel = protocol._depolarizing_scalars(alpha, p)
+            assert type(kernel) is tuple
+            assert kernel == (r.r_fil, r.r_err, r.r_ph)
+            assert protocol._depolarizing_scalars(np.float64(alpha), np.float64(p)) == kernel
+
 
 class TestRunProtocol1:
     def test_noiseless_run_has_no_errors(self):

@@ -238,6 +238,76 @@ class TestPhaseErrorBound:
             assert t.n_ph / n <= res.r_ph_bar + 1e-12
 
 
+def _same(a, b) -> bool:
+    """Bitwise equality of two tuples of floats and flags, nan included."""
+    return all(x == y or (x != x and y != y) for x, y in zip(a, b, strict=True))
+
+
+class TestScalarKernels:
+    """phase_error_bound is a thin wrapper over security._phase_ceiling, and
+    the scalar tradeoff_curve is security._curve: the analytic commands' inner
+    loop calls the kernels directly, so they must agree bit for bit."""
+
+    @staticmethod
+    def _cases():
+        # depolarizing points, the edge points, tiny alpha, then arbitrary
+        # observed rates, nearly all of them infeasible
+        grid = [(p, a2) for p in np.linspace(0.0, 0.3, 31)
+                for a2 in np.linspace(0.01, 0.49, 25)]
+        out = []
+        for p, a2 in grid + EDGE_POINTS:
+            r = depolarizing_rates(a2, p)
+            out.append((r["r_err"], r["r_fil"], math.sqrt(a2)))
+        out += [(0.0, 2.0 * a2 * (1.0 - a2), math.sqrt(a2)) for a2 in (1e-12, 1e-20, 1e-300)]
+        rng = np.random.default_rng(16)
+        for _ in range(400):
+            r_fil = rng.uniform(0.0, 1.0)
+            out.append((rng.uniform(0.0, min(0.5, r_fil)), r_fil,
+                        math.sqrt(rng.uniform(0.01, 0.49))))
+        return out
+
+    def test_bound_is_the_kernel_on_every_branch(self, monkeypatch):
+        double_roots = []
+        curve = security._curve
+
+        def spied(x, delta, c):
+            double_roots.append((x, delta, c))
+            return curve(x, delta, c)
+
+        monkeypatch.setattr(security, "_curve", spied)
+        branches = set()
+        for r_err, r_fil, alpha in self._cases():
+            double_roots.clear()
+            res = phase_error_bound(ObservedRates(r_err=r_err, r_fil=r_fil, alpha=alpha))
+            kernel = security._phase_ceiling(r_err, r_fil, alpha)
+            assert type(kernel) is tuple
+            assert _same(kernel, (res.r_ph_bar, res.x_star, res.delta, res.feasible))
+            # the double-root check once took tradeoff_curve's numpy path
+            for x, delta, c in double_roots:
+                [f] = tradeoff_curve(np.array([x]), delta, alpha)
+                assert curve(x, delta, c) == f
+            x_hi = security._domain(res.delta, alpha)[1]
+            branches.add("double root" if double_roots else
+                         "infeasible" if not res.feasible else
+                         "x_hi" if res.x_star == x_hi else "crossing")
+        assert branches == {"double root", "infeasible", "x_hi", "crossing"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(a2=st.floats(1e-300, 0.49), delta=st.floats(-0.2, 0.5),
+           u=st.floats(0.0, 1.0))
+    def test_scalar_curve_matches_array_curve(self, a2, delta, u):
+        alpha = math.sqrt(a2)
+        x_lo, x_hi, _ = security._domain(delta, alpha)
+        if x_lo > x_hi:
+            return
+        xs = np.array([x_lo, x_lo + u * (x_hi - x_lo), x_hi])
+        fs = tradeoff_curve(xs, delta, alpha)
+        for x, f in zip(xs, fs):
+            assert tradeoff_curve(float(x), delta, alpha) == f
+            assert tradeoff_curve(x, delta, alpha) == f
+            assert isinstance(tradeoff_curve(float(x), delta, alpha), float)
+
+
 class TestKeyRate:
     def test_noiseless_value(self):
         assert key_rate(observed(0.0, 0.2)) == pytest.approx(0.32, abs=1e-9)
