@@ -240,7 +240,7 @@ class TestPhaseErrorBound:
 
 def _same(a, b) -> bool:
     """Bitwise equality of two tuples of floats and flags, nan included."""
-    return all(x == y or (x != x and y != y) for x, y in zip(a, b, strict=True))
+    return all(x == y or (math.isnan(x) and math.isnan(y)) for x, y in zip(a, b, strict=True))
 
 
 class TestScalarKernels:
