@@ -132,8 +132,9 @@ def _domain(delta: float, alpha: float) -> tuple[float, float, float]:
 
 
 def _curve(x: float, delta: float, c: float) -> float:
-    """tradeoff_curve at a scalar x in its domain, math-only; c = gap - delta.
-    The squares are products, as numpy squares an array."""
+    """tradeoff_curve at a scalar x in its domain, math-only, for
+    _phase_ceiling's double-root check; c = gap - delta.  The squares are
+    products, as numpy squares an array, so it equals tradeoff_curve."""
     return (math.sqrt(max(x * x - delta * delta, 0.0))
             + math.sqrt(max((1.0 - x) * (1.0 - x) - c * c, 0.0)))
 
@@ -148,11 +149,10 @@ def tradeoff_curve(x, delta: float, alpha: float):
     xs = np.asarray(x, dtype=float)
     if np.any(xs < x_lo - 1e-12) or np.any(xs > x_hi + 1e-12):
         raise DomainError(f"x outside the positivity domain [{x_lo!r}, {x_hi!r}]")
-    if np.isscalar(x):
-        return _curve(float(x), delta, c)
-    return np.sqrt(np.clip(xs * xs - delta * delta, 0.0, None)) + np.sqrt(
+    val = np.sqrt(np.clip(xs * xs - delta * delta, 0.0, None)) + np.sqrt(
         np.clip((1.0 - xs) ** 2 - c * c, 0.0, None)
     )
+    return float(val) if np.isscalar(x) else val
 
 
 def _infeasible(delta: float) -> BoundResult:

@@ -244,9 +244,10 @@ def _same(a, b) -> bool:
 
 
 class TestScalarKernels:
-    """phase_error_bound is a thin wrapper over security._phase_ceiling, and
-    the scalar tradeoff_curve is security._curve: the analytic commands' inner
-    loop calls the kernels directly, so they must agree bit for bit."""
+    """phase_error_bound is a thin wrapper over security._phase_ceiling, whose
+    double-root check evaluates tradeoff_curve as security._curve: the
+    analytic commands' inner loop calls the kernel directly, so they must
+    agree bit for bit."""
 
     @staticmethod
     def _cases():
@@ -295,17 +296,15 @@ class TestScalarKernels:
     @settings(max_examples=300, deadline=None)
     @given(a2=st.floats(1e-300, 0.49), delta=st.floats(-0.2, 0.5),
            u=st.floats(0.0, 1.0))
-    def test_scalar_curve_matches_array_curve(self, a2, delta, u):
+    def test_curve_kernel_matches_array_curve(self, a2, delta, u):
         alpha = math.sqrt(a2)
-        x_lo, x_hi, _ = security._domain(delta, alpha)
+        x_lo, x_hi, c = security._domain(delta, alpha)
         if x_lo > x_hi:
             return
         xs = np.array([x_lo, x_lo + u * (x_hi - x_lo), x_hi])
         fs = tradeoff_curve(xs, delta, alpha)
         for x, f in zip(xs, fs):
-            assert tradeoff_curve(float(x), delta, alpha) == f
-            assert tradeoff_curve(x, delta, alpha) == f
-            assert isinstance(tradeoff_curve(float(x), delta, alpha), float)
+            assert security._curve(float(x), delta, c) == f
 
 
 class TestKeyRate:
