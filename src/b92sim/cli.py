@@ -339,8 +339,8 @@ def _render(fields: tuple[str, ...], rows: list[tuple], fmt_name: str,
 
 
 def _float(text: str) -> float:
-    """A float option's value, with -0.0 read as 0.0 so that no output
-    echoes a negative zero."""
+    """A float option's value, with -0.0 read as 0.0 so that an output
+    echoes a -0 flag as 0."""
     try:
         return float(text) + 0.0
     except ValueError:
