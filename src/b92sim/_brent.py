@@ -1,10 +1,10 @@
-"""Brent's bracketed root finder and bounded scalar minimizer.
+"""Brent's bracketed root finder.
 
-Ports of SciPy's brentq (zeroin, R. P. Brent, *Algorithms for Minimization
-without Derivatives*, 1973, ch. 4) and of its minimize_scalar bounded method
-(fminbound, ch. 5).  Each takes the same steps with the same floating-point
-operations in the same order, so results equal SciPy's bit for bit; keeping
-them in the package spares every command SciPy's import (about 0.2 s).
+A port of SciPy's brentq (zeroin, R. P. Brent, *Algorithms for Minimization
+without Derivatives*, 1973, ch. 4).  It takes the same steps with the same
+floating-point operations in the same order, so results equal SciPy's bit
+for bit; keeping it in the package spares every command SciPy's import
+(about 0.2 s).
 """
 
 from __future__ import annotations
@@ -76,74 +76,3 @@ def brent_root(f, a: float, b: float, xtol: float, maxiter: int = 100) -> float:
         fcur = call(xcur)
     raise ConsistencyError(f"root search: no convergence after {maxiter} steps, x = {xcur!r}")
 
-
-def brent_min(f, lo: float, hi: float, xatol: float, maxfun: int = 500) -> tuple[float, float]:
-    """(x, f(x)) at a local minimum of f on [lo, hi], as
-    minimize_scalar(method="bounded") returns it: the search stops when x is
-    known to within 2 (sqrt(2.2e-16) |x| + xatol / 3), or after ``maxfun``
-    evaluations with its best point so far."""
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = f(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:
-            # try a parabola through the three best points
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 if xm - xf >= 0.0 else -tol1
-            else:
-                golden = True
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
-
-        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
-        fu = f(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxfun:
-            break
-    return xf, fx

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._brent import brent_min
+from ._brent import brent_root
 from .errors import DomainError, ParameterError
 from .exponent import SolverOptions, TwoBasisSampling, min_exponent, zero_region_contains
 from .protocol import ProtocolParams, _depolarizing_scalars, depolarizing_rates, run_protocol1
@@ -116,12 +116,13 @@ class SweepConfig:
 
 
 def fmt(v) -> str:
-    return f"{float(v):.12g}"
+    """v at 12 significant digits, with -0.0 printed as 0."""
+    return f"{float(v) + 0.0:.12g}"
 
 
 def jf(v) -> float | None:
-    """A JSON value at 12 significant digits: null for nan and +-inf, which
-    RFC 8259 cannot spell."""
+    """A JSON value at 12 significant digits, -0.0 as 0.0: null for nan and
+    +-inf, which RFC 8259 cannot spell."""
     x = float(fmt(v))
     return x if math.isfinite(x) else None
 
@@ -161,34 +162,66 @@ def cmd_rate(p: float, alpha_sq: float) -> RateReport:
     )
 
 
+def _key_rate_slope(p: float, alpha_sq: float) -> tuple[float, float]:
+    """(S, dS/dalpha^2) of the unfloored key rate
+    S = r_fil (1 - h(e_bit) - h(min(e_ph, 1/2))), where G = max(S, 0).
+
+    S and e_ph come from the scalar kernels that depolarizing_rates and
+    phase_error_bound wrap, so no object is built per step.  With
+    g = 1 - 2 alpha^2, t = p/3, u = 1 - 4t and s^2 = 4 alpha^2 (1 - alpha^2),
+    r_fil = s^2 u / 2 + 2t and r_err = t.  Where e_ph < 1/2 the ceiling is the
+    right root x+ = 2t (1 + s^2 u (2 + u)) / (1 - u^2 s^2) of _phase_ceiling's
+    quadratic, so r_ph_bar = (x+ + 2 t g^2) / 2.  Differentiating r h(y/r)
+    in r and y gives
+      S' = r_fil' (1 + log2(1 - e_bit) + log2(1 - e_ph))
+           - r_ph_bar' log2((1 - e_ph) / e_ph),
+    whose last term vanishes with e_ph = 0; where e_ph >= 1/2,
+    S = -r_fil h(e_bit) and S' = r_fil' log2(1 - e_bit).
+    """
+    alpha = math.sqrt(alpha_sq)
+    r_fil, r_err, _ = _depolarizing_scalars(alpha, p)
+    e_bit, e_ph = r_err / r_fil, _phase_ceiling(r_err, r_fil, alpha)[0] / r_fil
+    s = r_fil * (1.0 - binary_entropy(e_bit) - binary_entropy(min(e_ph, 0.5)))
+    g, t = 1.0 - 2.0 * alpha_sq, p / 3.0
+    u = 1.0 - 4.0 * t
+    d_fil = 2.0 * g * u
+    if e_ph >= 0.5:
+        return s, d_fil * math.log2(1.0 - e_bit)
+    slope = d_fil * (1.0 + math.log2(1.0 - e_bit) + math.log2(1.0 - e_ph))
+    if e_ph > 0.0:
+        s2u = 4.0 * alpha_sq * (1.0 - alpha_sq) * u
+        d_ph = 8.0 * g * t * u * (1.0 + u) / (1.0 - u * s2u) ** 2 - 4.0 * t * g
+        slope -= d_ph * math.log2((1.0 - e_ph) / e_ph)
+    return s, slope
+
+
+# alpha^2 = 0.01, 0.09, ..., 0.49; on every channel with a secure point the
+# rise of S to its peak spans [0.03, 0.15] at least, so this step finds it
+_SLOPE_GRID = tuple(ALPHA_SQ_MIN + 0.08 * k for k in range(7))
+
+
 def _best_alpha_sq(p: float) -> float:
     """The nonorthogonality cmd_optimize reports for a channel.
 
-    One bounded Brent search over alpha_sq in [0.01, 0.49] maximizes the
-    unfloored key rate S = r_fil (1 - h(e_bit) - h(min(e_ph, 1/2))), or
-    -r_fil (its least value) where the bound is infeasible: unlike
-    G = max(S, 0), S keeps a slope outside the secure window, and G = S
-    wherever S > 0.  Each evaluation calls the scalar kernels that
-    depolarizing_rates and phase_error_bound wrap, so no object is built per
-    step.  The answer is the best of the Brent point and both ends, or 0.01
-    when no S > 0.
+    The peak of S over alpha_sq in [0.01, 0.49] is an end of the range or a
+    root of dS/dalpha^2: the grid's first pair where the slope turns from
+    rising to falling brackets it for a Brent root search.  The answer is
+    the best of that root and both ends, or 0.01 when no S > 0 (G = S
+    wherever S > 0).
     """
     if not 0.0 <= p < 0.75:
         raise ParameterError("depolarizing strength must lie in [0, 3/4)")
 
-    def unfloored(alpha_sq: float) -> float:
-        alpha = math.sqrt(alpha_sq)
-        r_fil, r_err, _ = _depolarizing_scalars(alpha, p)
-        r_ph_bar, _, _, feasible = _phase_ceiling(r_err, r_fil, alpha)
-        if not feasible:
-            return -r_fil
-        e_ph = min(r_ph_bar / r_fil, 0.5)
-        return r_fil * (1.0 - binary_entropy(r_err / r_fil) - binary_entropy(e_ph))
-
-    # xatol ~ 0 leaves Brent's sqrt(eps) |x| to stop it: ~1e-8 in alpha^2
-    x, fun = brent_min(lambda a: -unfloored(a), ALPHA_SQ_MIN, ALPHA_SQ_MAX, xatol=1e-12)
-    s_best, best = max((-fun, x),
-                       *((unfloored(a), a) for a in (ALPHA_SQ_MIN, ALPHA_SQ_MAX)))
+    # each point's (S, slope) once: the bracket's ends and the root are
+    # points that the grid or the root search has already evaluated
+    at = functools.cache(lambda alpha_sq: _key_rate_slope(p, alpha_sq))
+    found = [(at(a)[0], a) for a in (ALPHA_SQ_MIN, ALPHA_SQ_MAX)]
+    for a, b in zip(_SLOPE_GRID, _SLOPE_GRID[1:]):
+        if at(a)[1] > 0.0 >= at(b)[1]:
+            x = brent_root(lambda alpha_sq: at(alpha_sq)[1], a, b, xtol=1e-15)
+            found.append((at(x)[0], x))
+            break
+    s_best, best = max(found)
     return best if s_best > 0.0 else ALPHA_SQ_MIN
 
 
@@ -270,7 +303,7 @@ def cmd_exponent(basis0_spec: str, basis1_spec: str, m0: int, m1: int,
             "k_frac": jf(sol.point.k_frac),
             "bloch_n": [jf(v) for v in sol.point.bloch_n],
             "p": [[jf(v) for v in row] for row in sol.point.p],
-            "q": sol.point.q.round(12).tolist(),
+            "q": (sol.point.q.round(12) + 0.0).tolist(),
         },
     }
 

@@ -221,26 +221,14 @@ class ExponentSolution:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Solver settings kept for API compatibility: min_exponent accepts and
-    validates them, but its closed forms and 1-D fit use none of them."""
+    """Solver settings: ``seed`` backs the CLI's ``exponent --seed`` and is
+    validated, but min_exponent's closed forms and 1-D fit draw no samples."""
 
-    k_grid: int = 50
-    sphere_points: int = 200
-    restarts: int = 5
     seed: int = 0
-    newton_iters: int = 80
-    grad_tol: float = 1e-11
 
     def __post_init__(self) -> None:
         if not 0 <= self.seed < math.inf:
             raise ParameterError("seed must be finite and nonnegative")
-        if not 2 <= self.k_grid < math.inf:
-            raise ParameterError("k_grid must be finite and at least 2")
-        for name in ("sphere_points", "restarts", "newton_iters"):
-            if not 1 <= getattr(self, name) < math.inf:
-                raise ParameterError(f"{name} must be finite and at least 1")
-        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0.0):
-            raise ParameterError("grad_tol must be finite and positive")
 
 
 def singlet_pair_probs(problem: TwoBasisSampling) -> np.ndarray:

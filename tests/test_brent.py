@@ -1,4 +1,4 @@
-"""The in-package Brent solvers against the SciPy routines they port."""
+"""The in-package Brent root finder against the SciPy routine it ports."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from b92sim._brent import brent_min, brent_root
+from b92sim._brent import brent_root
 from b92sim.errors import ConsistencyError, DomainError
 
 
@@ -50,28 +50,3 @@ class TestBrentRoot:
         with pytest.raises(RuntimeError):
             optimize.brentq(f, 0.0, 5.0, xtol=1e-15, maxiter=3)
 
-
-class TestBrentMin:
-    @pytest.mark.parametrize("xatol", [1e-5, 1e-12])
-    def test_equals_bounded_minimize_scalar(self, xatol):
-        rng = np.random.default_rng(8)
-        for _ in range(12):
-            c, w = rng.uniform(0.0, 1.0), rng.uniform(0.5, 4.0)
-            for f in ((lambda x: (x - c) ** 2), (lambda x: -math.sin(w * x + c)),
-                      (lambda x: abs(x - c) + 0.1 * x), (lambda x: x)):
-                res = optimize.minimize_scalar(f, method="bounded", bounds=(0.0, 1.0),
-                                               options={"xatol": xatol})
-                assert brent_min(f, 0.0, 1.0, xatol) == (res.x, res.fun)
-
-    def test_stops_after_maxfun_evaluations(self):
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return -math.sin(3.0 * x)
-
-        res = optimize.minimize_scalar(f, method="bounded", bounds=(0.0, 2.0),
-                                       options={"xatol": 1e-12, "maxiter": 7})
-        calls.clear()
-        assert brent_min(f, 0.0, 2.0, 1e-12, maxfun=7) == (res.x, res.fun)
-        assert len(calls) == 7

@@ -12,13 +12,14 @@ import pytest
 from scipy import optimize
 
 from b92sim import cli
-from b92sim._brent import brent_min
-from b92sim.security import SlackVector
+from b92sim.protocol import _depolarizing_scalars
+from b92sim.security import SlackVector, _domain, _phase_ceiling
 from b92sim.cli import (
     CSV_HEADER,
     cmd_optimize,
     cmd_rate,
     cmd_simulate,
+    fmt,
     main,
     overlap_to_alpha_sq,
     parse_basis,
@@ -148,25 +149,61 @@ class TestOptimizeCommand:
         assert g == cmd_rate(0.0, 0.49).G
 
     @pytest.mark.parametrize("p", OPTIMIZE_P)
-    def test_optimum_is_at_least_a_dense_scan(self, p, monkeypatch):
-        searches = []
-
-        def recorded(f, lo, hi, xatol):
-            found = brent_min(f, lo, hi, xatol)
-            searches.append((f, lo, hi, xatol, found))
-            return found
-
-        monkeypatch.setattr(cli, "brent_min", recorded)
+    def test_optimum_is_at_least_a_dense_scan(self, p):
         alpha_sq, _, g = cmd_optimize(p)
         _, scan_g = optimize_oracle(p, 101)
         assert g >= scan_g - 1e-12
         if scan_g == 0.0:
             assert (alpha_sq, g) == (0.01, 0.0)
-        # the search is SciPy's bounded Brent, bit for bit
-        [(f, lo, hi, xatol, found)] = searches
-        res = optimize.minimize_scalar(f, method="bounded", bounds=(lo, hi),
-                                       options={"xatol": xatol})
-        assert found == (res.x, res.fun)
+
+    def test_optimum_is_at_least_scipys_bounded_search(self):
+        # SciPy's bounded Brent search on S, compared with both ends, as the
+        # optimizer searched before it took the root of dS/dalpha^2
+        for p in [0.001 * i for i in range(750)] + [1e-7, 1e-320]:
+            res = optimize.minimize_scalar(lambda a: -cli._key_rate_slope(p, a)[0],
+                                           method="bounded", bounds=(0.01, 0.49),
+                                           options={"xatol": 1e-12})
+            scipy_g = max(cmd_rate(p, a).G for a in (res.x, 0.01, 0.49))
+            assert cmd_optimize(p)[2] >= scipy_g - 1e-12, p
+
+    def test_slope_matches_central_differences(self):
+        # a five-point central difference of S, away from the kink where
+        # e_ph reaches 1/2 and S turns into -r_fil h(e_bit)
+        rng = np.random.default_rng(12)
+        h, checked = 1e-4, 0
+        for p, alpha_sq in zip(rng.uniform(0.0, 0.75, 600), rng.uniform(0.011, 0.489, 600)):
+            alpha = math.sqrt(alpha_sq)
+            r_fil, r_err, _ = _depolarizing_scalars(alpha, p)
+            if abs(_phase_ceiling(r_err, r_fil, alpha)[0] / r_fil - 0.5) <= 1e-3:
+                continue
+            s = [cli._key_rate_slope(p, alpha_sq + k * h)[0] for k in (-2, -1, 1, 2)]
+            central = (8.0 * (s[2] - s[1]) - (s[3] - s[0])) / (12.0 * h)
+            assert cli._key_rate_slope(p, alpha_sq)[1] == pytest.approx(central, rel=1e-7)
+            checked += 1
+        assert checked > 500
+
+    def test_ceiling_at_the_domain_end_only_past_half(self):
+        # the slope takes r_ph_bar from the quadratic's right root wherever
+        # e_ph < 1/2: the ceiling sits at the domain's right end only past it
+        for p in np.linspace(0.0, 0.75, 301)[:-1]:
+            for alpha_sq in np.linspace(0.01, 0.49, 49):
+                alpha = math.sqrt(alpha_sq)
+                r_fil, r_err, _ = _depolarizing_scalars(alpha, p)
+                r_ph_bar, x_star, delta, _ = _phase_ceiling(r_err, r_fil, alpha)
+                if x_star == _domain(delta, alpha)[1]:
+                    assert r_ph_bar / r_fil >= 0.5, (p, alpha_sq)
+
+    def test_optimum_is_stable_under_one_ulp_of_p(self):
+        # G is flat at its peak, so the optimum is the slope's root, which
+        # one rounding step in p moves by far less than the printed digits
+        secure = 0
+        for i in range(1, 340):
+            p = round(0.0001 * i, 4)
+            alpha_sq, _, g = cmd_optimize(p)
+            if g > 0.0:
+                secure += 1
+                assert fmt(cmd_optimize(math.nextafter(p, 1.0))[0]) == fmt(alpha_sq), p
+        assert secure > 300
 
     def test_evaluation_budget(self, monkeypatch):
         # the search's evaluations go through the scalar rates kernel
@@ -185,7 +222,7 @@ class TestOptimizeCommand:
 
     @pytest.mark.parametrize("p", [0.0, 0.02, 0.03])
     def test_optimum_is_the_rate_report_at_that_point(self, p):
-        # the search evaluates G through its own closure over the rates; it
+        # the search evaluates S through the scalar kernels; the optimum's G
         # must be exactly the G that the rate command reports
         alpha_sq, _, g = cmd_optimize(p)
         assert g == cmd_rate(p, alpha_sq).G
@@ -549,17 +586,17 @@ class TestParserReuse:
 class TestRunTimeImports:
     def test_no_command_loads_scipy(self):
         # a fresh process runs each command once: optimize and sweep run the
-        # bounded Brent search, simulate with slacks the slacked bound's
-        # root finder, and exponent queries, near-collinear ones too, the
-        # circle fit's root finder
+        # root finder on the key rate's slope, simulate with slacks the
+        # slacked bound's, and exponent queries, near-collinear ones too, the
+        # circle fit's
         script = """
 import contextlib, io, sys
 from b92sim import _brent, cli, security
 calls = []
-def counted(fn):
-    return lambda *args, **kw: calls.append(fn.__name__) or fn(*args, **kw)
-cli.brent_min = counted(_brent.brent_min)
-security.brent_root = counted(_brent.brent_root)
+def counted(module):
+    return lambda *args, **kw: calls.append(module.__name__) or _brent.brent_root(*args, **kw)
+cli.brent_root = counted(cli)
+security.brent_root = counted(security)
 runs = [
     ["rate", "--p", "0.03", "--alpha-sq", "0.2"],
     ["optimize", "--p", "0.02"],
@@ -579,7 +616,7 @@ print(sorted(set(calls)), sorted(m for m in sys.modules if m.split(".")[0] == "s
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "['brent_min', 'brent_root'] []\n"
+        assert proc.stdout == "['b92sim.cli', 'b92sim.security'] []\n"
 
 
 class TestDeterministicFormatting:
@@ -616,3 +653,14 @@ class TestDeterministicFormatting:
         cfg.write_text('{"p": -0.0, "alpha-sq": 0.2}')
         _, out, _ = run_cli(capsys, "rate", "--config", str(cfg))
         assert out == run_cli(capsys, "rate", "--p", "0", "--alpha-sq", "0.2")[1]
+
+    def test_computed_negative_zero_prints_as_zero(self, capsys):
+        # no flag is negative, but the fit's Bloch vector has a -0.0 component
+        code, out, _ = run_cli(capsys, "exponent", "--basis0", "0", "--basis1", "0.9273",
+                               "--m0", "20", "--m1", "20", "--delta0", "0", "--delta1", "0")
+        assert code == 0
+        data = json.loads(out)
+        values = data["point"]["bloch_n"] + np.ravel(data["point"]["q"]).tolist()
+        assert 0.0 in values
+        assert all(math.copysign(1.0, v) > 0.0 for v in values if v == 0.0)
+        assert fmt(-0.0) == "0"

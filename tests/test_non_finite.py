@@ -41,8 +41,6 @@ CONSTRUCTORS = {
     "ExponentPoint.p": lambda v: b.ExponentPoint(0.1, np.array([0, 0, 1.0]), Q,
                                                  _first(v, [0.25] * 3).reshape(2, 2)),
     "SolverOptions.seed": lambda v: b.SolverOptions(seed=v),
-    "SolverOptions.k_grid": lambda v: b.SolverOptions(k_grid=v),
-    "SolverOptions.grad_tol": lambda v: b.SolverOptions(grad_tol=v),
     "StateVector": lambda v: b.StateVector(_first(v, [0.0])),
     "DensityMatrix": lambda v: b.DensityMatrix(_first(v, [0, 0, 0.5]).reshape(2, 2)),
     "Povm": lambda v: b.Povm([_first(v, [0, 0, 0]).reshape(2, 2), np.diag([0.0, 1.0])]),
