@@ -26,21 +26,20 @@ import numpy as np
 from ._brent import brent_root
 from .errors import DomainError, ParameterError
 from .exponent import SolverOptions, TwoBasisSampling, min_exponent, zero_region_contains
-from .protocol import ProtocolParams, _depolarizing_scalars, depolarizing_rates, run_protocol1
-# expected_rates is not called here, but the benchmark's tracer
-# (perfbench/tracing.py) wraps it as cli.expected_rates, so it must stay
-# resolvable in this module.
+from .protocol import ProtocolParams, _depolarizing_scalars, run_protocol1
+# expected_rates and phase_error_bound are not called here, but the
+# benchmark's tracer (perfbench/tracing.py) wraps them as cli.expected_rates
+# and cli.phase_error_bound, so they must stay resolvable in this module.
 from .protocol import expected_rates  # noqa: F401
-from .quantum import check_alpha, depolarizing_channel
-from .security import (
-    ObservedRates,
+from .quantum import check_alpha, check_strength, depolarizing_channel
+from .security import (  # noqa: F401
     SlackVector,
+    _key_rate,
     _phase_ceiling,
     binary_entropy,
     failure_budget,
     finite_key_length,
     finite_size_bound,
-    key_rate,
     phase_error_bound,
 )
 
@@ -143,23 +142,18 @@ def _alpha(alpha_sq: float) -> float:
 
 
 def cmd_rate(p: float, alpha_sq: float) -> RateReport:
-    """Analytic report for one (channel strength, nonorthogonality) point,
-    from the closed-form depolarizing rates."""
+    """Analytic report for one (channel strength, nonorthogonality) point.
+
+    The numbers are those of depolarizing_rates, phase_error_bound and
+    key_rate, taken from the scalar kernels they wrap once p and alpha are
+    checked, so no object is built but the report; r_bit = r_err = p/3.
+    """
     alpha = _alpha(alpha_sq)
-    rates = depolarizing_rates(alpha, p)
-    obs = ObservedRates(r_err=rates.r_err, r_fil=rates.r_fil, alpha=alpha)
-    bound = phase_error_bound(obs)
-    return RateReport(
-        alpha_sq=alpha_sq,
-        overlap=(1.0 - 2.0 * alpha_sq) ** 2,
-        p=p,
-        r_fil=rates.r_fil,
-        r_err=rates.r_err,
-        r_ph_bar=bound.r_ph_bar,
-        r_ph_actual=rates.r_ph,
-        r_bit_actual=rates.r_bit,
-        G=key_rate(obs, bound),
-    )
+    check_strength(p)
+    r_fil, r_err, r_ph = _depolarizing_scalars(alpha, p)
+    r_ph_bar, _, _, feasible = _phase_ceiling(r_err, r_fil, alpha)
+    return RateReport(alpha_sq, (1.0 - 2.0 * alpha_sq) ** 2, p, r_fil, r_err,
+                      r_ph_bar, r_ph, r_err, _key_rate(r_err, r_fil, r_ph_bar, feasible))
 
 
 def _key_rate_slope(p: float, alpha_sq: float) -> tuple[float, float]:
@@ -349,7 +343,15 @@ def _grid(lo: float, hi: float, steps: int) -> tuple[float, ...]:
         raise CliUsageError("grid bounds must be ordered with steps >= 1")
     if steps == 1:
         return (lo,)
-    return tuple(float(v) for v in np.linspace(lo, hi, steps))
+    # past sys.maxsize // 8 steps no float64 array fits in the address space,
+    # and linspace fails in several ways (IndexError at 2**63 - 1)
+    if steps > sys.maxsize // 8:
+        raise CliUsageError(f"a grid of {steps} steps is too large")
+    try:
+        values = np.linspace(lo, hi, steps)
+    except (ValueError, MemoryError) as exc:  # more steps than memory can hold
+        raise CliUsageError(f"a grid of {steps} steps is too large: {exc}") from exc
+    return tuple(float(v) for v in values)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -367,8 +369,19 @@ def _render(fields: tuple[str, ...], rows: list[tuple], fmt_name: str,
     if fmt_name == "csv":
         lines = [",".join(fields)] + [",".join(map(fmt, row)) for row in rows]
         return "\n".join(lines) + "\n"
-    objs = [{name: jf(v) for name, v in zip(fields, row)} for row in rows]
-    return json.dumps(objs if many else objs[0], indent=2) + "\n"
+    # json.dumps(..., indent=2) of the jf values, written here: json spells a
+    # float as repr(x) and None as null, and its indent encoder is pure Python
+    pad = "    " if many else "  "
+    objs = []
+    for row in rows:
+        items = []
+        for name, v in zip(fields, row):
+            x = jf(v)
+            items.append(f'{pad}"{name}": {"null" if x is None else repr(x)}')
+        objs.append("{\n" + ",\n".join(items) + "\n" + pad[2:] + "}")
+    if not many:
+        return objs[0] + "\n"
+    return "[\n  " + ",\n  ".join(objs) + "\n]\n"
 
 
 def _float(text: str) -> float:
@@ -428,6 +441,7 @@ def make_parser() -> _Parser:
     sp.add_argument("--seed", type=int, default=0)
     add_common(sp, formats=False)
 
+    parser.commands = sub.choices  # command name -> its parser, for main
     return parser
 
 
@@ -490,14 +504,25 @@ def _parser() -> _Parser:
     return make_parser()
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as the full parser parses it.  When argv[0] names a
+    command, the rest goes straight to that command's parser, which the full
+    parser would hand it to after scanning every token itself; anything else
+    (no argument, -h, an unknown command, --) takes the full parser."""
+    sub = _parser().commands.get(argv[0]) if argv else None
+    if sub is None:
+        return _parser().parse_args(argv)
+    return sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
         if args.config is not None:
             # config options go ahead of the command's own flags, which win
             at = argv.index(args.command) + 1
-            args = _parser().parse_args(argv[:at] + _config_flags(args) + argv[at:])
+            args = _parse(argv[:at] + _config_flags(args) + argv[at:])
         return _run(args)
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -46,6 +46,9 @@ from .quantum import (  # noqa: F401
     signal_state,
 )
 
+# the largest pair budget: the samplers draw counts as int64
+_MAX_PAIRS = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class ProtocolParams:
@@ -62,8 +65,8 @@ class ProtocolParams:
 
     def __post_init__(self) -> None:
         check_alpha(self.alpha)
-        if not 1 <= self.n_pairs < math.inf:
-            raise ParameterError("n_pairs must be finite and at least 1")
+        if not 1 <= self.n_pairs <= _MAX_PAIRS:
+            raise ParameterError(f"n_pairs must lie in [1, {_MAX_PAIRS}]")
         if not 0 <= self.seed < math.inf:
             raise ParameterError("seed must be finite and nonnegative")
 

@@ -235,6 +235,14 @@ def _secret_fraction(e_bit: float, e_ph: float) -> float:
     return max(1.0 - binary_entropy(e_bit) - binary_entropy(e_ph), 0.0)
 
 
+def _key_rate(r_err: float, r_fil: float, r_ph_bar: float, feasible: bool) -> float:
+    """key_rate from unchecked rates and _phase_ceiling's (r_ph_bar,
+    feasible), math-only; the rate command calls it directly."""
+    if r_fil <= 0.0 or not feasible:
+        return 0.0
+    return r_fil * _secret_fraction(r_err / r_fil, r_ph_bar / r_fil)
+
+
 def key_rate(obs: ObservedRates, bound: BoundResult | None = None) -> float:
     """Asymptotic secret bits per pair for the observed rates.
 
@@ -246,9 +254,7 @@ def key_rate(obs: ObservedRates, bound: BoundResult | None = None) -> float:
         return 0.0
     if bound is None:
         bound = phase_error_bound(obs)
-    if not bound.feasible:
-        return 0.0
-    return obs.r_fil * _secret_fraction(obs.r_err / obs.r_fil, bound.r_ph_bar / obs.r_fil)
+    return _key_rate(obs.r_err, obs.r_fil, bound.r_ph_bar, bound.feasible)
 
 
 def finite_key_length(

@@ -36,7 +36,10 @@ OPTIMIZE_P = (
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # -h prints help and leaves
+        code = ("SystemExit", exc.code)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -549,6 +552,31 @@ class TestExitCodes:
         )
         assert code == 3
 
+    def test_pair_budget_beyond_int64_exits_2(self, capsys):
+        # the count sampler raised OverflowError on it
+        code, out, err = run_cli(capsys, "simulate", "--p", "0.03", "--alpha-sq", "0.2",
+                                 "--n", str(10**20))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: n_pairs must lie in [1, 9223372036854775807]")
+
+    def test_largest_pair_budget_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "--p", "0.03", "--alpha-sq", "0.2",
+                               "--n", str(2**63 - 1))
+        assert code == 0
+        assert json.loads(out)["params"]["n_pairs"] == 2**63 - 1
+
+    # linspace raises ValueError, IndexError (at 2**63 - 1) or, at 2**55 steps
+    # (256 PiB, past any address space), MemoryError
+    @pytest.mark.parametrize("steps", [10**20, 2**63, 2**63 - 1, 2**62, 2**60 - 1, 2**55])
+    @pytest.mark.parametrize("axis", ["p", "alpha"])
+    def test_grid_too_large_for_an_array_exits_1(self, capsys, axis, steps):
+        grid = {"p": ["--p-min", "0.01", "--p-max", "0.02", "--p-steps", str(steps)],
+                "alpha": ["--p", "0.01", "--alpha-min", "0.1", "--alpha-max", "0.2",
+                          "--alpha-steps", str(steps)]}[axis]
+        code, out, err = run_cli(capsys, "sweep", *grid)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: a grid of {steps} steps is too large")
+
 
 class TestParserReuse:
     def test_cached_parser_matches_fresh_parsers(self, capsys, tmp_path):
@@ -581,6 +609,76 @@ class TestParserReuse:
         cached = run_all(fresh=False)
         assert cached == run_all(fresh=True)
         assert [code for code, _ in cached] == [0, 0, 0, 0, 0, 1, 1, 0, 0]
+
+
+class TestDirectDispatch:
+    """main hands the tokens after a command name to that command's parser;
+    every outcome must be the full parser's."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": 0.02, "alpha-sq": 0.25, "format": "json"}))
+        bad_cfg = tmp_path / "bad.json"
+        bad_cfg.write_text(json.dumps({"p": 0.02, "bogus": 1}))
+        rate = ["rate", "--p", "0.03", "--alpha-sq", "0.2"]
+        help_exit = ("SystemExit", 0)
+        # (argv, the exit code that both parsers give)
+        return [
+            (rate, 0),
+            (["optimize", "--p", "0.02", "--format", "json"], 0),
+            (["sweep", "--p-min", "0", "--p-max", "0.04", "--p-steps", "3"], 0),
+            (["sweep", "--p", "0.01", "--alpha-min", "0.1", "--alpha-max", "0.2",
+              "--alpha-steps", "2", "--format", "json"], 0),
+            (["simulate", "--p", "0.03", "--alpha-sq", "0.2", "--n", "1000", "--seed", "3"], 0),
+            (["exponent", "--basis0", "0", "--basis1", "0.9273", "--m0", "20", "--m1", "20",
+              "--delta0", "0.1", "--delta1", "0.8"], 0),
+            (["rate", "--p=0.03", "--alpha-sq=0.2", "--format=json"], 0),
+            (["rate", "--alpha-s", "0.2", "--p", "0.03"], 0),
+            (["rate", "--config", str(cfg)], 0),
+            (["rate", f"--config={cfg}"], 0),
+            (["rate", "--p", "0.01", "--config", str(cfg)], 0),
+            (["rate", "--config", str(cfg), "--p", "0.01", "--format", "csv"], 0),
+            ([f"--config={cfg}"], 1),
+            (["rate", "--config", str(bad_cfg)], 1),
+            (["rate", "--config", str(tmp_path / "missing.json")], 3),
+            (rate + ["--bogus"], 1),
+            (rate + ["extra"], 1),
+            (rate + ["--", "--p", "0.01"], 1),
+            (["rate", "--p"], 1),
+            (["rate", "--p", "abc", "--alpha-sq", "0.2"], 1),
+            (rate + ["--format", "xml"], 1),
+            (["rate", "--p", "0.03"], 1),
+            (["rate", "--p", "0.03", "--alpha-sq", "0.6"], 2),
+            (["rate", "optimize", "--p", "0.03"], 1),
+            (["nope"], 1),
+            (["nope", "--p", "0.03"], 1),
+            (["--p", "0.03", "rate"], 1),
+            ([], 1),
+            (["--"] + rate, 1),
+            (["--", "rate"], 1),
+            (["rate", "-h"], help_exit),
+            (["sweep", "--help"], help_exit),
+            (["-h"], help_exit),
+            (["-h", "rate"], help_exit),
+        ]
+
+    def test_outcomes_match_the_full_parser(self, capsys, monkeypatch, corpus):
+        direct = [run_cli(capsys, *argv) for argv, _ in corpus]
+        assert [code for code, _, _ in direct] == [code for _, code in corpus]
+        monkeypatch.setattr(cli, "_parse", lambda argv: cli.make_parser().parse_args(argv))
+        assert direct == [run_cli(capsys, *argv) for argv, _ in corpus]
+
+
+class TestTracerTargets:
+    def test_every_traced_name_resolves(self, monkeypatch):
+        # the benchmark's tracer wraps functions by (module, attribute); a name
+        # that moved away would leave its layer untraced
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import tracing
+
+        for module, attr, span, _ in tracing.targets():
+            assert callable(getattr(module, attr, None)), (module.__name__, attr, span)
 
 
 class TestRunTimeImports:

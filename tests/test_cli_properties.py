@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from b92sim.cli import main
+from b92sim.cli import RateReport, _render, jf, main
 
 # floats with the edge values drawn often: negatives, zeros, nan, +-inf, and
 # the ranges where the commands succeed
@@ -177,3 +177,32 @@ class TestCliProperties:
     def test_exponent_gives_documented_exit_code_and_strict_json(self, argv):
         # exponent always prints JSON
         check(argv)
+
+
+# report values with the cases a JSON writer can get wrong: nan, +-inf, -0.0,
+# subnormals, the ends of the float range and values already at 12 digits
+ROW_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-310,
+                     2.2250738585072014e-308, 1e300, -1e300, 1.7976931348623157e308]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-1e6, 1e6).map(lambda x: float(f"{x:.12g}")),
+    st.tuples(st.integers(-10**12 + 1, 10**12 - 1), st.integers(-320, 300))
+    .map(lambda t: float(f"{t[0]}e{t[1]}")),
+)
+
+
+class TestJsonRows:
+    @settings(max_examples=500, deadline=None)
+    @given(rows=st.lists(st.tuples(*[ROW_VALUES] * 9), min_size=1, max_size=3),
+           many=st.booleans())
+    @example(rows=[(-0.0, 1e-310, math.nan, math.inf, -math.inf, 1e300, -1e300,
+                    123456789012.0, 0.1)], many=False)
+    def test_rows_are_json_dumps_with_indent(self, rows, many):
+        if not many:
+            rows = rows[:1]
+        fields = RateReport._fields
+        objs = [{name: jf(v) for name, v in zip(fields, row)} for row in rows]
+        expected = json.dumps(objs if many else objs[0], indent=2) + "\n"
+        out = _render(fields, rows, "json", many=many)
+        assert out == expected
+        json.loads(out, parse_constant=reject)

@@ -309,6 +309,13 @@ class TestRunProtocol1:
         with pytest.raises(ParameterError):
             ProtocolParams(alpha=0.2, n_pairs=10, channel=identity_channel(), seed=-1)
 
+    def test_pair_budget_beyond_int64_rejected(self):
+        # the count samplers overflowed on such a budget instead
+        ProtocolParams(alpha=0.2, n_pairs=2**63 - 1, channel=identity_channel())
+        for n in (2**63, 10**20):
+            with pytest.raises(ParameterError, match="n_pairs"):
+                ProtocolParams(alpha=0.2, n_pairs=n, channel=identity_channel())
+
 
 class TestRunB92:
     def test_noiseless_sifted_bits_agree(self):
