@@ -8,7 +8,7 @@ endings with the fixed column order
     alpha_sq,overlap,p,r_fil,r_err,r_ph_bar,r_ph_actual,r_bit_actual,G
 
 Exit codes: 0 success, 1 usage/parse error, 2 mathematical
-infeasibility/singularity, 3 I/O error.
+infeasibility/singularity or a solver that did not converge, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._brent import brent_root
-from .errors import DomainError, ParameterError
+from .errors import ConsistencyError, DomainError, ParameterError
 from .exponent import SolverOptions, TwoBasisSampling, min_exponent, zero_region_contains
 from .protocol import ProtocolParams, _depolarizing_scalars, run_protocol1
 # expected_rates and phase_error_bound are not called here, but the
@@ -409,22 +409,24 @@ def make_parser() -> _Parser:
         for flag in flags:
             sp.add_argument(flag, type=_float)
 
-    sp = sub.add_parser("rate", help="analytic report for one channel point")
+    sp = sub.add_parser("rate", help="analytic report for one channel point", allow_abbrev=False)
     add_floats(sp, "--p", "--alpha-sq", "--overlap")
     add_common(sp)
 
-    sp = sub.add_parser("optimize", help="best nonorthogonality for a channel")
+    sp = sub.add_parser("optimize", help="best nonorthogonality for a channel",
+                        allow_abbrev=False)
     add_floats(sp, "--p")
     add_common(sp)
 
-    sp = sub.add_parser("sweep", help="grid of analytic reports")
+    sp = sub.add_parser("sweep", help="grid of analytic reports", allow_abbrev=False)
     add_floats(sp, "--p", "--p-min", "--p-max")
     sp.add_argument("--p-steps", type=int)
     add_floats(sp, "--alpha-sq", "--overlap", "--alpha-min", "--alpha-max")
     sp.add_argument("--alpha-steps", type=int)
     add_common(sp)
 
-    sp = sub.add_parser("simulate", help="one protocol run plus finite-size report")
+    sp = sub.add_parser("simulate", help="one protocol run plus finite-size report",
+                        allow_abbrev=False)
     add_floats(sp, "--p", "--alpha-sq", "--overlap")
     sp.add_argument("--n", type=int)
     sp.add_argument("--seed", type=int, default=0)
@@ -432,7 +434,7 @@ def make_parser() -> _Parser:
         sp.add_argument(f"--eps{i}", type=_float, default=0.0)
     add_common(sp, formats=False)
 
-    sp = sub.add_parser("exponent", help="two-basis sampling exponent")
+    sp = sub.add_parser("exponent", help="two-basis sampling exponent", allow_abbrev=False)
     sp.add_argument("--basis0", metavar="SPEC")
     sp.add_argument("--basis1", metavar="SPEC")
     sp.add_argument("--m0", type=int)
@@ -527,7 +529,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DomainError, ParameterError) as exc:
+    except (DomainError, ParameterError, ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

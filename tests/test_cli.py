@@ -12,6 +12,7 @@ import pytest
 from scipy import optimize
 
 from b92sim import cli
+from b92sim.errors import ConsistencyError
 from b92sim.protocol import _depolarizing_scalars
 from b92sim.security import SlackVector, _domain, _phase_ceiling
 from b92sim.cli import (
@@ -24,7 +25,7 @@ from b92sim.cli import (
     overlap_to_alpha_sq,
     parse_basis,
 )
-from oracles import optimize_oracle
+from oracles import finite_size_oracle, optimize_oracle
 
 # the secure window finely, the threshold (p ~ 0.034), then seeded points
 # up to the end of the channel range
@@ -355,6 +356,38 @@ class TestSimulateCommand:
         assert lengths[0] > 0.0
         assert all(b <= a for a, b in zip(lengths, lengths[1:]))
 
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_ceiling_covers_the_oracle_on_a_non_convex_set(self, capsys, seed):
+        # the slacked feasible set has a small nub by the corner x ~ eps6,
+        # d ~ x; a ray search started in it stops at the nub's corner,
+        # 0.00264973 whatever the tallies
+        eps = ("0", "0.023", "0", "0", "0", "0.0029", "0.027", "0.000026")
+        code, out, _ = run_cli(
+            capsys, "simulate", "--p", "0", "--alpha-sq", "0.0863", "--n", "1390",
+            "--seed", str(seed), *(f"--eps{i}={e}" for i, e in enumerate(eps, 1)),
+        )
+        assert code == 0
+        data = json.loads(out)
+        tallies = data["tallies"]
+        oracle = finite_size_oracle(tallies["n_err"], tallies["n_fil"], 1390,
+                                    math.sqrt(0.0863), tuple(map(float, eps)),
+                                    dense_shape=(1001, 33, 33))
+        assert data["bound"]["feasible"] and oracle is not None
+        # the printed ceiling carries 12 significant digits
+        assert data["bound"]["r_ph_bar"] >= oracle - 1e-9
+
+    def test_noiseless_runs_with_one_open_band_never_raise(self, capsys):
+        # with eps2 = 0.025 alone, noiseless tallies leave a slacked set that
+        # is empty or a sliver at x ~ 1e-10 around the origin: each run
+        # prints its report or ends with an error line
+        for seed in range(30):
+            code, out, err = run_cli(capsys, "simulate", "--p", "0", "--alpha-sq", "0.1",
+                                     "--n", "1000", "--eps2", "0.025", "--seed", str(seed))
+            if code == 0:
+                assert "bound" in json.loads(out)
+            else:
+                assert (code, out) == (2, "") and err.startswith("error: "), seed
+
     def test_billion_pair_run_emits_strict_json(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--p", "0.03", "--alpha-sq", "0.2",
@@ -540,6 +573,16 @@ class TestExitCodes:
         assert out == ""
         assert "seed" in err
 
+    def test_solver_that_does_not_converge_exits_2(self, capsys, monkeypatch):
+        def fails(*args):
+            raise ConsistencyError("root search: no convergence after 100 steps")
+
+        monkeypatch.setattr(cli, "finite_size_bound", fails)
+        code, out, err = run_cli(capsys, "simulate", "--p", "0.03", "--alpha-sq", "0.2",
+                                 "--n", "1000", "--eps2", "0.001")
+        assert (code, out) == (2, "")
+        assert err == "error: root search: no convergence after 100 steps\n"
+
     def test_singularity_exit(self, capsys):
         code, _, err = run_cli(capsys, "rate", "--p", "0.03", "--alpha-sq", "0.4999")
         assert code == 2
@@ -634,7 +677,11 @@ class TestDirectDispatch:
             (["exponent", "--basis0", "0", "--basis1", "0.9273", "--m0", "20", "--m1", "20",
               "--delta0", "0.1", "--delta1", "0.8"], 0),
             (["rate", "--p=0.03", "--alpha-sq=0.2", "--format=json"], 0),
-            (["rate", "--alpha-s", "0.2", "--p", "0.03"], 0),
+            # flags are spelled in full
+            (["rate", "--alpha-s", "0.2", "--p", "0.03"], 1),
+            (["rate", "--p", "0.03", "--alpha", "0.2"], 1),
+            (["optimize", "--p", "0.03", "--form", "json"], 1),
+            (["simulate", "--p", "0.03", "--alpha-sq", "0.2", "--n", "1000", "--se", "3"], 1),
             (["rate", "--config", str(cfg)], 0),
             (["rate", f"--config={cfg}"], 0),
             (["rate", "--p", "0.01", "--config", str(cfg)], 0),

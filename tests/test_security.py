@@ -514,6 +514,18 @@ class TestFiniteSizeBound:
         assert res.feasible and oracle is not None
         assert res.r_ph_bar == pytest.approx(oracle, abs=1e-9)
 
+    def test_non_convex_set_with_both_bands_open(self):
+        # the feasible set has a small nub by the corner x ~ eps6, d ~ x,
+        # joined to its body through a neck; a start in the nub leaves the
+        # ray search at the nub's local maximum, 0.0021021
+        eps = (2.7940939813901293e-05, 0.0010493583196562054, 0.0, 0.01629534966557457,
+               0.0, 0.0019360978987065815, 0.003105174443197792, 0.021888525852119905)
+        args = (570, 425234, 4343946, 0.22678126115145866)
+        res = finite_size_bound(*args, SlackVector(*eps))
+        oracle = finite_size_oracle(*args, eps, dense_shape=(1001, 33, 33))
+        assert res.feasible and oracle is not None
+        assert res.r_ph_bar >= oracle - 1e-9
+
     def test_slacked_call_peaks_below_one_megabyte(self):
         n_err, n_fil = self.rates_to_counts(0.03, 0.2)
         tracemalloc.start()
