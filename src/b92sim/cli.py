@@ -397,17 +397,23 @@ def make_parser() -> _Parser:
     parser = _Parser(prog="b92sim", description=__doc__, allow_abbrev=False,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    tables: dict[_Parser, tuple[dict, dict]] = {}
+
+    def add(sp, flag, **kwargs):
+        action = sp.add_argument(flag, **kwargs)
+        options, defaults = tables.setdefault(sp, ({}, {}))
+        options[flag] = (action.dest, action.type, action.choices)
+        defaults[action.dest] = action.default
 
     def add_common(sp, formats=True):
         if formats:
-            sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--out", metavar="PATH")
-        sp.add_argument("--config", metavar="PATH",
-                        help="JSON file of option defaults; flags win")
+            add(sp, "--format", choices=("csv", "json"), default="csv")
+        add(sp, "--out", metavar="PATH")
+        add(sp, "--config", metavar="PATH", help="JSON file of option defaults; flags win")
 
     def add_floats(sp, *flags):
         for flag in flags:
-            sp.add_argument(flag, type=_float)
+            add(sp, flag, type=_float)
 
     sp = sub.add_parser("rate", help="analytic report for one channel point", allow_abbrev=False)
     add_floats(sp, "--p", "--alpha-sq", "--overlap")
@@ -420,30 +426,34 @@ def make_parser() -> _Parser:
 
     sp = sub.add_parser("sweep", help="grid of analytic reports", allow_abbrev=False)
     add_floats(sp, "--p", "--p-min", "--p-max")
-    sp.add_argument("--p-steps", type=int)
+    add(sp, "--p-steps", type=int)
     add_floats(sp, "--alpha-sq", "--overlap", "--alpha-min", "--alpha-max")
-    sp.add_argument("--alpha-steps", type=int)
+    add(sp, "--alpha-steps", type=int)
     add_common(sp)
 
     sp = sub.add_parser("simulate", help="one protocol run plus finite-size report",
                         allow_abbrev=False)
     add_floats(sp, "--p", "--alpha-sq", "--overlap")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--seed", type=int, default=0)
+    add(sp, "--n", type=int)
+    add(sp, "--seed", type=int, default=0)
     for i in range(1, 9):
-        sp.add_argument(f"--eps{i}", type=_float, default=0.0)
+        add(sp, f"--eps{i}", type=_float, default=0.0)
     add_common(sp, formats=False)
 
     sp = sub.add_parser("exponent", help="two-basis sampling exponent", allow_abbrev=False)
-    sp.add_argument("--basis0", metavar="SPEC")
-    sp.add_argument("--basis1", metavar="SPEC")
-    sp.add_argument("--m0", type=int)
-    sp.add_argument("--m1", type=int)
+    add(sp, "--basis0", metavar="SPEC")
+    add(sp, "--basis1", metavar="SPEC")
+    add(sp, "--m0", type=int)
+    add(sp, "--m1", type=int)
     add_floats(sp, "--delta0", "--delta1")
-    sp.add_argument("--seed", type=int, default=0)
+    add(sp, "--seed", type=int, default=0)
     add_common(sp, formats=False)
 
-    parser.commands = sub.choices  # command name -> its parser, for main
+    # for _parse: command name -> its parser, and -> its flag table, which
+    # maps each option string to (dest, type, choices) next to every dest's
+    # default
+    parser.commands = sub.choices
+    parser.flags = {name: tables[sp] for name, sp in sub.choices.items()}
     return parser
 
 
@@ -506,15 +516,55 @@ def _parser() -> _Parser:
     return make_parser()
 
 
+def _read_flags(table: tuple[dict, dict], command: str,
+                tokens: list[str]) -> argparse.Namespace | None:
+    """tokens as the command's parser reads them when they are ``--flag
+    value`` pairs of known flags whose values start with no dash, convert
+    with the flag's type and lie among its choices; None for any other
+    tokens, which are left to argparse."""
+    options, defaults = table
+    if len(tokens) % 2:
+        return None
+    values = dict(defaults, command=command)
+    for flag, text in zip(tokens[::2], tokens[1::2]):
+        option = options.get(flag)
+        if option is None or text.startswith("-"):
+            return None
+        dest, kind, choices = option
+        value = text
+        if kind is not None:
+            try:
+                value = kind(text)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    args = argparse.Namespace()
+    vars(args).update(values)
+    return args
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
     """argv parsed as the full parser parses it.  When argv[0] names a
-    command, the rest goes straight to that command's parser, which the full
-    parser would hand it to after scanning every token itself; anything else
-    (no argument, -h, an unknown command, --) takes the full parser."""
-    sub = _parser().commands.get(argv[0]) if argv else None
+    command, the rest is read from that command's flag table or, when
+    _read_flags declines it (-h, --flag=value, --, an unknown flag or a bad
+    value), by the command's parser, which the full parser would hand it to
+    after scanning every token itself; anything else (no argument, -h, an
+    unknown command, --) takes the full parser."""
+    parser = _parser()
+    sub = parser.commands.get(argv[0]) if argv else None
     if sub is None:
-        return _parser().parse_args(argv)
-    return sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        return parser.parse_args(argv)
+    args = _read_flags(parser.flags[argv[0]], argv[0], argv[1:])
+    if args is None:
+        args = sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        # argparse before Python 3.12 reads --flag=-- as an empty list
+        for dest, value in vars(args).items():
+            if isinstance(value, list):
+                raise CliUsageError(f"argument --{dest.replace('_', '-')}: "
+                                    "expected one argument")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:

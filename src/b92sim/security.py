@@ -413,7 +413,12 @@ def _slacked_optimum(width, gap: float, d_bot: float, d_top: float,
     best = [-math.inf, 0.0, 0.0]
 
     def reach(px: float, pd: float, ux: float, ud: float) -> float:
-        # distance along (ux, ud) to the count box, then to the set's edge
+        # distance along (ux, ud), in units of its length, to the count box,
+        # then to the set's edge; the search runs along the unit direction,
+        # so a chord scale at its 1e-15 floor does not stretch its bracket
+        # past what brent_root closes in 100 steps
+        norm = math.hypot(ux, ud)
+        ux, ud = ux / norm, ud / norm
         t = math.inf
         for gx, gd, b in ((-1.0, 1.0, 0.0), (-1.0, -1.0, 0.0), (1.0, 0.0, 1.0),
                           (0.0, 1.0, d_top), (0.0, -1.0, -d_bot)):
@@ -425,7 +430,7 @@ def _slacked_optimum(width, gap: float, d_bot: float, d_top: float,
         x, d = px + t * ux, pd + t * ud
         if x + gap * d > best[0]:
             best[:] = [x + gap * d, x, d]
-        return t
+        return t / norm
 
     if start is None or width(*start) < 0.0:
         *start, margin = _widest_point(width, d_bot, d_top)

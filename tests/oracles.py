@@ -261,9 +261,14 @@ def _slsqp_finite_size(n_err, n_fil, n_pairs, alpha, eps, start, signs):
                            - (w - 2 * c["e5"]))
         return np.array(out)
 
+    def angle(skew, mass):
+        # an empty sector leaves its ratio free, as in _slacked_width: pi/4
+        if mass == 0.0:
+            return 0.25 * math.pi
+        return 0.5 * math.acos(min(max(-skew / mass, -1.0), 1.0))
+
     x, a, d = start
-    angles = [0.5 * math.acos(min(max(-a / (1.0 - x), -1.0), 1.0)),
-              0.5 * math.acos(min(max(-d / x, -1.0), 1.0))]
+    angles = [angle(a, 1.0 - x), angle(d, x)]
     res = optimize.minimize(lambda v: -(v[0] + gap * raw(v)[2]), [x] + angles, method="SLSQP",
                             bounds=[(1e-9, 1 - 1e-9), (0.0, 0.5 * math.pi), (0.0, 0.5 * math.pi)],
                             constraints=[{"type": "ineq", "fun": cons}],

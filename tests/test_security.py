@@ -526,6 +526,20 @@ class TestFiniteSizeBound:
         assert res.feasible and oracle is not None
         assert res.r_ph_bar >= oracle - 1e-9
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_noiseless_sliver_closes_its_ray_searches(self):
+        # no error and 180 filtered pairs in 1000 at alpha^2 = 0.1, eps2 =
+        # 0.025 alone: the set is a sliver around the origin, both chords of
+        # the start have length 0, and a ray scaled by them once handed
+        # brent_root a bracket 1e12 long that 100 steps did not close.  The
+        # oracle's dense scan starts an SLSQP solve at x = 0 here
+        eps = (0.0, 0.025, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        alpha = math.sqrt(0.1)
+        res = finite_size_bound(0, 180, 1000, alpha, SlackVector(*eps))
+        oracle = finite_size_oracle(0, 180, 1000, alpha, eps, dense_shape=(1001, 33, 33))
+        assert res.feasible and oracle is not None
+        assert res.r_ph_bar >= oracle - 1e-12
+
     def test_slacked_call_peaks_below_one_megabyte(self):
         n_err, n_fil = self.rates_to_counts(0.03, 0.2)
         tracemalloc.start()
