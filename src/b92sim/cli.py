@@ -150,8 +150,8 @@ def cmd_rate(p: float, alpha_sq: float) -> RateReport:
     """
     alpha = _alpha(alpha_sq)
     check_strength(p)
-    r_fil, r_err, r_ph = _depolarizing_scalars(alpha, p)
-    r_ph_bar, _, _, feasible = _phase_ceiling(r_err, r_fil, alpha)
+    r_fil, r_err, r_ph, delta, excess = _depolarizing_scalars(alpha, p)
+    r_ph_bar, _, _, feasible = _phase_ceiling(delta, excess, alpha)
     return RateReport(alpha_sq, (1.0 - 2.0 * alpha_sq) ** 2, p, r_fil, r_err,
                       r_ph_bar, r_ph, r_err, _key_rate(r_err, r_fil, r_ph_bar, feasible))
 
@@ -173,8 +173,8 @@ def _key_rate_slope(p: float, alpha_sq: float) -> tuple[float, float]:
     S = -r_fil h(e_bit) and S' = r_fil' log2(1 - e_bit).
     """
     alpha = math.sqrt(alpha_sq)
-    r_fil, r_err, _ = _depolarizing_scalars(alpha, p)
-    e_bit, e_ph = r_err / r_fil, _phase_ceiling(r_err, r_fil, alpha)[0] / r_fil
+    r_fil, r_err, _, delta, excess = _depolarizing_scalars(alpha, p)
+    e_bit, e_ph = r_err / r_fil, _phase_ceiling(delta, excess, alpha)[0] / r_fil
     s = r_fil * (1.0 - binary_entropy(e_bit) - binary_entropy(min(e_ph, 0.5)))
     g, t = 1.0 - 2.0 * alpha_sq, p / 3.0
     u = 1.0 - 4.0 * t

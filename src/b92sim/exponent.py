@@ -49,6 +49,7 @@ LN2 = math.log(2.0)
 CERT_TOL = 1e-8
 # largest primal-dual gap that certifies a point as the global minimum
 GAP_TOL = 1e-8
+_ZERO_REGION_EDGE = 1.0 + 1e-9  # largest Bloch-fit radius in the zero region
 _ANTISYM = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
@@ -372,7 +373,7 @@ def bloch_fit_radius(problem: TwoBasisSampling) -> float:
 
 def zero_region_contains(problem: TwoBasisSampling) -> bool:
     """Whether a single-qubit state reproduces both observed fractions."""
-    return bloch_fit_radius(problem) <= 1.0 + 1e-9
+    return bloch_fit_radius(problem) <= _ZERO_REGION_EDGE
 
 
 def b92_angle_bounds(theta_l: float, theta: float, eps7: float = 0.0, eps8: float = 0.0) -> tuple[float, float]:
@@ -533,8 +534,9 @@ def min_exponent(problem: TwoBasisSampling, options: SolverOptions | None = None
     misses the counts by more than CERT_TOL or the gap is larger.
     ``options`` is accepted for compatibility and steers nothing.
     """
-    if zero_region_contains(problem):
-        point, lower = _zero_region_point(problem, _bloch_fit(problem)[1]), 0.0
+    norm, r = _bloch_fit(problem)
+    if norm <= _ZERO_REGION_EDGE:
+        point, lower = _zero_region_point(problem, r), 0.0
     else:
         point, lower = _exterior_point(problem)
     r_primal = exponent_direct(point, problem)

@@ -205,21 +205,22 @@ def expected_rates(alpha: float, channel: KrausChannel) -> ExpectedRates:
     )
 
 
-def _depolarizing_scalars(alpha: float, p: float) -> tuple[float, float, float]:
-    """(r_fil, r_err, r_ph) of depolarizing_rates, unchecked and math-only.
-
-    The analytic commands' inner loop calls this directly; with a2 = alpha^2,
-    b2 = 1 - a2 and t = p/3 it returns
-      r_fil = 2 a2 b2 + 2t (1 - 4 a2 b2),  r_err = t,  r_ph = 2t (a2^2 + b2^2).
-    a2 is formed as alpha * alpha, as delta_param forms it, so a noiseless
-    r_fil is exactly the filter rate the bound subtracts and keeps its
-    alpha^2 scale at any alpha, which the Born table's cancellations lose.
+def _depolarizing_scalars(alpha: float, p: float) -> tuple[float, float, float, float, float]:
+    """(r_fil, r_err, r_ph) of depolarizing_rates and phase_error_bound's
+    excesses (delta, excess), unchecked and math-only; the analytic commands'
+    inner loop calls this directly.  With a2 = alpha^2, b2 = 1 - a2,
+    h = 2 a2 b2, gap = 1 - 2 a2 and t = p/3 (so 1 - 2h = gap^2) it returns
+      r_fil = h + 2t (1 - 2h),  r_err = t,  r_ph = 2t (a2^2 + b2^2),
+      delta = (r_fil - h)/gap = 2t gap,  excess = r_fil - h - 2 r_err = -4t h.
+    A noiseless r_fil keeps its alpha^2 scale at any alpha, which the Born
+    table's cancellations lose; the excesses keep what rate differences lose.
     """
     a2 = alpha * alpha
     b2 = 1.0 - a2
     prod = 2.0 * a2 * b2
     t = p / 3.0
-    return prod + 2.0 * t * (1.0 - 2.0 * prod), t, 2.0 * t * (a2 * a2 + b2 * b2)
+    return (prod + 2.0 * t * (1.0 - 2.0 * prod), t, 2.0 * t * (a2 * a2 + b2 * b2),
+            2.0 * t * (1.0 - 2.0 * a2), -4.0 * t * prod)
 
 
 def depolarizing_rates(alpha: float, p: float) -> ExpectedRates:
@@ -230,7 +231,7 @@ def depolarizing_rates(alpha: float, p: float) -> ExpectedRates:
     """
     check_strength(p)
     check_alpha(alpha)
-    r_fil, t, r_ph = _depolarizing_scalars(alpha, p)
+    r_fil, t, r_ph, _, _ = _depolarizing_scalars(alpha, p)
     a2 = alpha * alpha
     b2 = 1.0 - a2
     cross = 2.0 * t * (2.0 * a2 * b2)

@@ -17,6 +17,7 @@ from .errors import DomainError, ParameterError, SingularityError
 from .quantum import check_alpha
 
 GRAZE_TOL = 1e-12
+_GAP_MIN = 1e-3
 # rounding allowance on the bands and the error weight of the slacked check
 ROUND_TOL = 1e-14
 _INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
@@ -109,34 +110,34 @@ def relative_entropy(p, q, *, allow_infinite: bool = False) -> float:
     return float(np.sum(pa[mask] * np.log2(pa[mask] / qa[mask])))
 
 
-def delta_param(r_fil: float, alpha: float, *, delta_min: float = 1e-3) -> float:
+def _gap(a2: float) -> float:
+    """beta^2 - alpha^2 = 1 - 2 a2, checked against _GAP_MIN on every path to the bound."""
+    gap = 1.0 - 2.0 * a2
+    if gap < _GAP_MIN:
+        raise SingularityError(f"beta^2 - alpha^2 = {gap!r} below {_GAP_MIN!r}; bound is singular")
+    return gap
+
+
+def delta_param(r_fil: float, alpha: float) -> float:
     """Excess of the filter rate over its noiseless value, normalized by the
     basis gap beta^2 - alpha^2 = 1 - 2 alpha^2."""
-    gap = 1.0 - 2.0 * alpha * alpha
-    if gap < delta_min:
-        raise SingularityError(
-            f"beta^2 - alpha^2 = {gap!r} below {delta_min!r}; bound is singular"
-        )
     a2 = alpha * alpha
-    return (r_fil - 2.0 * a2 * (1.0 - a2)) / gap
+    return (r_fil - 2.0 * a2 * (1.0 - a2)) / _gap(a2)
 
 
-def _domain(delta: float, alpha: float) -> tuple[float, float, float]:
-    gap = 1.0 - 2.0 * alpha * alpha
-    c = gap - delta
-    x_hi = 1.0 - abs(c)
-    if x_hi < abs(delta) and c > 0.0:
-        # 1 - c lost alpha^2 to the rounding of 1; recover it as 2 alpha^2 + delta
-        x_hi = 2.0 * alpha * alpha + delta
-    return abs(delta), x_hi, c
+def _domain(delta: float, alpha: float) -> tuple[float, float]:
+    """Ends |delta| and 1 - |gap - delta| of the curve's domain, the right one
+    as 2 alpha^2 + delta or 2 beta^2 - delta, which keep a small alpha^2."""
+    a2 = alpha * alpha
+    return abs(delta), 2.0 * a2 + delta if 1.0 - 2.0 * a2 >= delta else 2.0 * (1.0 - a2) - delta
 
 
-def _curve(x: float, delta: float, c: float) -> float:
-    """tradeoff_curve at a scalar x in its domain, math-only, for
-    _phase_ceiling's double-root check; c = gap - delta.  The squares are
-    products, as numpy squares an array, so it equals tradeoff_curve."""
-    return (math.sqrt(max(x * x - delta * delta, 0.0))
-            + math.sqrt(max((1.0 - x) * (1.0 - x) - c * c, 0.0)))
+def _curve(x: float, delta: float, x_hi: float) -> float:
+    """tradeoff_curve at a scalar x in [|delta|, x_hi], math-only; its second
+    radicand is (x_hi - x)(2 - x - x_hi), not a difference of O(1) squares."""
+    d = abs(delta)
+    return (math.sqrt(max(x - d, 0.0) * (x + d))
+            + math.sqrt(max(x_hi - x, 0.0) * (2.0 - x - x_hi)))
 
 
 def tradeoff_curve(x, delta: float, alpha: float):
@@ -145,86 +146,82 @@ def tradeoff_curve(x, delta: float, alpha: float):
     Defined for |delta| <= x <= 1 - |gap - delta| where the underlying count
     matrices stay nonnegative.  Accepts scalars or arrays.
     """
-    x_lo, x_hi, c = _domain(delta, alpha)
+    x_lo, x_hi = _domain(delta, alpha)
     xs = np.asarray(x, dtype=float)
     if np.any(xs < x_lo - 1e-12) or np.any(xs > x_hi + 1e-12):
         raise DomainError(f"x outside the positivity domain [{x_lo!r}, {x_hi!r}]")
-    val = np.sqrt(np.clip(xs * xs - delta * delta, 0.0, None)) + np.sqrt(
-        np.clip((1.0 - xs) ** 2 - c * c, 0.0, None)
-    )
+    val = np.vectorize(_curve, otypes=[float])(xs, delta, x_hi)
     return float(val) if np.isscalar(x) else val
 
 
-def _infeasible(delta: float) -> BoundResult:
-    return BoundResult(r_ph_bar=math.nan, x_star=math.nan, delta=delta, feasible=False)
-
-
-def _phase_ceiling(r_err: float, r_fil: float, alpha: float
+def _phase_ceiling(delta: float, excess: float, alpha: float
                    ) -> tuple[float, float, float, bool]:
-    """phase_error_bound from unchecked rates, math-only, as a plain
-    (r_ph_bar, x_star, delta, feasible) tuple in BoundResult's field order;
-    the analytic commands' inner loop calls it directly.
+    """phase_error_bound from the excesses delta = (r_fil - h)/gap and
+    excess = r_fil - h - 2 r_err over the noiseless h = 2 alpha^2 beta^2,
+    math-only, as a (r_ph_bar, x_star, delta, feasible) tuple in
+    BoundResult's field order; the analytic commands call it directly.
 
-    The ceiling sits at the rightmost x of the curve's domain where
-    alpha*beta*f(x) still covers |r_fil - 2 r_err|.  f is concave, so that is
-    the domain's right end when f reaches the target there, and otherwise the
-    right root of f(x) = T.  With u, v the two radicals, u + v = T and
-    u^2 - v^2 = L(x) is linear in x, so u = (T^2 + L)/(2T); squaring
-    u^2 = x^2 - delta^2 leaves a quadratic in x.  Each of its real roots in
-    the domain has f >= T, so the rightmost such root is the crossing; a root
-    within GRAZE_TOL outside the domain is rounding and is clipped onto it.
-    A tangency (double root, e.g. every noiseless point, where f(0) = 2 alpha
-    beta is exactly the target) can round to a slightly negative
-    discriminant; its vertex then counts as feasible when f misses T there
-    by at most GRAZE_TOL, a miss relative to alpha*beta so that it means the
-    same at every alpha.  Where alpha^2 is below the rounding of 1, the
-    domain's right end 1 - (gap - delta) is taken as 2 alpha^2 + delta.
+    The ceiling is the rightmost x of the curve's domain where alpha*beta*f(x)
+    covers T = |h + excess|: f is concave, so it is the domain's right end if
+    f reaches T there, else the right root of f(x) = t = T/(alpha beta).  For
+    radicals u + v = t, with u^2 - v^2 = 2x - s^2 - 2 gap delta linear in x
+    (s = 2 alpha beta), squaring u = (t^2 + u^2 - v^2)/(2t) leaves
+    a x^2 + m x + m^2/4 + t^2 delta^2 = 0, m = (t^2 - s^2) - 2 gap delta,
+    a = gap^2 - (t^2 - s^2), t^2 - s^2 = (T - h)(T + h)/(alpha beta)^2: no
+    coefficient is a difference of O(1) rates.  The roots are solved in units
+    of |m| + |delta|, as m^2 and delta^2 underflow below p ~ 1e-154.  Each
+    real root in the domain has f >= t, so the rightmost is the crossing; one
+    within GRAZE_TOL outside the domain is rounding, clipped onto it.  A
+    tangency (double root) can round to a slightly negative discriminant; its
+    vertex then counts as feasible when f misses t there by at most GRAZE_TOL,
+    a miss relative to alpha*beta so that it means the same at every alpha.
     """
     a2 = alpha * alpha
     ab = alpha * math.sqrt(1.0 - a2)
-    gap = 1.0 - 2.0 * a2
-    delta = delta_param(r_fil, alpha)
-    x_lo, x_hi, c = _domain(delta, alpha)
+    gap = _gap(a2)
+    x_lo, x_hi = _domain(delta, alpha)
     if x_lo > x_hi:
         return math.nan, math.nan, delta, False
 
-    target = abs(r_fil - 2.0 * r_err)
-    # the second radical vanishes at the domain's right end
-    if ab * math.sqrt(max(x_hi * x_hi - delta * delta, 0.0)) >= target:
+    h = 2.0 * a2 * (1.0 - a2)
+    target = abs(h + excess)
+    if ab * _curve(x_hi, delta, x_hi) >= target:  # the second radical vanishes at x_hi
         x_star = x_hi
     else:
         t = target / ab
         if t >= 1.0:
-            # f < 1 on its whole domain, since delta and c cannot both vanish
+            # f < 1 on its whole domain, since delta and gap - delta cannot both vanish
             return math.nan, math.nan, delta, False
-        # roots of a x^2 + m x + k = 0, the squared form of f(x) = t; its
-        # discriminant m^2 - 4ak is t^2 * disc
-        m = t * t - (1.0 + delta * delta - c * c)
-        a = 1.0 - t * t
-        k = 0.25 * m * m + t * t * delta * delta
-        disc = m * m - 4.0 * a * delta * delta
+        diff = (excess if h + excess >= 0.0 else -2.0 * h - excess) / ab * ((target + h) / ab)
+        a, m = gap * gap - diff, diff - 2.0 * gap * delta
+        unit = abs(m) + abs(delta) or 1.0  # 1 where both vanish, at p = 0
+        m, d = m / unit, delta / unit
+        # the discriminant m^2 - 4ak of the squared form is t^2 * disc
+        disc = m * m - 4.0 * a * d * d
         if disc < 0.0:
             # a double root that rounding pushed off the axis: the vertex
-            roots = (-0.5 * m / a,)
+            roots = (unit * (-0.5 * m / a),)
         else:
             q = -0.5 * (m + math.copysign(t * math.sqrt(disc), m))
-            roots = (q / a, k / q) if q != 0.0 else (0.0,)
+            k = 0.25 * m * m + t * t * d * d
+            roots = (unit * (q / a), unit * (k / q)) if q != 0.0 else (0.0,)
         inside = [r for r in roots if x_lo - GRAZE_TOL <= r <= x_hi + GRAZE_TOL]
         if not inside:
             return math.nan, math.nan, delta, False
         x_star = min(max(max(inside), x_lo), x_hi)
-        if disc < 0.0 and _curve(x_star, delta, c) < t - GRAZE_TOL:
+        if disc < 0.0 and _curve(x_star, delta, x_hi) < t - GRAZE_TOL:
             return math.nan, math.nan, delta, False
 
-    r_ph_bar = 0.5 * (x_star + gap * delta)
-    return max(r_ph_bar, 0.0), x_star, delta, True
+    return max(0.5 * (x_star + gap * delta), 0.0), x_star, delta, True
 
 
 def phase_error_bound(obs: ObservedRates) -> BoundResult:
     """Largest phase-error rate consistent with the observed (r_err, r_fil),
-    solved by _phase_ceiling.  Infeasible data (no consistent point) means
-    abort: feasible is False and r_ph_bar, x_star are nan."""
-    return BoundResult(*_phase_ceiling(obs.r_err, obs.r_fil, obs.alpha))
+    solved by _phase_ceiling from their excesses.  Infeasible data (no
+    consistent point) means abort: feasible is False and r_ph_bar, x_star are nan."""
+    a2 = obs.alpha * obs.alpha
+    excess = obs.r_fil - 2.0 * a2 * (1.0 - a2) - 2.0 * obs.r_err
+    return BoundResult(*_phase_ceiling(delta_param(obs.r_fil, obs.alpha), excess, obs.alpha))
 
 
 def _secret_fraction(e_bit: float, e_ph: float) -> float:
@@ -493,10 +490,10 @@ def finite_size_bound(
     r_err = n_err / n_pairs
     delta = delta_param(r_fil, alpha)
 
-    exact = _infeasible(delta)
+    seed = None
     if r_err <= 0.5:
         exact = phase_error_bound(ObservedRates(r_err=r_err, r_fil=r_fil, alpha=alpha))
-    seed = (exact.x_star, delta) if exact.feasible else None
+        seed = (exact.x_star, delta) if exact.feasible else None
     # eps1 enters the key length and eps3 only lifts the ceiling
     if not any((slacks.eps2, slacks.eps4, slacks.eps5, slacks.eps6, slacks.eps7, slacks.eps8)):
         point = seed
@@ -504,7 +501,7 @@ def finite_size_bound(
         width, d_bot, d_top = _slacked_width(alpha, r_err, delta, slacks)
         point = _slacked_optimum(width, gap, d_bot, d_top, seed)
     if point is None:
-        return _infeasible(delta)
+        return BoundResult(r_ph_bar=math.nan, x_star=math.nan, delta=delta, feasible=False)
     x, d = point
     return BoundResult(r_ph_bar=max(0.5 * (x + gap * d) + slacks.eps3, 0.0), x_star=x,
                        delta=delta, feasible=True)

@@ -2,7 +2,8 @@
 
 Everything here is derived separately from the package code paths: the
 depolarizing-channel rates come from expanding the channel in Pauli terms by
-hand, the bound oracle is a plain dense grid scan, the finite-size oracle
+hand, the bound oracles are a plain dense grid scan and the textbook
+closed form in 700-digit decimals, the finite-size oracle
 evaluates the raw (x, a, d) constraints by dense scans and local solves,
 the two-basis region oracle samples the Bloch ball directly, the singlet
 pair reference is built one cell at a time, the collinear-basis exponent
@@ -16,6 +17,7 @@ very key rate that the rate command reports.
 
 from __future__ import annotations
 
+import decimal
 import math
 from typing import NamedTuple
 
@@ -130,6 +132,70 @@ def grid_scan_phase_bound(
     if len(ok) == 0:
         return None
     return float(xs[ok[-1]])
+
+
+def decimal_ceiling(p: float, alpha_sq: float, prec: int = 700) -> tuple[float, float]:
+    """(r_ph_bar, G) of the rate command's depolarizing row, from the
+    textbook formulas evaluated in ``prec``-digit decimal arithmetic.
+
+    The rates are depolarizing_rates' closed forms at the exact binary
+    values of p and alpha_sq; delta = (r_fil - 2 a2 b2)/(1 - 2 a2),
+    c = 1 - 2 a2 - delta, and the ceiling is the rightmost x in
+    [|delta|, 1 - |c|] where alpha beta [sqrt(x^2 - delta^2) +
+    sqrt((1-x)^2 - c^2)] reaches |r_fil - 2 r_err|: the domain's right end,
+    or else the larger root of the squared equation.  Its O(p) coefficients
+    are differences of O(1) terms, so at p = 1e-300 some 400 of the 700
+    digits survive, far more than double precision needs.  r_ph_bar is nan
+    (and G 0) where no x qualifies.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = prec
+        zero, one, two = decimal.Decimal(0), decimal.Decimal(1), decimal.Decimal(2)
+        a2 = decimal.Decimal(alpha_sq)
+        b2 = one - a2
+        t = decimal.Decimal(p) / 3
+        r_fil = 2 * a2 * b2 + 2 * t * (1 - 4 * a2 * b2)
+        gap = 1 - 2 * a2
+        delta = (r_fil - 2 * a2 * b2) / gap
+        c = gap - delta
+        x_lo, x_hi = abs(delta), 1 - abs(c)
+        ab = (a2 * b2).sqrt()
+        target = abs(r_fil - 2 * t)
+
+        def curve(x):
+            return (max(x * x - delta * delta, zero).sqrt()
+                    + max((1 - x) ** 2 - c * c, zero).sqrt())
+
+        x_star = None
+        if x_lo <= x_hi and ab * curve(x_hi) >= target:
+            x_star = x_hi
+        elif x_lo <= x_hi and target < ab:
+            tt = target / ab
+            m = tt * tt - (1 + delta * delta - c * c)
+            a = 1 - tt * tt
+            disc = m * m - 4 * a * delta * delta
+            if disc >= 0:
+                roots = [(-m + s * tt * disc.sqrt()) / (2 * a) for s in (-1, 1)]
+                # the inputs' exact decimals outrun prec, so the noiseless
+                # tangency at x = 0 lands within 10^(-prec/2) of its place
+                tol = decimal.Decimal(10) ** (-prec // 2)
+                inside = [min(max(x, x_lo), x_hi) for x in roots
+                          if x_lo - tol <= x <= x_hi + tol]
+                x_star = max(inside) if inside else None
+        if x_star is None:
+            return math.nan, 0.0
+        r_ph_bar = max((x_star + gap * delta) / 2, zero)
+        # G needs no cancellation-proof digits: its logs run at 40
+        ctx.prec = 40
+
+        def entropy(q):
+            if q == 0 or q == 1:
+                return zero
+            return -(q * q.ln() + (1 - q) * (1 - q).ln()) / two.ln()
+
+        e_ph = r_ph_bar / r_fil
+        g = zero if e_ph > one / 2 else max(r_fil * (1 - entropy(t / r_fil) - entropy(e_ph)), zero)
+        return float(r_ph_bar), float(g)
 
 
 def optimize_oracle(p: float, points: int) -> tuple[float, float]:

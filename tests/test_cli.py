@@ -31,7 +31,7 @@ from b92sim.cli import (
     overlap_to_alpha_sq,
     parse_basis,
 )
-from oracles import finite_size_oracle, optimize_oracle
+from oracles import decimal_ceiling, finite_size_oracle, optimize_oracle
 
 # the secure window finely, the threshold (p ~ 0.034), then seeded points
 # up to the end of the channel range
@@ -125,6 +125,29 @@ class TestClosedFormPrecision:
         assert data["r_ph_bar"] == 0.0
         assert data["G"] == pytest.approx(2.0 * alpha_sq, rel=1e-11)
 
+    def test_ceiling_matches_the_decimal_oracle(self):
+        # r_ph_bar and G at p and alpha^2 down to 1e-300, against the
+        # textbook formulas in 700-digit decimals; a depolarizing channel
+        # always explains its own rates, so no point may abort
+        rng = np.random.default_rng(22)
+        for i in range(300):
+            p = 0.0 if i % 25 == 0 else 10.0 ** rng.uniform(-300.0, math.log10(0.06))
+            alpha_sq = 10.0 ** rng.uniform(-300.0, math.log10(0.49))
+            report = cmd_rate(p, alpha_sq)
+            r_ph_bar, g = decimal_ceiling(p, alpha_sq)
+            assert report.r_ph_bar == pytest.approx(r_ph_bar, rel=1e-11, abs=0.0), (p, alpha_sq)
+            assert abs(report.G - g) <= 1e-11 * report.r_fil, (p, alpha_sq)
+
+    def test_small_excess_ceilings(self, capsys):
+        # once a false abort (r_ph_bar null), then 2.82370062372e-10 and 0,
+        # below the true ceilings
+        _, out, _ = run_cli(capsys, "rate", "--p", "0.001", "--alpha-sq",
+                            "3.455107294592218e-15", "--format", "json")
+        assert json.loads(out)["r_ph_bar"] == 0.000666666666667
+        for p, r_ph_bar in (("1e-10", "2.82370370211e-10"), ("1e-300", "2.8237037037e-300")):
+            code, out, _ = run_cli(capsys, "rate", "--p", p, "--alpha-sq", "0.2")
+            assert (code, out.splitlines()[1].split(",")[5]) == (0, r_ph_bar)
+
     @pytest.mark.parametrize("p", ["1.5", "nan"])
     def test_rate_strength_out_of_range_exits_2(self, capsys, p):
         code, out, err = run_cli(capsys, "rate", "--p", p, "--alpha-sq", "0.2")
@@ -183,8 +206,8 @@ class TestOptimizeCommand:
         h, checked = 1e-4, 0
         for p, alpha_sq in zip(rng.uniform(0.0, 0.75, 600), rng.uniform(0.011, 0.489, 600)):
             alpha = math.sqrt(alpha_sq)
-            r_fil, r_err, _ = _depolarizing_scalars(alpha, p)
-            if abs(_phase_ceiling(r_err, r_fil, alpha)[0] / r_fil - 0.5) <= 1e-3:
+            r_fil, _, _, delta, excess = _depolarizing_scalars(alpha, p)
+            if abs(_phase_ceiling(delta, excess, alpha)[0] / r_fil - 0.5) <= 1e-3:
                 continue
             s = [cli._key_rate_slope(p, alpha_sq + k * h)[0] for k in (-2, -1, 1, 2)]
             central = (8.0 * (s[2] - s[1]) - (s[3] - s[0])) / (12.0 * h)
@@ -198,8 +221,8 @@ class TestOptimizeCommand:
         for p in np.linspace(0.0, 0.75, 301)[:-1]:
             for alpha_sq in np.linspace(0.01, 0.49, 49):
                 alpha = math.sqrt(alpha_sq)
-                r_fil, r_err, _ = _depolarizing_scalars(alpha, p)
-                r_ph_bar, x_star, delta, _ = _phase_ceiling(r_err, r_fil, alpha)
+                r_fil, _, _, delta, excess = _depolarizing_scalars(alpha, p)
+                r_ph_bar, x_star, delta, _ = _phase_ceiling(delta, excess, alpha)
                 if x_star == _domain(delta, alpha)[1]:
                     assert r_ph_bar / r_fil >= 0.5, (p, alpha_sq)
 

@@ -192,7 +192,13 @@ class TestDepolarizingRates:
             r = protocol.depolarizing_rates(alpha, p)
             kernel = protocol._depolarizing_scalars(alpha, p)
             assert type(kernel) is tuple
-            assert kernel == (r.r_fil, r.r_err, r.r_ph)
+            assert kernel[:3] == (r.r_fil, r.r_err, r.r_ph)
+            # the closed-form excesses are what the bound forms from the rates,
+            # to the rounding of those rates
+            a2 = alpha * alpha
+            gap, fil_excess = 1.0 - 2.0 * a2, r.r_fil - 2.0 * a2 * (1.0 - a2)
+            assert kernel[3] == pytest.approx(fil_excess / gap, rel=1e-12, abs=1e-15 / gap)
+            assert kernel[4] == pytest.approx(fil_excess - 2.0 * r.r_err, rel=1e-12, abs=1e-15)
             assert protocol._depolarizing_scalars(np.float64(alpha), np.float64(p)) == kernel
 
 

@@ -197,7 +197,7 @@ class TestPhaseErrorBound:
             a2 = alpha * alpha
             ab = alpha * math.sqrt(1.0 - a2)
             f = tradeoff_curve(res.x_star, res.delta, alpha)
-            x_hi = 1.0 - abs(1.0 - 2.0 * a2 - res.delta)
+            x_hi = security._domain(res.delta, alpha)[1]
             assert res.x_star == x_hi or ab * f == pytest.approx(
                 abs(obs.r_fil - 2.0 * obs.r_err), abs=1e-12)
 
@@ -244,10 +244,11 @@ def _same(a, b) -> bool:
 
 
 class TestScalarKernels:
-    """phase_error_bound is a thin wrapper over security._phase_ceiling, whose
-    double-root check evaluates tradeoff_curve as security._curve: the
-    analytic commands' inner loop calls the kernel directly, so they must
-    agree bit for bit."""
+    """phase_error_bound is a thin wrapper over security._phase_ceiling, which
+    evaluates tradeoff_curve as security._curve, first at the domain's right
+    end and then, on the double-root branch, at the vertex: the analytic
+    commands' inner loop calls the kernel directly, so they must agree bit
+    for bit."""
 
     @staticmethod
     def _cases():
@@ -268,27 +269,31 @@ class TestScalarKernels:
         return out
 
     def test_bound_is_the_kernel_on_every_branch(self, monkeypatch):
-        double_roots = []
+        calls = []
         curve = security._curve
 
-        def spied(x, delta, c):
-            double_roots.append((x, delta, c))
-            return curve(x, delta, c)
+        def spied(x, delta, x_hi):
+            calls.append((x, delta, x_hi))
+            return curve(x, delta, x_hi)
 
         monkeypatch.setattr(security, "_curve", spied)
         branches = set()
         for r_err, r_fil, alpha in self._cases():
-            double_roots.clear()
+            calls.clear()
             res = phase_error_bound(ObservedRates(r_err=r_err, r_fil=r_fil, alpha=alpha))
-            kernel = security._phase_ceiling(r_err, r_fil, alpha)
+            seen = list(calls)
+            # the kernel takes the two excesses as phase_error_bound forms them
+            a2 = alpha * alpha
+            excess = r_fil - 2.0 * a2 * (1.0 - a2) - 2.0 * r_err
+            kernel = security._phase_ceiling(delta_param(r_fil, alpha), excess, alpha)
             assert type(kernel) is tuple
             assert _same(kernel, (res.r_ph_bar, res.x_star, res.delta, res.feasible))
-            # the double-root check once took tradeoff_curve's numpy path
-            for x, delta, c in double_roots:
+            # tradeoff_curve's array path is _curve at each point
+            for x, delta, x_hi in seen:
                 [f] = tradeoff_curve(np.array([x]), delta, alpha)
-                assert curve(x, delta, c) == f
+                assert curve(x, delta, x_hi) == f
             x_hi = security._domain(res.delta, alpha)[1]
-            branches.add("double root" if double_roots else
+            branches.add("double root" if len(seen) > 1 else
                          "infeasible" if not res.feasible else
                          "x_hi" if res.x_star == x_hi else "crossing")
         assert branches == {"double root", "infeasible", "x_hi", "crossing"}
@@ -297,14 +302,19 @@ class TestScalarKernels:
     @given(a2=st.floats(1e-300, 0.49), delta=st.floats(-0.2, 0.5),
            u=st.floats(0.0, 1.0))
     def test_curve_kernel_matches_array_curve(self, a2, delta, u):
+        # f(x) has one formula: the array path is _curve at each point, the
+        # second radical vanishes exactly at the right end, and f is concave
         alpha = math.sqrt(a2)
-        x_lo, x_hi, c = security._domain(delta, alpha)
+        x_lo, x_hi = security._domain(delta, alpha)
         if x_lo > x_hi:
             return
         xs = np.array([x_lo, x_lo + u * (x_hi - x_lo), x_hi])
         fs = tradeoff_curve(xs, delta, alpha)
+        assert fs.shape == xs.shape
         for x, f in zip(xs, fs):
-            assert security._curve(float(x), delta, c) == f
+            assert security._curve(float(x), delta, x_hi) == f
+        assert fs[2] == math.sqrt((x_hi - x_lo) * (x_hi + x_lo))
+        assert fs[1] >= min(fs[0], fs[2]) - 1e-15
 
 
 class TestKeyRate:
