@@ -18,7 +18,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -34,9 +33,8 @@ from .protocol import expected_rates  # noqa: F401
 from .quantum import check_alpha, check_strength, depolarizing_channel
 from .security import (  # noqa: F401
     SlackVector,
-    _key_rate,
     _phase_ceiling,
-    binary_entropy,
+    _secret_bits,
     failure_budget,
     finite_key_length,
     finite_size_bound,
@@ -100,20 +98,6 @@ CSV_HEADER = ",".join(RateReport._fields)
 OPTIMUM_FIELDS = ("alpha_sq_star", "overlap_star", "G_star")
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Channel and nonorthogonality grid of a sweep."""
-
-    p_values: tuple[float, ...]
-    alpha_sq_values: tuple[float, ...] | None  # None means optimize per p
-
-    def __post_init__(self) -> None:
-        if not self.p_values:
-            raise ParameterError("empty channel grid")
-        if self.alpha_sq_values is not None and not self.alpha_sq_values:
-            raise ParameterError("empty alpha grid")
-
-
 def fmt(v) -> str:
     """v at 12 significant digits, with -0.0 printed as 0."""
     return f"{float(v) + 0.0:.12g}"
@@ -142,29 +126,29 @@ def _alpha(alpha_sq: float) -> float:
 
 
 def cmd_rate(p: float, alpha_sq: float) -> RateReport:
-    """Analytic report for one (channel strength, nonorthogonality) point.
-
-    The numbers are those of depolarizing_rates, phase_error_bound and
-    key_rate, taken from the scalar kernels they wrap once p and alpha are
-    checked, so no object is built but the report; r_bit = r_err = p/3.
-    """
-    alpha = _alpha(alpha_sq)
+    """Analytic report for one (channel strength, nonorthogonality) point:
+    _key_rate_slope's numbers once p and alpha are checked, with
+    G = max(0, S) and r_bit = r_err = p/3."""
+    _alpha(alpha_sq)
     check_strength(p)
-    r_fil, r_err, r_ph, delta, excess = _depolarizing_scalars(alpha, p)
-    r_ph_bar, _, _, feasible = _phase_ceiling(delta, excess, alpha)
+    r_fil, r_err, r_ph, r_ph_bar, s, _ = _key_rate_slope(p, alpha_sq)
     return RateReport(alpha_sq, (1.0 - 2.0 * alpha_sq) ** 2, p, r_fil, r_err,
-                      r_ph_bar, r_ph, r_err, _key_rate(r_err, r_fil, r_ph_bar, feasible))
+                      r_ph_bar, r_ph, r_err, max(0.0, s))
 
 
-def _key_rate_slope(p: float, alpha_sq: float) -> tuple[float, float]:
-    """(S, dS/dalpha^2) of the unfloored key rate
-    S = r_fil (1 - h(e_bit) - h(min(e_ph, 1/2))), where G = max(S, 0).
+def _key_rate_slope(p: float, alpha_sq: float
+                    ) -> tuple[float, float, float, float, float, float]:
+    """(r_fil, r_err, r_ph, r_ph_bar, S, dS/dalpha^2) of a depolarizing point,
+    unchecked, with S = _secret_bits(r_fil, e_bit, e_ph) the unfloored key
+    rate, so that G = max(0, S).
 
-    S and e_ph come from the scalar kernels that depolarizing_rates and
-    phase_error_bound wrap, so no object is built per step.  With
-    g = 1 - 2 alpha^2, t = p/3, u = 1 - 4t and s^2 = 4 alpha^2 (1 - alpha^2),
-    r_fil = s^2 u / 2 + 2t and r_err = t.  Where e_ph < 1/2 the ceiling is the
-    right root x+ = 2t (1 + s^2 u (2 + u)) / (1 - u^2 s^2) of _phase_ceiling's
+    The rates are those of depolarizing_rates and phase_error_bound, taken
+    from the scalar kernels they wrap, so no object is built per point.  An
+    infeasible ceiling (none seen over p in [0, 1], alpha^2 down to 1e-300)
+    gives S = -inf and a nan slope.  With g = 1 - 2 alpha^2, t = p/3,
+    u = 1 - 4t and s^2 = 4 alpha^2 (1 - alpha^2), r_fil = s^2 u / 2 + 2t and
+    r_err = t.  Where e_ph < 1/2 the ceiling is the right root
+    x+ = 2t (1 + s^2 u (2 + u)) / (1 - u^2 s^2) of _phase_ceiling's
     quadratic, so r_ph_bar = (x+ + 2 t g^2) / 2.  Differentiating r h(y/r)
     in r and y gives
       S' = r_fil' (1 + log2(1 - e_bit) + log2(1 - e_ph))
@@ -173,20 +157,23 @@ def _key_rate_slope(p: float, alpha_sq: float) -> tuple[float, float]:
     S = -r_fil h(e_bit) and S' = r_fil' log2(1 - e_bit).
     """
     alpha = math.sqrt(alpha_sq)
-    r_fil, r_err, _, delta, excess = _depolarizing_scalars(alpha, p)
-    e_bit, e_ph = r_err / r_fil, _phase_ceiling(delta, excess, alpha)[0] / r_fil
-    s = r_fil * (1.0 - binary_entropy(e_bit) - binary_entropy(min(e_ph, 0.5)))
+    r_fil, r_err, r_ph, delta, excess = _depolarizing_scalars(alpha, p)
+    r_ph_bar, _, _, feasible = _phase_ceiling(delta, excess, alpha)
+    if not feasible:
+        return r_fil, r_err, r_ph, r_ph_bar, -math.inf, math.nan
+    e_bit, e_ph = r_err / r_fil, r_ph_bar / r_fil
+    s = _secret_bits(r_fil, e_bit, e_ph)
     g, t = 1.0 - 2.0 * alpha_sq, p / 3.0
     u = 1.0 - 4.0 * t
     d_fil = 2.0 * g * u
     if e_ph >= 0.5:
-        return s, d_fil * math.log2(1.0 - e_bit)
+        return r_fil, r_err, r_ph, r_ph_bar, s, d_fil * math.log2(1.0 - e_bit)
     slope = d_fil * (1.0 + math.log2(1.0 - e_bit) + math.log2(1.0 - e_ph))
     if e_ph > 0.0:
         s2u = 4.0 * alpha_sq * (1.0 - alpha_sq) * u
         d_ph = 8.0 * g * t * u * (1.0 + u) / (1.0 - u * s2u) ** 2 - 4.0 * t * g
         slope -= d_ph * math.log2((1.0 - e_ph) / e_ph)
-    return s, slope
+    return r_fil, r_err, r_ph, r_ph_bar, s, slope
 
 
 # alpha^2 = 0.01, 0.09, ..., 0.49; on every channel with a secure point the
@@ -208,7 +195,7 @@ def _best_alpha_sq(p: float) -> float:
 
     # each point's (S, slope) once: the bracket's ends and the root are
     # points that the grid or the root search has already evaluated
-    at = functools.cache(lambda alpha_sq: _key_rate_slope(p, alpha_sq))
+    at = functools.cache(lambda alpha_sq: _key_rate_slope(p, alpha_sq)[4:])
     found = [(at(a)[0], a) for a in (ALPHA_SQ_MIN, ALPHA_SQ_MAX)]
     for a, b in zip(_SLOPE_GRID, _SLOPE_GRID[1:]):
         if at(a)[1] > 0.0 >= at(b)[1]:
@@ -227,15 +214,16 @@ def cmd_optimize(p: float) -> tuple[float, float, float]:
     return report.alpha_sq, report.overlap, report.G
 
 
-def cmd_sweep(cfg: SweepConfig) -> list[RateReport]:
-    """One analytic report per grid point, optimization mode when no alpha
-    grid is given."""
+def cmd_sweep(p_values: tuple[float, ...],
+              alpha_sq_values: tuple[float, ...] | None) -> list[RateReport]:
+    """One analytic report per grid point, optimization mode (the best
+    alpha_sq per p) when alpha_sq_values is None."""
     rows: list[RateReport] = []
-    for p in cfg.p_values:
-        if cfg.alpha_sq_values is None:
+    for p in p_values:
+        if alpha_sq_values is None:
             rows.append(cmd_rate(p, _best_alpha_sq(p)))
         else:
-            rows += [cmd_rate(p, alpha_sq) for alpha_sq in cfg.alpha_sq_values]
+            rows += [cmd_rate(p, alpha_sq) for alpha_sq in alpha_sq_values]
     return rows
 
 
@@ -305,7 +293,7 @@ def cmd_exponent(basis0_spec: str, basis1_spec: str, m0: int, m1: int,
 def parse_basis(spec: str) -> np.ndarray:
     """Basis from "theta[,phi]" Bloch angles or four amplitude components
     "re0,im0,re1,im1" of the outcome-1 ket."""
-    from .exponent import basis_from_bloch
+    from .exponent import basis_from_bloch, basis_from_ket
 
     try:
         parts = [float(tok) for tok in spec.split(",")]
@@ -322,9 +310,7 @@ def parse_basis(spec: str) -> np.ndarray:
         norm = np.linalg.norm(one)
         if norm < 1e-12:
             raise CliUsageError("basis amplitudes must be nonzero")
-        one = one / norm
-        zero = np.array([-one[1].conjugate(), one[0].conjugate()])
-        return np.stack([zero, one])
+        return basis_from_ket(one / norm)
     raise CliUsageError(f"basis spec {spec!r} needs 1, 2 or 4 numbers")
 
 
@@ -489,7 +475,7 @@ def _run(args) -> int:
             alpha_values = _grid(args.alpha_min, args.alpha_max, args.alpha_steps)
         else:
             alpha_values = None  # optimize per p
-        rows = cmd_sweep(SweepConfig(p_values=p_values, alpha_sq_values=alpha_values))
+        rows = cmd_sweep(p_values, alpha_values)
         _emit(_render(RateReport._fields, rows, args.format, many=True), args.out)
         return 0
 

@@ -71,8 +71,14 @@ def basis_from_bloch(theta: float, phi: float = 0.0) -> np.ndarray:
     """Basis whose outcome-1 ket points along Bloch angles (theta, phi)."""
     if not (math.isfinite(theta) and math.isfinite(phi)):
         raise ParameterError("Bloch angles must be finite")
-    one = np.array([math.cos(theta / 2.0), math.sin(theta / 2.0) * np.exp(1j * phi)])
-    zero = np.array([-math.sin(theta / 2.0) * np.exp(-1j * phi), math.cos(theta / 2.0)])
+    return basis_from_ket(np.array([math.cos(theta / 2.0),
+                                    math.sin(theta / 2.0) * np.exp(1j * phi)]))
+
+
+def basis_from_ket(one: np.ndarray) -> np.ndarray:
+    """Basis whose outcome-1 ket is the unit ket ``one``, completed by the
+    orthogonal ket (-conj(one[1]), conj(one[0]))."""
+    zero = np.array([-one[1].conjugate(), one[0].conjugate()])
     return np.stack([zero, one])
 
 

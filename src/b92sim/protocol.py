@@ -41,9 +41,7 @@ from .quantum import (  # noqa: F401
     ket_z,
     nonmax_entangled_state,
     post_channel_states,
-    projector,
     projectors,
-    signal_state,
 )
 
 # the largest pair budget: the samplers draw counts as int64
@@ -307,13 +305,10 @@ def run_b92(params: ProtocolParams) -> B92Record:
     """
     bit_gen = np.random.Philox(params.seed)
     n = params.n_pairs
-    elements = b92_povm_elements(params.alpha)
-    cond = np.empty((2, 3))
-    for j in (0, 1):
-        sent = projector(signal_state(j, params.alpha).amplitudes)
-        out = params.channel.apply(sent)
-        cond[j] = np.clip(born(out, elements), 0.0, None)
-        cond[j] /= cond[j].sum()
+    # A's Z outcome j leaves B in the sent state j, so row j of the check
+    # pairs' joint law is the sent state's outcome law
+    joint = _check_joint_probs(_born_table(params.alpha, params.channel)[1], params.alpha)
+    cond = joint / joint.sum(axis=1, keepdims=True)
 
     # integers(0, 2) is the top bit of a 32-bit Lemire draw, and the 32-bit
     # draws are each raw word's low half, then its high half ("<u8" makes

@@ -224,34 +224,33 @@ def phase_error_bound(obs: ObservedRates) -> BoundResult:
     return BoundResult(*_phase_ceiling(delta_param(obs.r_fil, obs.alpha), excess, obs.alpha))
 
 
-def _secret_fraction(e_bit: float, e_ph: float) -> float:
-    """Secret bits per sifted bit, 1 - h(e_bit) - h(e_ph), floored at zero;
-    zero when the phase-error ceiling e_ph exceeds 1/2 or e_bit exceeds 1."""
-    if e_ph > 0.5 or e_bit > 1.0:
-        return 0.0
-    return max(1.0 - binary_entropy(e_bit) - binary_entropy(e_ph), 0.0)
-
-
-def _key_rate(r_err: float, r_fil: float, r_ph_bar: float, feasible: bool) -> float:
-    """key_rate from unchecked rates and _phase_ceiling's (r_ph_bar,
-    feasible), math-only; the rate command calls it directly."""
-    if r_fil <= 0.0 or not feasible:
-        return 0.0
-    return r_fil * _secret_fraction(r_err / r_fil, r_ph_bar / r_fil)
+def _secret_bits(sifted: float, e_bit: float, e_ph: float) -> float:
+    """Secret bits sifted (1 - h(e_bit) - h(min(e_ph, 1/2))) of ``sifted``
+    bits at bit-error rate e_bit in [0, 1] and phase-error ceiling e_ph,
+    unfloored: a ceiling past 1/2 costs h(1/2) = 1, as any rate up to it is
+    possible.  key_rate and finite_key_length floor it at zero; the analytic
+    commands' optimizer searches the unfloored value, which keeps a slope
+    where the key is zero.
+    """
+    return sifted * (1.0 - binary_entropy(e_bit) - binary_entropy(min(e_ph, 0.5)))
 
 
 def key_rate(obs: ObservedRates, bound: BoundResult | None = None) -> float:
     """Asymptotic secret bits per pair for the observed rates.
 
-    Zero whenever the bound is infeasible, the phase ceiling exceeds half the
-    sifted fraction, or the entropy costs consume the whole sifted output.
-    ``bound`` is phase_error_bound(obs) when the caller already has it.
+    Zero whenever the bound is infeasible, the error rate exceeds the sifted
+    fraction, the phase ceiling exceeds half of it, or the entropy costs
+    consume the whole sifted output.  ``bound`` is phase_error_bound(obs)
+    when the caller already has it.
     """
     if obs.r_fil <= 0.0:
         return 0.0
     if bound is None:
         bound = phase_error_bound(obs)
-    return _key_rate(obs.r_err, obs.r_fil, bound.r_ph_bar, bound.feasible)
+    e_bit = obs.r_err / obs.r_fil
+    if not bound.feasible or e_bit > 1.0:
+        return 0.0
+    return max(0.0, _secret_bits(obs.r_fil, e_bit, bound.r_ph_bar / obs.r_fil))
 
 
 def finite_key_length(
@@ -261,7 +260,8 @@ def finite_key_length(
     bound: BoundResult,
     slacks: SlackVector | None = None,
 ) -> float:
-    """Secret bits n_fil [1 - h(e_bit) - h(e_ph)] of a finite run.
+    """Secret bits n_fil [1 - h(e_bit) - h(e_ph)] of a finite run, floored
+    at zero.
 
     ``bound`` is finite_size_bound for the same tallies and slacks, and
     e_ph = r_ph_bar n_pairs / n_fil.  e_bit is the upper bound
@@ -274,7 +274,7 @@ def finite_key_length(
         return 0.0
     eps1 = 0.0 if slacks is None else slacks.eps1
     e_bit = min((n_err + eps1 * n_pairs) / n_fil, 0.5)
-    return n_fil * _secret_fraction(e_bit, bound.r_ph_bar * n_pairs / n_fil)
+    return max(0.0, _secret_bits(n_fil, e_bit, bound.r_ph_bar * n_pairs / n_fil))
 
 
 def _slacked_width(alpha: float, r_err: float, delta: float, slacks: SlackVector):

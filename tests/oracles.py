@@ -489,6 +489,15 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
     return m / np.trace(m)
 
 
+def random_channel(rng: np.random.Generator, k: int) -> tuple[np.ndarray, ...]:
+    """Kraus operators of a random single-qubit channel with k of them: the
+    isometry Q of the QR factorization of a complex Gaussian 2k x 2 matrix,
+    cut into k 2 x 2 blocks, so that sum_i K_i^dag K_i = Q^dag Q = I."""
+    g = rng.normal(size=(2 * k, 2)) + 1j * rng.normal(size=(2 * k, 2))
+    q, _ = np.linalg.qr(g)
+    return tuple(q[2 * i:2 * i + 2] for i in range(k))
+
+
 # ---------------------------------------------------------------------------
 # exponent scan: a (k_frac, n) grid with a batched dual Newton solve, refined
 # by L-BFGS-B, the reference for min_exponent's closed forms

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from b92sim.cli import cmd_sweep, SweepConfig
+from b92sim.cli import cmd_sweep
 from b92sim.exponent import (
     SolverOptions,
     TwoBasisSampling,
@@ -60,10 +60,7 @@ def report(num: int, description: str, ok: bool, elapsed: float | None = None,
 class TestAcceptance:
     def test_criterion_01_security_threshold(self):
         start = time.time()
-        cfg = SweepConfig(
-            p_values=tuple(np.linspace(0.02, 0.05, 31)), alpha_sq_values=None
-        )
-        rows = cmd_sweep(cfg)
+        rows = cmd_sweep(tuple(np.linspace(0.02, 0.05, 31)), None)
         secure = [r.p for r in rows if r.G > 1e-6]
         elapsed = time.time() - start
         largest = max(secure) if secure else math.nan

@@ -20,7 +20,14 @@ from scipy import optimize
 from b92sim import cli
 from b92sim.errors import ConsistencyError
 from b92sim.protocol import _depolarizing_scalars
-from b92sim.security import SlackVector, _domain, _phase_ceiling
+from b92sim.security import (
+    BoundResult,
+    ObservedRates,
+    SlackVector,
+    _domain,
+    _phase_ceiling,
+    key_rate,
+)
 from b92sim.cli import (
     CSV_HEADER,
     cmd_optimize,
@@ -193,7 +200,7 @@ class TestOptimizeCommand:
         # SciPy's bounded Brent search on S, compared with both ends, as the
         # optimizer searched before it took the root of dS/dalpha^2
         for p in [0.001 * i for i in range(750)] + [1e-7, 1e-320]:
-            res = optimize.minimize_scalar(lambda a: -cli._key_rate_slope(p, a)[0],
+            res = optimize.minimize_scalar(lambda a: -cli._key_rate_slope(p, a)[4],
                                            method="bounded", bounds=(0.01, 0.49),
                                            options={"xatol": 1e-12})
             scipy_g = max(cmd_rate(p, a).G for a in (res.x, 0.01, 0.49))
@@ -209,9 +216,9 @@ class TestOptimizeCommand:
             r_fil, _, _, delta, excess = _depolarizing_scalars(alpha, p)
             if abs(_phase_ceiling(delta, excess, alpha)[0] / r_fil - 0.5) <= 1e-3:
                 continue
-            s = [cli._key_rate_slope(p, alpha_sq + k * h)[0] for k in (-2, -1, 1, 2)]
+            s = [cli._key_rate_slope(p, alpha_sq + k * h)[4] for k in (-2, -1, 1, 2)]
             central = (8.0 * (s[2] - s[1]) - (s[3] - s[0])) / (12.0 * h)
-            assert cli._key_rate_slope(p, alpha_sq)[1] == pytest.approx(central, rel=1e-7)
+            assert cli._key_rate_slope(p, alpha_sq)[5] == pytest.approx(central, rel=1e-7)
             checked += 1
         assert checked > 500
 
@@ -252,6 +259,38 @@ class TestOptimizeCommand:
             calls.clear()
             cmd_optimize(p)
             assert 3 <= len(calls) <= 60, f"{len(calls)} rate evaluations at p = {p}"
+
+    def test_rate_report_is_the_floored_evaluator(self):
+        # the optimizer searches _key_rate_slope's unfloored S and reports
+        # cmd_rate's G: G = max(0, S) bit for bit, and key_rate on the same
+        # rates and ceiling gives that G too
+        rng = np.random.default_rng(40)
+        ps = [0.0, 1e-320, 0.0171, 0.0302, 0.0335, 0.06, 0.3, 0.7499]
+        ps += list(rng.uniform(0.0, 0.06, 40)) + list(rng.uniform(0.06, 1.0, 40))
+        alphas_sq = [0.01, 0.2, 0.49, 1e-12]
+        alphas_sq += list(rng.uniform(0.01, 0.4995, 60)) + list(10.0 ** rng.uniform(-300, -2, 20))
+        for p in ps:
+            for alpha_sq in alphas_sq:
+                report = cmd_rate(p, alpha_sq)
+                r_fil, r_err, r_ph, r_ph_bar, s, _ = cli._key_rate_slope(p, alpha_sq)
+                assert report.G == max(0.0, s), (p, alpha_sq)
+                assert (report.r_fil, report.r_err, report.r_ph_actual) == (r_fil, r_err, r_ph)
+                obs = ObservedRates(r_err=r_err, r_fil=r_fil, alpha=math.sqrt(alpha_sq))
+                bound = BoundResult(r_ph_bar, math.nan, math.nan, True)
+                assert report.G == key_rate(obs, bound), (p, alpha_sq)
+
+    def test_infeasible_ceiling_reports_no_key(self, capsys, monkeypatch):
+        # no depolarizing point is infeasible, but should one be, rate prints
+        # a null ceiling and G = 0, and optimize falls back to alpha^2 = 0.01
+        monkeypatch.setattr(cli, "_phase_ceiling",
+                            lambda delta, excess, alpha: (math.nan, math.nan, delta, False))
+        code, out, _ = run_cli(capsys, "rate", "--p", "0.03", "--alpha-sq", "0.2",
+                               "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["r_ph_bar"] is None and data["G"] == 0.0
+        alpha_sq, _, g = cmd_optimize(0.03)
+        assert (alpha_sq, g) == (0.01, 0.0)
 
     @pytest.mark.parametrize("p", [0.0, 0.02, 0.03])
     def test_optimum_is_the_rate_report_at_that_point(self, p):

@@ -31,7 +31,7 @@ from b92sim.quantum import (
     signal_state,
 )
 from b92sim.security import ObservedRates, key_rate
-from oracles import depolarizing_rates, kron_expected_rates, random_density_matrix
+from oracles import depolarizing_rates, kron_expected_rates, random_channel, random_density_matrix
 
 ALPHA_02 = math.sqrt(0.2)
 
@@ -386,6 +386,21 @@ class TestRunB92:
             params = ProtocolParams(
                 alpha=math.sqrt(alpha_sq), n_pairs=n, channel=channel, seed=seed
             )
+            rec = run_b92(params)
+            alice, bob = one_shot_b92(params)
+            np.testing.assert_array_equal(rec.alice_bits, alice)
+            np.testing.assert_array_equal(rec.bob_outcomes, bob)
+
+    @pytest.mark.parametrize("n", [1, 3, 2**16 + 1, 200_000])
+    def test_raw_stream_equals_public_draws_on_random_channels(self, n):
+        # run_b92 takes its outcome law from the Born table's check-pair law,
+        # one_shot_b92 from the channel applied to each sent state: the two
+        # must agree on random channels too, which are in general not unital
+        rng = np.random.default_rng(31)
+        for seed in range(60):
+            channel = KrausChannel(random_channel(rng, int(rng.integers(1, 5))))
+            alpha = math.sqrt(rng.uniform(0.02, 0.48))
+            params = ProtocolParams(alpha=alpha, n_pairs=n, channel=channel, seed=seed)
             rec = run_b92(params)
             alice, bob = one_shot_b92(params)
             np.testing.assert_array_equal(rec.alice_bits, alice)

@@ -27,7 +27,7 @@ from b92sim.security import (
     relative_entropy,
     tradeoff_curve,
 )
-from oracles import depolarizing_rates, finite_size_oracle, grid_scan_phase_bound
+from oracles import depolarizing_rates, finite_size_oracle, grid_scan_phase_bound, random_channel
 
 ALPHA_02 = math.sqrt(0.2)
 
@@ -237,6 +237,22 @@ class TestPhaseErrorBound:
             )
             assert t.n_ph / n <= res.r_ph_bar + 1e-12
 
+    def test_ceiling_dominates_random_channels(self):
+        # the ceiling against quantum mechanics rather than its own curve:
+        # the phase errors of any channel's Born table stay below the
+        # ceiling of that channel's observed rates
+        from b92sim.protocol import expected_rates
+        from b92sim.quantum import KrausChannel
+
+        rng = np.random.default_rng(23)
+        for _ in range(5000):
+            channel = KrausChannel(random_channel(rng, int(rng.integers(1, 5))))
+            alpha = math.sqrt(rng.uniform(0.02, 0.48))
+            r = expected_rates(alpha, channel)
+            res = phase_error_bound(ObservedRates(r_err=r.r_err, r_fil=r.r_fil, alpha=alpha))
+            assert res.feasible
+            assert r.r_ph <= res.r_ph_bar + 1e-12
+
 
 def _same(a, b) -> bool:
     """Bitwise equality of two tuples of floats and flags, nan included."""
@@ -331,6 +347,12 @@ class TestKeyRate:
 
     def test_zero_sifted_fraction(self):
         assert key_rate(ObservedRates(r_err=0.0, r_fil=0.0, alpha=0.3)) == 0.0
+
+    def test_more_errors_than_sifted_bits_give_no_key(self):
+        # e_bit = r_err / r_fil above 1 has no binary entropy: no key, even
+        # with a caller's bound that claims no phase errors
+        obs = ObservedRates(r_err=0.3, r_fil=0.1, alpha=ALPHA_02)
+        assert key_rate(obs, BoundResult(0.0, 0.0, 0.0, True)) == 0.0
 
     def test_half_phase_ratio_kills_rate(self):
         # manufactured rates where the returned ceiling hits r_fil/2
