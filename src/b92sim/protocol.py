@@ -1,19 +1,21 @@
 """Monte Carlo execution of the entanglement-based protocol and its
 prepare-and-measure reduction, plus their exact analytic counterparts.
 
-All randomness flows through a counter-based Philox generator seeded from the
-run parameters, so identical parameters give identical tallies.  Because the
-channel is i.i.d., a run's tallies are drawn directly from their exact
-binomial/multinomial count laws, in O(1) time and memory in the number of
-pairs.  Counterfactual ("gedanken") counters are independent Born-rule count
-draws on the exact post-channel state within the same run; the physical
-protocol could not measure these jointly, but the simulator can, and the
-estimation tests need them.
+All randomness flows through generators seeded from the run parameters, so
+identical parameters give identical results: run_protocol1 draws its few
+counts from Philox, run_b92 its per-signal stream from PCG64, which costs
+less per word.  Because the channel is i.i.d., a run's tallies are drawn
+directly from their exact binomial/multinomial count laws, in O(1) time and
+memory in the number of pairs.  Counterfactual ("gedanken") counters are
+independent Born-rule count draws on the exact post-channel state within the
+same run; the physical protocol could not measure these jointly, but the
+simulator can, and the estimation tests need them.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +38,6 @@ from .quantum import (  # noqa: F401
     check_pair_basis,
     check_strength,
     error_povm_element,
-    filter_matrix,
     filter_op,
     ket_z,
     nonmax_entangled_state,
@@ -65,8 +66,9 @@ class ProtocolParams:
         check_alpha(self.alpha)
         if not 1 <= self.n_pairs <= _MAX_PAIRS:
             raise ParameterError(f"n_pairs must lie in [1, {_MAX_PAIRS}]")
-        if not 0 <= self.seed < math.inf:
-            raise ParameterError("seed must be finite and nonnegative")
+        # the generators' SeedSequence takes integers only
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ParameterError("seed must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -150,6 +152,10 @@ _DOUBLE_SHIFT = np.uint64(11)
 _DOUBLE_SCALE = 2.0**53
 
 _ZZ_XX_PROJECTORS = np.concatenate([ZZ_PROJECTORS, XX_PROJECTORS])
+# H x H = _SIGNS4 / 2 for the Hadamard H = _SIGNS / sqrt 2, which maps Z-basis
+# coordinates to X-basis ones and back
+_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])
+_SIGNS4 = np.kron(_SIGNS, _SIGNS)
 
 
 def _born_table(alpha: float, channel: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
@@ -157,13 +163,22 @@ def _born_table(alpha: float, channel: KrausChannel) -> tuple[np.ndarray, np.nda
 
     The table has shape (2, 3, 2, 2): state (post-channel, then its filtered
     and unnormalized image (I x F) rho (I x F)), projector family (Z x Z,
-    X x X, check basis), then the two outcome indices.  Both states come from
-    one post-channel evaluation and all 24 weights from one Born contraction;
-    rounding-level negative weights are clipped to zero.
+    X x X, check basis), then the two outcome indices.  All 24 weights come
+    from one Born contraction; rounding-level negative weights are clipped
+    to zero.
+
+    The filtered image is formed in X-basis coordinates, where the source ket
+    is (beta, 0, 0, alpha) and F = diag(alpha, beta) scales rows exactly, then
+    taken back to Z-basis coordinates by sums of terms of its own alpha^2
+    scale.  F's Z-basis entries (alpha +- beta)/2 would leave its weights,
+    r_fil among them, an absolute error of order eps * alpha.
     """
     kets = check_basis_kets(alpha)
     kraus = np.asarray(channel.kraus_ops)
-    states = post_channel_states(kets[0], np.stack([kraus, filter_matrix(alpha) @ kraus]))
+    beta = math.sqrt(1.0 - alpha * alpha)
+    filtered = np.array([[alpha], [beta]]) * (0.5 * (_SIGNS @ kraus @ _SIGNS))
+    rho_f = post_channel_states(np.array([beta, 0.0, 0.0, alpha]), filtered)
+    states = np.stack([post_channel_states(kets[0], kraus), 0.25 * (_SIGNS4 @ rho_f @ _SIGNS4)])
     ops = np.concatenate([_ZZ_XX_PROJECTORS, projectors(kets)])
     table = np.clip(born(states, ops), 0.0, None).reshape(2, 3, 2, 2)
     return table, states[0]
@@ -299,11 +314,13 @@ def run_b92(params: ProtocolParams) -> B92Record:
 
     Stream contract: the record is the one that ``integers(0, 2)`` for every
     bit, then ``random()`` for every signal, drawn from a
-    ``Generator(Philox(seed))`` would give, compared with the sent state's
-    cumulative outcome probabilities.  The same Philox words are read raw
-    instead, in fixed chunks, so memory is the two outputs plus O(1).
+    ``Generator(PCG64(seed))`` would give, compared with the sent state's
+    cumulative outcome probabilities.  The same PCG64 words are read raw
+    instead, in fixed chunks, so memory is the two outputs plus O(1).  PCG64
+    rather than run_protocol1's Philox: the raw words set this function's
+    cost, and PCG64's cost less than half as much each.
     """
-    bit_gen = np.random.Philox(params.seed)
+    bit_gen = np.random.PCG64(params.seed)
     n = params.n_pairs
     # A's Z outcome j leaves B in the sent state j, so row j of the check
     # pairs' joint law is the sent state's outcome law

@@ -171,7 +171,9 @@ def _phase_ceiling(delta: float, excess: float, alpha: float
     coefficient is a difference of O(1) rates.  The roots are solved in units
     of |m| + |delta|, as m^2 and delta^2 underflow below p ~ 1e-154.  Each
     real root in the domain has f >= t, so the rightmost is the crossing; one
-    within GRAZE_TOL outside the domain is rounding, clipped onto it.  A
+    within GRAZE_TOL * x_hi outside the domain is rounding, clipped onto it
+    (a tolerance relative to the domain's scale, so that at tiny rates a root
+    far outside a tiny domain still means that no x qualifies).  A
     tangency (double root) can round to a slightly negative discriminant; its
     vertex then counts as feasible when f misses t there by at most GRAZE_TOL,
     a miss relative to alpha*beta so that it means the same at every alpha.
@@ -205,7 +207,8 @@ def _phase_ceiling(delta: float, excess: float, alpha: float
             q = -0.5 * (m + math.copysign(t * math.sqrt(disc), m))
             k = 0.25 * m * m + t * t * d * d
             roots = (unit * (q / a), unit * (k / q)) if q != 0.0 else (0.0,)
-        inside = [r for r in roots if x_lo - GRAZE_TOL <= r <= x_hi + GRAZE_TOL]
+        tol = GRAZE_TOL * x_hi
+        inside = [r for r in roots if x_lo - tol <= r <= x_hi + tol]
         if not inside:
             return math.nan, math.nan, delta, False
         x_star = min(max(max(inside), x_lo), x_hi)

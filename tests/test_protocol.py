@@ -1,5 +1,6 @@
 """Tests for the protocol runners and their analytic counterparts."""
 
+import hashlib
 import math
 import time
 import tracemalloc
@@ -51,7 +52,7 @@ def one_shot_b92(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
         out = params.channel.apply(projector(signal_state(j, alpha).amplitudes))
         cond[j] = np.clip(pv.outcome_probabilities(out), 0.0, None)
         cond[j] /= cond[j].sum()
-    rng = np.random.Generator(np.random.Philox(params.seed))
+    rng = np.random.Generator(np.random.PCG64(params.seed))
     alice = rng.integers(0, 2, size=params.n_pairs).astype(np.uint8)
     u = rng.random(params.n_pairs)
     cum = np.cumsum(cond, axis=1)
@@ -170,6 +171,16 @@ class TestDepolarizingRates:
         r = protocol.depolarizing_rates(alpha, 0.0)
         assert r.r_fil == 2.0 * a2 * (1.0 - a2)
         assert r.r_err == r.r_bit == r.r_ph == 0.0
+
+    @pytest.mark.parametrize("alpha_sq", [1e-8, 1e-20, 1e-30, 1e-100, 1e-300])
+    @pytest.mark.parametrize("p", [0.0, 1e-25, 1e-12, 0.03])
+    def test_born_table_filter_rate_keeps_its_scale(self, p, alpha_sq):
+        # the filter's Z-basis entries (alpha +- beta)/2 would leave r_fil an
+        # absolute error of order eps * alpha, 11 % of r_fil at alpha^2 = 1e-30
+        alpha = math.sqrt(alpha_sq)
+        table = expected_rates(alpha, depolarizing_channel(p))
+        closed = protocol.depolarizing_rates(alpha, p)
+        assert table.r_fil == pytest.approx(closed.r_fil, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan, math.inf, -math.inf])
     def test_rejects_strength_like_the_channel(self, p):
@@ -315,6 +326,47 @@ class TestRunProtocol1:
         with pytest.raises(ParameterError):
             ProtocolParams(alpha=0.2, n_pairs=10, channel=identity_channel(), seed=-1)
 
+    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+    @pytest.mark.parametrize("kraus_count", [None, 3], ids=["depolarizing", "random"])
+    def test_draw_order_is_pinned_to_public_philox_calls(self, seed, kraus_count):
+        # the seed-pinned simulate regressions rest on this stream: one
+        # Generator(Philox(seed)) draws the check-pair joint outcomes, m_check,
+        # the filter trials, n_xx, then n_bit and n_ph
+        rng = np.random.default_rng(seed)
+        channel = (depolarizing_channel(0.03) if kraus_count is None
+                   else KrausChannel(random_channel(rng, kraus_count)))
+        n = 100_003
+        params = ProtocolParams(alpha=ALPHA_02, n_pairs=n, channel=channel, seed=seed)
+        table, rho = protocol._born_table(params.alpha, channel)
+        (_, xx, check), (zz_f, xx_f, _) = table
+        gen = np.random.Generator(np.random.Philox(seed))
+        joint = gen.multinomial(n, protocol._check_joint_probs(rho, params.alpha).ravel())
+        m_check = gen.multinomial(n, (check / check.sum()).ravel())
+        n_fil = gen.binomial(n, min(zz_f.sum(), 1.0))
+        n_xx = gen.multinomial(n, (xx / xx.sum()).ravel())
+        n_bit = gen.multinomial(n_fil, (zz_f / zz_f.sum()).ravel())[[1, 2]].sum()
+        n_ph = gen.multinomial(n_fil, (xx_f / xx_f.sum()).ravel())[[1, 2]].sum()
+
+        t = run_protocol1(params)
+        assert (t.n_err, t.n_fil, t.n_bit, t.n_ph) == (joint[1] + joint[3], n_fil, n_bit, n_ph)
+        np.testing.assert_array_equal(t.m_check, m_check.reshape(2, 2))
+        np.testing.assert_array_equal(t.n_xx, n_xx.reshape(2, 2))
+
+    @pytest.mark.parametrize("runner", [run_protocol1, run_b92])
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
+    def test_non_integral_seed_rejected(self, runner, seed):
+        # the generators' SeedSequence would end either runner in a TypeError
+        with pytest.raises(ParameterError, match="seed"):
+            runner(ProtocolParams(alpha=0.2, n_pairs=10, channel=identity_channel(), seed=seed))
+
+    def test_numpy_integer_seed_is_the_same_seed(self):
+        def params(seed):
+            return ProtocolParams(alpha=0.4, n_pairs=1_000, channel=identity_channel(), seed=seed)
+
+        np.testing.assert_array_equal(run_b92(params(np.int64(7))).bob_outcomes,
+                                      run_b92(params(7)).bob_outcomes)
+        assert run_protocol1(params(np.uint8(7))).n_fil == run_protocol1(params(7)).n_fil
+
     def test_pair_budget_beyond_int64_rejected(self):
         # the count samplers overflowed on such a budget instead
         ProtocolParams(alpha=0.2, n_pairs=2**63 - 1, channel=identity_channel())
@@ -379,7 +431,7 @@ class TestRunB92:
         ids=["identity", "p0.03", "p0.75"],
     )
     def test_raw_stream_equals_public_draws(self, n, alpha_sq, channel):
-        # run_b92 reads Philox's words raw and relies on numpy's Lemire
+        # run_b92 reads PCG64's words raw and relies on numpy's Lemire
         # integers, next_double and 32-bit buffering; the oracle uses the
         # public Generator calls, so a numpy that changes any of them shows here
         for seed in (0, 7, 2**40 + 3):
@@ -405,6 +457,20 @@ class TestRunB92:
             alice, bob = one_shot_b92(params)
             np.testing.assert_array_equal(rec.alice_bits, alice)
             np.testing.assert_array_equal(rec.bob_outcomes, bob)
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "6f63e0cabe823e8771f3e8798ba28c1eaa82f5f397b1d3c041c5e7a0b85654fc"),
+        (2**40 + 3, "802156f26c0f5dbd7fb661f4a18c9966dc65b26960780de891788523e5592181"),
+    ])
+    def test_record_digest_is_pinned(self, seed, digest):
+        # the records of a seed change only with a visible edit here; the
+        # digest rests on PCG64's raw words, which numpy keeps stable
+        params = ProtocolParams(
+            alpha=ALPHA_02, n_pairs=2**16 + 3, channel=depolarizing_channel(0.03), seed=seed
+        )
+        rec = run_b92(params)
+        got = hashlib.sha256(rec.alice_bits.tobytes() + rec.bob_outcomes.tobytes()).hexdigest()
+        assert got == digest
 
     @pytest.mark.parametrize("chunk", [2, 64, 4098])
     def test_chunk_size_does_not_change_the_record(self, chunk, monkeypatch):

@@ -178,6 +178,16 @@ class TestPhaseErrorBound:
         assert res.feasible
         assert 0.0 <= res.r_ph_bar <= 10.0 * alpha_sq
 
+    @pytest.mark.parametrize("r_fil, alpha", [(1e-60, 1e-50), (1e-150, 1e-100),
+                                              (1e-170, 1e-100)])
+    def test_tiny_rates_nothing_explains_are_infeasible(self, r_fil, alpha):
+        # the domain collapses to x = |delta| ~ r_fil, where alpha beta f stays
+        # far below T = r_fil; the quadratic's roots lie outside it by many
+        # times its scale, yet within an absolute 1e-12
+        res = phase_error_bound(ObservedRates(r_err=0.0, r_fil=r_fil, alpha=alpha))
+        assert not res.feasible
+        assert grid_scan_phase_bound(0.0, r_fil, alpha, graze_tol=0.0) is None
+
     def test_closed_form_against_grid_on_random_rates(self):
         # arbitrary observed rates, not only depolarizing ones: no grid point
         # right of the closed-form x_star is feasible, and x_star is either
