@@ -3,8 +3,8 @@ prepare-and-measure reduction, plus their exact analytic counterparts.
 
 All randomness flows through generators seeded from the run parameters, so
 identical parameters give identical results: run_protocol1 draws its few
-counts from Philox, run_b92 its per-signal stream from PCG64, which costs
-less per word.  Because the channel is i.i.d., a run's tallies are drawn
+counts from Philox, run_b92 about 17 random bits per signal from three
+PCG64 streams.  Because the channel is i.i.d., a run's tallies are drawn
 directly from their exact binomial/multinomial count laws, in O(1) time and
 memory in the number of pairs.  Counterfactual ("gedanken") counters are
 independent Born-rule count draws on the exact post-channel state within the
@@ -141,15 +141,15 @@ class B92Record:
         return self.bob_outcomes[~self.null_flags]
 
 
-# signals per draw in run_b92.  Even, so every chunk but the last takes
-# exactly _CHUNK / 2 raw words for its bits; the last chunk's spare half-word
-# is the one integers(0, 2) would leave unread, so nothing is carried.
+# signals per chunk in run_b92.  A multiple of 64, so every chunk but the
+# last takes whole raw words of bits and of lanes, and the record does not
+# depend on the chunk size.
 _CHUNK = 1 << 16
-assert _CHUNK % 2 == 0
+assert _CHUNK % 64 == 0
 
-# random() returns (x >> 11) * 2**-53 for a raw 64-bit word x
-_DOUBLE_SHIFT = np.uint64(11)
+# run_b92's k < 2**53 is a 16-bit lane above _LOW_BITS refinement bits
 _DOUBLE_SCALE = 2.0**53
+_LOW_BITS = 37
 
 _ZZ_XX_PROJECTORS = np.concatenate([ZZ_PROJECTORS, XX_PROJECTORS])
 # H x H = _SIGNS4 / 2 for the Hadamard H = _SIGNS / sqrt 2, which maps Z-basis
@@ -296,12 +296,13 @@ def run_protocol1(params: ProtocolParams) -> Tallies:
 
 
 def _uniform_thresholds(c: np.ndarray) -> np.ndarray:
-    """Integer thresholds T with random() >= c exactly when k >= T.
+    """Integer thresholds T with k * 2**-53 >= c exactly when k >= T, for
+    integers k in [0, 2**53).
 
-    random() is k * 2**-53 with k = x >> 11, which is exact, and so is
-    c * 2**53; hence u >= c holds exactly when k >= ceil(c * 2**53).  c <= 0
-    gives 0 (always fires) and c >= 1 gives 2**53 (never fires, k < 2**53).
-    Comparing the integers skips forming u and cannot round differently.
+    c * 2**53 is exact, so the float comparison holds exactly when
+    k >= ceil(c * 2**53).  c <= 0 gives 0 (always fires) and c >= 1 gives
+    2**53 (never fires).  Comparing integers cannot round differently, and
+    lets run_b92 split k into a lane and refinement bits.
     """
     return np.clip(np.ceil(c * _DOUBLE_SCALE), 0.0, _DOUBLE_SCALE).astype(np.int64)
 
@@ -312,53 +313,69 @@ def run_b92(params: ProtocolParams) -> B92Record:
     Per signal: a uniform bit selects the sent state, the channel acts, and
     the three-outcome measurement is sampled; sifting drops null outcomes.
 
-    Stream contract: the record is the one that ``integers(0, 2)`` for every
-    bit, then ``random()`` for every signal, drawn from a
-    ``Generator(PCG64(seed))`` would give, compared with the sent state's
-    cumulative outcome probabilities.  The same PCG64 words are read raw
-    instead, in fixed chunks, so memory is the two outputs plus O(1).  PCG64
-    rather than run_protocol1's Philox: the raw words set this function's
-    cost, and PCG64's cost less than half as much each.
+    Outcome law: each signal draws k uniform on [0, 2**53), and its outcome
+    counts the sent state's two thresholds T = _uniform_thresholds(c) with
+    k >= T, for c its cumulative outcome probabilities: the outcome law is c
+    quantized to 2**-53.
+
+    Stream contract: three PCG64 streams, the children of
+    SeedSequence(seed).spawn(3), read raw, in this order:
+      bits:   bit i is bit i % 64 of word i // 64, least significant first;
+      lanes:  k's top 16 bits are lane i % 4 of word i // 4, low lane first;
+      refine: k's low 37 bits are the top 37 bits of one word, drawn in
+              signal order only by a signal whose lane equals T >> 37 for one
+              of its thresholds (T = 2**53 never ties).
+    A lane above T >> 37 fires T and one below does not, whatever the low
+    bits, so about 2**-15 of the signals draw a refinement word and a signal
+    costs about 17 random bits.  Work is done in chunks, so memory is the
+    two outputs plus O(1).
     """
-    bit_gen = np.random.PCG64(params.seed)
+    bits, lanes, refine = map(np.random.PCG64, np.random.SeedSequence(params.seed).spawn(3))
     n = params.n_pairs
     # A's Z outcome j leaves B in the sent state j, so row j of the check
-    # pairs' joint law is the sent state's outcome law
-    joint = _check_joint_probs(_born_table(params.alpha, params.channel)[1], params.alpha)
+    # pairs' joint law, on _born_table's post-channel state, is the sent
+    # state's outcome law
+    kraus = np.asarray(params.channel.kraus_ops)
+    rho = post_channel_states(check_basis_kets(params.alpha)[0], kraus)
+    joint = _check_joint_probs(rho, params.alpha)
     cond = joint / joint.sum(axis=1, keepdims=True)
-
-    # integers(0, 2) is the top bit of a 32-bit Lemire draw, and the 32-bit
-    # draws are each raw word's low half, then its high half ("<u8" makes
-    # the uint32 view put the low half first on any host)
-    alice = np.empty(n, dtype=np.uint8)
-    for i in range(0, n, _CHUNK):
-        m = min(_CHUNK, n - i)
-        words = bit_gen.random_raw((m + 1) // 2).astype("<u8", copy=False)
-        np.right_shift(words.view("<u4")[:m], 31, out=alice[i:i + m], casting="unsafe")
-
-    # each signal's two thresholds are base + sent * step, exact in int64,
-    # in place of a gather of the sent state's row
     thresholds = _uniform_thresholds(np.cumsum(cond, axis=1)[:, :2])
-    base, step = thresholds[0], thresholds[1] - thresholds[0]
+    exact = thresholds.tolist()
+    # each signal's two lane thresholds are base + sent * step mod 2**16, in
+    # place of a gather of the sent state's row.  A T of 2**53 has the lane
+    # threshold 2**16, taken as 2**16 - 1, which no lane exceeds; its
+    # would-be ties are dropped when the candidates are checked against T
+    top = np.minimum(thresholds >> _LOW_BITS, 0xFFFF)
+    base, step = top[0].astype(np.uint16), (top[1] - top[0]).astype(np.uint16)
+
+    alice = np.empty(n, dtype=np.uint8)
     bob = np.empty(n, dtype=np.uint8)
-    sent64 = np.empty(min(_CHUNK, n), dtype=np.int64)
-    thr = np.empty_like(sent64)
-    fired = np.empty(sent64.size, dtype=bool)
+    thr = np.empty(min(_CHUNK, n), dtype=np.uint16)
+    fired, tied = np.empty((2, thr.size), dtype=bool)
     for i in range(0, n, _CHUNK):
         m = min(_CHUNK, n - i)
-        # shift as uint64 before the int64 view: an arithmetic shift of the
-        # view would smear the sign bit
-        k = bit_gen.random_raw(m)
-        k >>= _DOUBLE_SHIFT
-        k = k.view(np.int64)
-        s, t, f, out = sent64[:m], thr[:m], fired[:m], bob[i:i + m]
-        np.copyto(s, alice[i:i + m])
+        s, t, f, tie, out = alice[i:i + m], thr[:m], fired[:m], tied[:m], bob[i:i + m]
+        # "<u8" puts each word's low byte, so its low bits and its low
+        # lane, first on any host
+        words = bits.random_raw(-(-m // 64)).astype("<u8", copy=False)
+        s[:] = np.unpackbits(words.view(np.uint8), count=m, bitorder="little")
+        lane = lanes.random_raw(-(-m // 4)).astype("<u8", copy=False).view("<u2")[:m]
         out[:] = 0
+        tie[:] = False
         for b, st in zip(base, step):
             np.multiply(s, st, out=t)
             t += b
-            np.greater_equal(k, t, out=f)
+            np.greater(lane, t, out=f)
             out += f
+            np.equal(lane, t, out=f)
+            tie |= f
+        # about 2**-15 of the signals tie; the refinement bits settle them
+        for j in np.flatnonzero(tie).tolist():
+            lo, hi = exact[s[j]]
+            h = int(lane[j])
+            if h in (lo >> _LOW_BITS, hi >> _LOW_BITS):
+                k = h << _LOW_BITS | refine.random_raw() >> (64 - _LOW_BITS)
+                out[j] = (k >= lo) + (k >= hi)
     return B92Record(alice_bits=alice, bob_outcomes=bob)
 
 

@@ -10,7 +10,9 @@ pair reference is built one cell at a time, the collinear-basis exponent
 is the classical sampling-without-replacement closed form, and the exponent
 scan minimizes over a (k_frac, n) grid by dual Newton solves refined with
 L-BFGS-B, with none of min_exponent's closed forms (it shares only
-singlet_pair_probs and the Bloch-fit radius).  The optimum oracle alone
+singlet_pair_probs and the Bloch-fit radius).  The attaining channel
+maximizes r_ph over Kraus operators by SLSQP, with each rate a quadratic
+form read off kron_expected_rates.  The optimum oracle alone
 reuses package code: it checks the search over alpha^2, so it scans the
 very key rate that the rate command reports.
 """
@@ -496,6 +498,84 @@ def random_channel(rng: np.random.Generator, k: int) -> tuple[np.ndarray, ...]:
     g = rng.normal(size=(2 * k, 2)) + 1j * rng.normal(size=(2 * k, 2))
     q, _ = np.linalg.qr(g)
     return tuple(q[2 * i:2 * i + 2] for i in range(k))
+
+
+def _rate_forms(alpha: float) -> dict[str, np.ndarray]:
+    """Each rate of kron_expected_rates as a real quadratic form y^T R y.
+
+    A rate is linear in the channel, so for one Kraus operator K it is a
+    Hermitian form q(x) = x^dag Q x in x = vec(K); Q is read off q by
+    polarization.  For four operators and y = (Re x, Im x) of their
+    stacked entries, the form is blockdiag(Q, Q, Q, Q) written over reals.
+    The entries of sum K^dag K are forms too: "c00", "c11", "c01re", "c01im".
+    """
+    def q(name, x):
+        return kron_expected_rates(alpha, [x.reshape(2, 2)])[name]
+
+    unit = np.eye(4, dtype=complex)
+    forms = {}
+    for name in ("r_err", "r_fil", "r_ph"):
+        mat = np.diag([q(name, e) for e in unit]).astype(complex)
+        for i in range(4):
+            for j in range(i + 1, 4):
+                # q(e_i + e_j) and q(e_i + i e_j) add 2 Re Q_ij and -2 Im Q_ij
+                re = 0.5 * (q(name, unit[i] + unit[j]) - mat[i, i] - mat[j, j])
+                im = -0.5 * (q(name, unit[i] + 1j * unit[j]) - mat[i, i] - mat[j, j])
+                mat[i, j], mat[j, i] = re + 1j * im, re - 1j * im
+        forms[name] = mat
+    # (K^dag K)_bc = sum_a conj(K_ab) K_ac, with vec(K) = (K00, K01, K10, K11)
+    gram = np.zeros((2, 2, 4, 4), dtype=complex)
+    for a in (0, 1):
+        for b in (0, 1):
+            for c in (0, 1):
+                gram[b, c, 2 * a + b, 2 * a + c] = 1.0
+    forms["c00"], forms["c11"] = gram[0, 0], gram[1, 1]
+    forms["c01re"] = 0.5 * (gram[0, 1] + gram[0, 1].conj().T)
+    forms["c01im"] = (gram[0, 1] - gram[0, 1].conj().T) / 2j
+    blocks = {}
+    for name, mat in forms.items():
+        big = np.kron(np.eye(4), mat)
+        blocks[name] = np.block([[big.real, -big.imag], [big.imag, big.real]])
+    return blocks
+
+
+def attaining_channel(alpha: float, r_err: float, r_fil: float) -> tuple[np.ndarray, ...]:
+    """Kraus operators of a 4-Kraus channel that maximizes r_ph with r_err and
+    r_fil held at the given values: scipy SLSQP from six seeded random channels,
+    with every rate and the completeness of sum K^dag K as exact quadratic
+    forms.  The best run's operators are returned, rescaled by S^(-1/2) for
+    S = sum K^dag K, so that they form a channel to rounding; their own
+    rates then differ from the targets by the solver's tolerance."""
+    forms = _rate_forms(alpha)
+    targets = {"r_err": r_err, "r_fil": r_fil, "c00": 1.0, "c11": 1.0,
+               "c01re": 0.0, "c01im": 0.0}
+
+    def form_value(name):
+        return lambda y: y @ forms[name] @ y - targets[name]
+
+    def form_grad(name):
+        return lambda y: 2.0 * forms[name] @ y
+
+    cons = [{"type": "eq", "fun": form_value(k), "jac": form_grad(k)} for k in targets]
+    rng = np.random.default_rng(0)
+    best = None
+    for _ in range(6):
+        start = np.concatenate(random_channel(rng, 4)).ravel()
+        res = optimize.minimize(
+            lambda y: -(y @ forms["r_ph"] @ y), np.concatenate([start.real, start.imag]),
+            jac=lambda y: -2.0 * forms["r_ph"] @ y, constraints=cons, method="SLSQP",
+            options={"ftol": 1e-15, "maxiter": 500})
+        met = max(abs(c["fun"](res.x)) for c in cons) < 1e-10
+        if met and (best is None or res.fun < best.fun):
+            best = res
+    if best is None:
+        raise RuntimeError("no start met the rate constraints")
+    x = best.x[:16] + 1j * best.x[16:]
+    ops = x.reshape(4, 2, 2)
+    gram = sum(k.conj().T @ k for k in ops)
+    w, v = np.linalg.eigh(gram)
+    root = v @ np.diag(w ** -0.5) @ v.conj().T
+    return tuple(k @ root for k in ops)
 
 
 # ---------------------------------------------------------------------------

@@ -41,22 +41,44 @@ def binom_sigma(n: int, q: float) -> float:
     return math.sqrt(n * q * (1.0 - q))
 
 
-def one_shot_b92(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
-    """run_b92's record drawn the direct way: every bit in one draw, then
-    every uniform in one draw, each compared with its sent state's
-    cumulative outcome probabilities."""
-    alpha = params.alpha
+def sent_state_law(alpha: float, channel: KrausChannel) -> np.ndarray:
+    """Row j: the outcome law (0, 1, null) of sent state j after the channel,
+    from the channel applied to the signal state and the B92 measurement."""
     pv = b92_povm(alpha)
     cond = np.empty((2, 3))
     for j in (0, 1):
-        out = params.channel.apply(projector(signal_state(j, alpha).amplitudes))
+        out = channel.apply(projector(signal_state(j, alpha).amplitudes))
         cond[j] = np.clip(pv.outcome_probabilities(out), 0.0, None)
         cond[j] /= cond[j].sum()
-    rng = np.random.Generator(np.random.PCG64(params.seed))
-    alice = rng.integers(0, 2, size=params.n_pairs).astype(np.uint8)
-    u = rng.random(params.n_pairs)
-    cum = np.cumsum(cond, axis=1)
-    return alice, (u[:, None] >= cum[alice][:, :2]).sum(axis=1).astype(np.uint8)
+    return cond
+
+
+def one_shot_b92(params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
+    """run_b92's record drawn the direct way, in one piece: bit i and lane i
+    shifted out of whole words, every threshold gathered per signal, and the
+    ties settled in a plain loop over the tied signals.
+
+    The thresholds are T = ceil(c * 2**53) of the sent state's cumulative
+    outcome probabilities c; an outcome fires when k >= T, where k's top 16
+    bits are the signal's lane and its low 37 bits the top of one refinement
+    word, drawn only when the lane is T >> 37 for one of the two thresholds.
+    """
+    cum = np.cumsum(sent_state_law(params.alpha, params.channel), axis=1)
+    thresholds = [[min(math.ceil(c * 2**53), 2**53) for c in row[:2]] for row in cum]
+    n = params.n_pairs
+    bits, lanes, refine = (np.random.PCG64(s)
+                           for s in np.random.SeedSequence(params.seed).spawn(3))
+    i = np.arange(n)
+    shift = (i % 64).astype(np.uint64)
+    alice = (bits.random_raw(-(-n // 64))[i // 64] >> shift & np.uint64(1)).astype(np.uint8)
+    shift = (16 * (i % 4)).astype(np.uint64)
+    lane = (lanes.random_raw(-(-n // 4))[i // 4] >> shift & np.uint64(0xFFFF)).astype(np.int64)
+    top = np.array(thresholds, dtype=np.int64)[alice] >> 37
+    bob = (lane[:, None] > top).sum(axis=1).astype(np.uint8)
+    for j in np.flatnonzero((lane[:, None] == top).any(axis=1)):
+        k = int(lane[j]) << 37 | refine.random_raw() >> 27
+        bob[j] = sum(k >= t for t in thresholds[alice[j]])
+    return alice, bob
 
 
 class TestExpectedRates:
@@ -401,8 +423,8 @@ class TestRunB92:
         assert abs(errors - kept * rate) < 4 * binom_sigma(kept, rate)
 
     def test_outcomes_match_gathered_thresholds(self):
-        # the per-signal thresholds must reproduce the cumulative-probability
-        # gather bit for bit on the same draws
+        # the per-signal lane thresholds must reproduce the gather of each
+        # signal's thresholds bit for bit on the same draws
         alpha = 0.4
         params = ProtocolParams(
             alpha=alpha, n_pairs=50_000, channel=depolarizing_channel(0.05), seed=12
@@ -431,9 +453,9 @@ class TestRunB92:
         ids=["identity", "p0.03", "p0.75"],
     )
     def test_raw_stream_equals_public_draws(self, n, alpha_sq, channel):
-        # run_b92 reads PCG64's words raw and relies on numpy's Lemire
-        # integers, next_double and 32-bit buffering; the oracle uses the
-        # public Generator calls, so a numpy that changes any of them shows here
+        # run_b92 reads its bits and lanes through little-endian byte views
+        # of chunked draws; the reference shifts them out of whole words, so
+        # a slipped view, chunk boundary or refinement draw shows here
         for seed in (0, 7, 2**40 + 3):
             params = ProtocolParams(
                 alpha=math.sqrt(alpha_sq), n_pairs=n, channel=channel, seed=seed
@@ -459,12 +481,13 @@ class TestRunB92:
             np.testing.assert_array_equal(rec.bob_outcomes, bob)
 
     @pytest.mark.parametrize("seed, digest", [
-        (0, "6f63e0cabe823e8771f3e8798ba28c1eaa82f5f397b1d3c041c5e7a0b85654fc"),
-        (2**40 + 3, "802156f26c0f5dbd7fb661f4a18c9966dc65b26960780de891788523e5592181"),
-    ])
+        (0, "28bd3c477a975e9b2249aefe37c5add5805e9cd88424ab44be9e99c4a2e8600b"),
+        (2**40 + 3, "bb0fadb6269f5a1936a55cb5fa93c78796c0fc0dbb4c25351ef0db190780e269"),
+    ], ids=["0", "2**40+3"])
     def test_record_digest_is_pinned(self, seed, digest):
         # the records of a seed change only with a visible edit here; the
-        # digest rests on PCG64's raw words, which numpy keeps stable
+        # digest rests on SeedSequence.spawn and PCG64's raw words, which
+        # numpy keeps stable
         params = ProtocolParams(
             alpha=ALPHA_02, n_pairs=2**16 + 3, channel=depolarizing_channel(0.03), seed=seed
         )
@@ -472,7 +495,7 @@ class TestRunB92:
         got = hashlib.sha256(rec.alice_bits.tobytes() + rec.bob_outcomes.tobytes()).hexdigest()
         assert got == digest
 
-    @pytest.mark.parametrize("chunk", [2, 64, 4098])
+    @pytest.mark.parametrize("chunk", [64, 128, 4160])
     def test_chunk_size_does_not_change_the_record(self, chunk, monkeypatch):
         monkeypatch.setattr(protocol, "_CHUNK", chunk)
         for n in (1, chunk - 1, chunk + 1, 3 * chunk + 1):
@@ -498,6 +521,105 @@ class TestRunB92:
             for k in (ti - 1, ti, ti + 1):
                 if 0 <= k < 2**53:
                     assert (float(k) * 2.0**-53 >= ci) == (k >= ti)
+
+    # thresholds T on both sides of a lane boundary and at both ends, where
+    # 2**53 never fires and its top bits, 2**16, fit no lane
+    SPLIT_T = [0, 1, 2**37 - 1, 2**37, 2**37 + 1, 2**53 - 1, 2**53,
+               *np.random.default_rng(19).integers(0, 2**53, size=20, endpoint=True).tolist()]
+
+    @staticmethod
+    def _split_run(monkeypatch, thresholds, signals):
+        """run_b92 with the given integer thresholds on signals given as
+        (sent bit, k): its three streams are replaced by words that carry the
+        bits, the lanes k >> 37 and, for each signal whose lane is T >> 37 for
+        one of its thresholds, k's low 37 bits above 27 junk bits.  Returns the
+        outcomes and the refinement words left unread."""
+        n = len(signals)
+        bits = [sum(b << (i % 64) for i, (b, _) in enumerate(signals) if i // 64 == w)
+                for w in range(-(-n // 64))]
+        lanes = [sum((k >> 37) << (16 * (i % 4)) for i, (_, k) in enumerate(signals)
+                     if i // 4 == w) for w in range(-(-n // 4))]
+        refine = [(k & (2**37 - 1)) << 27 | (0x5BD1E99 * (i + 1)) % 2**27
+                  for i, (b, k) in enumerate(signals)
+                  if k >> 37 in [t >> 37 for t in thresholds[b]]]
+
+        class Words:
+            def __init__(self, words):
+                self.words = words
+
+            def random_raw(self, size=None):
+                if size is None:
+                    return self.words.pop(0)
+                out, self.words[:size] = self.words[:size], []
+                return np.array(out, dtype=np.uint64)
+
+        streams = iter([Words(bits), Words(lanes), Words(refine)])
+        monkeypatch.setattr(np.random, "PCG64", lambda seed: next(streams))
+        monkeypatch.setattr(protocol, "_uniform_thresholds",
+                            lambda c: np.array(thresholds, dtype=np.int64))
+        params = ProtocolParams(alpha=0.4, n_pairs=n, channel=identity_channel())
+        out = run_b92(params).bob_outcomes
+        monkeypatch.undo()
+        return out, refine
+
+    @pytest.mark.parametrize("t", SPLIT_T)
+    def test_lane_then_refinement_fires_exactly_when_k_reaches_t(self, t, monkeypatch):
+        # the 16-bit lane decides unless it ties T >> 37; a tie reads one
+        # word, whose top 37 bits are k's low bits for both thresholds
+        ks = [k for k in (t - 1, t, t + 1) if 0 <= k < 2**53]
+        for thresholds in ([[t, 2**53], [0, t]], [[t, min(t + 1, 2**53)], [t, t]]):
+            signals = [(b, k) for k in ks for b in (0, 1)]
+            out, unread = self._split_run(monkeypatch, thresholds, signals)
+            want = [sum(k >= x for x in thresholds[b]) for b, k in signals]
+            assert out.tolist() == want, thresholds
+            assert unread == []
+
+    def test_refinement_words_are_read_only_on_ties(self, monkeypatch):
+        # at n = 2**20 about 32 signals tie: the run reads n/64 words of bits,
+        # n/4 of lanes, one per tie, so about 17 random bits per signal
+        n = 2**20
+        made = []
+        pcg64 = np.random.PCG64
+
+        class Counted:
+            def __init__(self, seed_seq):
+                self.gen, self.words = pcg64(seed_seq), 0
+                made.append(self)
+
+            def random_raw(self, size=None):
+                self.words += 1 if size is None else size
+                return self.gen.random_raw(size)
+
+        params = ProtocolParams(
+            alpha=ALPHA_02, n_pairs=n, channel=depolarizing_channel(0.03), seed=9
+        )
+        monkeypatch.setattr(np.random, "PCG64", Counted)
+        rec = run_b92(params)
+        monkeypatch.undo()
+        alice, bob = one_shot_b92(params)
+        np.testing.assert_array_equal(rec.alice_bits, alice)
+        np.testing.assert_array_equal(rec.bob_outcomes, bob)
+        bits, lanes, refine = (c.words for c in made)
+        assert (bits, lanes) == (n // 64, n // 4)
+        assert 0 < refine < 2 * 2 * n * 2**-16
+        assert 64 * (bits + lanes + refine) / n < 17.01
+
+    @pytest.mark.parametrize("alpha_sq, channel", [
+        (0.2, depolarizing_channel(0.03)),
+        (0.05, identity_channel()),
+        (0.3, KrausChannel(random_channel(np.random.default_rng(37), 3))),
+    ], ids=["p0.03", "identity", "random"])
+    def test_joint_counts_follow_the_sent_state_law(self, alpha_sq, channel):
+        # the six (sent, outcome) counts against n * law / 2, from the channel
+        # applied to each signal state, within 5 sigma Bonferroni-corrected
+        # over the six cells
+        n = 4_000_000
+        alpha = math.sqrt(alpha_sq)
+        rec = run_b92(ProtocolParams(alpha=alpha, n_pairs=n, channel=channel, seed=1))
+        counts = np.bincount(3 * rec.alice_bits + rec.bob_outcomes, minlength=6)
+        q = 0.5 * sent_state_law(alpha, channel).ravel()
+        z = stats.norm.isf(stats.norm.sf(5.0) / 6)
+        assert np.all(np.abs(counts - n * q) <= z * np.sqrt(n * q * (1.0 - q)))
 
     def test_peak_memory_below_three_times_output(self):
         params = ProtocolParams(

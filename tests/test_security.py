@@ -27,7 +27,13 @@ from b92sim.security import (
     relative_entropy,
     tradeoff_curve,
 )
-from oracles import depolarizing_rates, finite_size_oracle, grid_scan_phase_bound, random_channel
+from oracles import (
+    attaining_channel,
+    depolarizing_rates,
+    finite_size_oracle,
+    grid_scan_phase_bound,
+    random_channel,
+)
 
 ALPHA_02 = math.sqrt(0.2)
 
@@ -262,6 +268,25 @@ class TestPhaseErrorBound:
             res = phase_error_bound(ObservedRates(r_err=r.r_err, r_fil=r.r_fil, alpha=alpha))
             assert res.feasible
             assert r.r_ph <= res.r_ph_bar + 1e-12
+
+    @pytest.mark.parametrize("p, alpha_sq", [(0.03, 0.2), (0.01, 0.1), (0.05, 0.3), (0.02, 0.4)])
+    def test_ceiling_is_attained_by_a_channel(self, p, alpha_sq):
+        # the ceiling is tight: a search over 4-Kraus channels that holds the
+        # depolarizing (r_err, r_fil) reaches the ceiling of the channel's
+        # own rates, so the search's constraint tolerance cannot hide an
+        # excess, and a ceiling set too high would show as a shortfall
+        from b92sim.protocol import expected_rates
+        from b92sim.quantum import KrausChannel
+
+        alpha = math.sqrt(alpha_sq)
+        target = depolarizing_rates(alpha_sq, p)
+        channel = KrausChannel(attaining_channel(alpha, target["r_err"], target["r_fil"]))
+        r = expected_rates(alpha, channel)
+        assert r.r_err == pytest.approx(target["r_err"], abs=1e-12)
+        assert r.r_fil == pytest.approx(target["r_fil"], abs=1e-12)
+        res = phase_error_bound(ObservedRates(r_err=r.r_err, r_fil=r.r_fil, alpha=alpha))
+        assert res.feasible
+        assert r.r_ph == pytest.approx(res.r_ph_bar, rel=1e-9, abs=0.0)
 
 
 def _same(a, b) -> bool:
