@@ -22,27 +22,20 @@ import numpy as np
 
 from .errors import ParameterError
 # check_pair_basis, error_povm_element and nonmax_entangled_state are not
-# called here, and b92_povm only by reduction_equivalence (the samplers use
-# b92_povm_elements), but the benchmark's tracer (perfbench/tracing.py) wraps
-# each of them as protocol.<name>, so they must stay resolvable in this module.
+# called here, but the benchmark's tracer (perfbench/tracing.py) wraps each
+# of them, as well as b92_povm and filter_op, as protocol.<name>, so they
+# must stay resolvable in this module.
 from .quantum import (  # noqa: F401
-    XX_PROJECTORS,
-    ZZ_PROJECTORS,
     DensityMatrix,
     KrausChannel,
     b92_povm,
-    b92_povm_elements,
-    born,
     check_alpha,
-    check_basis_kets,
     check_pair_basis,
     check_strength,
     error_povm_element,
     filter_op,
     ket_z,
     nonmax_entangled_state,
-    post_channel_states,
-    projectors,
 )
 
 # the largest pair budget: the samplers draw counts as int64
@@ -151,67 +144,67 @@ assert _CHUNK % 64 == 0
 _DOUBLE_SCALE = 2.0**53
 _LOW_BITS = 37
 
-_ZZ_XX_PROJECTORS = np.concatenate([ZZ_PROJECTORS, XX_PROJECTORS])
-# H x H = _SIGNS4 / 2 for the Hadamard H = _SIGNS / sqrt 2, which maps Z-basis
-# coordinates to X-basis ones and back
+# S = sqrt 2 H for the Hadamard H, which maps Z-basis coordinates to X-basis
+# ones and back
 _SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])
-_SIGNS4 = np.kron(_SIGNS, _SIGNS)
 
 
-def _born_table(alpha: float, channel: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
-    """Born weights behind every rate and tally, plus the post-channel state.
+def _weights(amps: np.ndarray) -> np.ndarray:
+    """sum_k |amps[k]|^2: the Born weights of a mixture of unnormalized kets."""
+    return (amps.real**2 + amps.imag**2).sum(axis=0)
 
-    The table has shape (2, 3, 2, 2): state (post-channel, then its filtered
-    and unnormalized image (I x F) rho (I x F)), projector family (Z x Z,
-    X x X, check basis), then the two outcome indices.  All 24 weights come
-    from one Born contraction; rounding-level negative weights are clipped
-    to zero.
 
-    The filtered image is formed in X-basis coordinates, where the source ket
-    is (beta, 0, 0, alpha) and F = diag(alpha, beta) scales rows exactly, then
-    taken back to Z-basis coordinates by sums of terms of its own alpha^2
-    scale.  F's Z-basis entries (alpha +- beta)/2 would leave its weights,
-    r_fil among them, an absolute error of order eps * alpha.
+def _born_table(alpha: float, channel: KrausChannel) -> tuple[np.ndarray, ...]:
+    """Born weights behind every rate and tally: (xx, check, zz_f, xx_f).
+
+    Each is a 2x2 array indexed by the two outcomes: the post-channel state
+    measured in X x X and in the check basis, and its filtered, unnormalized
+    image (I x F) rho (I x F) measured in Z x Z and in X x X.  Every weight is
+    sum_k |amplitude|^2 in X-basis coordinates, where the source ket is
+    (beta, 0, 0, alpha): Kraus term K leaves the amplitudes
+    M = diag(beta, alpha) K_X^T, for K_X = S K S / 2, the filter
+    F = diag(alpha, beta) scales M's columns, and the check kets are
+    (beta, 0, 0, alpha), (0, beta, -alpha, 0), (0, alpha, beta, 0) and
+    (alpha, 0, 0, -beta).  So no weight is negative, and a term that leaves
+    the source state alone adds alpha beta - beta alpha = 0 to every error
+    cell, whatever the scale of alpha.  The Z x Z amplitudes S (M F) S leave
+    the Hadamard's 1/sqrt 2 factors out, as one 1/4 on their weights.
     """
-    kets = check_basis_kets(alpha)
-    kraus = np.asarray(channel.kraus_ops)
     beta = math.sqrt(1.0 - alpha * alpha)
-    filtered = np.array([[alpha], [beta]]) * (0.5 * (_SIGNS @ kraus @ _SIGNS))
-    rho_f = post_channel_states(np.array([beta, 0.0, 0.0, alpha]), filtered)
-    states = np.stack([post_channel_states(kets[0], kraus), 0.25 * (_SIGNS4 @ rho_f @ _SIGNS4)])
-    ops = np.concatenate([_ZZ_XX_PROJECTORS, projectors(kets)])
-    table = np.clip(born(states, ops), 0.0, None).reshape(2, 3, 2, 2)
-    return table, states[0]
+    kraus_x = 0.5 * (_SIGNS @ np.asarray(channel.kraus_ops) @ _SIGNS)
+    amps = np.array([[beta], [alpha]]) * np.swapaxes(kraus_x, 1, 2)
+    m00, m01, m10, m11 = amps.reshape(-1, 4).T
+    check = np.stack([beta * m00 + alpha * m11, beta * m01 - alpha * m10,
+                      alpha * m01 + beta * m10, alpha * m00 - beta * m11], axis=-1)
+    filtered = amps * np.array([alpha, beta])
+    return (_weights(amps), _weights(check.reshape(amps.shape)),
+            0.25 * _weights(_SIGNS @ filtered @ _SIGNS), _weights(filtered))
 
 
 def _normalized(w: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def _check_joint_probs(rho: np.ndarray, alpha: float) -> np.ndarray:
-    """Joint distribution of (A's Z outcome, B's three-outcome result)."""
-    conditional = rho.reshape(2, 2, 2, 2)[[0, 1], :, [0, 1], :]
-    joint = born(conditional, b92_povm_elements(alpha))
-    return _normalized(np.clip(joint, 0.0, None))
-
-
 def expected_rates(alpha: float, channel: KrausChannel) -> ExpectedRates:
     """Exact analytic rates of a run: the numeric counterpart of sampling.
 
-    r_fil/r_err are the filter-pass and check-error probabilities, clamped to
-    [0, 1] and [0, 1/2] so rounding never leaves the range ObservedRates
-    accepts; r_bit and r_ph are the weights of the filtered state in the Z-
-    and X-anticorrelated subspaces; r_xx and s_check are the joint outcome
-    distributions feeding the counterfactual counters.  Valid for any Kraus
-    channel on B; every weight is one Born contraction on the post-channel
-    state or its filtered image, with no two-qubit Kronecker products.
+    Every field is read off _born_table for any Kraus channel on B.  r_fil is
+    the filter-pass probability; r_bit and r_ph are the weights of the
+    filtered state in the Z- and X-anticorrelated cells.  The check-pair
+    error probability equals r_bit for every channel: the check pairs'
+    conclusive outcomes are the filtered Z x Z outcomes, as B92 element k is
+    F|k><k|F.  So r_err is r_bit capped at 1/2, and r_fil is capped at 1:
+    rounding never leaves the range ObservedRates accepts.  r_xx and
+    s_check are the normalized X x X and check-basis outcome distributions
+    that feed the counterfactual counters.
     """
     check_alpha(alpha)
-    (zz, xx, check), (zz_f, xx_f, _) = _born_table(alpha, channel)[0]
+    xx, check, zz_f, xx_f = _born_table(alpha, channel)
+    r_bit = float(zz_f[0, 1] + zz_f[1, 0])
     return ExpectedRates(
         r_fil=float(min(zz_f.sum(), 1.0)),
-        r_err=float(min(0.5 * (check[0, 1] + check[1, 1]), 0.5)),
-        r_bit=float(zz_f[0, 1] + zz_f[1, 0]),
+        r_err=min(r_bit, 0.5),
+        r_bit=r_bit,
         r_ph=float(xx_f[0, 1] + xx_f[1, 0]),
         r_xx=_normalized(xx),
         s_check=_normalized(check),
@@ -225,8 +218,8 @@ def _depolarizing_scalars(alpha: float, p: float) -> tuple[float, float, float, 
     h = 2 a2 b2, gap = 1 - 2 a2 and t = p/3 (so 1 - 2h = gap^2) it returns
       r_fil = h + 2t (1 - 2h),  r_err = t,  r_ph = 2t (a2^2 + b2^2),
       delta = (r_fil - h)/gap = 2t gap,  excess = r_fil - h - 2 r_err = -4t h.
-    A noiseless r_fil keeps its alpha^2 scale at any alpha, which the Born
-    table's cancellations lose; the excesses keep what rate differences lose.
+    The rates agree with the Born table's to rounding, with no channel and no
+    arrays; the excesses keep the digits that differences of rates lose.
     """
     a2 = alpha * alpha
     b2 = 1.0 - a2
@@ -273,10 +266,13 @@ def run_protocol1(params: ProtocolParams) -> Tallies:
     """
     rng = np.random.Generator(np.random.Philox(params.seed))
     n = params.n_pairs
-    table, rho = _born_table(params.alpha, params.channel)
-    (_, xx, check), (zz_f, xx_f, _) = table
+    xx, check, zz_f, xx_f = _born_table(params.alpha, params.channel)
 
-    joint = rng.multinomial(n, _check_joint_probs(rho, params.alpha).ravel())
+    # the check pairs' joint law of (A's Z outcome, B's B92 outcome): B92
+    # element k is F|k><k|F, so the conclusive cells are the filtered Z x Z
+    # cells, and each row sums to A's Z marginal 1/2, whatever the channel
+    null = np.maximum(0.5 - zz_f.sum(axis=1, keepdims=True), 0.0)
+    joint = rng.multinomial(n, np.hstack([zz_f, null]).ravel())
     n_err = int(joint[1] + joint[3])
     m_check = rng.multinomial(n, _normalized(check).ravel()).reshape(2, 2)
     n_fil = int(rng.binomial(n, min(zz_f.sum(), 1.0)))
@@ -332,14 +328,11 @@ def run_b92(params: ProtocolParams) -> B92Record:
     """
     bits, lanes, refine = map(np.random.PCG64, np.random.SeedSequence(params.seed).spawn(3))
     n = params.n_pairs
-    # A's Z outcome j leaves B in the sent state j, so row j of the check
-    # pairs' joint law, on _born_table's post-channel state, is the sent
-    # state's outcome law
-    kraus = np.asarray(params.channel.kraus_ops)
-    rho = post_channel_states(check_basis_kets(params.alpha)[0], kraus)
-    joint = _check_joint_probs(rho, params.alpha)
-    cond = joint / joint.sum(axis=1, keepdims=True)
-    thresholds = _uniform_thresholds(np.cumsum(cond, axis=1)[:, :2])
+    # A's Z outcome j, of probability 1/2, leaves B in the sent state j, so
+    # twice row j of the check pairs' conclusive cells (run_protocol1) is the
+    # sent state's law of the conclusive outcomes
+    zz_f = _born_table(params.alpha, params.channel)[2]
+    thresholds = _uniform_thresholds(np.cumsum(2.0 * zz_f, axis=1))
     exact = thresholds.tolist()
     # each signal's two lane thresholds are base + sent * step mod 2**16, in
     # place of a gather of the sent state's row.  A T of 2**53 has the lane

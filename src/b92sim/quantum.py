@@ -58,8 +58,6 @@ def projectors(kets: np.ndarray) -> np.ndarray:
     return kets[:, :, None] * kets.conj()[:, None, :]
 
 
-ZZ_PROJECTORS = projectors(np.eye(4, dtype=complex))
-XX_PROJECTORS = projectors(XX_KETS)
 X_PROJECTORS = projectors(np.array([KET_0X, KET_1X]))
 
 

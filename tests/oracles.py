@@ -108,6 +108,79 @@ def kron_expected_rates(alpha: float, kraus_ops) -> dict[str, object]:
     }
 
 
+def decimal_born_table(alpha: float, kraus, prec: int = 700) -> dict[str, np.ndarray]:
+    """Every Born weight of the post-channel state, as a trace Tr[rho P] in
+    ``prec``-digit decimal arithmetic.
+
+    rho is the Z-basis density matrix sum_k (I x K) psi psi^dag (I x K)^dag
+    of the exact binary alpha and Kraus entries, with beta = sqrt(1 - a^2)
+    to ``prec`` digits, and the filtered state is (I x F) rho (I x F) with
+    F's Z-basis entries (alpha +- beta)/2.  Returns, as floats:
+      xx, check   rho against the X x X and check-basis projectors;
+      zz_f, xx_f  the filtered state against the Z x Z and X x X ones;
+      joint       the check pairs' law of (A's Z outcome, B's B92 outcome),
+                  from rho and the B92 elements |d><d|/2 on the two dual
+                  kets, null being the rest of the identity.
+    The Z-basis entries of psi and F are O(1) and cancel down to weights as
+    small as alpha^2 p, about 1e-315 at the smallest test points, so the
+    default 700 digits leave over 300 good digits in each.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = prec
+        dec = decimal.Decimal
+        a = dec(float(alpha))
+        b = (1 - a * a).sqrt()
+        h = 1 / dec(2).sqrt()
+        x_kets = ([h, h], [h, -h])
+        xx_kets = [[u * v for u in x_kets[i] for v in x_kets[j]] for i in (0, 1) for j in (0, 1)]
+
+        def mix(g, c, d, e):
+            return [c * x + d * y for x, y in zip(xx_kets[g], xx_kets[e])]
+
+        check_kets = [mix(0, b, a, 3), mix(1, b, -a, 2), mix(1, a, b, 2), mix(0, a, -b, 3)]
+        psi = check_kets[0]
+        # complex entries as (re, im) pairs of Decimals
+        rho = [[(dec(0), dec(0))] * 4 for _ in range(4)]
+        for k in kraus:
+            kd = [[(dec(float(z.real)), dec(float(z.imag))) for z in row] for row in np.asarray(k)]
+            v = [tuple(sum(kd[j][m][part] * psi[2 * i + m] for m in (0, 1)) for part in (0, 1))
+                 for i in (0, 1) for j in (0, 1)]
+            for r in range(4):
+                for c in range(4):
+                    re, im = rho[r][c]
+                    rho[r][c] = (re + v[r][0] * v[c][0] + v[r][1] * v[c][1],
+                                 im + v[r][1] * v[c][0] - v[r][0] * v[c][1])
+        f = [[(a + b) / 2, (a - b) / 2], [(a - b) / 2, (a + b) / 2]]
+        fb = [[f[r % 2][c % 2] if r // 2 == c // 2 else dec(0) for c in range(4)]
+              for r in range(4)]
+        rho_f = [[tuple(sum(fb[r][s] * rho[s][t][part] * fb[t][c]
+                            for s in range(4) for t in range(4)) for part in (0, 1))
+                  for c in range(4)] for r in range(4)]
+
+        def weight(m, ket):
+            # real kets: the imaginary parts of a Hermitian m cancel
+            return float(sum(ket[r] * m[r][c][0] * ket[c] for r in range(4) for c in range(4)))
+
+        def cells(m, kets):
+            return np.array([weight(m, g) for g in kets]).reshape(2, 2)
+
+        dual = ([(a + b) * h, (a - b) * h], [(a - b) * h, (a + b) * h])
+        elements = [[[u * v / 2 for v in d] for u in d] for d in dual]
+        elements.append([[int(r == c) - elements[0][r][c] - elements[1][r][c]
+                          for c in (0, 1)] for r in (0, 1)])
+        joint = np.array([[float(sum(rho[2 * j + m][2 * j + l][0] * e[l][m]
+                                     for m in (0, 1) for l in (0, 1)))
+                           for e in elements] for j in (0, 1)])
+        return {
+            "xx": cells(rho, xx_kets),
+            "check": cells(rho, check_kets),
+            "zz_f": np.array([[float(rho_f[2 * i + j][2 * i + j][0]) for j in (0, 1)]
+                              for i in (0, 1)]),
+            "xx_f": cells(rho_f, xx_kets),
+            "joint": joint,
+        }
+
+
 def grid_scan_phase_bound(
     r_err: float, r_fil: float, alpha: float, points: int = 1_000_000,
     graze_tol: float = 1e-12,

@@ -32,7 +32,13 @@ from b92sim.quantum import (
     signal_state,
 )
 from b92sim.security import ObservedRates, key_rate
-from oracles import depolarizing_rates, kron_expected_rates, random_channel, random_density_matrix
+from oracles import (
+    decimal_born_table,
+    depolarizing_rates,
+    kron_expected_rates,
+    random_channel,
+    random_density_matrix,
+)
 
 ALPHA_02 = math.sqrt(0.2)
 
@@ -151,12 +157,17 @@ class TestExpectedRates:
             assert key_rate(obs) == pytest.approx(rates.r_fil, abs=1e-9)
 
     def test_error_rate_equals_bit_rate(self):
-        # the check-pair error probability must equal the filtered bit-error
-        # weight for every channel (this identity underlies the estimation)
+        # the check-pair error probability, read off the check basis, must
+        # equal the filtered bit-error weight for every channel: r_err is
+        # r_bit on that identity, which underlies the estimation
         rng = np.random.default_rng(5)
-        for p in (0.0, 0.02, 0.2, 0.6):
-            r = expected_rates(0.45, depolarizing_channel(p))
-            assert r.r_err == pytest.approx(r.r_bit, abs=1e-12)
+        channels = [depolarizing_channel(p) for p in (0.0, 0.02, 0.2, 0.6)]
+        channels += [KrausChannel(random_channel(rng, k)) for k in (1, 2, 3, 4) for _ in range(5)]
+        for channel in channels:
+            r = expected_rates(0.45, channel)
+            assert r.r_err == r.r_bit
+            assert r.r_bit == pytest.approx(0.5 * (r.s_check[0, 1] + r.s_check[1, 1]),
+                                            rel=1e-14, abs=1e-16)
 
 
 class TestDepolarizingRates:
@@ -194,15 +205,37 @@ class TestDepolarizingRates:
         assert r.r_fil == 2.0 * a2 * (1.0 - a2)
         assert r.r_err == r.r_bit == r.r_ph == 0.0
 
-    @pytest.mark.parametrize("alpha_sq", [1e-8, 1e-20, 1e-30, 1e-100, 1e-300])
-    @pytest.mark.parametrize("p", [0.0, 1e-25, 1e-12, 0.03])
+    @pytest.mark.parametrize("alpha_sq", [1e-8, 1e-20, 1e-30, 1e-100, 1e-300, 0.2, 0.49])
+    @pytest.mark.parametrize("p", [0.0, 1e-25, 1e-15, 1e-12, 1e-6, 0.03, 0.7])
     def test_born_table_filter_rate_keeps_its_scale(self, p, alpha_sq):
-        # the filter's Z-basis entries (alpha +- beta)/2 would leave r_fil an
-        # absolute error of order eps * alpha, 11 % of r_fil at alpha^2 = 1e-30
+        # Z-basis entries (alpha +- beta)/2 would leave each weight an
+        # absolute error of order eps: 11 % of r_fil at alpha^2 = 1e-30, and
+        # 12 % of r_err at p = 1e-15, alpha^2 = 1e-20
         alpha = math.sqrt(alpha_sq)
         table = expected_rates(alpha, depolarizing_channel(p))
         closed = protocol.depolarizing_rates(alpha, p)
-        assert table.r_fil == pytest.approx(closed.r_fil, rel=1e-15, abs=0.0)
+        for name in self.FIELDS:
+            got, want = np.asarray(getattr(table, name)), np.asarray(getattr(closed, name))
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0, err_msg=name)
+            assert np.array_equal(got == 0.0, want == 0.0), name
+
+    @pytest.mark.parametrize("alpha_sq", [0.2, 1e-20, 1e-300])
+    def test_identity_channel_has_no_error_weight(self, alpha_sq, monkeypatch):
+        # a Kraus term that leaves the source alone adds alpha beta - beta
+        # alpha = 0 to each error cell, so no conclusive outcome of run_b92
+        # names the wrong bit: sent 0 never gives 1 (equal thresholds) and
+        # sent 1 never gives 0 (threshold 0, which every k reaches)
+        alpha = math.sqrt(alpha_sq)
+        r = expected_rates(alpha, identity_channel())
+        assert r.r_err == r.r_bit == r.r_ph == 0.0
+        seen = []
+        uniform_thresholds = protocol._uniform_thresholds
+        monkeypatch.setattr(protocol, "_uniform_thresholds",
+                            lambda c: seen.append(uniform_thresholds(c)) or seen[-1])
+        rec = run_b92(ProtocolParams(alpha=alpha, n_pairs=1_000, channel=identity_channel()))
+        (t00, t01), (t10, _) = seen[0].tolist()
+        assert t00 == t01 and t10 == 0
+        np.testing.assert_array_equal(rec.sifted_alice, rec.sifted_bob)
 
     @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan, math.inf, -math.inf])
     def test_rejects_strength_like_the_channel(self, p):
@@ -233,6 +266,33 @@ class TestDepolarizingRates:
             assert kernel[3] == pytest.approx(fil_excess / gap, rel=1e-12, abs=1e-15 / gap)
             assert kernel[4] == pytest.approx(fil_excess - 2.0 * r.r_err, rel=1e-12, abs=1e-15)
             assert protocol._depolarizing_scalars(np.float64(alpha), np.float64(p)) == kernel
+
+
+class TestBornTable:
+    @staticmethod
+    def assert_matches_decimal(alpha, channel):
+        # 1e-12 relative, or exactly 0 where the exact weight is 0; the check
+        # pairs' law is the filtered Z x Z cells plus 1/2 minus each row's sum
+        xx, check, zz_f, xx_f = protocol._born_table(alpha, channel)
+        null = np.maximum(0.5 - zz_f.sum(axis=1, keepdims=True), 0.0)
+        ref = decimal_born_table(alpha, channel.kraus_ops)
+        got = {"xx": xx, "check": check, "zz_f": zz_f, "xx_f": xx_f,
+               "joint": np.hstack([zz_f, null])}
+        for name, weights in got.items():
+            np.testing.assert_allclose(weights, ref[name], rtol=1e-12, atol=0.0, err_msg=name)
+            assert np.array_equal(weights == 0.0, ref[name] == 0.0), name
+
+    @pytest.mark.parametrize("kraus_count", [1, 2, 3, 4])
+    def test_matches_decimal_oracle_on_random_channels(self, kraus_count):
+        rng = np.random.default_rng(40 + kraus_count)
+        for _ in range(8):
+            channel = KrausChannel(random_channel(rng, kraus_count))
+            self.assert_matches_decimal(math.sqrt(rng.uniform(0.02, 0.48)), channel)
+
+    @pytest.mark.parametrize("p", [0.0, 1e-15, 1e-12, 1e-6, 0.03, 0.7])
+    def test_matches_decimal_oracle_on_depolarizing_channels(self, p):
+        for alpha_sq in (1e-300, 1e-100, 1e-20, 1e-8, 0.2, 0.49):
+            self.assert_matches_decimal(math.sqrt(alpha_sq), depolarizing_channel(p))
 
 
 class TestRunProtocol1:
@@ -359,10 +419,10 @@ class TestRunProtocol1:
                    else KrausChannel(random_channel(rng, kraus_count)))
         n = 100_003
         params = ProtocolParams(alpha=ALPHA_02, n_pairs=n, channel=channel, seed=seed)
-        table, rho = protocol._born_table(params.alpha, channel)
-        (_, xx, check), (zz_f, xx_f, _) = table
+        xx, check, zz_f, xx_f = protocol._born_table(params.alpha, channel)
         gen = np.random.Generator(np.random.Philox(seed))
-        joint = gen.multinomial(n, protocol._check_joint_probs(rho, params.alpha).ravel())
+        null = np.maximum(0.5 - zz_f.sum(axis=1, keepdims=True), 0.0)
+        joint = gen.multinomial(n, np.hstack([zz_f, null]).ravel())
         m_check = gen.multinomial(n, (check / check.sum()).ravel())
         n_fil = gen.binomial(n, min(zz_f.sum(), 1.0))
         n_xx = gen.multinomial(n, (xx / xx.sum()).ravel())
@@ -652,13 +712,14 @@ class TestRunB92:
 
         rng = np.random.Generator(np.random.Philox(params_b.seed))
         rng.permutation(2 * n)
-        from b92sim.protocol import _check_joint_probs
-
+        # the check pairs' law from the quantum layer: B's state given A's
+        # Z outcome j, measured with the B92 POVM
         rho = apply_channel_on_B(
             nonmax_entangled_state(ALPHA_02), depolarizing_channel(p)
-        ).entries
-        joint = _check_joint_probs(rho, ALPHA_02)
-        outcomes = rng.choice(6, size=n, p=joint.reshape(-1))
+        ).entries.reshape(2, 2, 2, 2)
+        pv = b92_povm(ALPHA_02)
+        joint = np.array([pv.outcome_probabilities(rho[j, :, j, :]) for j in (0, 1)])
+        outcomes = rng.choice(6, size=n, p=(joint / joint.sum()).reshape(-1))
         check_counts = np.bincount(outcomes, minlength=6).reshape(2, 3)
 
         table = np.vstack([b92_counts.reshape(-1), check_counts.reshape(-1)])
