@@ -350,10 +350,13 @@ def exponent_decomposed(point: ExponentPoint, problem: TwoBasisSampling) -> floa
 
 def _bloch_fit(problem: TwoBasisSampling) -> tuple[float, np.ndarray | None]:
     """Norm and vector of the smallest Bloch vector r reproducing both
-    outcome means, r.u_b = 2 delta_b - 1: the 2x2 Gram solve in the plane of
-    u_0 and u_1, or c_0 u_0 when the two are collinear.  (inf, None) when
-    they are collinear but the observed fractions disagree (no state gives
-    two different means of one observable)."""
+    outcome means, r.u_b = 2 delta_b - 1: r = c_0 u_0 + r_b b in the
+    orthonormal axes (u_0, b) of _plane, with r_b = (c_1 - c_0 cos w) / u_1.b,
+    or c_0 u_0 when the two are collinear.  Solving in those axes divides by
+    sin w, not by the sin^2 w of the Gram solve, so bases a few microradians
+    from aligned or antipodal still reproduce both means to rounding.
+    (inf, None) when they are collinear but the observed fractions disagree
+    (no state gives two different means of one observable)."""
     u0 = bloch_vector(problem.basis0[1])
     u1 = bloch_vector(problem.basis1[1])
     c0 = 2.0 * problem.delta0 - 1.0
@@ -366,9 +369,9 @@ def _bloch_fit(problem: TwoBasisSampling) -> tuple[float, np.ndarray | None]:
         if mismatch > 1e-9:
             return math.inf, None
         return abs(c0), c0 * u0
-    norm_sq = (c0 * c0 + c1 * c1 - 2.0 * c0 * c1 * cos_w) / sin_sq
-    r = ((c0 - c1 * cos_w) * u0 + (c1 - c0 * cos_w) * u1) / sin_sq
-    return math.sqrt(max(norm_sq, 0.0)), r
+    _, b = _plane(u0, u1)
+    r_b = (c1 - c0 * cos_w) / (u1 @ b)
+    return math.hypot(c0, r_b), c0 * u0 + r_b * b
 
 
 def bloch_fit_radius(problem: TwoBasisSampling) -> float:

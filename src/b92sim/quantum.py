@@ -2,7 +2,9 @@
 
 States and operators are stored as dense complex arrays in the computational
 (Z) basis.  The X basis is related by |j_z> = [|0_x> + (-1)^j |1_x>]/sqrt(2),
-i.e. |0_x>, |1_x> are the +1/-1 eigenvectors of the Pauli X operator.
+i.e. |0_x>, |1_x> are the +1/-1 eigenvectors of the Pauli X operator.  Each
+builder computes its object directly and returns it validated; the protocol's
+rate laws read their own X-basis Born table (protocol._born_table) instead.
 """
 
 from __future__ import annotations
@@ -30,10 +32,6 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-# X-basis product kets |i_x j_x>, rows in index order (0,0), (0,1), (1,0), (1,1)
-XX_KETS = np.array([np.kron(a, b) for a in (KET_0X, KET_1X) for b in (KET_0X, KET_1X)])
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=complex)
     out.setflags(write=False)
@@ -51,34 +49,6 @@ def projector(ket: np.ndarray) -> np.ndarray:
     """Rank-1 projector |psi><psi| of a state vector."""
     v = np.asarray(ket, dtype=complex)
     return np.outer(v, v.conj())
-
-
-def projectors(kets: np.ndarray) -> np.ndarray:
-    """Stack of rank-1 projectors, one per row of ``kets``."""
-    return kets[:, :, None] * kets.conj()[:, None, :]
-
-
-X_PROJECTORS = projectors(np.array([KET_0X, KET_1X]))
-
-
-def born(rho: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """Weights Tr[rho E_k] for a stack ``ops`` of operators E_k.
-
-    ``rho`` may carry leading batch axes; the result then has shape
-    ``rho.shape[:-2] + (len(ops),)``.
-    """
-    return np.einsum("...ij,kji->...k", rho, ops).real
-
-
-def post_channel_states(psi: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """sum_k (I x K_k)|psi><psi|(I x K_k)^dagger for a two-qubit ket.
-
-    ``ops`` has shape (..., n_kraus, 2, 2); each leading index gives one
-    output matrix.  Uses (I x K)|psi> = psi.reshape(2, 2) @ K.T, so no 4x4
-    Kronecker product is formed.
-    """
-    kets = (np.reshape(psi, (2, 2)) @ np.swapaxes(ops, -1, -2)).reshape(*ops.shape[:-2], 4)
-    return np.einsum("...ki,...kj->...ij", kets, kets.conj())
 
 
 @dataclass(frozen=True)
@@ -161,8 +131,9 @@ class Povm:
         return len(self.elements)
 
     def outcome_probabilities(self, rho: DensityMatrix | np.ndarray) -> np.ndarray:
+        """Weights Tr[rho F_k]; ``rho`` may carry leading batch axes."""
         m = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-        return born(m, np.asarray(self.elements))
+        return np.einsum("...ij,kji->...k", m, np.asarray(self.elements)).real
 
 
 @dataclass(frozen=True)
@@ -250,30 +221,19 @@ def b92_povm(alpha: float) -> Povm:
     rest of the identity.
     """
     check_alpha(alpha)
-    elements = b92_povm_elements(alpha)
-    if np.min(np.linalg.eigvalsh(elements[2])) < -PSD_TOL:
-        raise ConsistencyError("null element not PSD; invalid construction")
-    return Povm(tuple(elements))
-
-
-def b92_povm_elements(alpha: float) -> np.ndarray:
-    """Elements of b92_povm(alpha) stacked in outcome order, unvalidated,
-    for hot numeric paths."""
     f0 = projector(_dual_ket(1, alpha)) / 2.0
     f1 = projector(_dual_ket(0, alpha)) / 2.0
-    return np.stack([f0, f1, np.eye(2, dtype=complex) - f0 - f1])
+    null = np.eye(2, dtype=complex) - f0 - f1
+    if np.min(np.linalg.eigvalsh(null)) < -PSD_TOL:
+        raise ConsistencyError("null element not PSD; invalid construction")
+    return Povm((f0, f1, null))
 
 
 def filter_op(alpha: float) -> FilterOp:
     """Local filter diagonal in the X basis with eigenvalues (alpha, beta)."""
     check_alpha(alpha)
-    return FilterOp(filter_matrix(alpha), alpha)
-
-
-def filter_matrix(alpha: float) -> np.ndarray:
-    """Matrix of filter_op(alpha), unvalidated, for hot numeric paths."""
     beta = math.sqrt(1.0 - alpha**2)
-    return alpha * X_PROJECTORS[0] + beta * X_PROJECTORS[1]
+    return FilterOp(alpha * projector(KET_0X) + beta * projector(KET_1X), alpha)
 
 
 def check_pair_basis(alpha: float) -> tuple[StateVector, StateVector, StateVector, StateVector]:
@@ -284,19 +244,15 @@ def check_pair_basis(alpha: float) -> tuple[StateVector, StateVector, StateVecto
     Returned in index order ((0,0), (0,1), (1,0), (1,1)).
     """
     check_alpha(alpha)
-    return tuple(StateVector(g, basis_label="X") for g in check_basis_kets(alpha))
+    return tuple(StateVector(g, basis_label="X") for g in _check_kets(alpha))
 
 
-def check_basis_kets(alpha: float) -> np.ndarray:
-    """Kets of check_pair_basis(alpha) as rows of a 4x4 array, unvalidated."""
+def _check_kets(alpha: float) -> tuple[np.ndarray, ...]:
+    """Kets of check_pair_basis(alpha) in index order, for any alpha in (0, 1/sqrt(2)]."""
     beta = math.sqrt(1.0 - alpha**2)
-    xx00, xx01, xx10, xx11 = XX_KETS
-    return np.array([
-        beta * xx00 + alpha * xx11,
-        beta * xx01 - alpha * xx10,
-        alpha * xx01 + beta * xx10,
-        alpha * xx00 - beta * xx11,
-    ])
+    xx00, xx01, xx10, xx11 = (np.kron(a, b) for a in (KET_0X, KET_1X) for b in (KET_0X, KET_1X))
+    return (beta * xx00 + alpha * xx11, beta * xx01 - alpha * xx10,
+            alpha * xx01 + beta * xx10, alpha * xx00 - beta * xx11)
 
 
 def error_povm_element(alpha: float) -> np.ndarray:
@@ -312,7 +268,7 @@ def nonmax_entangled_state(alpha: float) -> StateVector:
     though the protocol range excludes it.
     """
     check_alpha(alpha, include_sup=True)
-    return StateVector(check_basis_kets(alpha)[0], basis_label="X")
+    return StateVector(_check_kets(alpha)[0], basis_label="X")
 
 
 def check_strength(p: float) -> None:
@@ -340,7 +296,10 @@ def apply_channel_on_B(psi_ab: StateVector, channel: KrausChannel) -> DensityMat
     """Send qubit B of a two-qubit pure state through a single-qubit channel."""
     if psi_ab.dim != 4:
         raise ParameterError("expected a two-qubit state")
-    return DensityMatrix(post_channel_states(psi_ab.amplitudes, np.asarray(channel.kraus_ops)))
+    # (I x K)|psi> = psi.reshape(2, 2) @ K.T, so no 4x4 Kronecker product is formed
+    ops = np.asarray(channel.kraus_ops)
+    kets = (psi_ab.amplitudes.reshape(2, 2) @ np.swapaxes(ops, -1, -2)).reshape(len(ops), 4)
+    return DensityMatrix(np.einsum("ki,kj->ij", kets, kets.conj()))
 
 
 def measure_sample(rho: DensityMatrix, povm: Povm, rng: np.random.Generator) -> int:

@@ -144,11 +144,13 @@ def tradeoff_curve(x, delta: float, alpha: float):
     """Curve f(x) = sqrt(x^2 - delta^2) + sqrt((1-x)^2 - (gap - delta)^2).
 
     Defined for |delta| <= x <= 1 - |gap - delta| where the underlying count
-    matrices stay nonnegative.  Accepts scalars or arrays.
+    matrices stay nonnegative, to within GRAZE_TOL * x_hi as in _phase_ceiling.
+    Accepts scalars or arrays.
     """
     x_lo, x_hi = _domain(delta, alpha)
     xs = np.asarray(x, dtype=float)
-    if np.any(xs < x_lo - 1e-12) or np.any(xs > x_hi + 1e-12):
+    tol = GRAZE_TOL * x_hi
+    if np.any(xs < x_lo - tol) or np.any(xs > x_hi + tol):
         raise DomainError(f"x outside the positivity domain [{x_lo!r}, {x_hi!r}]")
     val = np.vectorize(_curve, otypes=[float])(xs, delta, x_hi)
     return float(val) if np.isscalar(x) else val

@@ -660,6 +660,20 @@ def near_collinear_batch(size=300, seed=2028):
         yield prob, antipodal, eps
 
 
+def near_collinear_grid(seed=2029):
+    """Bases eps = 10^(-k/4) rad from aligned or antipodal, k = 4..49, with
+    m0 = 5, m1 = 7, delta0 in {0.1, 0.2, 0.3, 0.5} and delta1 = delta0,
+    1 - delta0 or a seeded uniform draw: 1104 queries."""
+    rng = np.random.default_rng(seed)
+    for k in range(4, 50):
+        eps = 10.0 ** (-k / 4)
+        for antipodal in (False, True):
+            basis1 = basis_from_bloch(math.pi - eps if antipodal else eps)
+            for d0 in (0.1, 0.2, 0.3, 0.5):
+                for d1 in (d0, 1.0 - d0, float(rng.random())):
+                    yield TwoBasisSampling(basis_from_bloch(0.0), basis1, 5, 7, d0, d1)
+
+
 def assert_gap_certified(sol, prob):
     assert_certified(sol, prob)
     assert sol.converged and sol.gap <= 1e-8
@@ -716,6 +730,14 @@ class TestDualFirstSolver:
                 assert sol.r_nats <= closed + 1e-12
                 assert sol.r_nats >= closed - eps
         assert time.perf_counter() - start <= 0.01 * size
+
+    def test_near_collinear_grid_reproduces_counts_to_rounding(self):
+        # the Bloch fit solves in the plane's orthonormal axes, dividing by
+        # sin w rather than sin^2 w, so microradian offsets certify too
+        for prob in near_collinear_grid():
+            sol = min_exponent(prob)
+            assert_gap_certified(sol, prob)
+            assert sol.residual <= 1e-12
 
     def test_near_collinear_fit_on_an_axis_antipode(self):
         # bases 2.2e-8 rad apart: outside the zero region, with the pooled

@@ -13,7 +13,6 @@ from b92sim.quantum import (
     StateVector,
     apply_channel_on_B,
     b92_povm,
-    b92_povm_elements,
     check_pair_basis,
     depolarize,
     depolarizing_channel,
@@ -88,13 +87,6 @@ class TestB92Povm:
         pv = b92_povm(alpha)
         s1 = signal_state(1, alpha).amplitudes
         assert abs(np.vdot(s1, pv.elements[0] @ s1)) < 1e-14
-
-    @pytest.mark.parametrize("alpha", [*ALPHAS, 1e-6, 1 / math.sqrt(2) - 1e-12])
-    def test_unvalidated_builder_is_bit_identical(self, alpha):
-        elements = b92_povm_elements(alpha)
-        assert elements.shape == (3, 2, 2)
-        for built, checked in zip(elements, b92_povm(alpha).elements, strict=True):
-            assert built.tobytes() == checked.tobytes()
 
     def test_conclusive_probability_on_signal(self):
         alpha = math.sqrt(0.2)
