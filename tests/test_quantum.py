@@ -88,6 +88,23 @@ class TestB92Povm:
         s1 = signal_state(1, alpha).amplitudes
         assert abs(np.vdot(s1, pv.elements[0] @ s1)) < 1e-14
 
+    @pytest.mark.parametrize("alpha", [*ALPHAS, 1e-6, 1 / math.sqrt(2) - 1e-12])
+    def test_elements_match_x_basis_closed_form(self, alpha):
+        # in X-basis coordinates E_j = |d><d|/2 with d = (alpha, +-beta) and
+        # the null element is diag(beta^2, alpha^2)
+        beta = math.sqrt(1.0 - alpha**2)
+        h = np.column_stack([ket_x(0), ket_x(1)])
+        expected = (
+            0.5 * np.array([[alpha**2, alpha * beta], [alpha * beta, beta**2]]),
+            0.5 * np.array([[alpha**2, -alpha * beta], [-alpha * beta, beta**2]]),
+            np.diag([beta**2, alpha**2]),
+        )
+        elements = b92_povm(alpha).elements
+        assert len(elements) == 3
+        for e, want in zip(elements, expected, strict=True):
+            assert e.shape == (2, 2)
+            np.testing.assert_allclose(h.conj().T @ e @ h, want, rtol=0, atol=1e-15)
+
     def test_conclusive_probability_on_signal(self):
         alpha = math.sqrt(0.2)
         pv = b92_povm(alpha)
