@@ -12,15 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._brent import brent_root
+from ._sectors import Sectors
 from .errors import DomainError, ParameterError, SingularityError
 from .quantum import check_alpha
 
 GRAZE_TOL = 1e-12
 _GAP_MIN = 1e-3
-# rounding allowance on the bands and the error weight of the slacked check
-ROUND_TOL = 1e-14
-_INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -282,188 +279,6 @@ def finite_key_length(
     return max(0.0, _secret_bits(n_fil, e_bit, bound.r_ph_bar * n_pairs / n_fil))
 
 
-def _slacked_width(alpha: float, r_err: float, delta: float, slacks: SlackVector):
-    """Feasibility margin of (x, d) under the slacked constraints, with the
-    skew a eliminated in closed form.
-
-    The data-side count matrix is (v00, v01, v10, v11) = ((1-x-a), (x+d),
-    (x-d), (1-x+a))/2.  Its correlated and anticorrelated sectors have
-    outcome ratios sin^2(phi0) = v11/(1-x) and sin^2(phi1) = v01/x, so
-    a = -(1-x) cos(2 phi0), d = -x cos(2 phi1), and each check window edge
-    sin^2(phi -+ theta) is algebraic in (x, d) or (x, a).  For fixed (x, d)
-    the check side (mass y within eps6 of x, eps7/eps8-widened windows,
-    error weight within eps5) confines phi0 to two intervals, one centred on
-    theta and one on pi/2 - theta; either endpoint y gives intervals with the
-    same centre, so the wider one is the union.  Mapped through the
-    increasing a(phi0) and intersected with the two linear bands this is an
-    interval of a.  ``width(x, d)`` is the smallest of its length and the
-    two margins no choice of a can change (the lower check needs l0 <= some
-    l0_max >= 0, the upper u0 >= some u0_min <= 1); it is >= 0 exactly when
-    some a is feasible and falls continuously with the violation otherwise.
-    Also returns the band limits on d = (s - f)/2.
-    """
-    _, e2, _, e4, e5, e6, e7, e8 = slacks.as_tuple()
-    a2 = alpha * alpha
-    b2 = 1.0 - a2
-    ab4 = 4.0 * alpha * math.sqrt(b2)
-    gap = 1.0 - 2.0 * a2
-    # the filter-rate band pins s = a + d, the sender-marginal band f = a - d
-    s_lo = 2.0 * delta - gap - 2.0 * e2 / gap
-    s_hi = 2.0 * delta - gap + 2.0 * e2 / gap
-    f_lo = -gap - 2.0 * e4
-    f_hi = -gap + 2.0 * e4
-    d_bot, d_top = 0.5 * (s_lo - f_hi), 0.5 * (s_hi - f_lo)
-    # zero-width bands make the a-window a single point, which rounding
-    # alone must not empty
-    s_lo, f_lo, s_hi, f_hi = s_lo - ROUND_TOL, f_lo - ROUND_TOL, s_hi + ROUND_TOL, f_hi + ROUND_TOL
-    w_hi = 2.0 * r_err + 2.0 * e5 + ROUND_TOL
-    w_lo = 2.0 * r_err - 2.0 * e5 - ROUND_TOL
-
-    def width(x: float, d: float) -> float:
-        m = 1.0 - x
-        if x > 0.0:
-            mid = 0.5 * (x + gap * d) / x
-            spread = 0.25 * ab4 * math.sqrt(max(x * x - d * d, 0.0)) / x
-            l1 = max(mid - spread - e7, 0.0)
-            u1 = min(mid + spread + e8, 1.0)
-        else:  # an empty sector leaves its outcome ratio unconstrained
-            l1, u1 = 0.0, 1.0
-        y_lo = max(x - e6, 0.0)
-        y_hi = min(x + e6, 1.0)
-        m_lo = max(1.0 - y_lo, 1e-300)
-        m_hi = max(1.0 - y_hi, 1e-300)
-        # largest lower window ratio l0 and smallest upper u0 some y allows
-        l0_max = max((w_hi - y_lo * l1) / m_lo, (w_hi - y_hi * l1) / m_hi)
-        u0_min = min((w_lo - y_lo * u1) / m_lo, (w_lo - y_hi * u1) / m_hi)
-        # phi0 within asin(sqrt(k)) of theta, and phi0 + theta within
-        # [asin(sqrt(j)), pi - asin(sqrt(j))]; edges a = -m cos(2 phi0)
-        k = min(max(l0_max + e7, 0.0), 1.0)
-        j = min(max(u0_min - e8, 0.0), 1.0)
-        gk, rk = gap * (1.0 - 2.0 * k), ab4 * math.sqrt(k * (1.0 - k))
-        gj, rj = gap * (1.0 - 2.0 * j), ab4 * math.sqrt(j * (1.0 - j))
-        lo = max(-m if k >= a2 else -m * (gk + rk), -m if j <= a2 else -m * (gj + rj),
-                 s_lo - d, f_lo + d, -m)
-        hi = min(m if k >= b2 else -m * (gk - rk), m if j <= b2 else -m * (gj - rj),
-                 s_hi - d, f_hi + d, m)
-        return min(hi - lo, l0_max, 1.0 - u0_min)
-
-    return width, d_bot, d_top
-
-
-def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section search for the maximum of a unimodal f on [lo, hi];
-    returns (argmax, max)."""
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > tol:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
-
-
-def _widest_point(width, d_bot: float, d_top: float) -> tuple[float, float, float]:
-    """(x, d, width) at the largest width found by golden sections over d
-    nested in golden sections over x, one per piece of the x range between
-    the corners of the count box.
-
-    The start when the zero-slack optimum is not feasible.  A start needs
-    only width >= 0, since the ray search fixes the ceiling, so each section
-    stops at 1e-6.  width is not unimodal away from the feasible set, so a
-    feasible set much smaller than the x range can be missed and the data
-    then abort.
-    """
-    def column(x: float) -> tuple[float, float]:
-        return _golden_max(lambda d: width(x, d), max(-x, d_bot), min(x, d_top), 1e-6)
-
-    x_lo = min(max(0.0, d_bot, -d_top), 1.0)
-    cuts = sorted({x_lo, 1.0} | {c for c in (d_top, -d_bot) if x_lo < c < 1.0})
-    best = (-math.inf, 0.0, 0.0)
-    for lo, hi in zip(cuts, cuts[1:]):
-        x, _ = _golden_max(lambda x: column(x)[1], lo, hi, 1e-6)
-        d, w = column(x)
-        best = max(best, (w, x, d))
-    return best[1], best[2], best[0]
-
-
-def _slacked_optimum(width, gap: float, d_bot: float, d_top: float,
-                     start: tuple[float, float] | None) -> tuple[float, float] | None:
-    """Largest x + gap*d over {width(x, d) >= 0} within the count box
-    |d| <= x <= 1, d_bot <= d <= d_top; None when that set is empty.
-
-    With eps6 = eps7 = eps8 = 0 the set is convex: the check reduces to
-    2 alpha beta [sqrt(x^2 - d^2) + sqrt((1-x)^2 - a^2)] >= |1 + gap (a + d)
-    - 4 r_err|, whose left side is jointly concave.  With them it need not
-    be: with 0 errors and 195 filtered pairs in 1390, alpha^2 = 0.0863,
-    eps2 = 0.023, eps6 = 0.0029, eps7 = 0.027 and eps8 = 2.6e-5, a small nub
-    by the corner x ~ eps6, d ~ x joins the body through a narrow neck, and
-    rays from the nub stop at its own maximum.  The solver starts at
-    ``start``, the zero-slack optimum, when it is feasible, and otherwise at
-    _widest_point, in the body; centres the start on its x and d chords;
-    then runs a golden section over the angles that gain on the start, each
-    ray's exit a bracketed root of width (Brent's method, brent_root).  That
-    finds the optimum when every ray from the start leaves the set once and
-    the objective along the exits is unimodal in the angle, as on a convex
-    set.
-    """
-    best = [-math.inf, 0.0, 0.0]
-
-    def reach(px: float, pd: float, ux: float, ud: float) -> float:
-        # distance along (ux, ud), in units of its length, to the count box,
-        # then to the set's edge; the search runs along the unit direction,
-        # so a chord scale at its 1e-15 floor does not stretch its bracket
-        # past what brent_root closes in 100 steps
-        norm = math.hypot(ux, ud)
-        ux, ud = ux / norm, ud / norm
-        t = math.inf
-        for gx, gd, b in ((-1.0, 1.0, 0.0), (-1.0, -1.0, 0.0), (1.0, 0.0, 1.0),
-                          (0.0, 1.0, d_top), (0.0, -1.0, -d_bot)):
-            rate = gx * ux + gd * ud
-            if rate > 0.0:
-                t = min(t, max(b - gx * px - gd * pd, 0.0) / rate)
-        if width(px + t * ux, pd + t * ud) < 0.0:
-            t = brent_root(lambda s: width(px + s * ux, pd + s * ud), 0.0, t, xtol=1e-15)
-        x, d = px + t * ux, pd + t * ud
-        if x + gap * d > best[0]:
-            best[:] = [x + gap * d, x, d]
-        return t / norm
-
-    if start is None or width(*start) < 0.0:
-        *start, margin = _widest_point(width, d_bot, d_top)
-        if margin < 0.0:
-            return None
-    px, pd = start
-    best[:] = [px + gap * pd, px, pd]
-    if d_top - d_bot < 1e-15:
-        reach(px, pd, 1.0, 0.0)
-        return best[1], best[2]
-
-    # centre the start on its chords; their lengths scale the ray directions
-    right, left = reach(px, pd, 1.0, 0.0), reach(px, pd, -1.0, 0.0)
-    if width(px + 0.5 * (right - left), pd) >= 0.0:
-        px += 0.5 * (right - left)
-    up, down = reach(px, pd, 0.0, 1.0), reach(px, pd, 0.0, -1.0)
-    if width(px, pd + 0.5 * (up - down)) >= 0.0:
-        pd += 0.5 * (up - down)
-    sx, sd = max(right + left, 1e-15), max(up + down, 1e-15)
-
-    def gain(psi: float) -> float:
-        ux, ud = sx * math.cos(psi), sd * math.sin(psi)
-        return reach(px, pd, ux, ud) * (ux + gap * ud)
-
-    # the optimum gains on the centre, so it lies within pi/2 of the
-    # objective's direction in the scaled frame
-    psi0 = math.atan2(gap * sd, sx)
-    _golden_max(gain, psi0 - 0.5 * math.pi, psi0 + 0.5 * math.pi, 1e-12)
-    return best[1], best[2]
-
-
 def finite_size_bound(
     n_err: int,
     n_fil: int,
@@ -479,11 +294,13 @@ def finite_size_bound(
     (x + gap*d)/2 + eps3 with gap = 1 - 2 alpha^2.  eps1 enters the key
     length, not this ceiling.  When eps2 and eps4..eps8 are all zero the
     constraints are exactly those of phase_error_bound, whose optimum is
-    used directly (error weights above 1/2 are infeasible).  Otherwise a is
-    eliminated in closed form (see _slacked_width) and the remaining
-    two-variable problem is solved by bracketed 1-D root finds and golden
-    sections (see _slacked_optimum); ``x_star`` is the maximizing x and
-    ``delta`` the filter-rate excess of the observed tallies.
+    used directly (error weights above 1/2 are infeasible).  Otherwise the
+    problem is solved over the two sectors' outcome angles (_sectors), where
+    every constraint is linear in x: cell bounds on the angle square find the
+    basin, and Newton steps on the active constraints, started at the
+    zero-slack optimum, solve it to rounding.  The reported point satisfies
+    every constraint to within 2e-15; ``x_star`` is its x and ``delta`` the
+    filter-rate excess of the observed tallies.
     """
     if slacks is None:
         slacks = SlackVector()
@@ -503,8 +320,13 @@ def finite_size_bound(
     if not any((slacks.eps2, slacks.eps4, slacks.eps5, slacks.eps6, slacks.eps7, slacks.eps8)):
         point = seed
     else:
-        width, d_bot, d_top = _slacked_width(alpha, r_err, delta, slacks)
-        point = _slacked_optimum(width, gap, d_bot, d_top, seed)
+        start = None
+        if seed is not None and 0.0 < seed[0] < 1.0:
+            # the zero-slack optimum has skews d = delta, a = delta - gap
+            x = seed[0]
+            start = (0.5 * math.acos(min(max((gap - delta) / (1.0 - x), -1.0), 1.0)),
+                     0.5 * math.acos(min(max(-delta / x, -1.0), 1.0)))
+        point = Sectors(alpha, r_err, delta, slacks.as_tuple()).ceiling(start)
     if point is None:
         return BoundResult(r_ph_bar=math.nan, x_star=math.nan, delta=delta, feasible=False)
     x, d = point

@@ -348,6 +348,56 @@ def finite_size_predicate(n_err, n_fil, n_pairs, alpha, eps, x, a, d, tol=1e-14)
     return ok & (low <= w + 2.0 * c["e5"] + tol) & (high >= w - 2.0 * c["e5"] - tol)
 
 
+def finite_size_witness(n_err, n_fil, n_pairs, alpha, eps, x, d, tol=1e-14, points=201,
+                        rounds=14):
+    """A skew a for which finite_size_predicate accepts (x, a, d) at ``tol``, or
+    None when the search finds none.
+
+    At fixed (x, d) the largest constraint violation is quasi-convex in a: the
+    bands and the count signs are linear in it, the correlated sector's lower
+    window is convex in its ratio and the upper one concave, and the check
+    mixes them monotonically.  So a grid over a in [-(1-x), 1-x], zoomed onto
+    its smallest violation round after round, finds the minimum to rounding;
+    its best points are then put to the predicate itself.
+    """
+    c = _finite_size_setup(n_err, n_fil, n_pairs, alpha, eps)
+
+    def window(top, mass):
+        # the sector's check window, [0, 1] for an empty sector, as the predicate forms it
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratio = np.clip(np.where(mass > 1e-300, top / np.maximum(mass, 1e-300), 0.0), 0.0, 1.0)
+        phi = np.arcsin(np.sqrt(ratio))
+        empty = mass <= 1e-300
+        return (np.where(empty, 0.0, np.maximum(0.0, np.sin(phi - c["theta"]) ** 2 - c["e7"])),
+                np.where(empty, 1.0, np.minimum(1.0, np.sin(phi + c["theta"]) ** 2 + c["e8"])))
+
+    def violation(a):
+        s, f, one = a + d, a - d, np.ones_like(a)
+        l0, u0 = window(0.5 * (1 - x + a), (1 - x) * one)
+        l1, u1 = window(0.5 * (x + d) * one, x * one)
+        ys = [min(max(x - c["e6"], 0.0), 1.0), min(max(x + c["e6"], 0.0), 1.0)]
+        low = np.minimum(*[(1 - y) * l0 + y * l1 for y in ys])
+        high = np.maximum(*[(1 - y) * u0 + y * u1 for y in ys])
+        w = 2.0 * c["r_err"]
+        return np.maximum.reduce([c["s"][0] - s, s - c["s"][1], c["f"][0] - f, f - c["f"][1],
+                                  -0.5 * (1 - x - a), -0.5 * (1 - x + a), -0.5 * (x + d) * one,
+                                  -0.5 * (x - d) * one, low - w - 2.0 * c["e5"],
+                                  w - 2.0 * c["e5"] - high])
+
+    lo, hi = -(1.0 - x), 1.0 - x
+    best = []
+    for _ in range(rounds):
+        a = np.linspace(lo, hi, points)
+        k = int(np.argmin(violation(a)))
+        best.append(float(a[k]))
+        step = (hi - lo) / (points - 1)
+        lo, hi = max(a[k] - 2.0 * step, -(1.0 - x)), min(a[k] + 2.0 * step, 1.0 - x)
+    for a in reversed(best):
+        if finite_size_predicate(n_err, n_fil, n_pairs, alpha, eps, x, a, d, tol=tol):
+            return a
+    return None
+
+
 def _dense_finite_size(n_err, n_fil, n_pairs, alpha, eps, shape, chunk_bytes):
     """Best objective and point on an (x, s, f) grid, evaluated in x-chunks
     that keep the predicate's temporaries near ``chunk_bytes``."""
@@ -446,17 +496,81 @@ def _pinned_finite_size(n_err, n_fil, n_pairs, alpha, eps, points=1_000_001, chu
     return 0.5 * (lo + c["gap"] * d) + c["e3"]
 
 
+def _one_band_finite_size(n_err, n_fil, n_pairs, alpha, eps, band, nd=201, nx=2001):
+    """Best objective when one band has zero width: eps2 = 0 pins s, so
+    a = s - d (``band`` "s"), and eps4 = 0 pins f, so a = f + d ("f").
+
+    The free skew d then ranges over the other band's width.  At a skew d,
+    the largest feasible x comes from an x grid and then grids over the step
+    above its highest feasible point, down to rounding.  A dense (x, d) grid
+    picks the grid d's within one x step of the best, each is refined so, and
+    a golden section over d, to 1e-13, refines around the best of them.
+    Returns None when no grid point is feasible.
+    """
+    c = _finite_size_setup(n_err, n_fil, n_pairs, alpha, eps)
+    (s_lo, s_hi), (f_lo, f_hi) = c["s"], c["f"]
+    if band == "s":
+        pin, sign, d_lo, d_hi = s_lo, -1.0, 0.5 * (s_lo - f_hi), 0.5 * (s_lo - f_lo)
+    else:
+        pin, sign, d_lo, d_hi = f_lo, 1.0, 0.5 * (s_lo - f_lo), 0.5 * (s_hi - f_lo)
+
+    def feasible(x, d):
+        return finite_size_predicate(n_err, n_fil, n_pairs, alpha, eps, x, pin + sign * d, d)
+
+    def objective(d, rounds=5):
+        lo, hi, top = 0.0, 1.0, None
+        for _ in range(rounds):
+            x = np.linspace(lo, hi, nx)
+            ok = np.nonzero(feasible(x, d))[0]
+            if not ok.size:
+                break
+            top = x[ok[-1]]
+            if ok[-1] == nx - 1:
+                break
+            lo, hi = top, x[ok[-1] + 1]
+        return -math.inf if top is None else top + c["gap"] * d
+
+    ds = np.linspace(d_lo, d_hi, nd)
+    xs = np.linspace(0.0, 1.0, nx)[:, None]
+    ok = feasible(xs, ds[None, :])
+    if not ok.any():
+        return None
+    highest = np.where(ok.any(axis=0), xs[::-1][np.argmax(ok[::-1], axis=0), 0], -np.inf)
+    coarse = highest + c["gap"] * ds
+    # every grid d whose x grid leaves it within a step of the best, refined
+    near = np.nonzero(coarse >= coarse.max() - 1.0 / (nx - 1))[0]
+    values = {int(j): objective(ds[j]) for j in near}
+    i = max(values, key=values.get)
+    best = values[i]
+    lo, hi = ds[max(i - 1, 0)], ds[min(i + 1, nd - 1)]
+    inv_phi = 0.5 * (math.sqrt(5.0) - 1.0)
+    a, b = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+    fa, fb = objective(a), objective(b)
+    while hi - lo > 1e-13:
+        if fa >= fb:
+            hi, b, fb = b, a, fa
+            a = hi - inv_phi * (hi - lo)
+            fa = objective(a)
+        else:
+            lo, a, fa = a, b, fb
+            b = lo + inv_phi * (hi - lo)
+            fb = objective(b)
+        best = max(best, fa, fb)
+    return 0.5 * best + c["e3"]
+
+
 def finite_size_oracle(n_err, n_fil, n_pairs, alpha, eps, *, dense_shape=None,
                        chunk_bytes=200e6):
     """Largest phase-error ceiling the oracle can certify, or None.
 
     With eps2 = eps4 = 0 the bands have zero width and pin (a, d); then the
     answer is the exact x scan of _pinned_finite_size.  Otherwise it is the
-    larger of two searches over raw (x, a, d) points: a chunked dense scan of
-    the (x, s, f) predicate when ``dense_shape`` is given, and the best of
-    the four y-branch SLSQP solves, started at the zero-slack witness
-    (grid_scan_phase_bound's x with d = delta, a = delta - gap) and at the
-    dense scan's best point.  A solve is kept only if it satisfies the
+    largest of up to three searches over raw (x, a, d) points: the scan of
+    _one_band_finite_size when one band alone has zero width, a chunked
+    dense scan of the (x, s, f) predicate when ``dense_shape`` is given, and
+    the best of the four y-branch SLSQP solves, started at the zero-slack
+    witness (grid_scan_phase_bound's x with d = delta, a = delta - gap) and
+    at the dense scan's best point.  A solve is kept only if it satisfies the
     predicate to 1e-9, and is then pulled back along the segment from its
     start until it satisfies it at the predicate's own 1e-14, so every value
     returned belongs to a feasible point.
@@ -469,9 +583,14 @@ def finite_size_oracle(n_err, n_fil, n_pairs, alpha, eps, *, dense_shape=None,
         return bool(finite_size_predicate(n_err, n_fil, n_pairs, alpha, eps, *point))
 
     best, starts = -math.inf, []
+    if eps[1] == 0.0 or eps[3] == 0.0:
+        band = "s" if eps[1] == 0.0 else "f"
+        pinned = _one_band_finite_size(n_err, n_fil, n_pairs, alpha, eps, band)
+        best = -math.inf if pinned is None else pinned
     if dense_shape is not None:
-        best, point = _dense_finite_size(n_err, n_fil, n_pairs, alpha, eps, dense_shape,
-                                         chunk_bytes)
+        dense, point = _dense_finite_size(n_err, n_fil, n_pairs, alpha, eps, dense_shape,
+                                          chunk_bytes)
+        best = max(best, dense)
         if point is not None:
             starts.append(point)
     x_zero = grid_scan_phase_bound(c["r_err"], n_fil / n_pairs, alpha, points=200_001)

@@ -909,17 +909,16 @@ class TestTracerTargets:
 class TestRunTimeImports:
     def test_no_command_loads_scipy(self):
         # a fresh process runs each command once: optimize and sweep run the
-        # root finder on the key rate's slope, simulate with slacks the
-        # slacked bound's, and exponent queries, near-collinear ones too, the
-        # circle fit's
+        # root finder on the key rate's slope; simulate with slacks (the
+        # slacked bound solves its own Newton steps) and exponent queries,
+        # near-collinear ones too, load no SciPy either
         script = """
 import contextlib, io, sys
-from b92sim import _brent, cli, security
+from b92sim import _brent, cli
 calls = []
 def counted(module):
     return lambda *args, **kw: calls.append(module.__name__) or _brent.brent_root(*args, **kw)
 cli.brent_root = counted(cli)
-security.brent_root = counted(security)
 runs = [
     ["rate", "--p", "0.03", "--alpha-sq", "0.2"],
     ["optimize", "--p", "0.02"],
@@ -939,7 +938,7 @@ print(sorted(set(calls)), sorted(m for m in sys.modules if m.split(".")[0] == "s
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "['b92sim.cli', 'b92sim.security'] []\n"
+        assert proc.stdout == "['b92sim.cli'] []\n"
 
 
 class TestDeterministicFormatting:

@@ -8,10 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import optimize
 
-from b92sim import security
-from b92sim._brent import brent_root
+from b92sim import _sectors, security
 from b92sim.errors import DomainError, ParameterError, SingularityError
 from b92sim.security import (
     BoundResult,
@@ -32,6 +30,7 @@ from oracles import (
     depolarizing_rates,
     finite_size_oracle,
     finite_size_predicate,
+    finite_size_witness,
     grid_scan_phase_bound,
     random_channel,
 )
@@ -548,21 +547,42 @@ class TestFiniteSizeBound:
             assert res.feasible and oracle is not None
             assert res.r_ph_bar == pytest.approx(oracle, abs=1e-9), (n_err, n_fil, n, alpha, eps)
 
-    def test_ray_exits_are_brentq_roots(self, monkeypatch):
-        # each ray exit the slacked solver finds (xtol = 1e-15) is SciPy's
-        # brentq root bit for bit, so the ceilings are too
-        roots = []
+    def test_newton_solves_end_on_their_surfaces(self, monkeypatch):
+        # each active-set solve the slacked search reports as converged ends
+        # on every surface of its working set to rounding, with the objective
+        # stationary along them: the point the ceiling reports is one of these
+        # or a node of the cell grid
+        ends = []
 
-        def checked(f, a, b, xtol):
-            t = brent_root(f, a, b, xtol)
-            assert t == optimize.brentq(f, a, b, xtol=xtol)
-            roots.append(t)
-            return t
+        def checked(self, W, z, cons, rho):
+            out = search(self, W, z, cons, rho)
+            z, cons, lam, blocker = out
+            if blocker is None:
+                assert max(abs(cons[key][0]) for key in W) <= 1e-13, W
+                c1, s1 = math.cos(2.0 * z[2]), math.sin(2.0 * z[2])
+                grad = (1.0 - self.gap * c1, 0.0, 2.0 * self.gap * s1 * z[0])
+                resid = [g - sum(l * cons[key][1 + i] for l, key in zip(lam, W))
+                         for i, g in enumerate(grad)]
+                assert max(map(abs, resid)) <= 1e-9 * max(map(abs, grad)), W
+                ends.append(W)
+            return out
 
-        monkeypatch.setattr(security, "brent_root", checked)
+        search = _sectors.Sectors._search
+        monkeypatch.setattr(_sectors.Sectors, "_search", checked)
         for n_err, n_fil, n, alpha, eps in self.seeded_batch(10, 2024):
             assert finite_size_bound(n_err, n_fil, n, alpha, SlackVector(*eps)).feasible
-        assert len(roots) >= 100
+        assert len(ends) >= 10
+
+    @pytest.mark.parametrize("zeroed", [1, 3], ids=["eps2", "eps4"])
+    def test_one_zero_width_band_matches_pinned_oracle(self, zeroed):
+        # eps2 = 0 pins s (a = s - d) and eps4 = 0 pins f (a = f + d); the
+        # oracle's scan over the free skew then applies
+        for n_err, n_fil, n, alpha, eps in self.seeded_batch(4, 77):
+            eps = eps[:zeroed] + (0.0,) + eps[zeroed + 1:]
+            res = finite_size_bound(n_err, n_fil, n, alpha, SlackVector(*eps))
+            oracle = finite_size_oracle(n_err, n_fil, n, alpha, eps)
+            assert res.feasible and oracle is not None
+            assert res.r_ph_bar == pytest.approx(oracle, abs=1e-10), (n_err, n_fil, n, alpha, eps)
 
     def test_zero_width_bands_match_pinned_oracle(self):
         # eps2 = eps4 = 0 pin a and d, so the oracle's exact x scan applies;
@@ -598,18 +618,18 @@ class TestFiniteSizeBound:
         assert res.r_ph_bar >= oracle - 1e-9
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_noiseless_sliver_closes_its_ray_searches(self):
+    def test_noiseless_sliver_reaches_the_oracle(self):
         # no error and 180 filtered pairs in 1000 at alpha^2 = 0.1, eps2 =
-        # 0.025 alone: the set is a sliver around the origin, both chords of
-        # the start have length 0, and a ray scaled by them once handed
-        # brent_root a bracket 1e12 long that 100 steps did not close.  The
-        # oracle's dense scan starts an SLSQP solve at x = 0 here
+        # 0.025 alone: the set is a sliver by the corner where both sectors'
+        # angles equal theta, a few 1e-8 across, on which rounding decides
+        # feasibility.  The ceiling covers the oracle's and stays witnessed
         eps = (0.0, 0.025, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         alpha = math.sqrt(0.1)
         res = finite_size_bound(0, 180, 1000, alpha, SlackVector(*eps))
         oracle = finite_size_oracle(0, 180, 1000, alpha, eps, dense_shape=(1001, 33, 33))
         assert res.feasible and oracle is not None
         assert res.r_ph_bar >= oracle - 1e-12
+        assert witnessed(0, 180, 1000, alpha, eps, res)
 
     def test_slacked_call_peaks_below_one_megabyte(self):
         n_err, n_fil = self.rates_to_counts(0.03, 0.2)
@@ -699,7 +719,15 @@ class TestFiniteSizeBound:
         return best + e
 
 
-# slacked runs where finite_size_bound stops below its own feasible set:
+def witnessed(n_err, n_fil, n_pairs, alpha, eps, res) -> bool:
+    """Whether some skew a makes the point behind ``res`` pass the predicate:
+    x = x_star and d from r_ph_bar = (x + gap d)/2 + eps3."""
+    gap = 1.0 - 2.0 * alpha * alpha
+    d = (2.0 * (res.r_ph_bar - eps[2]) - res.x_star) / gap
+    return finite_size_witness(n_err, n_fil, n_pairs, alpha, eps, res.x_star, d) is not None
+
+
+# slacked runs where finite_size_bound once stopped below its own feasible set:
 # (n_err, n_fil, n_pairs), alpha, slacks, a raw feasible (x, a, d) and its
 # objective.  The first returns 0.0072786457026831055 (the ray-angle gain
 # from its zero-slack start has two modes and the golden section keeps the
@@ -726,14 +754,26 @@ class TestSlackedUnderReport:
         gap = 1.0 - 2.0 * alpha * alpha
         assert 0.5 * (point[0] + gap * point[2]) + eps[2] == value
 
-    @pytest.mark.xfail(strict=True, reason="the slacked search can stop below its feasible set's "
-                       "maximum, or abort on a nonempty set")
     @pytest.mark.parametrize("tallies,alpha,eps,point,value", SLACKED_UNDER_REPORTS,
                              ids=["under-report", "abort"])
     def test_ceiling_dominates_witness(self, tallies, alpha, eps, point, value):
         res = finite_size_bound(*tallies, alpha, SlackVector(*eps))
         assert res.feasible
         assert res.r_ph_bar >= value - 1e-12
+        assert witnessed(*tallies, alpha, eps, res)
+
+    def test_reported_points_are_witnessed(self):
+        # the point behind every reported ceiling passes the predicate at
+        # 1e-14: d from r_ph_bar and x_star, and some skew a in the bands
+        batch = list(TestFiniteSizeBound.seeded_batch(500, 31))
+        batch += [(*tallies, alpha, eps) for tallies, alpha, eps, _, _ in SLACKED_UNDER_REPORTS]
+        reported = 0
+        for n_err, n_fil, n, alpha, eps in batch:
+            res = finite_size_bound(n_err, n_fil, n, alpha, SlackVector(*eps))
+            if res.feasible:
+                reported += 1
+                assert witnessed(n_err, n_fil, n, alpha, eps, res), (n_err, n_fil, n, alpha, eps)
+        assert reported >= 490
 
 
 SLACK = st.one_of(st.just(0.0), st.floats(-6.0, -2.0).map(lambda e: 10.0 ** e))
