@@ -10,6 +10,11 @@ band on f = a - d, and each check, whose check-side mass y within eps6 of x
 need only sit at the end of its range where the windows mix best.  The
 largest feasible x is a minimum of ratios (Sectors.x_top), and the ceiling
 is the maximum of x (1 - gap cos 2p1) over the angle square.
+
+Cell bounds close every part of the square that cannot beat the best point
+found, except the cells within a shrinking distance of the KKT point that
+gives it; a cell still open when the refinement budget runs out raises the
+ceiling to its bound, so a miss shows as an over-report, never a shortfall.
 """
 
 from __future__ import annotations
@@ -19,16 +24,23 @@ import math
 
 import numpy as np
 
-# every constraint is met to within this, in its own units: half the
+# the bands and error-weight limits are widened by this, in their own units;
+# x_top allows 1e-15 more on each bound on x, 6e-15 in all, under the
 # rounding allowance of a feasibility check at 1e-14
 FEAS_TOL = 5e-15
 
 _HALF_PI = 0.5 * math.pi
-# the first grid of cells over the angle square, the distance within which a
-# KKT point explains a cell, and the refinement levels and cells kept a level
-_N0, _RADIUS, _LEVELS, _CAP = 24, 0.15, 12, 1024
+# the first grid of cells over the angle square; the factor r of the distance
+# r sqrt(w) within which a KKT point explains a cell of width w, as a cell's
+# bound overshoots by O(w) and the objective falls off quadratically along a
+# ridge through the point; the refinement levels and the cells a level allowed
+_N0, _RADIUS, _LEVELS, _CAP = 24, 0.5, 16, 1024
 # cells bounded at once while refining
 _CHUNK = 128
+
+
+# 1-3 dimensional algebra in plain floats: numpy.linalg.solve and an SVD null
+# space cost 6-8 us a call against 0.4-3.4 us here, about 0.2 ms a bound
 
 
 def _dot(u, v) -> float:
@@ -77,9 +89,14 @@ def _tangents(rows):
     return [t, _cross(u, t)]
 
 
-def _opposite(a: str, b: str) -> bool:
-    """Whether constraints a and b are the two sides of one band or bound."""
-    return a != b and a[:-2] == b[:-2] and {a[-2:], b[-2:]} == {"hi", "lo"}
+def _clash(cons, a: str, b: str) -> bool:
+    """Whether constraints a and b cannot share a working set: the two sides
+    of one band or bound, or the same row under two names."""
+    if a == b or a[0] != b[0]:
+        return False
+    if {a[-2:], b[-2:]} == {"hi", "lo"}:
+        return a[:-2] == b[:-2]
+    return a[0] in "LU" and cons[a][:4] == cons[b][:4]
 
 
 def _corners(f, v):
@@ -162,7 +179,7 @@ class Sectors:
         (l0, u0), (l1, u1) = self._windows(p0), self._windows(p1)
         for a, b, lim in ((l0, l1, self.lims[0]), (-u0, -u1, -self.lims[1])):
             # some y in [0, 1] within eps6 of x with a + y (b - a) <= lim
-            if min(a, b) > lim:
+            if min(a, b) > lim + 1e-15:
                 return 0.0, math.inf
             if b != a:
                 bound = (lim - a) / (b - a) + math.copysign(self.e6, b - a)
@@ -176,11 +193,11 @@ class Sectors:
         top, short = self.x_top(p0, p1)
         return top * (1.0 - self.gap * math.cos(2.0 * p1)) if short <= 1e-15 else -math.inf
 
-    def bounds(self, a0, b0, a1, b1, n: int, nodes: bool):
+    def bounds(self, a0, b0, a1, b1, n: int):
         """Upper bounds (m, n, n) of the objective on the boxes [a0, b0] x [a1, b1]
         cut into n x n cells (the whole square cut _N0 x _N0 when a0 is None),
-        their edges (m, n+1) on each axis, and, with ``nodes``, the objective
-        (m, n+1, n+1) at the cell corners.
+        their edges (m, n+1) on each axis, and the objective (m, n+1, n+1) at
+        the cell corners.
 
         A band piece (bound + c0)/k is monotone in each angle on a cell that
         its pole k = 0 misses, so it peaks at a corner; a cell the pole crosses
@@ -199,22 +216,21 @@ class Sectors:
                   np.where(same, _corners(np.minimum, down), -np.inf).max(axis=0),
                   [(self._windows(np.clip(self.theta, q[:, :-1], q[:, 1:]), np)[0],
                     -self._windows(np.clip(_HALF_PI - self.theta, q[:, :-1], q[:, 1:]), np)[1])
-                   for q in (q0, q1)], cos1[:, :, 1:], 0.0)]
-        if nodes:
-            windows = [(w[0], -w[1]) for w in (self._windows(q0, np), self._windows(q1, np))]
-            sides.append((up.min(axis=0), down.max(axis=0), windows, cos1, 1e-15))
+                   for q in (q0, q1)], cos1[:, :, 1:], 0.0),
+                 (up.min(axis=0), down.max(axis=0),
+                  [(w[0], -w[1]) for w in (self._windows(q0, np), self._windows(q1, np))], cos1, 1e-15)]
         lim = np.array([self.lims[0], -self.lims[1]])[:, None, None, None]
         out = []
         for top, low, (w0, w1), cos, tol in sides:
             a, b = np.stack(w0)[:, :, :, None], np.stack(w1)[:, :, None, :]
             d = b - a
             t = (lim - a) / np.where(d == 0.0, 1.0, d)
-            up = np.where(np.minimum(a, b) <= lim, np.where(d > 0.0, t + self.e6, np.inf), -np.inf)
+            up = np.where(np.minimum(a, b) <= lim + 1e-15, np.where(d > 0.0, t + self.e6, np.inf), -np.inf)
             top = np.minimum(np.minimum(top, 1.0), up.min(axis=0))
             down = np.where(d < 0.0, t - self.e6, -np.inf)
             low = np.maximum(np.maximum(low, 0.0), down.max(axis=0))
             out.append(np.where(low <= top + tol, top * (1.0 - self.gap * cos), -np.inf))
-        return q0, q1, out[0], out[1] if nodes else None
+        return q0, q1, out[0], out[1]
 
     def constraints(self, x: float, p0: float, p1: float) -> dict:
         """Every constraint g <= 0 at (x, p0, p1) as name -> (g, its gradient,
@@ -241,12 +257,27 @@ class Sectors:
             raw = [(math.sin(p + shift) ** 2 + offset, math.sin(2.0 * (p + shift)),
                     2.0 * math.cos(2.0 * (p + shift))) for p in (p0, p1)]
             a, b = (max(w[0], clip) if m > 0.0 else min(w[0], clip) for w in raw)
-            y, dy = (x - self.e6 if m * (b - a) >= 0.0 else x + self.e6), 1.0
-            if not 0.0 < y < 1.0:
-                y, dy = min(max(y, 0.0), 1.0), 0.0
-            fixed = (clip, 0.0, 0.0)
-            for tag, (a0, a1, a2), (b0, b1, b2) in (("00", raw[0], raw[1]), ("01", raw[0], fixed),
-                                                   ("10", fixed, raw[1])):
+            # the check's mass y sits at x -+ eps6, clipped to [0, 1]: the
+            # larger of the unclipped form and the clipped end's, which short
+            # of the clip is eased by y's distance to it, so that it binds at
+            # the kink but not where the check switches ends
+            up = m * (b - a) < 0.0
+            y, end = (x + self.e6, 1) if up else (x - self.e6, 0)
+            g, d, h = (m * v for v in raw[end])
+            ease, gx = (1.0 - y, 1.0) if end else (y, -1.0)
+            if ease < 0.0:
+                ease, gx = 0.0, 0.0
+            # with eps6 = 0 the clip is at x = 0 or 1, which edge() solves
+            if self.e6 > 0.0:
+                out[name + "c"] = ((g - m * lim - ease, gx, 0.0, d, 0.0, 0.0, 0.0, h) if end
+                                   else (g - m * lim - ease, gx, d, 0.0, 0.0, 0.0, h, 0.0))
+            # the unclipped form of the mix of both raw windows stays implied
+            # by the check past the clip, so a solve may cross the kink
+            rows = {"00": (y, 1.0, raw[0], raw[1])}
+            yc = min(max(y, 0.0), 1.0)
+            fixed, dy = (clip, 0.0, 0.0), float(yc == y)
+            rows.update({"01": (yc, dy, raw[0], fixed), "10": (yc, dy, fixed, raw[1])})
+            for tag, (y, dy, (a0, a1, a2), (b0, b1, b2)) in rows.items():
                 out[name + tag] = (m * ((1.0 - y) * a0 + y * b0 - lim), m * dy * (b0 - a0),
                                    m * (1.0 - y) * a1, m * y * b1, -m * dy * a1, m * dy * b1,
                                    m * (1.0 - y) * a2, m * y * b2)
@@ -306,7 +337,7 @@ class Sectors:
             # the far side of a band on the surface is met once the steps vanish
             crossed = [(max(cons[key][0] / (cons[key][0] - g[0]), 0.0) if cons[key][0] < g[0]
                         else 0.0, key) for key, g in after.items()
-                       if g[0] > 1e-12 and key not in W and not any(_opposite(key, k) for k in W)]
+                       if g[0] > 1e-12 and key not in W and not any(_clash(after, key, k) for k in W)]
             if crossed:
                 t, key = min(crossed)
                 z = [u + t * (v - u) for u, v in zip(z, new)]
@@ -329,7 +360,7 @@ class Sectors:
         cons = self.constraints(*z)
         W = []
         for dist, key in sorted((-g[0] / _norm(g), key) for key, g in cons.items() if _norm(g)):
-            if dist <= 1e-6 * h and len(W) < 3 and not any(_opposite(key, k) for k in W):
+            if dist <= 1e-6 * h and len(W) < 3 and not any(_clash(cons, key, k) for k in W):
                 W.append(key)
         stuck = False
         for _ in range(12):
@@ -340,19 +371,27 @@ class Sectors:
             inside = 0.0 <= z[1] <= _HALF_PI and 0.0 <= z[2] <= _HALF_PI
             v = self.value(z[1], z[2]) if inside else -math.inf
             best = max(best, (v, z[1], z[2]))
+            if blocker == "singular":
+                # a row may meet its twin across a clip's kink: drop the twin
+                kept = [k for n, k in enumerate(W) if not any(_clash(cons, k, c) for c in W[:n])]
+                if len(kept) == len(W):
+                    break
+                W = kept
+                continue
             # a search that runs out of steps goes on once from where it stopped
-            if blocker == "singular" or blocker == "stuck" and stuck:
+            if blocker == "stuck" and stuck:
                 break
             stuck = blocker == "stuck"
             if stuck:
                 continue
             if blocker is not None:
                 # keep the two surfaces the blocked step had come closest to
-                W = sorted((k for k in W if not _opposite(k, blocker)),
+                W = sorted((k for k in W if not _clash(cons, k, blocker)),
                            key=lambda k: abs(cons[k][0]) / max(_norm(cons[k]), 1e-300))[:2]
                 W.append(blocker)
             elif min(lam) >= -1e-10:
-                return best, v >= best[0]
+                # the search's earlier points may round a little higher
+                return best, v >= best[0] - 1e-15 * abs(best[0])
             else:
                 W.pop(lam.index(min(lam)))
         return best, False
@@ -411,14 +450,16 @@ class Sectors:
         return None if lo > hi + 1e-15 else (x * (1.0 - self.gap * math.cos(2.0 * hi)), hi)
 
     def interior(self, start):
-        """The best (value, p0, p1) over the open angle square.
+        """The best (value, p0, p1) found over the open angle square, and the
+        largest bound of a cell left open (-inf if none).
 
         Polish from ``start`` (the zero-slack optimum's angles), or else from
-        the best corner of a first _N0 x _N0 grid of the square; then bound the
+        the best node of a first _N0 x _N0 grid of the square; then bound the
         grid's cells and refine, 2 x 2 a level, each cell whose bound beats the
-        best value, polishing from the best corner a level finds.  Cells within
-        _RADIUS of a KKT point are that point's own; at most _CAP cells, the
-        highest bounds, are kept a level.
+        best value, polishing from the best node a level finds.  A cell within
+        _RADIUS sqrt(w) of the KKT point that gives the best value, w the
+        level's cell width, is that point's own.  Cells stay open when more
+        than _CAP of them, or more than _LEVELS levels, would be needed.
         """
         best, centre = (-math.inf, 0.0, 0.0), None
         # from the zero-slack optimum, on ever finer scales while no KKT point
@@ -429,44 +470,50 @@ class Sectors:
             if kkt:
                 centre = cand[1:]
                 break
-        q0, q1, ub, val = self.bounds(None, None, None, None, _N0, centre is None)
-        for _ in range(_LEVELS):
-            if val is not None and val.max() > best[0]:
+        q0, q1, ub, val = self.bounds(None, None, None, None, _N0)
+        for level in range(_LEVELS + 1):
+            if val.max() > best[0]:
                 m, i, j = np.unravel_index(int(np.argmax(val)), val.shape)
                 h = float(q0[m, 1] - q0[m, 0])
                 cand, kkt = self.polish(float(q0[m, i]), float(q1[m, j]), h)
-                if cand[0] >= best[0]:
+                if cand[0] > best[0]:
                     best, centre = cand, (cand[1:] if kkt else None)
             m, i, j = np.nonzero(ub > best[0])
             if centre is not None:
-                far = ((q0[m, i] - _RADIUS > centre[0]) | (q0[m, i + 1] + _RADIUS < centre[0])
-                       | (q1[m, j] - _RADIUS > centre[1]) | (q1[m, j + 1] + _RADIUS < centre[1]))
+                r = _RADIUS * math.sqrt(float(q0[0, 1] - q0[0, 0]))
+                far = ((q0[m, i] - r > centre[0]) | (q0[m, i + 1] + r < centre[0])
+                       | (q1[m, j] - r > centre[1]) | (q1[m, j + 1] + r < centre[1]))
                 m, i, j = m[far], i[far], j[far]
             if not len(m):
-                break
-            keep = np.argsort(-ub[m, i, j], kind="stable")[:_CAP]
-            m, i, j = m[keep], i[keep], j[keep]
+                return best, -math.inf
+            if level == _LEVELS or len(m) > _CAP:
+                return best, float(ub[m, i, j].max())
             # in chunks, which bound the arrays' size
             parts = [self.bounds(q0[m[c], i[c]], q0[m[c], i[c] + 1], q1[m[c], j[c]],
-                                 q1[m[c], j[c] + 1], 2, True)
+                                 q1[m[c], j[c] + 1], 2)
                      for c in (slice(k, k + _CHUNK) for k in range(0, len(m), _CHUNK))]
             q0, q1, ub, val = (np.concatenate(arrays) for arrays in zip(*parts))
-        return best
 
     def ceiling(self, start):
         """The maximizing (x, d), or None when no point is feasible: over the
         interior angles, or along x alone when the bands pin the skews, and
-        over the empty-sector edges."""
+        over the empty-sector edges.  Where a cell stays open above the best
+        point, d is raised so that x + gap d is that cell's bound; where no
+        point is found, open cells or not, None: no key."""
+        bound = -math.inf
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if self.pinned is not None:
                 x, d = self.pinned_top(), self.pinned[1]
                 point = (-math.inf, 0.0, 0.0) if x is None else (x + self.gap * d, x, d)
             else:
-                value, p0, p1 = self.interior(start)
+                (value, p0, p1), bound = self.interior(start)
                 x = self.x_top(p0, p1)[0]
                 point = (value, x, -x * math.cos(2.0 * p1))
         for side in (1.0, 0.0):
             found = self.edge(side)
             if found is not None and found[0] > point[0]:
                 point = (found[0], side, -side * math.cos(2.0 * found[1]))
-        return None if point[0] == -math.inf else point[1:]
+        if point[0] == -math.inf:
+            return None
+        x = point[1]
+        return (x, (bound - x) / self.gap) if bound > point[0] else point[1:]

@@ -298,9 +298,14 @@ def finite_size_bound(
     problem is solved over the two sectors' outcome angles (_sectors), where
     every constraint is linear in x: cell bounds on the angle square find the
     basin, and Newton steps on the active constraints, started at the
-    zero-slack optimum, solve it to rounding.  The reported point satisfies
-    every constraint to within 2e-15; ``x_star`` is its x and ``delta`` the
-    filter-rate excess of the observed tallies.
+    zero-slack optimum, solve it to rounding.  The reported point meets every
+    constraint to within 6e-15 in that constraint's own units (the bands and
+    error-weight limits widened by 5e-15, and 1e-15 more on each bound on
+    x), under the 1e-14 of a feasibility check.  Where cells of the angle
+    square stay open above the best point after the refinement budget, the
+    ceiling is the largest of their bounds instead, an over-report, and
+    ``x_star`` stays the best point's x.  ``x_star`` is the point's x and
+    ``delta`` the filter-rate excess of the observed tallies.
     """
     if slacks is None:
         slacks = SlackVector()

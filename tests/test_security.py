@@ -573,12 +573,16 @@ class TestFiniteSizeBound:
             assert finite_size_bound(n_err, n_fil, n, alpha, SlackVector(*eps)).feasible
         assert len(ends) >= 10
 
+    @pytest.mark.parametrize("eps6", [None, 0.03, 0.07], ids=["drawn", "eps6=0.03", "eps6=0.07"])
     @pytest.mark.parametrize("zeroed", [1, 3], ids=["eps2", "eps4"])
-    def test_one_zero_width_band_matches_pinned_oracle(self, zeroed):
+    def test_one_zero_width_band_matches_pinned_oracle(self, zeroed, eps6):
         # eps2 = 0 pins s (a = s - d) and eps4 = 0 pins f (a = f + d); the
-        # oracle's scan over the free skew then applies
+        # oracle's scan over the free skew then applies.  A large eps6 puts
+        # the maximum where the check's mass meets the end of its range
         for n_err, n_fil, n, alpha, eps in self.seeded_batch(4, 77):
             eps = eps[:zeroed] + (0.0,) + eps[zeroed + 1:]
+            if eps6 is not None:
+                eps = eps[:5] + (eps6,) + eps[6:]
             res = finite_size_bound(n_err, n_fil, n, alpha, SlackVector(*eps))
             oracle = finite_size_oracle(n_err, n_fil, n, alpha, eps)
             assert res.feasible and oracle is not None
@@ -745,6 +749,19 @@ SLACKED_UNDER_REPORTS = [
      (0.008532578097920572, -0.7583761069078313, 0.008449233354193678), 0.009640157176002561),
 ]
 
+# slacked runs whose maximum sits where the check's mass y = x -+ eps6 meets
+# 0, or past it; a search that took y as one smooth form stopped short there,
+# by 2.6e-2, 4.0e-5 and 2.4e-5 of the ceiling
+SLACKED_KINK_MISSES = [
+    ((53, 26646, 83208), 0.445626965672654,
+     (0.0, 0.0, 0.0, 0.017194204790552663, 0.0, 0.07127121132851778, 4.619477773397801e-06, 0.0)),
+    ((15414, 403068, 8176383), 0.15329667730712523,
+     (0.0, 0.0, 0.0, 0.04439649737918453, 0.0, 0.022542056843987086, 5.62136522868173e-06, 0.0)),
+    ((0, 181, 1084), 0.3073728659877903,
+     (1.5321986239636932e-05, 0.0, 5.090831012981262e-05, 0.002569934886554594, 0.0,
+      0.042843590670087264, 0.00022621790200319042, 1.6245918698125066e-05)),
+]
+
 
 class TestSlackedUnderReport:
     @pytest.mark.parametrize("tallies,alpha,eps,point,value", SLACKED_UNDER_REPORTS,
@@ -760,6 +777,14 @@ class TestSlackedUnderReport:
         res = finite_size_bound(*tallies, alpha, SlackVector(*eps))
         assert res.feasible
         assert res.r_ph_bar >= value - 1e-12
+        assert witnessed(*tallies, alpha, eps, res)
+
+    @pytest.mark.parametrize("tallies,alpha,eps", SLACKED_KINK_MISSES, ids=["a", "b", "c"])
+    def test_ceiling_reaches_the_oracle_at_the_check_clip(self, tallies, alpha, eps):
+        res = finite_size_bound(*tallies, alpha, SlackVector(*eps))
+        oracle = finite_size_oracle(*tallies, alpha, eps)
+        assert res.feasible and oracle is not None
+        assert res.r_ph_bar >= oracle - 1e-12
         assert witnessed(*tallies, alpha, eps, res)
 
     def test_reported_points_are_witnessed(self):
