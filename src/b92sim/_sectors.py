@@ -149,6 +149,9 @@ class Sectors:
         self.lims = (2.0 * r_err + 2.0 * e5 + FEAS_TOL, 2.0 * r_err - 2.0 * e5 - FEAS_TOL)
         # zero-width bands pin the skews to the zero-slack ones
         self.pinned = (delta - gap, delta) if e2 == e4 == 0.0 else None
+        # a zero-width band's sides are one surface, whose multiplier has
+        # either sign
+        self.equal = {"s": e2 == 0.0, "f": e4 == 0.0}
 
     def _windows(self, phi, lib=math):
         lo, up = lib.sin(phi - self.theta) ** 2 - self.e7, lib.sin(phi + self.theta) ** 2 + self.e8
@@ -254,33 +257,35 @@ class Sectors:
         for name, m, shift, offset, clip, lim in (
                 ("L", 1.0, -self.theta, -self.e7, 0.0, self.lims[0]),
                 ("U", -1.0, self.theta, self.e8, 1.0, self.lims[1])):
-            raw = [(math.sin(p + shift) ** 2 + offset, math.sin(2.0 * (p + shift)),
-                    2.0 * math.cos(2.0 * (p + shift))) for p in (p0, p1)]
-            a, b = (max(w[0], clip) if m > 0.0 else min(w[0], clip) for w in raw)
+            # each window, its first and its second derivative
+            (a0, a1, a2), (b0, b1, b2) = raw = [
+                (math.sin(p + shift) ** 2 + offset, math.sin(2.0 * (p + shift)),
+                 2.0 * math.cos(2.0 * (p + shift))) for p in (p0, p1)]
+            a, b = (max(a0, clip), max(b0, clip)) if m > 0.0 else (min(a0, clip), min(b0, clip))
             # the check's mass y sits at x -+ eps6, clipped to [0, 1]: the
             # larger of the unclipped form and the clipped end's, which short
             # of the clip is eased by y's distance to it, so that it binds at
             # the kink but not where the check switches ends
-            up = m * (b - a) < 0.0
-            y, end = (x + self.e6, 1) if up else (x - self.e6, 0)
-            g, d, h = (m * v for v in raw[end])
-            ease, gx = (1.0 - y, 1.0) if end else (y, -1.0)
-            if ease < 0.0:
-                ease, gx = 0.0, 0.0
-            # with eps6 = 0 the clip is at x = 0 or 1, which edge() solves
+            end = int(m * (b - a) < 0.0)
+            y = x + self.e6 if end else x - self.e6
             if self.e6 > 0.0:
+                # with eps6 = 0 the clip is at x = 0 or 1, which edge() solves
+                g, d, h = (m * v for v in raw[end])
+                ease, gx = ((1.0 - y, 1.0) if end else (y, -1.0)) if (y < 1.0 if end else y > 0.0) \
+                    else (0.0, 0.0)
                 out[name + "c"] = ((g - m * lim - ease, gx, 0.0, d, 0.0, 0.0, 0.0, h) if end
                                    else (g - m * lim - ease, gx, d, 0.0, 0.0, 0.0, h, 0.0))
             # the unclipped form of the mix of both raw windows stays implied
             # by the check past the clip, so a solve may cross the kink
-            rows = {"00": (y, 1.0, raw[0], raw[1])}
+            u = 1.0 - y
+            out[name + "00"] = (m * (u * a0 + y * b0 - lim), m * (b0 - a0), m * u * a1, m * y * b1,
+                                -m * a1, m * b1, m * u * a2, m * y * b2)
             yc = min(max(y, 0.0), 1.0)
-            fixed, dy = (clip, 0.0, 0.0), float(yc == y)
-            rows.update({"01": (yc, dy, raw[0], fixed), "10": (yc, dy, fixed, raw[1])})
-            for tag, (y, dy, (a0, a1, a2), (b0, b1, b2)) in rows.items():
-                out[name + tag] = (m * ((1.0 - y) * a0 + y * b0 - lim), m * dy * (b0 - a0),
-                                   m * (1.0 - y) * a1, m * y * b1, -m * dy * a1, m * dy * b1,
-                                   m * (1.0 - y) * a2, m * y * b2)
+            u, dy = 1.0 - yc, m * float(yc == y)
+            out[name + "01"] = (m * (u * a0 + yc * clip - lim), -dy * a0 + dy * clip, m * u * a1, 0.0,
+                                -dy * a1, 0.0, m * u * a2, 0.0)
+            out[name + "10"] = (m * (u * clip + yc * b0 - lim), dy * (b0 - clip), 0.0, m * yc * b1,
+                                0.0, dy * b1, 0.0, m * yc * b2)
         return out
 
     def _search(self, W, z, cons, rho):
@@ -326,8 +331,12 @@ class Sectors:
                 move = _cramer(R, rhs) if concave else None
                 if move is None:
                     slope = [_dot(t, lg) for t in T]
-                    norm = math.sqrt(sum(s * s for s in slope)) or 1.0
-                    move, climb = [rho * s / norm for s in slope], True
+                    norm = math.sqrt(sum(s * s for s in slope))
+                    # a flat surface, as at x = 1 where p0 is free, is no climb
+                    if norm > 1e-12 * (abs(grad[0]) + abs(grad[2])):
+                        move, climb = [rho * s / norm for s in slope], True
+                    else:
+                        move = [0.0] * len(T)
                 for m, t in zip(move, T):
                     step = [s + m * u for s, u in zip(step, t)]
             size = abs(step[0]) + abs(step[1]) + abs(step[2])
@@ -389,11 +398,13 @@ class Sectors:
                 W = sorted((k for k in W if not _clash(cons, k, blocker)),
                            key=lambda k: abs(cons[k][0]) / max(_norm(cons[k]), 1e-300))[:2]
                 W.append(blocker)
-            elif min(lam) >= -1e-10:
-                # the search's earlier points may round a little higher
-                return best, v >= best[0] - 1e-15 * abs(best[0])
             else:
-                W.pop(lam.index(min(lam)))
+                signed = [(l, n) for n, (l, k) in enumerate(zip(lam, W))
+                          if not self.equal.get(k[0], False)]
+                if min(signed, default=(0.0, 0))[0] >= -1e-10:
+                    # the search's earlier points may round a little higher
+                    return best, v >= best[0] - 1e-15 * abs(best[0])
+                W.pop(min(signed)[1])
         return best, False
 
     def pinned_top(self):
@@ -481,8 +492,10 @@ class Sectors:
             m, i, j = np.nonzero(ub > best[0])
             if centre is not None:
                 r = _RADIUS * math.sqrt(float(q0[0, 1] - q0[0, 0]))
-                far = ((q0[m, i] - r > centre[0]) | (q0[m, i + 1] + r < centre[0])
-                       | (q1[m, j] - r > centre[1]) | (q1[m, j + 1] + r < centre[1]))
+                far = (q1[m, j] - r > centre[1]) | (q1[m, j + 1] + r < centre[1])
+                # at x = 1 the empty sector's angle p0 is free along the face
+                if self.x_top(*centre)[0] < 1.0:
+                    far |= (q0[m, i] - r > centre[0]) | (q0[m, i + 1] + r < centre[0])
                 m, i, j = m[far], i[far], j[far]
             if not len(m):
                 return best, -math.inf
