@@ -14,7 +14,8 @@ is the maximum of x (1 - gap cos 2p1) over the angle square.
 Cell bounds close every part of the square that cannot beat the best point
 found, except the cells within a shrinking distance of the KKT point that
 gives it; a cell still open when the refinement budget runs out raises the
-ceiling to its bound, so a miss shows as an over-report, never a shortfall.
+ceiling to its bound, so outside that zone a miss shows as an over-report,
+never a shortfall.
 """
 
 from __future__ import annotations
@@ -469,7 +470,8 @@ class Sectors:
         grid's cells and refine, 2 x 2 a level, each cell whose bound beats the
         best value, polishing from the best node a level finds.  A cell within
         _RADIUS sqrt(w) of the KKT point that gives the best value, w the
-        level's cell width, is that point's own.  Cells stay open when more
+        level's cell width, in p1 alone when the point is on the x = 1 face,
+        is that point's own.  Cells stay open when more
         than _CAP of them, or more than _LEVELS levels, would be needed.
         """
         best, centre = (-math.inf, 0.0, 0.0), None
