@@ -41,7 +41,8 @@ _CHUNK = 128
 
 
 # 1-3 dimensional algebra in plain floats: numpy.linalg.solve and an SVD null
-# space cost 6-8 us a call against 0.4-3.4 us here, about 0.2 ms a bound
+# space cost 6-8 us a call against 0.4-3.4 us here; with them finite-size-sim's
+# slacked calls took 1.24 ms, not 0.94, and its op_tail_ms rose 18 % (9/10 pairs)
 
 
 def _dot(u, v) -> float:
@@ -353,7 +354,9 @@ class Sectors:
                 z = [u + t * (v - u) for u, v in zip(z, new)]
                 return z, self.constraints(*z), lam, key
             z, cons = new, after
-            if scale == 1.0 and size < 1e-15 and not climb:
+            # converged: 1e-14 is about 30 ulps of an angle near pi/2, where
+            # a stop at 1e-15 left searches stuck on rounding, their cells open
+            if scale == 1.0 and size < 1e-14 and not climb:
                 return z, cons, lam, None
             rho *= 2.0
         return z, cons, lam, "stuck"

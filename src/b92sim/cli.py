@@ -13,11 +13,11 @@ infeasibility/singularity or a solver that did not converge, 3 I/O error.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
 import sys
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -47,36 +47,6 @@ ALPHA_SQ_MAX = 0.49
 
 class CliUsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # noqa: D102  (argparse hook)
-        raise CliUsageError(message)
-
-
-def _config_flags(args: argparse.Namespace) -> list[str]:
-    """The options of a JSON config file as ``--key=value`` flag tokens.
-
-    Config keys use flag spelling without the leading dashes (either - or _
-    separators); values are strings or numbers, which the parser then
-    type-checks exactly as it does flags.
-    """
-    with open(args.config) as fh:
-        try:
-            loaded = json.load(fh)
-        except ValueError as exc:  # also a file that is not UTF-8
-            raise CliUsageError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(loaded, dict):
-        raise CliUsageError("config file must hold a JSON object")
-    flags = []
-    for key, value in loaded.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr) or attr in ("command", "config"):
-            raise CliUsageError(f"config key {key!r} is not an option of this command")
-        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-            raise CliUsageError(f"config key {key!r} must hold a string or a number")
-        flags.append(f"--{attr.replace('_', '-')}={value}")
-    return flags
 
 
 class RateReport(NamedTuple):
@@ -340,14 +310,6 @@ def _grid(lo: float, hi: float, steps: int) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-        return
-    with open(out_path, "w", newline="") as fh:
-        fh.write(text)
-
-
 def _render(fields: tuple[str, ...], rows: list[tuple], fmt_name: str,
             *, many: bool = False) -> str:
     """CSV with a header line, or JSON: a list of objects when ``many``,
@@ -371,76 +333,50 @@ def _render(fields: tuple[str, ...], rows: list[tuple], fmt_name: str,
 
 
 def _float(text: str) -> float:
-    """A float option's value, with -0.0 read as 0.0 so that an output
-    echoes a -0 flag as 0."""
-    try:
-        return float(text) + 0.0
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    """A float flag's value, with -0.0 read as 0.0 so that an output echoes
+    a -0 flag as 0."""
+    return float(text) + 0.0
 
 
-def make_parser() -> _Parser:
-    parser = _Parser(prog="b92sim", description=__doc__, allow_abbrev=False,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-    tables: dict[_Parser, tuple[dict, dict]] = {}
+class _Command(NamedTuple):
+    """A command's grammar: its help line, each flag's dest and the type that
+    reads its value or the tuple of its choices, and each dest's default."""
 
-    def add(sp, flag, **kwargs):
-        action = sp.add_argument(flag, **kwargs)
-        options, defaults = tables.setdefault(sp, ({}, {}))
-        options[flag] = (action.dest, action.type, action.choices)
-        defaults[action.dest] = action.default
+    help: str
+    flags: dict[str, tuple[str, object]]
+    defaults: dict[str, object]
 
-    def add_common(sp, formats=True):
-        if formats:
-            add(sp, "--format", choices=("csv", "json"), default="csv")
-        add(sp, "--out", metavar="PATH")
-        add(sp, "--config", metavar="PATH", help="JSON file of option defaults; flags win")
 
-    def add_floats(sp, *flags):
-        for flag in flags:
-            add(sp, flag, type=_float)
+def _command(help_line: str, kinds: dict[str, object], defaults=(), *,
+             formats: bool = True) -> _Command:
+    """A command's table from its dests' types, with --format (when the
+    command prints CSV or JSON), --out and --config added; a dest missing
+    from ``defaults`` defaults to None."""
+    kinds = {**kinds, **({"format": ("csv", "json")} if formats else {}),
+             "out": str, "config": str}
+    defaults = dict(defaults, format="csv") if formats else dict(defaults)
+    return _Command(help_line,
+                    {"--" + dest.replace("_", "-"): (dest, kind) for dest, kind in kinds.items()},
+                    {dest: defaults.get(dest) for dest in kinds})
 
-    sp = sub.add_parser("rate", help="analytic report for one channel point", allow_abbrev=False)
-    add_floats(sp, "--p", "--alpha-sq", "--overlap")
-    add_common(sp)
 
-    sp = sub.add_parser("optimize", help="best nonorthogonality for a channel",
-                        allow_abbrev=False)
-    add_floats(sp, "--p")
-    add_common(sp)
-
-    sp = sub.add_parser("sweep", help="grid of analytic reports", allow_abbrev=False)
-    add_floats(sp, "--p", "--p-min", "--p-max")
-    add(sp, "--p-steps", type=int)
-    add_floats(sp, "--alpha-sq", "--overlap", "--alpha-min", "--alpha-max")
-    add(sp, "--alpha-steps", type=int)
-    add_common(sp)
-
-    sp = sub.add_parser("simulate", help="one protocol run plus finite-size report",
-                        allow_abbrev=False)
-    add_floats(sp, "--p", "--alpha-sq", "--overlap")
-    add(sp, "--n", type=int)
-    add(sp, "--seed", type=int, default=0)
-    for i in range(1, 9):
-        add(sp, f"--eps{i}", type=_float, default=0.0)
-    add_common(sp, formats=False)
-
-    sp = sub.add_parser("exponent", help="two-basis sampling exponent", allow_abbrev=False)
-    add(sp, "--basis0", metavar="SPEC")
-    add(sp, "--basis1", metavar="SPEC")
-    add(sp, "--m0", type=int)
-    add(sp, "--m1", type=int)
-    add_floats(sp, "--delta0", "--delta1")
-    add(sp, "--seed", type=int, default=0)
-    add_common(sp, formats=False)
-
-    # for _parse: command name -> its parser, and -> its flag table, which
-    # maps each option string to (dest, type, choices) next to every dest's
-    # default
-    parser.commands = sub.choices
-    parser.flags = {name: tables[sp] for name, sp in sub.choices.items()}
-    return parser
+_ALPHA = {"alpha_sq": _float, "overlap": _float}
+# the only grammar of the command line: main reads every argv from it, and
+# help prints from it
+COMMANDS = {
+    "rate": _command("analytic report for one channel point", {"p": _float, **_ALPHA}),
+    "optimize": _command("best nonorthogonality for a channel", {"p": _float}),
+    "sweep": _command("grid of analytic reports", {
+        "p": _float, "p_min": _float, "p_max": _float, "p_steps": int, **_ALPHA,
+        "alpha_min": _float, "alpha_max": _float, "alpha_steps": int}),
+    "simulate": _command("one protocol run plus finite-size report", {
+        "p": _float, **_ALPHA, "n": int, "seed": int,
+        **{f"eps{i}": _float for i in range(1, 9)}},
+        {"seed": 0, **{f"eps{i}": 0.0 for i in range(1, 9)}}, formats=False),
+    "exponent": _command("two-basis sampling exponent", {
+        "basis0": str, "basis1": str, "m0": int, "m1": int, "delta0": _float,
+        "delta1": _float, "seed": int}, {"seed": 0}, formats=False),
+}
 
 
 def _require(args, *names) -> None:
@@ -453,16 +389,12 @@ def _require(args, *names) -> None:
 def _run(args) -> int:
     if args.command == "rate":
         _require(args, "p")
-        report = cmd_rate(args.p, _resolve_alpha_sq(args))
-        _emit(_render(RateReport._fields, [report], args.format), args.out)
-        return 0
-
-    if args.command == "optimize":
+        text = _render(RateReport._fields, [cmd_rate(args.p, _resolve_alpha_sq(args))],
+                       args.format)
+    elif args.command == "optimize":
         _require(args, "p")
-        _emit(_render(OPTIMUM_FIELDS, [cmd_optimize(args.p)], args.format), args.out)
-        return 0
-
-    if args.command == "sweep":
+        text = _render(OPTIMUM_FIELDS, [cmd_optimize(args.p)], args.format)
+    elif args.command == "sweep":
         if args.p is not None:
             p_values = (args.p,)
         elif None not in (args.p_min, args.p_max, args.p_steps):
@@ -475,102 +407,123 @@ def _run(args) -> int:
             alpha_values = _grid(args.alpha_min, args.alpha_max, args.alpha_steps)
         else:
             alpha_values = None  # optimize per p
-        rows = cmd_sweep(p_values, alpha_values)
-        _emit(_render(RateReport._fields, rows, args.format, many=True), args.out)
-        return 0
-
-    if args.command == "simulate":
+        text = _render(RateReport._fields, cmd_sweep(p_values, alpha_values), args.format,
+                       many=True)
+    elif args.command == "simulate":
         _require(args, "p", "n")
         slacks = SlackVector(*(getattr(args, f"eps{i}") for i in range(1, 9)))
         result = cmd_simulate(args.p, _resolve_alpha_sq(args), args.n, args.seed, slacks)
-        _emit(json.dumps(result, indent=2) + "\n", args.out)
-        return 0
-
-    # the parser admits no other command
-    _require(args, "basis0", "basis1", "m0", "m1", "delta0", "delta1")
-    result = cmd_exponent(
-        args.basis0, args.basis1, args.m0, args.m1,
-        args.delta0, args.delta1, args.seed,
-    )
-    _emit(json.dumps(result, indent=2) + "\n", args.out)
+        text = json.dumps(result, indent=2) + "\n"
+    else:  # COMMANDS holds no other command
+        _require(args, "basis0", "basis1", "m0", "m1", "delta0", "delta1")
+        result = cmd_exponent(args.basis0, args.basis1, args.m0, args.m1,
+                              args.delta0, args.delta1, args.seed)
+        text = json.dumps(result, indent=2) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", newline="") as fh:
+            fh.write(text)
     return 0
 
 
-@functools.cache
-def _parser() -> _Parser:
-    """The parser, built once per process: parse_args leaves it unchanged."""
-    return make_parser()
+def _help(command: str | None) -> None:
+    """Print the program's help, or a command's, to stdout and exit 0."""
+    if command is None:
+        lines = [__doc__.strip(), "", "commands:"]
+        lines += [f"  {name:<8}  {table.help}" for name, table in COMMANDS.items()]
+    else:
+        lines = [COMMANDS[command].help, "", "flags:"]
+        lines += [f"  {flag} " + ("{" + ",".join(kind) + "}" if isinstance(kind, tuple)
+                                  else dest.upper())
+                  for flag, (dest, kind) in COMMANDS[command].flags.items()]
+    sys.stdout.write(
+        f"usage: b92sim {command or 'COMMAND'} [--flag VALUE | --flag=VALUE] ...\n\n"
+        + "\n".join(lines) + "\n\nA value after a space may start with '-' only if it reads"
+        " as a number.\n--config reads a JSON object of flags named without their dashes;"
+        " flags given on the command line win.\nb92sim COMMAND -h lists a command's flags.\n")
+    raise SystemExit(0)
 
 
-def _read_flags(table: tuple[dict, dict], command: str,
-                tokens: list[str]) -> argparse.Namespace | None:
-    """tokens as the command's parser reads them when they are ``--flag
-    value`` pairs of known flags whose values start with no dash, convert
-    with the flag's type and lie among its choices; None for any other
-    tokens, which are left to argparse."""
-    options, defaults = table
-    if len(tokens) % 2:
-        return None
-    values = dict(defaults, command=command)
-    for flag, text in zip(tokens[::2], tokens[1::2]):
-        option = options.get(flag)
-        if option is None or text.startswith("-"):
-            return None
-        dest, kind, choices = option
-        value = text
-        if kind is not None:
-            try:
-                value = kind(text)
-            except (argparse.ArgumentTypeError, TypeError, ValueError):
-                return None
-        if choices is not None and value not in choices:
-            return None
-        values[dest] = value
-    args = argparse.Namespace()
-    vars(args).update(values)
-    return args
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """argv parsed as the full parser parses it.  When argv[0] names a
-    command, the rest is read from that command's flag table or, when
-    _read_flags declines it (-h, --flag=value, --, an unknown flag or a bad
-    value), by the command's parser, which the full parser would hand it to
-    after scanning every token itself; anything else (no argument, -h, an
-    unknown command, --) takes the full parser."""
-    parser = _parser()
-    sub = parser.commands.get(argv[0]) if argv else None
-    if sub is None:
-        return parser.parse_args(argv)
-    args = _read_flags(parser.flags[argv[0]], argv[0], argv[1:])
-    if args is None:
-        args = sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
-        # argparse before Python 3.12 reads --flag=-- as an empty list
-        for dest, value in vars(args).items():
-            if isinstance(value, list):
-                raise CliUsageError(f"argument --{dest.replace('_', '-')}: "
-                                    "expected one argument")
-    return args
+def _read(command: str, tokens) -> dict:
+    """The command's options: its defaults, then its flags in ``tokens`` left
+    to right, the last of a flag winning.  A flag is spelled in full and takes
+    one value: ``--flag=value``, or ``--flag value`` where a value may start
+    with a dash only if it reads as a number (-0.5, -1e5, -inf).  -h or --help
+    prints the command's help; any other token is a usage error."""
+    flags, values = COMMANDS[command].flags, dict(COMMANDS[command].defaults)
+    tokens = iter(tokens)
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        option = flags.get(flag)
+        if option is None:
+            if token in ("-h", "--help"):
+                _help(command)
+            raise CliUsageError(f"unrecognized argument {token!r} for {command}")
+        if not eq:
+            text = next(tokens, None)
+            if text is None or text.startswith("-") and not _is_number(text):
+                raise CliUsageError(f"argument {flag}: expected one argument")
+        dest, kind = option
+        try:
+            values[dest] = kind[kind.index(text)] if isinstance(kind, tuple) else kind(text)
+        except ValueError:
+            hint = f" (choose from {', '.join(kind)})" if isinstance(kind, tuple) else ""
+            raise CliUsageError(f"argument {flag}: invalid value {text!r}{hint}") from None
+    return values
+
+
+def _config_flags(command: str, path: str) -> list[str]:
+    """The options of a JSON config file as ``--key=value`` tokens: keys are
+    flags without their dashes (either - or _ separators), and values strings
+    or numbers, which _read then checks exactly as it does flags."""
+    with open(path) as fh:
+        try:
+            loaded = json.load(fh)
+        except ValueError as exc:  # also a file that is not UTF-8
+            raise CliUsageError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise CliUsageError("config file must hold a JSON object")
+    tokens = []
+    for key, value in loaded.items():
+        flag = "--" + key.replace("_", "-")
+        if flag not in COMMANDS[command].flags or flag == "--config":
+            raise CliUsageError(f"config key {key!r} is not an option of this command")
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise CliUsageError(f"config key {key!r} must hold a string or a number")
+        tokens.append(f"{flag}={value}")
+    return tokens
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The command that argv names and its options: the command's defaults,
+    then a --config file's options, then the flags, which win."""
+    if argv and argv[0] in ("-h", "--help"):
+        _help(None)
+    if not argv or argv[0] not in COMMANDS:
+        raise CliUsageError(f"the first argument must be a command: {', '.join(COMMANDS)}")
+    command, tokens = argv[0], argv[1:]
+    values = _read(command, tokens)
+    if values["config"] is not None:
+        values = _read(command, _config_flags(command, values["config"]) + tokens)
+    return SimpleNamespace(command=command, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        args = _parse(argv)
-        if args.config is not None:
-            # config options go ahead of the command's own flags, which win
-            at = argv.index(args.command) + 1
-            args = _parse(argv[:at] + _config_flags(args) + argv[at:])
-        return _run(args)
-    except CliUsageError as exc:
+        return _run(_parse(argv))
+    except (CliUsageError, DomainError, ParameterError, ConsistencyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DomainError, ParameterError, ConsistencyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 1 if isinstance(exc, CliUsageError) else 3 if isinstance(exc, OSError) else 2
 
 
 if __name__ == "__main__":

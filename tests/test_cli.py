@@ -699,44 +699,8 @@ class TestExitCodes:
         assert err.startswith(f"error: a grid of {steps} steps is too large")
 
 
-class TestParserReuse:
-    def test_cached_parser_matches_fresh_parsers(self, capsys, tmp_path):
-        # one parser serves every call in a process; back-to-back commands,
-        # config files and usage errors must behave as with a fresh parser
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"p": 0.02, "alpha-sq": 0.25, "format": "json"}))
-        runs = [
-            ["rate", "--p", "0.03", "--alpha-sq", "0.2"],
-            ["optimize", "--p", "0.02", "--format", "json"],
-            ["rate", "--config", str(cfg)],
-            ["rate", "--config", str(cfg), "--p", "0.01"],
-            ["sweep", "--p", "0.03", "--alpha-min", "0.1", "--alpha-max", "0.3",
-             "--alpha-steps", "3"],
-            ["rate", "--p", "0.03"],
-            ["no-such-command"],
-            ["simulate", "--p", "0.03", "--alpha-sq", "0.2", "--n", "1000", "--seed", "3"],
-            ["rate", "--p", "0.03", "--alpha-sq", "0.2", "--format", "json"],
-            ["rate", "--p", "0.03", "--alpha-sq", "0.2", "--format", "xml"],
-            ["rate", "--p=0.03", "--alpha-sq", "0.2"],
-        ]
-
-        def run_all(fresh):
-            results = []
-            for argv in runs:
-                if fresh:
-                    cli._parser.cache_clear()
-                code = main(argv)
-                results.append((code, capsys.readouterr().out))
-            return results
-
-        cached = run_all(fresh=False)
-        assert cached == run_all(fresh=True)
-        assert [code for code, _ in cached] == [0, 0, 0, 0, 0, 1, 1, 0, 0, 1, 0]
-
-
 class TestDirectDispatch:
-    """main hands the tokens after a command name to that command's parser;
-    every outcome must be the full parser's."""
+    """Every argv, well formed or not, ends with its documented exit code."""
 
     @pytest.fixture
     def corpus(self, tmp_path):
@@ -746,7 +710,7 @@ class TestDirectDispatch:
         bad_cfg.write_text(json.dumps({"p": 0.02, "bogus": 1}))
         rate = ["rate", "--p", "0.03", "--alpha-sq", "0.2"]
         help_exit = ("SystemExit", 0)
-        # (argv, the exit code that both parsers give)
+        # (argv, its exit code)
         return [
             (rate, 0),
             (["optimize", "--p", "0.02", "--format", "json"], 0),
@@ -793,11 +757,26 @@ class TestDirectDispatch:
             (["-h", "rate"], help_exit),
         ]
 
-    def test_outcomes_match_the_full_parser(self, capsys, monkeypatch, corpus):
-        direct = [run_cli(capsys, *argv) for argv, _ in corpus]
-        assert [code for code, _, _ in direct] == [code for _, code in corpus]
-        monkeypatch.setattr(cli, "_parse", lambda argv: cli.make_parser().parse_args(argv))
-        assert direct == [run_cli(capsys, *argv) for argv, _ in corpus]
+    def test_exit_codes(self, capsys, corpus):
+        outcomes = [run_cli(capsys, *argv) for argv, _ in corpus]
+        assert [code for code, _, _ in outcomes] == [code for _, code in corpus]
+        for code, out, err in outcomes:
+            if code not in (0, ("SystemExit", 0)):
+                assert (out, err[:7]) == ("", "error: ")
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_command_help_lists_every_flag(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "-h")
+        assert (code, err) == (("SystemExit", 0), "")
+        listed = [line.split()[0] for line in out.splitlines() if line.startswith("  --")]
+        assert listed == list(cli.COMMANDS[command].flags)
+
+    def test_program_help_lists_every_command(self, capsys):
+        code, out, err = run_cli(capsys, "--help")
+        assert (code, err) == (("SystemExit", 0), "")
+        assert all(f"\n  {name} " in out for name in cli.COMMANDS)
 
 
 def _outcome(argv):
@@ -818,8 +797,40 @@ def _outcome(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-_TABLES = cli.make_parser().flags
-_ALL_FLAGS = sorted({flag for options, _ in _TABLES.values() for flag in options})
+class _Reference(argparse.ArgumentParser):
+    def error(self, message):  # noqa: D102  (argparse hook)
+        raise cli.CliUsageError(message)
+
+
+def _reference(command):
+    """argparse, the reference grammar: a parser for one command built from
+    that command's table."""
+    table = cli.COMMANDS[command]
+    parser = _Reference(prog=f"b92sim {command}", allow_abbrev=False)
+    for flag, (dest, kind) in table.flags.items():
+        read = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+        parser.add_argument(flag, dest=dest, default=table.defaults[dest], **read)
+    return parser
+
+
+_REFERENCE = {command: _reference(command) for command in cli.COMMANDS}
+
+
+class _EmptyList(cli.CliUsageError):
+    """argparse before Python 3.12 reads --flag=-- as [], where later
+    versions read '--'."""
+
+
+def _reference_read(command, tokens):
+    """cli._read's contract, kept by argparse."""
+    args = vars(_REFERENCE[command].parse_args(tokens))
+    if any(isinstance(value, list) for value in args.values()):
+        raise _EmptyList(f"argparse read {tokens} with an empty list")
+    return args
+
+
+_FLAGS = {command: sorted(table.flags) for command, table in cli.COMMANDS.items()}
+_ALL_FLAGS = sorted({flag for flags in _FLAGS.values() for flag in flags})
 # values that parse, that fail a type or a choice, that argparse reads in
 # its own way (a leading dash, a flag name, '--', a space, a non-ASCII
 # digit), and small --n, --p-steps and --seed values that keep a run short
@@ -832,8 +843,8 @@ def _argvs(draw):
     """A command and tokens that are mostly --flag value pairs of its own
     flags, sometimes with a stray token: another command's flag, -h, --,
     a --flag=value token or a lone value."""
-    command = draw(st.sampled_from(sorted(_TABLES)))
-    own = sorted(_TABLES[command][0])
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    own = _FLAGS[command]
     flag = st.one_of(st.sampled_from(own), st.sampled_from(own), st.sampled_from(_ALL_FLAGS))
     value = st.sampled_from(_VALUES)
     tokens = [t for pair in draw(st.lists(st.tuples(flag, value), max_size=6)) for t in pair]
@@ -845,8 +856,8 @@ def _argvs(draw):
 
 
 class TestFlagTables:
-    """Well-formed --flag value argv is read from each command's flag table;
-    argparse reads everything else, and every outcome is the full parser's."""
+    """The command table is the CLI's one grammar; argparse, built from the
+    same table, is the reference it must read alike."""
 
     @settings(max_examples=400, deadline=None)
     @given(argv=_argvs())
@@ -855,44 +866,28 @@ class TestFlagTables:
         stub = lambda *args: {"args": [repr(a) for a in args]}  # noqa: E731
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "cmd_exponent", stub)
-            fast = _outcome(argv)
-            mp.setattr(cli, "_read_flags", lambda *_: None)  # argparse reads every argv
-            assert fast == _outcome(argv)
+            code, out, err = _outcome(argv)
+            assert code in (0, 1, 2, 3, ("SystemExit", 0))
+            if code not in (0, ("SystemExit", 0)):
+                assert (out, err[:7]) == ("", "error: ")
+            if "-h" in argv or "--help" in argv:
+                return
 
-        # whatever the table reads, the command's own parser reads alike
-        # (compared by repr, where nan equals nan and -0.0 differs from 0.0)
-        command, tokens = argv[0], argv[1:]
-        args = cli._read_flags(_TABLES[command], command, tokens)
-        if args is not None:
-            sub = cli._parser().commands[command]
-            expected = sub.parse_args(tokens, argparse.Namespace(command=command))
-            assert repr(sorted(vars(args).items())) == repr(sorted(vars(expected).items()))
-
-    def test_well_formed_argv_skips_argparse(self, capsys, monkeypatch):
-        # the argv shapes the analytic, simulation and exponent clients send:
-        # with every argparse parse disabled they still run, so a change that
-        # sends them back through argparse fails here, not only in timings
-        corpus = [
-            ["rate", "--p", "0.03", "--alpha-sq", "0.2"],
-            ["rate", "--p", "0", "--alpha-sq", "0.4", "--format", "json"],
-            ["rate", "--p", "0.03", "--overlap", "0.36", "--out", os.devnull],
-            ["optimize", "--p", "0.02", "--format", "json"],
-            ["sweep", "--p-min", "0", "--p-max", "0.01", "--p-steps", "3", "--format", "csv"],
-            ["sweep", "--p", "0.01", "--alpha-min", "0.1", "--alpha-max", "0.2",
-             "--alpha-steps", "2"],
-            ["simulate", "--p", "0.03", "--alpha-sq", "0.2", "--n", "10000", "--seed", "3",
-             *(tok for i in range(1, 9) for tok in (f"--eps{i}", "0.001"))],
-            ["exponent", "--basis0", "0", "--basis1", "0.9273", "--m0", "20", "--m1", "20",
-             "--delta0", "0.1", "--delta1", "0.8", "--seed", "1"],
-        ]
-        expected = [run_cli(capsys, *argv) for argv in corpus]
-        assert [code for code, _, _ in expected] == [0] * len(corpus)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("argparse parsed a well-formed argv")
-
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
-        assert [run_cli(capsys, *argv) for argv in corpus] == expected
+            # whatever argparse reads, the table reads alike (compared by
+            # repr, where nan equals nan and -0.0 differs from 0.0), and main
+            # ends the same way with argparse reading every token
+            command, tokens = argv[0], argv[1:]
+            try:
+                expected = _reference_read(command, tokens)
+            except _EmptyList:
+                return
+            except cli.CliUsageError:
+                assert code == 1  # what argparse rejects, the table rejects
+                return
+            values = cli._read(command, tokens)
+            assert repr(sorted(values.items())) == repr(sorted(expected.items()))
+            mp.setattr(cli, "_read", _reference_read)
+            assert _outcome(argv)[:2] == (code, out)
 
 
 class TestTracerTargets:
@@ -911,7 +906,8 @@ class TestRunTimeImports:
         # a fresh process runs each command once: optimize and sweep run the
         # root finder on the key rate's slope; simulate with slacks (the
         # slacked bound solves its own Newton steps) and exponent queries,
-        # near-collinear ones too, load no SciPy either
+        # near-collinear ones too, load no SciPy either, and the command
+        # table reads every argv without argparse
         script = """
 import contextlib, io, sys
 from b92sim import _brent, cli
@@ -932,7 +928,7 @@ runs = [
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
-print(sorted(set(calls)), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(set(calls)), sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "argparse")))
 """ % [list(argv) for argv in NEAR_COLLINEAR_REPROS]
         src = str(Path(cli.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

@@ -762,6 +762,21 @@ SLACKED_KINK_MISSES = [
       0.042843590670087264, 0.00022621790200319042, 1.6245918698125066e-05)),
 ]
 
+# slacked runs whose Newton solves stopped one rounding step short of the
+# convergence test (a full step under 1e-15, about 4 ulps of the angles):
+# the cells around the point stayed open and the ceiling over-reported by
+# 2.5e-4, 1.4e-4 and 5.1e-5 relative
+SLACKED_STOP_MISSES = [
+    ((13, 463, 1067), 0.5360580173969828,
+     (0.0, 0.0, 0.0030197794122817064, 4.3499242753385985e-07, 2.356378369832594e-05, 0.0,
+      5.040951471168503e-05, 0.0)),
+    ((21, 580, 2139), 0.3826906084425279,
+     (0.0, 1.206789982134033e-05, 0.0, 0.0, 7.512635464157641e-06, 0.00303698182860079, 0.0,
+      0.0)),
+    ((4377, 1268094, 4761878), 0.39707398247296544,
+     (0.02628289666357728, 0.0008343363901314098, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
+]
+
 
 class TestSlackedUnderReport:
     @pytest.mark.parametrize("tallies,alpha,eps,point,value", SLACKED_UNDER_REPORTS,
@@ -785,6 +800,14 @@ class TestSlackedUnderReport:
         oracle = finite_size_oracle(*tallies, alpha, eps)
         assert res.feasible and oracle is not None
         assert res.r_ph_bar >= oracle - 1e-12
+        assert witnessed(*tallies, alpha, eps, res)
+
+    @pytest.mark.parametrize("tallies,alpha,eps", SLACKED_STOP_MISSES, ids=["a", "b", "c"])
+    def test_newton_solves_converge_above_rounding(self, tallies, alpha, eps):
+        res = finite_size_bound(*tallies, alpha, SlackVector(*eps))
+        oracle = finite_size_oracle(*tallies, alpha, eps)
+        assert res.feasible and oracle is not None
+        assert res.r_ph_bar == pytest.approx(oracle, rel=1e-10, abs=0.0)
         assert witnessed(*tallies, alpha, eps, res)
 
     def test_reported_points_are_witnessed(self):
