@@ -5,11 +5,12 @@ The data-side count matrix is (v00, v01, v10, v11) = ((1-x-a), (x+d),
 ratios sin^2(p0) = v11/(1-x) and sin^2(p1) = v01/x, so a = -(1-x) cos 2p0
 and d = -x cos 2p1, and each sector's check windows [sin^2(p -+ theta)
 -+ eps7/eps8] depend on its angle alone.  At fixed angles every constraint
-is then linear in x: the filter-rate band on s = a + d, the sender-marginal
-band on f = a - d, and each check, whose check-side mass y within eps6 of x
-need only sit at the end of its range where the windows mix best.  The
-largest feasible x is a minimum of ratios (Sectors.x_top), and the ceiling
-is the maximum of x (1 - gap cos 2p1) over the angle square.
+is then linear in x, a row of one table (Sectors.rows) that every part
+reads: the filter-rate band on s = a + d, the sender-marginal band on
+f = a - d, and each check, whose check-side mass y within eps6 of x need
+only sit at the end of its range where the windows mix best.  The largest
+feasible x is a minimum of ratios (Sectors.x_top), and the ceiling is the
+maximum of x (1 - gap cos 2p1) over the angle square.
 
 Cell bounds close every part of the square that cannot beat the best point
 found, except the cells within a shrinking distance of the KKT point that
@@ -25,26 +26,25 @@ import math
 
 import numpy as np
 
-# the bands and error-weight limits are widened by this, in their own units;
-# x_top allows 1e-15 more on each bound on x, 6e-15 in all, under the
-# rounding allowance of a feasibility check at 1e-14
-FEAS_TOL = 5e-15
+# the bands and error-weight limits are widened by FEAS_TOL in their own
+# units; ROUND, the rounding allowance, widens each bound on x in its row's
+# units (6e-15 in all, under a feasibility check's 1e-14); an interval that
+# closes by less touches, and a solve within it, relative, of the best met
+# reaches that best
+FEAS_TOL, ROUND = 5e-15, 1e-15
 
 _HALF_PI = 0.5 * math.pi
 # the first grid of cells over the angle square; the factor r of the distance
 # r sqrt(w) within which a KKT point explains a cell of width w, as a cell's
 # bound overshoots by O(w) and the objective falls off quadratically along a
-# ridge through the point; the refinement levels and the cells a level allowed
-_N0, _RADIUS, _LEVELS, _CAP = 24, 0.5, 16, 1024
-# cells bounded at once while refining
-_CHUNK = 128
+# ridge through the point; the refinement levels, the cells a level allowed
+# and those bounded at once
+_N0, _RADIUS, _LEVELS, _CAP, _CHUNK = 24, 0.5, 16, 1024, 128
 
 
 # 1-3 dimensional algebra in plain floats: numpy.linalg.solve and an SVD null
 # space cost 6-8 us a call against 0.4-3.4 us here; with them finite-size-sim's
 # slacked calls took 1.24 ms, not 0.94, and its op_tail_ms rose 18 % (9/10 pairs)
-
-
 def _dot(u, v) -> float:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
@@ -105,189 +105,197 @@ def _corners(f, v):
     return f(f(v[..., :-1, :-1], v[..., 1:, :-1]), f(v[..., :-1, 1:], v[..., 1:, 1:]))
 
 
+def _slopes(p0, p1, lib=math):
+    """cos 2p0 and the bands' slopes in x, k = c0 -+ c1 with c1 = cos 2p1,
+    in forms free of cancellation."""
+    return lib.cos(2.0 * p0), (-2.0 * lib.sin(p0 + p1) * lib.sin(p0 - p1),
+                               2.0 * lib.cos(p0 + p1) * lib.cos(p0 - p1))
+
+
 def _geometry(a0, b0, a1, b1, n: int):
     """What Sectors.bounds needs of the boxes [a0, b0] x [a1, b1] cut into n x n
-    cells alone: the cell edges, cos 2p0 at the nodes, each band's k = c0 -+ c1
-    (a tiny 1e-300 for an exact 0) and its sign, whether k keeps one sign
-    over a cell, the reach -c0 + x k of x in [0, 1] over it, and cos 2p1."""
+    cells alone: the cell edges, cos 2p0 and the slopes k at the nodes (1e-300
+    for an exact 0), whether each k keeps one sign over a cell, the reach
+    -c0 + x k of x in [0, 1] over it, and cos 2p1."""
     t = np.linspace(0.0, 1.0, n + 1)
     q0, q1 = a0[:, None] + (b0 - a0)[:, None] * t, a1[:, None] + (b1 - a1)[:, None] * t
-    p0, p1 = q0[:, :, None], q1[:, None, :]
-    c0 = np.cos(2.0 * p0)
-    k = np.stack((-2.0 * np.sin(p0 + p1) * np.sin(p0 - p1),
-                  2.0 * np.cos(p0 + p1) * np.cos(p0 - p1)))
+    c0, k = _slopes(q0[:, :, None], q1[:, None, :], np)
+    k = np.stack(k)
     k[k == 0.0] = 1e-300
-    pos = k > 0.0
-    same = _corners(np.add, pos.astype(np.int8)) % 4 == 0
-    return (q0, q1, c0, k, pos, same, _corners(np.maximum, k).clip(0.0) - c0[:, 1:],
-            _corners(np.minimum, k).clip(None, 0.0) - c0[:, :-1], np.cos(2.0 * q1[:, None, :]))
+    top, bottom = _corners(np.maximum, k), _corners(np.minimum, k)
+    return (q0, q1, c0, k, (bottom > 0.0) | (top < 0.0), top.clip(0.0) - c0[:, 1:],
+            bottom.clip(None, 0.0) - c0[:, :-1], np.cos(2.0 * q1[:, None, :]))
 
 
 @functools.lru_cache(maxsize=1)
 def _square():
-    """_geometry of the whole angle square cut into _N0 x _N0 cells, the
-    same for every call; read only."""
+    """_geometry of the angle square cut into _N0 x _N0 cells; read only."""
     return _geometry(np.zeros(1), np.full(1, _HALF_PI), np.zeros(1), np.full(1, _HALF_PI), _N0)
 
 
 class Sectors:
-    """The slacked estimation problem for one set of tallies and slacks.
-
-    bounds() bounds the objective on cells of the angle square, every piece
-    being monotone in each angle on a cell its pole misses; polish() solves
-    the active constraints to rounding by Newton steps in (x, p0, p1);
-    interior() combines them; pinned_top() scans x when both bands pin the
-    skews; edge() treats an empty sector, x = 0 or 1, where the check may put
-    up to eps6 of its mass.
-    """
+    """The slacked estimation problem for one set of tallies and slacks:
+    rows() is its constraint table; x_top() solves it for x at given angles,
+    bounds() on cells of the angle square, polish() on its active rows
+    (constraints()) by Newton steps; interior() combines them, pinned_top()
+    scans x when both bands pin the skews and edge() solves an empty sector."""
 
     def __init__(self, alpha: float, r_err: float, delta: float, slacks: tuple[float, ...]):
         _, e2, _, e4, e5, self.e6, self.e7, self.e8 = slacks
         self.gap = gap = 1.0 - 2.0 * alpha * alpha
-        self.theta = math.asin(alpha)
+        self.theta = theta = math.asin(alpha)
         self.bands = ((2.0 * delta - gap - 2.0 * e2 / gap - FEAS_TOL,
                        2.0 * delta - gap + 2.0 * e2 / gap + FEAS_TOL),
                       (-gap - 2.0 * e4 - FEAS_TOL, -gap + 2.0 * e4 + FEAS_TOL))
-        self.lims = (2.0 * r_err + 2.0 * e5 + FEAS_TOL, 2.0 * r_err - 2.0 * e5 - FEAS_TOL)
-        # zero-width bands pin the skews to the zero-slack ones
-        self.pinned = (delta - gap, delta) if e2 == e4 == 0.0 else None
-        # a zero-width band's sides are one surface, whose multiplier has
-        # either sign
+        # each check bounds a mix of windows by its limit, L the lower ones and
+        # U the upper ones negated: window sign sin^2(p + shift) + offset, held
+        # at its clip (an empty sector's window), loosest at the last angle
+        self.lims = (2.0 * r_err + 2.0 * e5 + FEAS_TOL, -2.0 * r_err + 2.0 * e5 + FEAS_TOL)
+        self.checks = ((1.0, -theta, -self.e7, 0.0, theta),
+                       (-1.0, theta, -self.e8, -1.0, _HALF_PI - theta))
+        # the zero-slack skews (a, d), which zero-width bands pin
+        self.skews = (delta - gap, delta)
+        self.pinned = e2 == e4 == 0.0
+        # a zero-width band's sides are one surface, its multiplier of either sign
         self.equal = {"s": e2 == 0.0, "f": e4 == 0.0}
 
-    def _windows(self, phi, lib=math):
-        lo, up = lib.sin(phi - self.theta) ** 2 - self.e7, lib.sin(phi + self.theta) ** 2 + self.e8
+    def angles(self, x, lib=math):
+        """Sector angles at x for the zero-slack skews: cos 2p0 = -a/(1-x), cos 2p1 = -d/x."""
+        cos = (-self.skews[0] / (1.0 - x), -self.skews[1] / x)
         if lib is math:
-            return max(lo, 0.0), min(up, 1.0)
-        return np.maximum(lo, 0.0), np.minimum(up, 1.0)
+            return tuple(0.5 * math.acos(min(max(c, -1.0), 1.0)) for c in cos)
+        return tuple(0.5 * np.arccos(np.clip(c, -1.0, 1.0)) for c in cos)
+
+    def _windows(self, p, lib=math, slopes=False):
+        """Each check's window at sector angle p (or an angle per check), held
+        at its clip; with slopes, unheld, with its two derivatives in p."""
+        out = []
+        for (m, shift, offset, clip, _), q in zip(self.checks, p if isinstance(p, list) else (p, p)):
+            square = lib.sin(q + shift) ** 2
+            w = square + offset if m > 0.0 else offset - square
+            if slopes:
+                out.append((w, m * math.sin(2.0 * (q + shift)), 2.0 * m * math.cos(2.0 * (q + shift))))
+            else:
+                out.append(max(w, clip) if lib is math else np.maximum(w, clip))
+        return out
+
+    def rows(self, c0, k, a, b, one=1.0):
+        """The row table, floats or arrays: each constraint as (num, den,
+        shift), met where x <= num/den + shift if den > 0, x >= num/den -
+        shift if den < 0, and nowhere if num < min(den, 0).  The band rows
+        (none if c0 is None), lo <= -c0 + x k <= hi: (hi + c0, k), (-lo - c0,
+        -k); then a row per check and its windows a, b in the two sectors,
+        the checks in turn: some y in [0, 1] within eps6 of x with a + y (b -
+        a) <= lim, (lim - a, b - a).  ``one`` = 0 drops the constants."""
+        (slo, shi), (flo, fhi) = self.bands
+        out = [] if c0 is None else [(shi * one + c0, k[0], 0.0), (-slo * one - c0, -k[0], 0.0),
+                                     (fhi * one + c0, k[1], 0.0), (-flo * one - c0, -k[1], 0.0)]
+        return out + [(lim * one - u, v - u, self.e6) for lim, u, v in zip(self.lims * 3, a, b)]
 
     def x_top(self, p0: float, p1: float) -> tuple[float, float]:
-        """The largest x at angles (p0, p1) that meets each constraint bounding
-        x from above to within 1e-15 in that constraint's own units, and the
-        largest shortfall there of one bounding x from below, in its units.
-
-        A unit allowance, not one in x: a check whose windows nearly vanish
-        moves little with x, and rounding alone can then shift its bound on x
-        far past a band's."""
-        ups, lows = [], [(0.0, 1.0)]
-        c0 = math.cos(2.0 * p0)
-        for (lo, hi), k in zip(self.bands, (-2.0 * math.sin(p0 + p1) * math.sin(p0 - p1),
-                                            2.0 * math.cos(p0 + p1) * math.cos(p0 - p1))):
-            # lo <= -c0 + x k <= hi, with k = c0 -+ c1 free of cancellation
-            if k == 0.0:
-                if not lo <= -c0 <= hi:
-                    return 0.0, math.inf
-                continue
-            up, down = (hi, lo) if k > 0.0 else (lo, hi)
-            ups.append(((up + c0) / k, abs(k)))
-            lows.append(((down + c0) / k, abs(k)))
-        (l0, u0), (l1, u1) = self._windows(p0), self._windows(p1)
-        for a, b, lim in ((l0, l1, self.lims[0]), (-u0, -u1, -self.lims[1])):
-            # some y in [0, 1] within eps6 of x with a + y (b - a) <= lim
-            if min(a, b) > lim + 1e-15:
+        """The largest x at (p0, p1) meeting each row that bounds x from above
+        to within ROUND in the row's units, and the largest shortfall there,
+        in its units, of one bounding x from below (0 and inf if a row misses
+        by more everywhere).  Not in x: a check whose windows nearly vanish
+        moves little with x, so rounding can move its bound far past a band's."""
+        top, lows = 1.0, [(0.0, 1.0)]
+        for num, den, shift in self.rows(*_slopes(p0, p1), self._windows(p0), self._windows(p1)):
+            if num < (den if den < 0.0 else 0.0) - ROUND:
                 return 0.0, math.inf
-            if b != a:
-                bound = (lim - a) / (b - a) + math.copysign(self.e6, b - a)
-                (ups if b > a else lows).append((bound, abs(b - a)))
-        top = min([1.0] + [t + 1e-15 / scale for t, scale in ups])
+            if den > 0.0:
+                top = min(top, num / den + shift + ROUND / den)
+            elif den < 0.0:
+                lows.append((num / den - shift, -den))
         return top, max((x - top) * scale for x, scale in lows)
 
     def value(self, p0: float, p1: float) -> float:
-        """x (1 - gap cos 2p1) at x_top, -inf where a lower bound falls short
-        there by more than 1e-15."""
+        """x (1 - gap cos 2p1) at x_top; -inf where a lower bound falls short by over ROUND."""
         top, short = self.x_top(p0, p1)
-        return top * (1.0 - self.gap * math.cos(2.0 * p1)) if short <= 1e-15 else -math.inf
+        return top * (1.0 - self.gap * math.cos(2.0 * p1)) if short <= ROUND else -math.inf
 
     def bounds(self, a0, b0, a1, b1, n: int):
         """Upper bounds (m, n, n) of the objective on the boxes [a0, b0] x [a1, b1]
         cut into n x n cells (the whole square cut _N0 x _N0 when a0 is None),
         their edges (m, n+1) on each axis, and the objective (m, n+1, n+1) at
-        the cell corners.
-
-        A band piece (bound + c0)/k is monotone in each angle on a cell that
-        its pole k = 0 misses, so it peaks at a corner; a cell the pole crosses
-        keeps only the band's reach -c0 + x k, x in [0, 1].  A check piece
-        falls as the lower windows grow and rises with the upper ones, so the
-        loosest windows on the cell's sides bound it.  Rounded node values
-        only seed polish(); a point is reported only through value().
-        """
-        geo = _square() if a0 is None else _geometry(a0, b0, a1, b1, n)
-        q0, q1, c0, k, pos, same, reach_hi, reach_lo, cos1 = geo
+        the cell corners.  A band row's bound num/den is monotone in each
+        angle on a cell its pole k = 0 misses, so it peaks at a corner; a cell
+        the pole crosses keeps only the band's reach -c0 + x k, x in [0, 1].
+        A check row's bound falls as the lower windows grow and rises with the
+        upper ones, so the loosest windows on the cell's sides bound it.  Node
+        values only seed polish(); value() alone reports a point."""
+        q0, q1, c0, k, same, reach_hi, reach_lo, cos1 = (
+            _square() if a0 is None else _geometry(a0, b0, a1, b1, n))
+        # each band's rows, of slopes k and -k (never 0), bound x from above and below
+        num, den, _ = zip(*self.rows(c0, k, (), ()))
+        ratio, pos = np.stack(num) / np.stack(den), k > 0.0
+        up, down = np.where(pos, ratio[::2], ratio[1::2]), np.where(pos, ratio[1::2], ratio[::2])
         b = np.array(self.bands)[:, :, None, None, None]
-        lo, hi = (b[:, 0] + c0) / k, (b[:, 1] + c0) / k
-        up, down = np.where(pos, hi, lo), np.where(pos, lo, hi)
         reach = np.where((reach_hi >= b[:, 0]) & (reach_lo <= b[:, 1]), np.inf, -np.inf)
-        sides = [(np.where(same, _corners(np.maximum, up), reach).min(axis=0),
-                  np.where(same, _corners(np.minimum, down), -np.inf).max(axis=0),
-                  [(self._windows(np.clip(self.theta, q[:, :-1], q[:, 1:]), np)[0],
-                    -self._windows(np.clip(_HALF_PI - self.theta, q[:, :-1], q[:, 1:]), np)[1])
-                   for q in (q0, q1)], cos1[:, :, 1:], 0.0),
-                 (up.min(axis=0), down.max(axis=0),
-                  [(w[0], -w[1]) for w in (self._windows(q0, np), self._windows(q1, np))], cos1, 1e-15)]
-        lim = np.array([self.lims[0], -self.lims[1]])[:, None, None, None]
+        loosest = [self._windows([np.minimum(np.maximum(c[4], q[:, :-1]), q[:, 1:]) for c in self.checks],
+                                 np) for q in (q0, q1)]
+        sides = [(np.where(same, _corners(np.maximum, up), reach), cos1[:, :, 1:], 0.0, loosest,
+                  np.where(same, _corners(np.minimum, down), -np.inf)),
+                 (up, cos1, ROUND, [self._windows(q0, np), self._windows(q1, np)], down)]
         out = []
-        for top, low, (w0, w1), cos, tol in sides:
-            a, b = np.stack(w0)[:, :, :, None], np.stack(w1)[:, :, None, :]
-            d = b - a
-            t = (lim - a) / np.where(d == 0.0, 1.0, d)
-            up = np.where(np.minimum(a, b) <= lim + 1e-15, np.where(d > 0.0, t + self.e6, np.inf), -np.inf)
-            top = np.minimum(np.minimum(top, 1.0), up.min(axis=0))
-            down = np.where(d < 0.0, t - self.e6, -np.inf)
-            low = np.maximum(np.maximum(low, 0.0), down.max(axis=0))
+        for top, cos, tol, (w0, w1), low in sides:
+            num, den, _ = (np.stack(v) for v in zip(*self.rows(
+                None, None, [w[:, :, None] for w in w0], [w[:, None, :] for w in w1])))
+            ratio = num / np.where(den == 0.0, 1.0, den)
+            up = np.where(num < np.minimum(den, 0.0) - ROUND, -np.inf,
+                          np.where(den > 0.0, ratio + self.e6, np.inf))
+            top = np.minimum(np.minimum(top.min(axis=0), 1.0), up.min(axis=0))
+            low = np.maximum(np.maximum(low.max(axis=0), 0.0),
+                             np.where(den < 0.0, ratio - self.e6, -np.inf).max(axis=0))
             out.append(np.where(low <= top + tol, top * (1.0 - self.gap * cos), -np.inf))
         return q0, q1, out[0], out[1]
 
     def constraints(self, x: float, p0: float, p1: float) -> dict:
         """Every constraint g <= 0 at (x, p0, p1) as name -> (g, its gradient,
         and its second derivatives in x p0, x p1, p0 p0, p1 p1; the others
-        vanish).  A clipped window makes its check the larger of the raw and
-        the clipped form, so each check has a row per form."""
-        c0, c1 = math.cos(2.0 * p0), math.cos(2.0 * p1)
+        vanish): each table row as g = y den - num, y = x for a band.  As
+        the check's mass y = x -+ eps6 is clipped to [0, 1], a check is the
+        larger of its raw row (00) and its rows with the sector-1 or -0
+        window held (01, 10) at the clipped y; the raw row stays implied past
+        the clip, so a solve may cross the kink.  The clip row (c), the held
+        row of the end y is clipped toward at that end, eased short of it by
+        y's distance to it, binds at the kink but not where y switches ends."""
+        (c0, k), c1 = _slopes(p0, p1), math.cos(2.0 * p1)
         d0, d1 = -2.0 * math.sin(2.0 * p0), -2.0 * math.sin(2.0 * p1)
+        a, a1, a2 = zip(*self._windows(p0, slopes=True))
+        b, b1, b2 = zip(*self._windows(p1, slopes=True))
+        held, zero = (self.checks[0][3], self.checks[1][3]), (0.0, 0.0)
+        # the table, then its derivatives as d/dp0 + i d/dp1 (no term mixes
+        # the angles): bands, each check raw, with sector 1 held, with 0 held
+        t0 = self.rows(c0, k, a + a + held, b + held + b)
+        b1, b2 = (1j * b1[0], 1j * b1[1]), (1j * b2[0], 1j * b2[1])
+        t1 = self.rows(d0, (complex(d0, -d1), complex(d0, d1)), a1 + a1 + zero, b1 + zero + b1, 0.0)
+        t2 = self.rows(-4.0 * c0, (complex(-4.0 * c0, 4.0 * c1), complex(-4.0 * c0, -4.0 * c1)),
+                       a2 + a2 + zero, b2 + zero + b2, 0.0)
+        # each row's name, y and dy/dx, and an ease taken off g with its x slope
+        names = ["shi", "slo", "fhi", "flo", "L00", "U00", "L01", "U01", "L10", "U10"]
+        at = [(x, 1.0, 0.0, 0.0)] * 10
+        for i, u, v, h in zip((4, 5), a, b, held):
+            end = max(v, h) < max(u, h)
+            y = x + self.e6 if end else x - self.e6
+            yc = min(max(y, 0.0), 1.0)
+            at[i], at[i + 2], at[i + 4] = (y, 1.0, 0.0, 0.0), *[(yc, float(yc == y), 0.0, 0.0)] * 2
+            if self.e6 > 0.0:
+                # with eps6 = 0 the clip is at x = 0 or 1, which edge() solves
+                near = y < 1.0 if end else y > 0.0
+                names.append(names[i][0] + "c")
+                at.append((float(end), 0.0, *(((1.0 - y, 1.0) if end else (y, -1.0)) if near
+                                              else (0.0, 0.0))))
+                for t in (t0, t1, t2):
+                    t.append(t[i + 4 if end else i + 2])
         out = {"one": (x - 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
                "p0lo": (-p0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
                "p0hi": (p0 - _HALF_PI, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
                "p1lo": (-p1, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0),
                "p1hi": (p1 - _HALF_PI, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)}
-        for name, (lo, hi), k, sg in (
-                ("s", self.bands[0], -2.0 * math.sin(p0 + p1) * math.sin(p0 - p1), -1.0),
-                ("f", self.bands[1], 2.0 * math.cos(p0 + p1) * math.cos(p0 - p1), 1.0)):
-            v, g0, g1 = -c0 + x * k, (x - 1.0) * d0, sg * x * d1
-            h00, h11 = -4.0 * (x - 1.0) * c0, -4.0 * sg * x * c1
-            out[name + "hi"] = (v - hi, k, g0, g1, d0, sg * d1, h00, h11)
-            out[name + "lo"] = (lo - v, -k, -g0, -g1, -d0, -sg * d1, -h00, -h11)
-        for name, m, shift, offset, clip, lim in (
-                ("L", 1.0, -self.theta, -self.e7, 0.0, self.lims[0]),
-                ("U", -1.0, self.theta, self.e8, 1.0, self.lims[1])):
-            # each window, its first and its second derivative
-            (a0, a1, a2), (b0, b1, b2) = raw = [
-                (math.sin(p + shift) ** 2 + offset, math.sin(2.0 * (p + shift)),
-                 2.0 * math.cos(2.0 * (p + shift))) for p in (p0, p1)]
-            a, b = (max(a0, clip), max(b0, clip)) if m > 0.0 else (min(a0, clip), min(b0, clip))
-            # the check's mass y sits at x -+ eps6, clipped to [0, 1]: the
-            # larger of the unclipped form and the clipped end's, which short
-            # of the clip is eased by y's distance to it, so that it binds at
-            # the kink but not where the check switches ends
-            end = int(m * (b - a) < 0.0)
-            y = x + self.e6 if end else x - self.e6
-            if self.e6 > 0.0:
-                # with eps6 = 0 the clip is at x = 0 or 1, which edge() solves
-                g, d, h = (m * v for v in raw[end])
-                ease, gx = ((1.0 - y, 1.0) if end else (y, -1.0)) if (y < 1.0 if end else y > 0.0) \
-                    else (0.0, 0.0)
-                out[name + "c"] = ((g - m * lim - ease, gx, 0.0, d, 0.0, 0.0, 0.0, h) if end
-                                   else (g - m * lim - ease, gx, d, 0.0, 0.0, 0.0, h, 0.0))
-            # the unclipped form of the mix of both raw windows stays implied
-            # by the check past the clip, so a solve may cross the kink
-            u = 1.0 - y
-            out[name + "00"] = (m * (u * a0 + y * b0 - lim), m * (b0 - a0), m * u * a1, m * y * b1,
-                                -m * a1, m * b1, m * u * a2, m * y * b2)
-            yc = min(max(y, 0.0), 1.0)
-            u, dy = 1.0 - yc, m * float(yc == y)
-            out[name + "01"] = (m * (u * a0 + yc * clip - lim), -dy * a0 + dy * clip, m * u * a1, 0.0,
-                                -dy * a1, 0.0, m * u * a2, 0.0)
-            out[name + "10"] = (m * (u * clip + yc * b0 - lim), dy * (b0 - clip), 0.0, m * yc * b1,
-                                0.0, dy * b1, 0.0, m * yc * b2)
+        for name, (y, dy, e, de), (num, den, _), (n1, d1, _), (n2, d2, _) in zip(names, at, t0, t1, t2):
+            g1, h1, g2 = y * d1 - n1, dy * d1, y * d2 - n2
+            out[name] = (y * den - num - e, dy * den + de, g1.real, g1.imag, h1.real, h1.imag,
+                         g2.real, g2.imag)
         return out
 
     def _search(self, W, z, cons, rho):
@@ -317,12 +325,9 @@ class Sectors:
                 for l, key in zip(lam, W):
                     _, gx, g0, g1, hx0, hx1, h00, h11 = cons[key]
                     lg = [lg[0] - l * gx, lg[1] - l * g0, lg[2] - l * g1]
-                    H[0][1] -= l * hx0
-                    H[1][0] -= l * hx0
-                    H[0][2] -= l * hx1
-                    H[2][0] -= l * hx1
-                    H[1][1] -= l * h00
-                    H[2][2] -= l * h11
+                    H[0][1] = H[1][0] = H[0][1] - l * hx0
+                    H[0][2] = H[2][0] = H[0][2] - l * hx1
+                    H[1][1], H[2][2] = H[1][1] - l * h00, H[2][2] - l * h11
                 T = _tangents(rows)
                 if T is None:
                     return z, cons, lam, "singular"
@@ -355,7 +360,7 @@ class Sectors:
                 return z, self.constraints(*z), lam, key
             z, cons = new, after
             # converged: 1e-14 is about 30 ulps of an angle near pi/2, where
-            # a stop at 1e-15 left searches stuck on rounding, their cells open
+            # a stop at a tenth of it left searches stuck, their cells open
             if scale == 1.0 and size < 1e-14 and not climb:
                 return z, cons, lam, None
             rho *= 2.0
@@ -407,30 +412,27 @@ class Sectors:
                           if not self.equal.get(k[0], False)]
                 if min(signed, default=(0.0, 0))[0] >= -1e-10:
                     # the search's earlier points may round a little higher
-                    return best, v >= best[0] - 1e-15 * abs(best[0])
+                    return best, v >= best[0] - ROUND * abs(best[0])
                 W.pop(min(signed)[1])
         return best, False
 
     def pinned_top(self):
-        """The largest feasible x when both bands pin the skews (a, d): the
-        check at 4097 x, then at 4097 in the step above the highest feasible
+        """The largest feasible x when both bands pin the skews: the check
+        rows at 4097 x, then at 4097 in the step above the highest feasible
         one, four times, down to rounding; None if no scanned x is feasible."""
-        a, d = self.pinned
-        lo, hi = abs(d), 1.0 - abs(a)
+        lo, hi = abs(self.skews[1]), 1.0 - abs(self.skews[0])
         if lo > hi:
             return None
         top, points = None, 4097
         for _ in range(5):
             x = np.linspace(lo, hi, points)
-            # the sectors' angles, an empty one free of the check
-            w0 = self._windows(0.5 * np.arccos(np.clip(-a / (1.0 - x), -1.0, 1.0)), np)
-            w1 = self._windows(0.5 * np.arccos(np.clip(-d / x, -1.0, 1.0)), np)
-            w0 = [np.where(x >= 1.0, v, w) for v, w in zip((0.0, 1.0), w0)]
-            w1 = [np.where(x <= 0.0, v, w) for v, w in zip((0.0, 1.0), w1)]
-            ys = [np.clip(x - self.e6, 0.0, 1.0), np.clip(x + self.e6, 0.0, 1.0)]
-            low = np.minimum(*[(1.0 - y) * w0[0] + y * w1[0] for y in ys])
-            high = np.maximum(*[(1.0 - y) * w0[1] + y * w1[1] for y in ys])
-            ok = np.nonzero((low <= self.lims[0]) & (high >= self.lims[1]))[0]
+            p0, p1 = self.angles(x, np)
+            # an empty sector's window is the clip, free of the check
+            w0 = [np.where(x >= 1.0, c[3], w) for c, w in zip(self.checks, self._windows(p0, np))]
+            w1 = [np.where(x <= 0.0, c[3], w) for c, w in zip(self.checks, self._windows(p1, np))]
+            y0, y1 = np.clip(x - self.e6, 0.0, 1.0), np.clip(x + self.e6, 0.0, 1.0)
+            ok = np.nonzero(np.logical_and.reduce([np.minimum(y0 * den, y1 * den) <= num
+                                                   for num, den, _ in self.rows(None, None, w0, w1)]))[0]
             if not ok.size:
                 break
             top = float(x[ok[-1]])
@@ -446,13 +448,13 @@ class Sectors:
         (slo, shi), (flo, fhi) = self.bands
         # s = -c, and f = -c at x = 0 or c at x = 1
         c_lo, c_hi = max(-shi, flo if x else -fhi, -1.0), min(-slo, fhi if x else -flo, 1.0)
-        if c_lo > c_hi + 1e-15:
+        if c_lo > c_hi + ROUND:
             return None
         lo, hi = 0.5 * math.acos(min(c_hi, 1.0)), 0.5 * math.acos(max(c_lo, -1.0))
         # the check mixes a window with an empty sector's: (1-m) L <= Wh, (1-m) U + m >= Wl
         if m == 1.0:
-            return None if self.lims[1] > 1.0 else (x * (1.0 - self.gap * math.cos(2.0 * hi)), hi)
-        cap, need = self.lims[0] / (1.0 - m) + self.e7, (self.lims[1] - m) / (1.0 - m)
+            return None if -self.lims[1] > 1.0 else (x * (1.0 - self.gap * math.cos(2.0 * hi)), hi)
+        cap, need = self.lims[0] / (1.0 - m) + self.e7, (-self.lims[1] - m) / (1.0 - m)
         if need > 1.0:
             return None
         if cap < 1.0:
@@ -462,21 +464,18 @@ class Sectors:
             r = math.asin(math.sqrt(need - self.e8))
             lo, hi = max(lo, r - self.theta), min(hi, math.pi - r - self.theta)
         # an angle window that closes to rounding is a touching point
-        return None if lo > hi + 1e-15 else (x * (1.0 - self.gap * math.cos(2.0 * hi)), hi)
+        return None if lo > hi + ROUND else (x * (1.0 - self.gap * math.cos(2.0 * hi)), hi)
 
     def interior(self, start):
         """The best (value, p0, p1) found over the open angle square, and the
-        largest bound of a cell left open (-inf if none).
-
-        Polish from ``start`` (the zero-slack optimum's angles), or else from
-        the best node of a first _N0 x _N0 grid of the square; then bound the
-        grid's cells and refine, 2 x 2 a level, each cell whose bound beats the
-        best value, polishing from the best node a level finds.  A cell within
-        _RADIUS sqrt(w) of the KKT point that gives the best value, w the
-        level's cell width, in p1 alone when the point is on the x = 1 face,
-        is that point's own.  Cells stay open when more
-        than _CAP of them, or more than _LEVELS levels, would be needed.
-        """
+        largest bound of a cell left open (-inf if none).  Polish from
+        ``start`` (the zero-slack optimum's angles), else from the best node
+        of a first _N0 x _N0 grid; then bound its cells and refine, 2 x 2 a
+        level, each cell whose bound beats the best value, polishing from the
+        best node a level finds.  A cell within _RADIUS sqrt(w) of the KKT
+        point giving the best value, w the level's cell width (in p1 alone on
+        the x = 1 face), is that point's own.  Cells stay open when more than
+        _CAP of them, or more than _LEVELS levels, would be needed."""
         best, centre = (-math.inf, 0.0, 0.0), None
         # from the zero-slack optimum, on ever finer scales while no KKT point
         # is met: on a sliver the maximum lies a few 1e-8 from it
@@ -512,18 +511,19 @@ class Sectors:
                      for c in (slice(k, k + _CHUNK) for k in range(0, len(m), _CHUNK))]
             q0, q1, ub, val = (np.concatenate(arrays) for arrays in zip(*parts))
 
-    def ceiling(self, start):
-        """The maximizing (x, d), or None when no point is feasible: over the
-        interior angles, or along x alone when the bands pin the skews, and
-        over the empty-sector edges.  Where a cell stays open above the best
-        point, d is raised so that x + gap d is that cell's bound; where no
-        point is found, open cells or not, None: no key."""
+    def ceiling(self, seed):
+        """The maximizing (x, d) over the interior angles, from those of the
+        zero-slack optimum ``seed`` = (x, delta) if 0 < x < 1, or along x alone
+        when the bands pin the skews, and over the empty-sector edges.  Where
+        a cell stays open above the best point, x + gap d is that cell's
+        bound; where no point is found, open cells or not, None: no key."""
         bound = -math.inf
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if self.pinned is not None:
-                x, d = self.pinned_top(), self.pinned[1]
+            if self.pinned:
+                x, d = self.pinned_top(), self.skews[1]
                 point = (-math.inf, 0.0, 0.0) if x is None else (x + self.gap * d, x, d)
             else:
+                start = self.angles(seed[0]) if seed is not None and 0.0 < seed[0] < 1.0 else None
                 (value, p0, p1), bound = self.interior(start)
                 x = self.x_top(p0, p1)[0]
                 point = (value, x, -x * math.cos(2.0 * p1))
@@ -533,5 +533,4 @@ class Sectors:
                 point = (found[0], side, -side * math.cos(2.0 * found[1]))
         if point[0] == -math.inf:
             return None
-        x = point[1]
-        return (x, (bound - x) / self.gap) if bound > point[0] else point[1:]
+        return (point[1], (bound - point[1]) / self.gap) if bound > point[0] else point[1:]

@@ -300,12 +300,13 @@ def finite_size_bound(
     basin, and Newton steps on the active constraints, started at the
     zero-slack optimum, solve it to rounding.  The reported point meets every
     constraint to within 6e-15 in that constraint's own units (the bands and
-    error-weight limits widened by 5e-15, and 1e-15 more on each bound on
-    x), under the 1e-14 of a feasibility check.  Where cells of the angle
-    square stay open above the best point after the refinement budget, the
-    ceiling is the largest of their bounds instead, an over-report, and
-    ``x_star`` stays the best point's x.  ``x_star`` is the point's x and
-    ``delta`` the filter-rate excess of the observed tallies.
+    error-weight limits widened by _sectors.FEAS_TOL, and each bound on x by
+    the rounding allowance _sectors.ROUND more), under the 1e-14 of a
+    feasibility check.  Where cells of the angle square stay open above the
+    best point after the refinement budget, the ceiling is the largest of
+    their bounds instead, an over-report, and ``x_star`` stays the best
+    point's x.  ``x_star`` is the point's x and ``delta`` the filter-rate
+    excess of the observed tallies.
     """
     if slacks is None:
         slacks = SlackVector()
@@ -325,13 +326,7 @@ def finite_size_bound(
     if not any((slacks.eps2, slacks.eps4, slacks.eps5, slacks.eps6, slacks.eps7, slacks.eps8)):
         point = seed
     else:
-        start = None
-        if seed is not None and 0.0 < seed[0] < 1.0:
-            # the zero-slack optimum has skews d = delta, a = delta - gap
-            x = seed[0]
-            start = (0.5 * math.acos(min(max((gap - delta) / (1.0 - x), -1.0), 1.0)),
-                     0.5 * math.acos(min(max(-delta / x, -1.0), 1.0)))
-        point = Sectors(alpha, r_err, delta, slacks.as_tuple()).ceiling(start)
+        point = Sectors(alpha, r_err, delta, slacks.as_tuple()).ceiling(seed)
     if point is None:
         return BoundResult(r_ph_bar=math.nan, x_star=math.nan, delta=delta, feasible=False)
     x, d = point
