@@ -5,12 +5,12 @@ The data-side count matrix is (v00, v01, v10, v11) = ((1-x-a), (x+d),
 ratios sin^2(p0) = v11/(1-x) and sin^2(p1) = v01/x, so a = -(1-x) cos 2p0
 and d = -x cos 2p1, and each sector's check windows [sin^2(p -+ theta)
 -+ eps7/eps8] depend on its angle alone.  At fixed angles every constraint
-is then linear in x, a row of one table (Sectors.rows) that every part
-reads: the filter-rate band on s = a + d, the sender-marginal band on
-f = a - d, and each check, whose check-side mass y within eps6 of x need
-only sit at the end of its range where the windows mix best.  The largest
-feasible x is a minimum of ratios (Sectors.x_top), and the ceiling is the
-maximum of x (1 - gap cos 2p1) over the angle square.
+is then linear in x, a row of one table (Sectors.rows) that all but the
+closed-form edges read: the filter-rate band on s = a + d, the sender-
+marginal band on f = a - d, and each check, whose check-side mass y within
+eps6 of x need only sit at the end of its range where the windows mix
+best.  The largest feasible x is a minimum of ratios (Sectors.x_top), and
+the ceiling is the maximum of x (1 - gap cos 2p1) over the angle square.
 
 Cell bounds close every part of the square that cannot beat the best point
 found, except the cells within a shrinking distance of the KKT point that
