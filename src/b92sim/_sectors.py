@@ -43,8 +43,11 @@ _N0, _RADIUS, _LEVELS, _CAP, _CHUNK = 24, 0.5, 16, 1024, 128
 
 
 # 1-3 dimensional algebra in plain floats: numpy.linalg.solve and an SVD null
-# space cost 6-8 us a call against 0.4-3.4 us here; with them finite-size-sim's
-# slacked calls took 1.24 ms, not 0.94, and its op_tail_ms rose 18 % (9/10 pairs)
+# space cost 6-8 us a call against 0.4-3.4 us here, and a slacked call makes
+# about 15 such solves; the benchmark's 96 slacked calls take 0.70 ms on
+# average (in-process, least of 5 passes, 2-core VM), 1.09 ms with the Newton
+# rows built from three table passes and the start search climbing onto the
+# zero-slack vertex's rows one at a time
 def _dot(u, v) -> float:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
@@ -54,20 +57,22 @@ def _norm(g) -> float:
     return math.sqrt(g[1] * g[1] + g[2] * g[2] + g[3] * g[3])
 
 
-def _cramer(A, b):
-    """Solution of a 1x1, 2x2 or 3x3 linear system; None if it is singular."""
-    if len(b) == 1:
-        return [b[0] / A[0][0]] if A[0][0] != 0.0 else None
-    if len(b) == 2:
+def _cramer(A, *bs):
+    """Solutions of a 1x1, 2x2 or 3x3 linear system, one per right-hand side;
+    None if it is singular."""
+    if len(A) == 1:
+        return None if A[0][0] == 0.0 else [[b[0] / A[0][0]] for b in bs]
+    if len(A) == 2:
         det = A[0][0] * A[1][1] - A[0][1] * A[1][0]
-        return None if det == 0.0 else [(b[0] * A[1][1] - A[0][1] * b[1]) / det,
-                                        (A[0][0] * b[1] - b[0] * A[1][0]) / det]
+        return None if det == 0.0 else [[(b[0] * A[1][1] - A[0][1] * b[1]) / det,
+                                         (A[0][0] * b[1] - b[0] * A[1][0]) / det] for b in bs]
     cols = [[row[j] for row in A] for j in range(3)]
-    det = _dot(cols[0], _cross(cols[1], cols[2]))
+    c12 = _cross(cols[1], cols[2])
+    det = _dot(cols[0], c12)
     if det == 0.0:
         return None
-    return [_dot(b, _cross(cols[1], cols[2])) / det, _dot(cols[0], _cross(b, cols[2])) / det,
-            _dot(cols[0], _cross(cols[1], b)) / det]
+    return [[_dot(b, c12) / det, _dot(cols[0], _cross(b, cols[2])) / det,
+             _dot(cols[0], _cross(cols[1], b)) / det] for b in bs]
 
 
 def _cross(u, v):
@@ -92,9 +97,11 @@ def _tangents(rows):
 
 
 def _clash(cons, a: str, b: str) -> bool:
-    """Whether constraints a and b cannot share a working set: the two sides
-    of one band or bound, or the same row under two names."""
-    if a == b or a[0] != b[0]:
+    """Whether constraints a and b cannot share a working set: one row, the
+    two sides of one band or bound, or the same row under two names."""
+    if a == b:
+        return True
+    if a[0] != b[0]:
         return False
     if {a[-2:], b[-2:]} == {"hi", "lo"}:
         return a[:-2] == b[:-2]
@@ -147,12 +154,20 @@ class Sectors:
         self.bands = ((2.0 * delta - gap - 2.0 * e2 / gap - FEAS_TOL,
                        2.0 * delta - gap + 2.0 * e2 / gap + FEAS_TOL),
                       (-gap - 2.0 * e4 - FEAS_TOL, -gap + 2.0 * e4 + FEAS_TOL))
+        # the band rows in scalar form, (name, A, s, j): num = A + s c0, den = s k_j
+        (slo, shi), (flo, fhi) = self.bands
+        self.band_rows = (("shi", shi, 1.0, 0), ("slo", -slo, -1.0, 0),
+                          ("fhi", fhi, 1.0, 1), ("flo", -flo, -1.0, 1))
         # each check bounds a mix of windows by its limit, L the lower ones and
         # U the upper ones negated: window sign sin^2(p + shift) + offset, held
         # at its clip (an empty sector's window), loosest at the last angle
         self.lims = (2.0 * r_err + 2.0 * e5 + FEAS_TOL, -2.0 * r_err + 2.0 * e5 + FEAS_TOL)
         self.checks = ((1.0, -theta, -self.e7, 0.0, theta),
                        (-1.0, theta, -self.e8, -1.0, _HALF_PI - theta))
+        # the table's constants as columns, for its array evaluations
+        self.columns = (np.array([[A for _, A, _, _ in self.band_rows],
+                                  [s for _, _, s, _ in self.band_rows]]),
+                        np.array(self.checks).T, np.array(self.lims))
         # the zero-slack skews (a, d), which zero-width bands pin
         self.skews = (delta - gap, delta)
         self.pinned = e2 == e4 == 0.0
@@ -166,31 +181,37 @@ class Sectors:
             return tuple(0.5 * math.acos(min(max(c, -1.0), 1.0)) for c in cos)
         return tuple(0.5 * np.arccos(np.clip(c, -1.0, 1.0)) for c in cos)
 
-    def _windows(self, p, lib=math, slopes=False):
-        """Each check's window at sector angle p (or an angle per check), held
-        at its clip; with slopes, unheld, with its two derivatives in p."""
-        out = []
-        for (m, shift, offset, clip, _), q in zip(self.checks, p if isinstance(p, list) else (p, p)):
-            square = lib.sin(q + shift) ** 2
-            w = square + offset if m > 0.0 else offset - square
-            if slopes:
-                out.append((w, m * math.sin(2.0 * (q + shift)), 2.0 * m * math.cos(2.0 * (q + shift))))
-            else:
-                out.append(max(w, clip) if lib is math else np.maximum(w, clip))
-        return out
+    def _windows(self, p, lib=math):
+        """Each check's window at sector angle p, held at its clip: a list on
+        floats; on an array whose first axis runs over the checks (of length
+        1 for one angle for both), the windows stacked on that axis."""
+        if lib is math:
+            out = []
+            for m, shift, offset, clip, _ in self.checks:
+                square = math.sin(p + shift) ** 2
+                out.append(max(square + offset if m > 0.0 else offset - square, clip))
+            return out
+        m, shift, offset, clip, _ = self.columns[1].reshape((5, 2) + (1,) * (p.ndim - 1))
+        return np.maximum(m * np.sin(p + shift) ** 2 + offset, clip)
 
-    def rows(self, c0, k, a, b, one=1.0):
+    def rows(self, c0, k, a, b):
         """The row table, floats or arrays: each constraint as (num, den,
         shift), met where x <= num/den + shift if den > 0, x >= num/den -
         shift if den < 0, and nowhere if num < min(den, 0).  The band rows
         (none if c0 is None), lo <= -c0 + x k <= hi: (hi + c0, k), (-lo - c0,
         -k); then a row per check and its windows a, b in the two sectors,
         the checks in turn: some y in [0, 1] within eps6 of x with a + y (b -
-        a) <= lim, (lim - a, b - a).  ``one`` = 0 drops the constants."""
-        (slo, shi), (flo, fhi) = self.bands
-        out = [] if c0 is None else [(shi * one + c0, k[0], 0.0), (-slo * one - c0, -k[0], 0.0),
-                                     (fhi * one + c0, k[1], 0.0), (-flo * one - c0, -k[1], 0.0)]
-        return out + [(lim * one - u, v - u, self.e6) for lim, u, v in zip(self.lims * 3, a, b)]
+        a) <= lim, (lim - a, b - a).  On arrays, either the band rows (a None)
+        or the check rows (c0 None), stacked on a new first axis: the checks'
+        windows come stacked on it already."""
+        if isinstance(c0, np.ndarray):
+            A, s = self.columns[0].reshape((2, 4) + (1,) * c0.ndim)
+            return A + s * c0, s * k[[0, 0, 1, 1]], 0.0
+        if isinstance(a, np.ndarray):
+            lim = self.columns[2].reshape((2,) + (1,) * (a.ndim - 1))
+            return lim - a, b - a, self.e6
+        out = [] if c0 is None else [(A + s * c0, s * k[j], 0.0) for _, A, s, j in self.band_rows]
+        return out + [(lim - u, v - u, self.e6) for lim, u, v in zip(self.lims, a, b)]
 
     def x_top(self, p0: float, p1: float) -> tuple[float, float]:
         """The largest x at (p0, p1) meeting each row that bounds x from above
@@ -226,20 +247,22 @@ class Sectors:
         q0, q1, c0, k, same, reach_hi, reach_lo, cos1 = (
             _square() if a0 is None else _geometry(a0, b0, a1, b1, n))
         # each band's rows, of slopes k and -k (never 0), bound x from above and below
-        num, den, _ = zip(*self.rows(c0, k, (), ()))
-        ratio, pos = np.stack(num) / np.stack(den), k > 0.0
+        num, den, _ = self.rows(c0, k, None, None)
+        ratio, pos = num / den, k > 0.0
         up, down = np.where(pos, ratio[::2], ratio[1::2]), np.where(pos, ratio[1::2], ratio[::2])
         b = np.array(self.bands)[:, :, None, None, None]
         reach = np.where((reach_hi >= b[:, 0]) & (reach_lo <= b[:, 1]), np.inf, -np.inf)
-        loosest = [self._windows([np.minimum(np.maximum(c[4], q[:, :-1]), q[:, 1:]) for c in self.checks],
-                                 np) for q in (q0, q1)]
-        sides = [(np.where(same, _corners(np.maximum, up), reach), cos1[:, :, 1:], 0.0, loosest,
+        # the windows (check, sector, m, cell or node): the loosest on each
+        # cell's sides, and those at the nodes
+        q = np.stack((q0, q1))
+        target = self.columns[1][4].reshape(2, 1, 1, 1)
+        sides = [(np.where(same, _corners(np.maximum, up), reach), cos1[:, :, 1:], 0.0,
+                  self._windows(np.minimum(np.maximum(target, q[:, :, :-1]), q[:, :, 1:]), np),
                   np.where(same, _corners(np.minimum, down), -np.inf)),
-                 (up, cos1, ROUND, [self._windows(q0, np), self._windows(q1, np)], down)]
+                 (up, cos1, ROUND, self._windows(q[None], np), down)]
         out = []
-        for top, cos, tol, (w0, w1), low in sides:
-            num, den, _ = (np.stack(v) for v in zip(*self.rows(
-                None, None, [w[:, :, None] for w in w0], [w[:, None, :] for w in w1])))
+        for top, cos, tol, w, low in sides:
+            num, den, _ = self.rows(None, None, w[:, 0, :, :, None], w[:, 1, :, None, :])
             ratio = num / np.where(den == 0.0, 1.0, den)
             up = np.where(num < np.minimum(den, 0.0) - ROUND, -np.inf,
                           np.where(den > 0.0, ratio + self.e6, np.inf))
@@ -259,43 +282,42 @@ class Sectors:
         the clip, so a solve may cross the kink.  The clip row (c), the held
         row of the end y is clipped toward at that end, eased short of it by
         y's distance to it, binds at the kink but not where y switches ends."""
-        (c0, k), c1 = _slopes(p0, p1), math.cos(2.0 * p1)
-        d0, d1 = -2.0 * math.sin(2.0 * p0), -2.0 * math.sin(2.0 * p1)
-        a, a1, a2 = zip(*self._windows(p0, slopes=True))
-        b, b1, b2 = zip(*self._windows(p1, slopes=True))
-        held, zero = (self.checks[0][3], self.checks[1][3]), (0.0, 0.0)
-        # the table, then its derivatives as d/dp0 + i d/dp1 (no term mixes
-        # the angles): bands, each check raw, with sector 1 held, with 0 held
-        t0 = self.rows(c0, k, a + a + held, b + held + b)
-        b1, b2 = (1j * b1[0], 1j * b1[1]), (1j * b2[0], 1j * b2[1])
-        t1 = self.rows(d0, (complex(d0, -d1), complex(d0, d1)), a1 + a1 + zero, b1 + zero + b1, 0.0)
-        t2 = self.rows(-4.0 * c0, (complex(-4.0 * c0, 4.0 * c1), complex(-4.0 * c0, -4.0 * c1)),
-                       a2 + a2 + zero, b2 + zero + b2, 0.0)
-        # each row's name, y and dy/dx, and an ease taken off g with its x slope
-        names = ["shi", "slo", "fhi", "flo", "L00", "U00", "L01", "U01", "L10", "U10"]
-        at = [(x, 1.0, 0.0, 0.0)] * 10
-        for i, u, v, h in zip((4, 5), a, b, held):
-            end = max(v, h) < max(u, h)
-            y = x + self.e6 if end else x - self.e6
-            yc = min(max(y, 0.0), 1.0)
-            at[i], at[i + 2], at[i + 4] = (y, 1.0, 0.0, 0.0), *[(yc, float(yc == y), 0.0, 0.0)] * 2
-            if self.e6 > 0.0:
-                # with eps6 = 0 the clip is at x = 0 or 1, which edge() solves
-                near = y < 1.0 if end else y > 0.0
-                names.append(names[i][0] + "c")
-                at.append((float(end), 0.0, *(((1.0 - y, 1.0) if end else (y, -1.0)) if near
-                                              else (0.0, 0.0))))
-                for t in (t0, t1, t2):
-                    t.append(t[i + 4 if end else i + 2])
+        c0, k = _slopes(p0, p1)
+        c1, d0, d1 = math.cos(2.0 * p1), -2.0 * math.sin(2.0 * p0), -2.0 * math.sin(2.0 * p1)
         out = {"one": (x - 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
                "p0lo": (-p0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
                "p0hi": (p0 - _HALF_PI, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
                "p1lo": (-p1, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0),
                "p1hi": (p1 - _HALF_PI, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)}
-        for name, (y, dy, e, de), (num, den, _), (n1, d1, _), (n2, d2, _) in zip(names, at, t0, t1, t2):
-            g1, h1, g2 = y * d1 - n1, dy * d1, y * d2 - n2
-            out[name] = (y * den - num - e, dy * den + de, g1.real, g1.imag, h1.real, h1.imag,
-                         g2.real, g2.imag)
+        # a band row: num = A + s c0 and den = s k_j, k_j = c0 -+ c1
+        m4c0 = -4.0 * c0
+        for name, A, s, j in self.band_rows:
+            sg = s if j else -s
+            out[name] = (x * (s * k[j]) - (A + s * c0), s * k[j], s * (x * d0 - d0), sg * x * d1,
+                         s * d0, sg * d1, s * (x * m4c0 - m4c0), -4.0 * sg * x * c1)
+        # a check row: num = lim - u and den = v - u, its windows u and v the
+        # sector-0 and -1 ones (a, b) or the held one (h)
+        for name, lim, (m, shift, offset, h, _) in zip("LU", self.lims, self.checks):
+            (a, a1, a2), (b, b1, b2) = [
+                (math.sin(q + shift) ** 2 + offset if m > 0.0 else offset - math.sin(q + shift) ** 2,
+                 m * math.sin(2.0 * (q + shift)), 2.0 * m * math.cos(2.0 * (q + shift)))
+                for q in (p0, p1)]
+            end = max(b, h) < max(a, h)
+            y = x + self.e6 if end else x - self.e6
+            yc = min(max(y, 0.0), 1.0)
+            dy = float(yc == y)
+            out[name + "00"] = (y * (b - a) - (lim - a), b - a, a1 - y * a1, y * b1, -a1, b1,
+                                a2 - y * a2, y * b2)
+            out[name + "01"] = (yc * (h - a) - (lim - a), dy * (h - a), a1 - yc * a1, 0.0, -dy * a1, 0.0,
+                                a2 - yc * a2, 0.0)
+            out[name + "10"] = (yc * (b - h) - (lim - h), dy * (b - h), 0.0, yc * b1, 0.0, dy * b1,
+                                0.0, yc * b2)
+            if self.e6 > 0.0:
+                # with eps6 = 0 the clip is at x = 0 or 1, which edge() solves
+                ease, de = (((1.0 - y, 1.0) if end else (y, -1.0)) if (y < 1.0 if end else y > 0.0)
+                            else (0.0, 0.0))
+                out[name + "c"] = ((b - h - (lim - h) - ease, de, 0.0, b1, 0.0, 0.0, 0.0, b2) if end
+                                   else (-(lim - a) - ease, de, a1, 0.0, 0.0, 0.0, a2, 0.0))
         return out
 
     def _search(self, W, z, cons, rho):
@@ -313,11 +335,13 @@ class Sectors:
             grad = (1.0 - self.gap * c1, 0.0, x * dw)
             rows = [cons[key][1:4] for key in W]
             gram = [[_dot(u, v) for v in rows] for u in rows]
-            lam = _cramer(gram, [_dot(r, grad) for r in rows])
-            mu = _cramer(gram, [-cons[key][0] for key in W])
-            if lam is None or mu is None:
+            solved = _cramer(gram, [_dot(r, grad) for r in rows], [-cons[key][0] for key in W])
+            if solved is None:
                 return z, cons, [0.0] * len(W), "singular"
-            step = [sum(m * r[i] for m, r in zip(mu, rows)) for i in range(3)]
+            lam, mu = solved
+            step = [0.0, 0.0, 0.0]
+            for m, r in zip(mu, rows):
+                step = [step[0] + m * r[0], step[1] + m * r[1], step[2] + m * r[2]]
             climb = False
             if len(W) < 3:
                 H = [[0.0, 0.0, dw], [0.0, 0.0, 0.0], [dw, 0.0, 4.0 * self.gap * c1 * x]]
@@ -335,8 +359,10 @@ class Sectors:
                 R = [[_dot(u, t) for t in T] for u in HT]
                 concave = R[0][0] < 0.0 and (len(T) == 1 or R[0][0] * R[1][1] > R[0][1] * R[1][0])
                 rhs = [-_dot(t, lg) - _dot(u, step) for t, u in zip(T, HT)]
-                move = _cramer(R, rhs) if concave else None
-                if move is None:
+                solved = _cramer(R, rhs) if concave else None
+                if solved is not None:
+                    move = solved[0]
+                else:
                     slope = [_dot(t, lg) for t in T]
                     norm = math.sqrt(sum(s * s for s in slope))
                     # a flat surface, as at x = 1 where p0 is free, is no climb
@@ -366,17 +392,35 @@ class Sectors:
             rho *= 2.0
         return z, cons, lam, "stuck"
 
-    def polish(self, p0: float, p1: float, h: float):
+    def _vertex_rows(self, z, cons):
+        """Rows that bind at the zero-slack vertex z: the sender-marginal
+        band, of zero width there, on the side its multiplier (least squares
+        on the objective's gradient) takes, and the raw L check if its
+        multiplier is positive; none if the two are parallel there.  A
+        filter-rate band side that binds too is met as a step crosses it."""
+        W, (x, _, p1) = ["fhi", "L00"], z
+        grad = (1.0 - self.gap * math.cos(2.0 * p1), 0.0, 2.0 * x * self.gap * math.sin(2.0 * p1))
+        rows = [cons[key][1:4] for key in W]
+        solved = _cramer([[_dot(u, v) for v in rows] for u in rows], [_dot(r, grad) for r in rows])
+        if solved is None:
+            return []
+        lf, lc = solved[0]
+        return ["fhi" if lf >= 0.0 else "flo"] + ["L00"] * (lc >= 0.0)
+
+    def polish(self, p0: float, p1: float, h: float, vertex: bool = False):
         """The best (value, p0, p1) an active-set search meets from the angles
         (p0, p1), h their distance scale, and whether it ends at a KKT point:
-        the working set starts as the constraints active there, gains each one
-        a step crosses, and drops one whose multiplier is negative."""
+        the working set starts as the constraints active there, gains each
+        one a step crosses, and drops one whose multiplier is negative.  With
+        ``vertex``, (p0, p1) are the zero-slack vertex's angles, the rows that
+        bind there start the set, and a crossed row of a check already in it
+        ends the search."""
         z = [self.x_top(p0, p1)[0], p0, p1]
         best = (self.value(p0, p1), p0, p1)
         if best[0] == -math.inf:
             return best, False
         cons = self.constraints(*z)
-        W = []
+        W = self._vertex_rows(z, cons) if vertex else []
         for dist, key in sorted((-g[0] / _norm(g), key) for key, g in cons.items() if _norm(g)):
             if dist <= 1e-6 * h and len(W) < 3 and not any(_clash(cons, key, k) for k in W):
                 W.append(key)
@@ -403,6 +447,10 @@ class Sectors:
             if stuck:
                 continue
             if blocker is not None:
+                # at a check's kink its raw and held rows meet, and searches
+                # from the vertex's rows that go on there get stuck
+                if vertex and blocker[0] in "LU" and any(k[0] == blocker[0] for k in W):
+                    return best, False
                 # keep the two surfaces the blocked step had come closest to
                 W = sorted((k for k in W if not _clash(cons, k, blocker)),
                            key=lambda k: abs(cons[k][0]) / max(_norm(cons[k]), 1e-300))[:2]
@@ -416,30 +464,34 @@ class Sectors:
                 W.pop(min(signed)[1])
         return best, False
 
+    def pinned_feasible(self, x):
+        """Whether each x of an array meets every check row when both bands
+        pin the skews, an empty sector's window being the clip."""
+        p0, p1 = self.angles(x, np)
+        clip = self.columns[1][3][:, None]
+        w0 = np.where(x >= 1.0, clip, self._windows(p0[None], np))
+        w1 = np.where(x <= 0.0, clip, self._windows(p1[None], np))
+        y0, y1 = np.clip(x - self.e6, 0.0, 1.0), np.clip(x + self.e6, 0.0, 1.0)
+        num, den, _ = self.rows(None, None, w0, w1)
+        return (np.minimum(y0 * den, y1 * den) <= num).all(axis=0)
+
     def pinned_top(self):
-        """The largest feasible x when both bands pin the skews: the check
-        rows at 4097 x, then at 4097 in the step above the highest feasible
-        one, four times, down to rounding; None if no scanned x is feasible."""
+        """The largest feasible x when both bands pin the skews: the highest
+        of 4097 x, then of 65 in the step above it, again and again until no
+        float lies inside that step; None if no scanned x is feasible."""
         lo, hi = abs(self.skews[1]), 1.0 - abs(self.skews[0])
         if lo > hi:
             return None
         top, points = None, 4097
-        for _ in range(5):
+        while True:
             x = np.linspace(lo, hi, points)
-            p0, p1 = self.angles(x, np)
-            # an empty sector's window is the clip, free of the check
-            w0 = [np.where(x >= 1.0, c[3], w) for c, w in zip(self.checks, self._windows(p0, np))]
-            w1 = [np.where(x <= 0.0, c[3], w) for c, w in zip(self.checks, self._windows(p1, np))]
-            y0, y1 = np.clip(x - self.e6, 0.0, 1.0), np.clip(x + self.e6, 0.0, 1.0)
-            ok = np.nonzero(np.logical_and.reduce([np.minimum(y0 * den, y1 * den) <= num
-                                                   for num, den, _ in self.rows(None, None, w0, w1)]))[0]
+            ok = np.flatnonzero(self.pinned_feasible(x))
             if not ok.size:
-                break
+                return top
             top = float(x[ok[-1]])
-            if ok[-1] == points - 1:
-                break
-            lo, hi = top, float(x[ok[-1] + 1])
-        return top
+            if ok[-1] == points - 1 or math.nextafter(top, 2.0) >= x[ok[-1] + 1]:
+                return top
+            lo, hi, points = top, float(x[ok[-1] + 1]), 65
 
     def edge(self, x: float):
         """(x (1 - gap cos 2p), p) at the best angle p of the occupied sector
@@ -477,14 +529,19 @@ class Sectors:
         the x = 1 face), is that point's own.  Cells stay open when more than
         _CAP of them, or more than _LEVELS levels, would be needed."""
         best, centre = (-math.inf, 0.0, 0.0), None
-        # from the zero-slack optimum, on ever finer scales while no KKT point
-        # is met: on a sliver the maximum lies a few 1e-8 from it
-        for h in (0.02, 1e-4, 1e-7) if start is not None else ():
-            cand, kkt = self.polish(*start, h)
-            best = max(best, cand)
+        if start is not None:
+            # from the zero-slack optimum: on the rows that bind there, kept
+            # only if that search ends at a KKT point; else from the rows
+            # active at the start, on ever finer scales while no KKT point is
+            # met: on a sliver the maximum lies a few 1e-8 from it
+            cand, kkt = self.polish(*start, 0.02, True)
+            for h in () if kkt else (0.02, 1e-4, 1e-7):
+                cand, kkt = self.polish(*start, h)
+                best = max(best, cand)
+                if kkt:
+                    break
             if kkt:
-                centre = cand[1:]
-                break
+                best, centre = max(best, cand), cand[1:]
         q0, q1, ub, val = self.bounds(None, None, None, None, _N0)
         for level in range(_LEVELS + 1):
             if val.max() > best[0]:

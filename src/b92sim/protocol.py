@@ -353,15 +353,18 @@ def run_b92(params: ProtocolParams) -> B92Record:
         words = bits.random_raw(-(-m // 64)).astype("<u8", copy=False)
         s[:] = np.unpackbits(words.view(np.uint8), count=m, bitorder="little")
         lane = lanes.random_raw(-(-m // 4)).astype("<u8", copy=False).view("<u2")[:m]
-        out[:] = 0
-        tie[:] = False
-        for b, st in zip(base, step):
-            np.multiply(s, st, out=t)
-            t += b
-            np.greater(lane, t, out=f)
-            out += f
-            np.equal(lane, t, out=f)
-            tie |= f
+        # the first threshold's compares write out (as 0 or 1) and tie, the
+        # second's add to them
+        np.multiply(s, step[0], out=t)
+        t += base[0]
+        np.greater(lane, t, out=out.view(bool))
+        np.equal(lane, t, out=tie)
+        np.multiply(s, step[1], out=t)
+        t += base[1]
+        np.greater(lane, t, out=f)
+        out += f
+        np.equal(lane, t, out=f)
+        tie |= f
         # about 2**-15 of the signals tie; the refinement bits settle them
         for j in np.flatnonzero(tie).tolist():
             lo, hi = exact[s[j]]

@@ -21,7 +21,9 @@ import numpy as np
 import pytest
 
 from b92sim import _sectors
-from b92sim.security import delta_param
+from b92sim.protocol import ProtocolParams, run_protocol1
+from b92sim.quantum import depolarizing_channel
+from b92sim.security import SlackVector, delta_param, finite_size_bound
 from stress_slacked import draws, watched
 from test_security import witnessed
 
@@ -123,3 +125,61 @@ def test_grid_node_values_match_the_scalar_objective(family):
                 assert (got == want == -math.inf) or abs(got - want) <= 1e-13, (i, j)
                 nodes, feasible = nodes + 1, feasible + (got > -math.inf)
     assert nodes == 40 * 25 * 25 and feasible >= 20
+
+
+def benchmark_shaped(seed: int, count: int):
+    """Slacked calls shaped like the benchmark's: p in [0, 0.05], alpha^2 in
+    [0.05, 0.45], n on the odd rungs of 10^(4 + k/4), every slack in
+    [1e-4, 1e-2], tallies from run_protocol1."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(round(10 ** (4.25 + 0.5 * (i % 6))))
+        p, alpha = rng.uniform(0.0, 0.05), math.sqrt(rng.uniform(0.05, 0.45))
+        eps = SlackVector(*rng.uniform(1e-4, 1e-2, 8).tolist())
+        run = run_protocol1(ProtocolParams(alpha, n, depolarizing_channel(p),
+                                           int(rng.integers(2**31))))
+        yield run.n_err, run.n_fil, n, alpha, eps
+
+
+def test_newton_work_per_slacked_call_stays_low(monkeypatch):
+    # Newton searches and constraint evaluations per call, which repeat
+    # exactly: 3.15 and 13.4 on these draws, 4.07 and 15.1 when the start
+    # polish climbed onto the zero-slack vertex's rows one at a time; the
+    # bounds leave room for a numpy that rounds sin differently
+    counts = {"_search": 0, "constraints": 0}
+    for name in counts:
+        method = getattr(_sectors.Sectors, name)
+
+        def counted(self, *args, name=name, method=method):
+            counts[name] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(_sectors.Sectors, name, counted)
+    calls = list(benchmark_shaped(11, 96))
+    for call in calls:
+        assert finite_size_bound(*call).feasible
+    assert counts["_search"] / len(calls) <= 3.3
+    assert counts["constraints"] / len(calls) <= 13.8
+
+
+def test_pinned_top_reaches_a_fine_scan():
+    # where both bands pin the skews, pinned_top is never below the highest
+    # of 2 000 001 evenly spaced x that pass the same predicate by more than
+    # 1e-9 relative; the fine scan runs down from the top in chunks
+    checked = 0
+    with np.errstate(all="ignore"):
+        for sec in problems("one-zero-band", 34, 80):
+            lo, hi = abs(sec.skews[1]), 1.0 - abs(sec.skews[0])
+            if not sec.pinned or lo > hi:
+                continue
+            x, chunk, best = np.linspace(lo, hi, 2_000_001), 200_000, None
+            for end in range(x.size, 0, -chunk):
+                ok = np.flatnonzero(sec.pinned_feasible(x[max(end - chunk, 0):end]))
+                if ok.size:
+                    best = float(x[max(end - chunk, 0) + ok[-1]])
+                    break
+            top = sec.pinned_top()
+            if best is not None:
+                assert top is not None and top >= best - 1e-9 * abs(best)
+                checked += 1
+    assert checked >= 20
