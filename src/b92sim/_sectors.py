@@ -38,16 +38,15 @@ _HALF_PI = 0.5 * math.pi
 # r sqrt(w) within which a KKT point explains a cell of width w, as a cell's
 # bound overshoots by O(w) and the objective falls off quadratically along a
 # ridge through the point; the refinement levels, the cells a level allowed
-# and those bounded at once
-_N0, _RADIUS, _LEVELS, _CAP, _CHUNK = 24, 0.5, 16, 1024, 128
+# (a level is bounded in one call, about 2 MB of arrays at _CAP cells)
+_N0, _RADIUS, _LEVELS, _CAP = 24, 0.5, 16, 1024
 
 
 # 1-3 dimensional algebra in plain floats: numpy.linalg.solve and an SVD null
 # space cost 6-8 us a call against 0.4-3.4 us here, and a slacked call makes
-# about 15 such solves; the benchmark's 96 slacked calls take 0.70 ms on
-# average (in-process, least of 5 passes, 2-core VM), 1.09 ms with the Newton
-# rows built from three table passes and the start search climbing onto the
-# zero-slack vertex's rows one at a time
+# about 11 such solves; the benchmark's 96 slacked calls take 0.50 ms on
+# average (in-process, least of 7 passes, 2-core VM), 0.55 ms when the start
+# search picked its seed rows by least squares and stopped at a check's kink
 def _dot(u, v) -> float:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
@@ -392,35 +391,21 @@ class Sectors:
             rho *= 2.0
         return z, cons, lam, "stuck"
 
-    def _vertex_rows(self, z, cons):
-        """Rows that bind at the zero-slack vertex z: the sender-marginal
-        band, of zero width there, on the side its multiplier (least squares
-        on the objective's gradient) takes, and the raw L check if its
-        multiplier is positive; none if the two are parallel there.  A
-        filter-rate band side that binds too is met as a step crosses it."""
-        W, (x, _, p1) = ["fhi", "L00"], z
-        grad = (1.0 - self.gap * math.cos(2.0 * p1), 0.0, 2.0 * x * self.gap * math.sin(2.0 * p1))
-        rows = [cons[key][1:4] for key in W]
-        solved = _cramer([[_dot(u, v) for v in rows] for u in rows], [_dot(r, grad) for r in rows])
-        if solved is None:
-            return []
-        lf, lc = solved[0]
-        return ["fhi" if lf >= 0.0 else "flo"] + ["L00"] * (lc >= 0.0)
-
     def polish(self, p0: float, p1: float, h: float, vertex: bool = False):
         """The best (value, p0, p1) an active-set search meets from the angles
         (p0, p1), h their distance scale, and whether it ends at a KKT point:
         the working set starts as the constraints active there, gains each
         one a step crosses, and drops one whose multiplier is negative.  With
-        ``vertex``, (p0, p1) are the zero-slack vertex's angles, the rows that
-        bind there start the set, and a crossed row of a check already in it
-        ends the search."""
+        ``vertex``, (p0, p1) are the zero-slack vertex's angles, and two rows
+        that bind there start the set: the sender-marginal band's upper side
+        and the raw L check (a seeded row whose multiplier is negative is
+        dropped like any other)."""
         z = [self.x_top(p0, p1)[0], p0, p1]
         best = (self.value(p0, p1), p0, p1)
         if best[0] == -math.inf:
             return best, False
         cons = self.constraints(*z)
-        W = self._vertex_rows(z, cons) if vertex else []
+        W = ["fhi", "L00"] if vertex else []
         for dist, key in sorted((-g[0] / _norm(g), key) for key, g in cons.items() if _norm(g)):
             if dist <= 1e-6 * h and len(W) < 3 and not any(_clash(cons, key, k) for k in W):
                 W.append(key)
@@ -447,10 +432,6 @@ class Sectors:
             if stuck:
                 continue
             if blocker is not None:
-                # at a check's kink its raw and held rows meet, and searches
-                # from the vertex's rows that go on there get stuck
-                if vertex and blocker[0] in "LU" and any(k[0] == blocker[0] for k in W):
-                    return best, False
                 # keep the two surfaces the blocked step had come closest to
                 W = sorted((k for k in W if not _clash(cons, k, blocker)),
                            key=lambda k: abs(cons[k][0]) / max(_norm(cons[k]), 1e-300))[:2]
@@ -530,18 +511,15 @@ class Sectors:
         _CAP of them, or more than _LEVELS levels, would be needed."""
         best, centre = (-math.inf, 0.0, 0.0), None
         if start is not None:
-            # from the zero-slack optimum: on the rows that bind there, kept
-            # only if that search ends at a KKT point; else from the rows
-            # active at the start, on ever finer scales while no KKT point is
-            # met: on a sliver the maximum lies a few 1e-8 from it
-            cand, kkt = self.polish(*start, 0.02, True)
-            for h in () if kkt else (0.02, 1e-4, 1e-7):
-                cand, kkt = self.polish(*start, h)
+            # from the zero-slack optimum: first on two rows that bind there,
+            # then from the rows active at it, on ever finer scales while no
+            # KKT point is met: on a sliver the maximum lies a few 1e-8 from it
+            for h, vertex in ((0.02, True), (0.02, False), (1e-4, False), (1e-7, False)):
+                cand, kkt = self.polish(*start, h, vertex)
                 best = max(best, cand)
                 if kkt:
+                    centre = cand[1:]
                     break
-            if kkt:
-                best, centre = max(best, cand), cand[1:]
         q0, q1, ub, val = self.bounds(None, None, None, None, _N0)
         for level in range(_LEVELS + 1):
             if val.max() > best[0]:
@@ -562,11 +540,7 @@ class Sectors:
                 return best, -math.inf
             if level == _LEVELS or len(m) > _CAP:
                 return best, float(ub[m, i, j].max())
-            # in chunks, which bound the arrays' size
-            parts = [self.bounds(q0[m[c], i[c]], q0[m[c], i[c] + 1], q1[m[c], j[c]],
-                                 q1[m[c], j[c] + 1], 2)
-                     for c in (slice(k, k + _CHUNK) for k in range(0, len(m), _CHUNK))]
-            q0, q1, ub, val = (np.concatenate(arrays) for arrays in zip(*parts))
+            q0, q1, ub, val = self.bounds(q0[m, i], q0[m, i + 1], q1[m, j], q1[m, j + 1], 2)
 
     def ceiling(self, seed):
         """The maximizing (x, d) over the interior angles, from those of the

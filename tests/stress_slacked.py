@@ -10,12 +10,13 @@ channel, and each slack 0 with probability 1/2, else U(0, 10^U(-5, -1)).  The
 one-zero-band family then zeroes eps2 or eps4.  Every call is timed (the
 least of ``--passes`` runs) and watched: an abort is an exception, an open
 call ends with cells open above its best point (an over-report), a stuck one
-had a Newton search run out of steps, a slow one took over ``--slow-ms``.
-Every reported point that is not an over-report must be witnessed
-(test_security.witnessed).  The oracle (finite_size_oracle, about 0.2 s a
-draw) checks the flagged draws and every k-th one; a shortfall is a ceiling
-below it by more than 1e-11.  The script exits 1 on an abort, an unwitnessed
-point or a shortfall.
+had a Newton search run out of steps, a slow one took over ``--slow-ms``;
+the Newton searches and constraint evaluations per call are printed with the
+time per call.  Every reported point that is not an over-report must be
+witnessed (test_security.witnessed).  The oracle (finite_size_oracle, about
+0.2 s a draw) checks the flagged draws and every k-th one; a shortfall is a
+ceiling below it by more than 1e-11.  The script exits 1 on an abort, an
+unwitnessed point or a shortfall.
 
 ``--add CORPUS`` appends this run's flagged and oracle-sampled draws to a
 corpus file and
@@ -64,9 +65,12 @@ def draws(family: str, seed: int, count: int):
 
 def watched(tallies, alpha, eps, passes: int = 1):
     """finite_size_bound's result, the least time of ``passes`` calls in ms,
-    and whether the call ended open and whether a search stuck."""
+    and what one call did: whether it ended open ("open"), whether a search
+    stuck ("stuck"), and its Newton searches ("searches") and constraint
+    evaluations ("constraints")."""
     seen = {"open": False, "stuck": False}
-    interior, search = _sectors.Sectors.interior, _sectors.Sectors._search
+    sectors = _sectors.Sectors
+    interior, search, constraints = sectors.interior, sectors._search, sectors.constraints
 
     def interior_watch(self, start):
         best, bound = interior(self, start)
@@ -76,18 +80,26 @@ def watched(tallies, alpha, eps, passes: int = 1):
     def search_watch(self, *args):
         out = search(self, *args)
         seen["stuck"] |= out[3] == "stuck"
+        seen["searches"] += 1
         return out
 
-    _sectors.Sectors.interior, _sectors.Sectors._search = interior_watch, search_watch
+    def constraints_watch(self, *args):
+        seen["constraints"] += 1
+        return constraints(self, *args)
+
+    sectors.interior, sectors._search, sectors.constraints = (
+        interior_watch, search_watch, constraints_watch)
     try:
         times = []
         for _ in range(passes):
+            # every pass does the same work; the last one's is counted
+            seen["searches"] = seen["constraints"] = 0
             start = time.perf_counter()
             res = finite_size_bound(*tallies, alpha, SlackVector(*eps))
             times.append(1e3 * (time.perf_counter() - start))
     finally:
-        _sectors.Sectors.interior, _sectors.Sectors._search = interior, search
-    return res, min(times), seen["open"], seen["stuck"]
+        sectors.interior, sectors._search, sectors.constraints = interior, search, constraints
+    return res, min(times), seen
 
 
 def oracle(tallies, alpha, eps):
@@ -100,18 +112,20 @@ def stress(args) -> tuple[int, list[dict]]:
     flagged and oracle-sampled draws."""
     counts = dict.fromkeys(("draws", "aborts", "infeasible", "open", "stuck", "slow",
                             "unwitnessed", "oracle checks", "shortfalls"), 0)
-    times, flagged, worst = [], [], 0.0
+    times, flagged, worst, work = [], [], 0.0, {"searches": 0, "constraints": 0}
     for i, (tallies, alpha, eps) in enumerate(draws(args.family, args.seed, args.count)):
         counts["draws"] += 1
         row = {"tallies": list(tallies), "alpha": alpha, "eps": list(eps)}
         try:
-            res, ms, is_open, stuck = watched(tallies, alpha, eps, args.passes)
+            res, ms, seen = watched(tallies, alpha, eps, args.passes)
         except Exception as exc:  # an abort: report it and go on
             counts["aborts"] += 1
             print(f"abort {exc!r}: {row}")
             continue
         times.append(ms)
-        slow = ms > args.slow_ms
+        is_open, stuck, slow = seen["open"], seen["stuck"], ms > args.slow_ms
+        for key in work:
+            work[key] += seen[key]
         for key, hit in (("open", is_open), ("stuck", stuck), ("slow", slow)):
             counts[key] += hit
         if not res.feasible:
@@ -140,7 +154,8 @@ def stress(args) -> tuple[int, list[dict]]:
     print(", ".join(f"{k} {v}" for k, v in counts.items())
           + f"; worst shortfall {worst:.3g} relative" * bool(counts["shortfalls"]))
     print(f"time per call: mean {ms.mean():.3f} ms, p99 {np.percentile(ms, 99):.3f} ms, "
-          f"max {ms.max():.3f} ms")
+          f"max {ms.max():.3f} ms; per call {work['searches'] / ms.size:.2f} Newton searches, "
+          f"{work['constraints'] / ms.size:.2f} constraint evaluations")
     return int(bool(counts["aborts"] or counts["unwitnessed"] or counts["shortfalls"])), flagged
 
 
@@ -152,9 +167,9 @@ def regenerate(path: Path, extra: list[dict]) -> None:
     rows += [r for r in extra if json.dumps([r["tallies"], r["alpha"], r["eps"]]) not in known]
     for row in rows:
         tallies, alpha, eps = tuple(row["tallies"]), row["alpha"], tuple(row["eps"])
-        res, _, is_open, _ = watched(tallies, alpha, eps)
+        res, _, seen = watched(tallies, alpha, eps)
         new = {"r_ph_bar": res.r_ph_bar if res.feasible else None,
-               "x_star": res.x_star if res.feasible else None, "open": is_open,
+               "x_star": res.x_star if res.feasible else None, "open": seen["open"],
                "oracle": oracle(tallies, alpha, eps)}
         moved = {k: (row[k], v) for k, v in new.items() if k in row and row[k] != v}
         if moved:
