@@ -26,6 +26,8 @@ import math
 
 import numpy as np
 
+from .exponent import b92_angle_bounds
+
 # the bands and error-weight limits are widened by FEAS_TOL in their own
 # units; ROUND, the rounding allowance, widens each bound on x in its row's
 # units (6e-15 in all, under a feasibility check's 1e-14); an interval that
@@ -44,9 +46,9 @@ _N0, _RADIUS, _LEVELS, _CAP = 24, 0.5, 16, 1024
 
 # 1-3 dimensional algebra in plain floats: numpy.linalg.solve and an SVD null
 # space cost 6-8 us a call against 0.4-3.4 us here, and a slacked call makes
-# about 11 such solves; the benchmark's 96 slacked calls take 0.50 ms on
-# average (in-process, least of 7 passes, 2-core VM), 0.55 ms when the start
-# search picked its seed rows by least squares and stopped at a check's kink
+# about 11 such solves; the benchmark's 96 slacked calls take 0.48-0.49 ms on
+# average (in-process, least of 7 passes, 2-core VM), 0.49-0.50 ms when each
+# check also had a row for its clip (17 Newton rows, not 15)
 def _dot(u, v) -> float:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
@@ -95,16 +97,10 @@ def _tangents(rows):
     return [t, _cross(u, t)]
 
 
-def _clash(cons, a: str, b: str) -> bool:
-    """Whether constraints a and b cannot share a working set: one row, the
-    two sides of one band or bound, or the same row under two names."""
-    if a == b:
-        return True
-    if a[0] != b[0]:
-        return False
-    if {a[-2:], b[-2:]} == {"hi", "lo"}:
-        return a[:-2] == b[:-2]
-    return a[0] in "LU" and cons[a][:4] == cons[b][:4]
+def _clash(a: str, b: str) -> bool:
+    """Whether constraints a and b cannot share a working set: one row, or the
+    two sides of one band or bound (no two rows of one check coincide)."""
+    return a == b or ({a[-2:], b[-2:]} == {"hi", "lo"} and a[:-2] == b[:-2])
 
 
 def _corners(f, v):
@@ -181,15 +177,12 @@ class Sectors:
         return tuple(0.5 * np.arccos(np.clip(c, -1.0, 1.0)) for c in cos)
 
     def _windows(self, p, lib=math):
-        """Each check's window at sector angle p, held at its clip: a list on
-        floats; on an array whose first axis runs over the checks (of length
-        1 for one angle for both), the windows stacked on that axis."""
+        """Each check's window at sector angle p, held at its clip: on floats,
+        exponent.b92_angle_bounds' lo and -hi; on an array whose first axis runs
+        over the checks (1 long for one angle for both), stacked on that axis."""
         if lib is math:
-            out = []
-            for m, shift, offset, clip, _ in self.checks:
-                square = math.sin(p + shift) ** 2
-                out.append(max(square + offset if m > 0.0 else offset - square, clip))
-            return out
+            lo, hi = b92_angle_bounds(p, self.theta, self.e7, self.e8)
+            return [lo, -hi]
         m, shift, offset, clip, _ = self.columns[1].reshape((5, 2) + (1,) * (p.ndim - 1))
         return np.maximum(m * np.sin(p + shift) ** 2 + offset, clip)
 
@@ -278,9 +271,10 @@ class Sectors:
         the check's mass y = x -+ eps6 is clipped to [0, 1], a check is the
         larger of its raw row (00) and its rows with the sector-1 or -0
         window held (01, 10) at the clipped y; the raw row stays implied past
-        the clip, so a solve may cross the kink.  The clip row (c), the held
-        row of the end y is clipped toward at that end, eased short of it by
-        y's distance to it, binds at the kink but not where y switches ends."""
+        the clip, so a solve may cross the kink.  No row marks the kink: the
+        raw row at y's end, eased by y's distance to it, lies (1 - y)(h + 1 - b)
+        >= 0 below the held row 10 if y < 1, y (h + 1 - a) below 01 if y > 0
+        (a window lies within 1 of its clip), and is that held row past it."""
         c0, k = _slopes(p0, p1)
         c1, d0, d1 = math.cos(2.0 * p1), -2.0 * math.sin(2.0 * p0), -2.0 * math.sin(2.0 * p1)
         out = {"one": (x - 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
@@ -298,8 +292,8 @@ class Sectors:
         # sector-0 and -1 ones (a, b) or the held one (h)
         for name, lim, (m, shift, offset, h, _) in zip("LU", self.lims, self.checks):
             (a, a1, a2), (b, b1, b2) = [
-                (math.sin(q + shift) ** 2 + offset if m > 0.0 else offset - math.sin(q + shift) ** 2,
-                 m * math.sin(2.0 * (q + shift)), 2.0 * m * math.cos(2.0 * (q + shift)))
+                (m * math.sin(q + shift) ** 2 + offset, m * math.sin(2.0 * (q + shift)),
+                 2.0 * m * math.cos(2.0 * (q + shift)))
                 for q in (p0, p1)]
             end = max(b, h) < max(a, h)
             y = x + self.e6 if end else x - self.e6
@@ -311,12 +305,6 @@ class Sectors:
                                 a2 - yc * a2, 0.0)
             out[name + "10"] = (yc * (b - h) - (lim - h), dy * (b - h), 0.0, yc * b1, 0.0, dy * b1,
                                 0.0, yc * b2)
-            if self.e6 > 0.0:
-                # with eps6 = 0 the clip is at x = 0 or 1, which edge() solves
-                ease, de = (((1.0 - y, 1.0) if end else (y, -1.0)) if (y < 1.0 if end else y > 0.0)
-                            else (0.0, 0.0))
-                out[name + "c"] = ((b - h - (lim - h) - ease, de, 0.0, b1, 0.0, 0.0, 0.0, b2) if end
-                                   else (-(lim - a) - ease, de, a1, 0.0, 0.0, 0.0, a2, 0.0))
         return out
 
     def _search(self, W, z, cons, rho):
@@ -378,7 +366,7 @@ class Sectors:
             # the far side of a band on the surface is met once the steps vanish
             crossed = [(max(cons[key][0] / (cons[key][0] - g[0]), 0.0) if cons[key][0] < g[0]
                         else 0.0, key) for key, g in after.items()
-                       if g[0] > 1e-12 and key not in W and not any(_clash(after, key, k) for k in W)]
+                       if g[0] > 1e-12 and key not in W and not any(_clash(key, k) for k in W)]
             if crossed:
                 t, key = min(crossed)
                 z = [u + t * (v - u) for u, v in zip(z, new)]
@@ -407,7 +395,7 @@ class Sectors:
         cons = self.constraints(*z)
         W = ["fhi", "L00"] if vertex else []
         for dist, key in sorted((-g[0] / _norm(g), key) for key, g in cons.items() if _norm(g)):
-            if dist <= 1e-6 * h and len(W) < 3 and not any(_clash(cons, key, k) for k in W):
+            if dist <= 1e-6 * h and len(W) < 3 and not any(_clash(key, k) for k in W):
                 W.append(key)
         stuck = False
         for _ in range(12):
@@ -418,22 +406,16 @@ class Sectors:
             inside = 0.0 <= z[1] <= _HALF_PI and 0.0 <= z[2] <= _HALF_PI
             v = self.value(z[1], z[2]) if inside else -math.inf
             best = max(best, (v, z[1], z[2]))
-            if blocker == "singular":
-                # a row may meet its twin across a clip's kink: drop the twin
-                kept = [k for n, k in enumerate(W) if not any(_clash(cons, k, c) for c in W[:n])]
-                if len(kept) == len(W):
-                    break
-                W = kept
-                continue
-            # a search that runs out of steps goes on once from where it stopped
-            if blocker == "stuck" and stuck:
+            # a singular set ends the search; one that runs out of steps goes on
+            # once from where it stopped
+            if blocker == "singular" or (blocker == "stuck" and stuck):
                 break
             stuck = blocker == "stuck"
             if stuck:
                 continue
             if blocker is not None:
                 # keep the two surfaces the blocked step had come closest to
-                W = sorted((k for k in W if not _clash(cons, k, blocker)),
+                W = sorted((k for k in W if not _clash(k, blocker)),
                            key=lambda k: abs(cons[k][0]) / max(_norm(cons[k]), 1e-300))[:2]
                 W.append(blocker)
             else:

@@ -12,10 +12,11 @@ least of ``--passes`` runs) and watched: an abort is an exception, an open
 call ends with cells open above its best point (an over-report), a stuck one
 had a Newton search run out of steps, a slow one took over ``--slow-ms``;
 the Newton searches and constraint evaluations per call are printed with the
-time per call.  Every reported point that is not an over-report must be
-witnessed (test_security.witnessed).  The oracle (finite_size_oracle, about
-0.2 s a draw) checks the flagged draws and every k-th one; a shortfall is a
-ceiling below it by more than 1e-11.  The script exits 1 on an abort, an
+time per call, and on the next line how often each row was in the working
+set of a converged search.  Every reported point that is not an over-report
+must be witnessed (test_security.witnessed).  The oracle (finite_size_oracle,
+about 0.2 s a draw) checks the flagged draws and every k-th one; a shortfall is
+a ceiling below it by more than 1e-11.  The script exits 1 on an abort, an
 unwitnessed point or a shortfall.
 
 ``--add CORPUS`` appends this run's flagged and oracle-sampled draws to a
@@ -32,6 +33,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -66,8 +68,9 @@ def draws(family: str, seed: int, count: int):
 def watched(tallies, alpha, eps, passes: int = 1):
     """finite_size_bound's result, the least time of ``passes`` calls in ms,
     and what one call did: whether it ended open ("open"), whether a search
-    stuck ("stuck"), and its Newton searches ("searches") and constraint
-    evaluations ("constraints")."""
+    stuck ("stuck"), its Newton searches ("searches") and constraint
+    evaluations ("constraints"), and how often each row was in the working
+    set of a converged search ("rows", a Counter)."""
     seen = {"open": False, "stuck": False}
     sectors = _sectors.Sectors
     interior, search, constraints = sectors.interior, sectors._search, sectors.constraints
@@ -81,6 +84,8 @@ def watched(tallies, alpha, eps, passes: int = 1):
         out = search(self, *args)
         seen["stuck"] |= out[3] == "stuck"
         seen["searches"] += 1
+        if out[3] is None:
+            seen["rows"].update(args[0])
         return out
 
     def constraints_watch(self, *args):
@@ -94,6 +99,7 @@ def watched(tallies, alpha, eps, passes: int = 1):
         for _ in range(passes):
             # every pass does the same work; the last one's is counted
             seen["searches"] = seen["constraints"] = 0
+            seen["rows"] = Counter()
             start = time.perf_counter()
             res = finite_size_bound(*tallies, alpha, SlackVector(*eps))
             times.append(1e3 * (time.perf_counter() - start))
@@ -112,7 +118,8 @@ def stress(args) -> tuple[int, list[dict]]:
     flagged and oracle-sampled draws."""
     counts = dict.fromkeys(("draws", "aborts", "infeasible", "open", "stuck", "slow",
                             "unwitnessed", "oracle checks", "shortfalls"), 0)
-    times, flagged, worst, work = [], [], 0.0, {"searches": 0, "constraints": 0}
+    times, flagged, worst = [], [], 0.0
+    work = {"searches": 0, "constraints": 0, "rows": Counter()}
     for i, (tallies, alpha, eps) in enumerate(draws(args.family, args.seed, args.count)):
         counts["draws"] += 1
         row = {"tallies": list(tallies), "alpha": alpha, "eps": list(eps)}
@@ -156,6 +163,8 @@ def stress(args) -> tuple[int, list[dict]]:
     print(f"time per call: mean {ms.mean():.3f} ms, p99 {np.percentile(ms, 99):.3f} ms, "
           f"max {ms.max():.3f} ms; per call {work['searches'] / ms.size:.2f} Newton searches, "
           f"{work['constraints'] / ms.size:.2f} constraint evaluations")
+    print("rows in converged working sets: "
+          + (", ".join(f"{k} {v}" for k, v in work["rows"].most_common()) or "none"))
     return int(bool(counts["aborts"] or counts["unwitnessed"] or counts["shortfalls"])), flagged
 
 

@@ -87,15 +87,24 @@ def test_constraint_rows_match_their_differences(family):
     # each row's gradient in (x, p0, p1) against central differences, and
     # its second derivatives, the listed ones and the vanishing others,
     # against differences of the gradient; a point within h of a kink,
-    # where the one-sided differences part, is skipped
+    # where the one-sided differences part, is skipped.  A third of the
+    # points lie within eps6 of x = 0 or 1, where the check's mass clips (2h
+    # clear of the kink).  No two rows of one check are one row in value and
+    # gradient, which the working set's name-only clash rule relies on
     rng, h = np.random.default_rng(7), 1e-6
     steps = [np.array(v) * h for v in np.eye(3)]
     checked = 0
     for sec in problems(family, 31, 40):
-        for _ in range(12):
-            z = np.array([rng.uniform(2 * h, 1 - 2 * h),
-                          *rng.uniform(2 * h, 0.5 * math.pi - 2 * h, 2)])
+        for n in range(12):
+            x = rng.uniform(2 * h, 1 - 2 * h)
+            if n % 3 == 0 and sec.e6 > 4 * h:
+                x = rng.uniform(2 * h, sec.e6 - 2 * h)
+                x = x if rng.random() < 0.5 else 1.0 - x
+            z = np.array([x, *rng.uniform(2 * h, 0.5 * math.pi - 2 * h, 2)])
             at = sec.constraints(*z)
+            for check in "LU":
+                rows = [g[:4] for key, g in at.items() if key[0] == check]
+                assert len(set(rows)) == len(rows), (check, z)
             ups = [sec.constraints(*(z + e)) for e in steps]
             downs = [sec.constraints(*(z - e)) for e in steps]
             for key, (g, gx, g0, g1, hx0, hx1, h00, h11) in at.items():
