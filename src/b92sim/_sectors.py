@@ -103,10 +103,6 @@ def _clash(a: str, b: str) -> bool:
     return a == b or ({a[-2:], b[-2:]} == {"hi", "lo"} and a[:-2] == b[:-2])
 
 
-def _corners(f, v):
-    return f(f(v[..., :-1, :-1], v[..., 1:, :-1]), f(v[..., :-1, 1:], v[..., 1:, 1:]))
-
-
 def _slopes(p0, p1, lib=math):
     """cos 2p0 and the bands' slopes in x, k = c0 -+ c1 with c1 = cos 2p1,
     in forms free of cancellation."""
@@ -115,18 +111,31 @@ def _slopes(p0, p1, lib=math):
 
 
 def _geometry(a0, b0, a1, b1, n: int):
-    """What Sectors.bounds needs of the boxes [a0, b0] x [a1, b1] cut into n x n
-    cells alone: the cell edges, cos 2p0 and the slopes k at the nodes (1e-300
-    for an exact 0), whether each k keeps one sign over a cell, the reach
-    -c0 + x k of x in [0, 1] over it, and cos 2p1."""
+    """The boxes [a0, b0] x [a1, b1] cut into n x n cells: the cell edges, and
+    cos 2p0, the slopes k and cos 2p1 at the nodes."""
     t = np.linspace(0.0, 1.0, n + 1)
     q0, q1 = a0[:, None] + (b0 - a0)[:, None] * t, a1[:, None] + (b1 - a1)[:, None] * t
     c0, k = _slopes(q0[:, :, None], q1[:, None, :], np)
-    k = np.stack(k)
-    k[k == 0.0] = 1e-300
-    top, bottom = _corners(np.maximum, k), _corners(np.minimum, k)
-    return (q0, q1, c0, k, (bottom > 0.0) | (top < 0.0), top.clip(0.0) - c0[:, 1:],
-            bottom.clip(None, 0.0) - c0[:, :-1], np.cos(2.0 * q1[:, None, :]))
+    return q0, q1, c0, np.stack(k), np.cos(2.0 * q1[:, None, :])
+
+
+def _limits(num, den, shift):
+    """Each row's bounds on x from above and below, as Sectors.rows reads it
+    (+-inf where none, and -inf above where it misses by over ROUND)."""
+    ratio = num / np.where(den == 0.0, 1.0, den)
+    up = np.where(num < np.minimum(den, 0.0) - ROUND, -np.inf,
+                  np.where(den > 0.0, ratio + shift, np.inf))
+    return up, np.where(den < 0.0, ratio - shift, -np.inf)
+
+
+def _band_corners(v):
+    """The band sides' node values v (shi, slo, fhi, flo; m, n+1, n+1), each at
+    its corner of every cell, (p0, p1) = (lo, lo), (hi, hi), (lo, hi), (hi, lo):
+    at any x in [0, 1], s = a + d rises with both angles and f = a - d with
+    p0 and against p1, so a side holds somewhere on a cell just where it
+    holds there."""
+    lo, hi = slice(None, -1), slice(1, None)
+    return v[0, :, lo, lo], v[1, :, hi, hi], v[2, :, lo, hi], v[3, :, hi, lo]
 
 
 @functools.lru_cache(maxsize=1)
@@ -230,37 +239,26 @@ class Sectors:
         """Upper bounds (m, n, n) of the objective on the boxes [a0, b0] x [a1, b1]
         cut into n x n cells (the whole square cut _N0 x _N0 when a0 is None),
         their edges (m, n+1) on each axis, and the objective (m, n+1, n+1) at
-        the cell corners.  A band row's bound num/den is monotone in each
-        angle on a cell its pole k = 0 misses, so it peaks at a corner; a cell
-        the pole crosses keeps only the band's reach -c0 + x k, x in [0, 1].
+        the cell corners.  A band side's bound on a cell is its row's at one
+        corner (_band_corners), whatever the slope does elsewhere on the cell.
         A check row's bound falls as the lower windows grow and rises with the
         upper ones, so the loosest windows on the cell's sides bound it.  Node
         values only seed polish(); value() alone reports a point."""
-        q0, q1, c0, k, same, reach_hi, reach_lo, cos1 = (
-            _square() if a0 is None else _geometry(a0, b0, a1, b1, n))
-        # each band's rows, of slopes k and -k (never 0), bound x from above and below
-        num, den, _ = self.rows(c0, k, None, None)
-        ratio, pos = num / den, k > 0.0
-        up, down = np.where(pos, ratio[::2], ratio[1::2]), np.where(pos, ratio[1::2], ratio[::2])
-        b = np.array(self.bands)[:, :, None, None, None]
-        reach = np.where((reach_hi >= b[:, 0]) & (reach_lo <= b[:, 1]), np.inf, -np.inf)
+        q0, q1, c0, k, cos1 = _square() if a0 is None else _geometry(a0, b0, a1, b1, n)
+        up, down = _limits(*self.rows(c0, k, None, None))
         # the windows (check, sector, m, cell or node): the loosest on each
         # cell's sides, and those at the nodes
         q = np.stack((q0, q1))
         target = self.columns[1][4].reshape(2, 1, 1, 1)
-        sides = [(np.where(same, _corners(np.maximum, up), reach), cos1[:, :, 1:], 0.0,
-                  self._windows(np.minimum(np.maximum(target, q[:, :, :-1]), q[:, :, 1:]), np),
-                  np.where(same, _corners(np.minimum, down), -np.inf)),
-                 (up, cos1, ROUND, self._windows(q[None], np), down)]
+        sides = [(functools.reduce(np.minimum, _band_corners(up)),
+                  functools.reduce(np.maximum, _band_corners(down)), cos1[:, :, 1:], 0.0,
+                  self._windows(np.minimum(np.maximum(target, q[:, :, :-1]), q[:, :, 1:]), np)),
+                 (up.min(axis=0), down.max(axis=0), cos1, ROUND, self._windows(q[None], np))]
         out = []
-        for top, cos, tol, w, low in sides:
-            num, den, _ = self.rows(None, None, w[:, 0, :, :, None], w[:, 1, :, None, :])
-            ratio = num / np.where(den == 0.0, 1.0, den)
-            up = np.where(num < np.minimum(den, 0.0) - ROUND, -np.inf,
-                          np.where(den > 0.0, ratio + self.e6, np.inf))
-            top = np.minimum(np.minimum(top.min(axis=0), 1.0), up.min(axis=0))
-            low = np.maximum(np.maximum(low.max(axis=0), 0.0),
-                             np.where(den < 0.0, ratio - self.e6, -np.inf).max(axis=0))
+        for top, low, cos, tol, w in sides:
+            up, down = _limits(*self.rows(None, None, w[:, 0, :, :, None], w[:, 1, :, None, :]))
+            top = np.minimum(np.minimum(top, 1.0), up.min(axis=0))
+            low = np.maximum(np.maximum(low, 0.0), down.max(axis=0))
             out.append(np.where(low <= top + tol, top * (1.0 - self.gap * cos), -np.inf))
         return q0, q1, out[0], out[1]
 

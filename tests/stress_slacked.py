@@ -11,10 +11,11 @@ one-zero-band family then zeroes eps2 or eps4.  Every call is timed (the
 least of ``--passes`` runs) and watched: an abort is an exception, an open
 call ends with cells open above its best point (an over-report), a stuck one
 had a Newton search run out of steps, a slow one took over ``--slow-ms``;
-the Newton searches and constraint evaluations per call are printed with the
-time per call, and on the next line how often each row was in the working
-set of a converged search.  Every reported point that is not an over-report
-must be witnessed (test_security.witnessed).  The oracle (finite_size_oracle,
+the Newton searches, constraint evaluations and cell-bound (Sectors.bounds)
+calls per call are printed with the time per call, and on the next line how
+often each row was in the working set of a converged search.  Every
+reported point that is not an over-report must be witnessed
+(test_security.witnessed).  The oracle (finite_size_oracle,
 about 0.2 s a draw) checks the flagged draws and every k-th one; a shortfall is
 a ceiling below it by more than 1e-11.  The script exits 1 on an abort, an
 unwitnessed point or a shortfall.
@@ -68,12 +69,15 @@ def draws(family: str, seed: int, count: int):
 def watched(tallies, alpha, eps, passes: int = 1):
     """finite_size_bound's result, the least time of ``passes`` calls in ms,
     and what one call did: whether it ended open ("open"), whether a search
-    stuck ("stuck"), its Newton searches ("searches") and constraint
-    evaluations ("constraints"), and how often each row was in the working
-    set of a converged search ("rows", a Counter)."""
+    stuck ("stuck"), its Newton searches ("searches"), constraint evaluations
+    ("constraints") and cell-bound calls ("bounds"), how often each row was in
+    the working set of a converged search ("rows", a Counter), and each such
+    search's working set with its multipliers ("kkt", (names, multipliers)
+    pairs)."""
     seen = {"open": False, "stuck": False}
     sectors = _sectors.Sectors
-    interior, search, constraints = sectors.interior, sectors._search, sectors.constraints
+    interior, search, constraints, bounds = (
+        sectors.interior, sectors._search, sectors.constraints, sectors.bounds)
 
     def interior_watch(self, start):
         best, bound = interior(self, start)
@@ -86,25 +90,31 @@ def watched(tallies, alpha, eps, passes: int = 1):
         seen["searches"] += 1
         if out[3] is None:
             seen["rows"].update(args[0])
+            seen["kkt"].append((tuple(args[0]), tuple(out[2])))
         return out
 
     def constraints_watch(self, *args):
         seen["constraints"] += 1
         return constraints(self, *args)
 
-    sectors.interior, sectors._search, sectors.constraints = (
-        interior_watch, search_watch, constraints_watch)
+    def bounds_watch(self, *args):
+        seen["bounds"] += 1
+        return bounds(self, *args)
+
+    sectors.interior, sectors._search, sectors.constraints, sectors.bounds = (
+        interior_watch, search_watch, constraints_watch, bounds_watch)
     try:
         times = []
         for _ in range(passes):
             # every pass does the same work; the last one's is counted
-            seen["searches"] = seen["constraints"] = 0
-            seen["rows"] = Counter()
+            seen["searches"] = seen["constraints"] = seen["bounds"] = 0
+            seen["rows"], seen["kkt"] = Counter(), []
             start = time.perf_counter()
             res = finite_size_bound(*tallies, alpha, SlackVector(*eps))
             times.append(1e3 * (time.perf_counter() - start))
     finally:
-        sectors.interior, sectors._search, sectors.constraints = interior, search, constraints
+        sectors.interior, sectors._search, sectors.constraints, sectors.bounds = (
+            interior, search, constraints, bounds)
     return res, min(times), seen
 
 
@@ -119,7 +129,7 @@ def stress(args) -> tuple[int, list[dict]]:
     counts = dict.fromkeys(("draws", "aborts", "infeasible", "open", "stuck", "slow",
                             "unwitnessed", "oracle checks", "shortfalls"), 0)
     times, flagged, worst = [], [], 0.0
-    work = {"searches": 0, "constraints": 0, "rows": Counter()}
+    work = {"searches": 0, "constraints": 0, "bounds": 0, "rows": Counter()}
     for i, (tallies, alpha, eps) in enumerate(draws(args.family, args.seed, args.count)):
         counts["draws"] += 1
         row = {"tallies": list(tallies), "alpha": alpha, "eps": list(eps)}
@@ -162,7 +172,8 @@ def stress(args) -> tuple[int, list[dict]]:
           + f"; worst shortfall {worst:.3g} relative" * bool(counts["shortfalls"]))
     print(f"time per call: mean {ms.mean():.3f} ms, p99 {np.percentile(ms, 99):.3f} ms, "
           f"max {ms.max():.3f} ms; per call {work['searches'] / ms.size:.2f} Newton searches, "
-          f"{work['constraints'] / ms.size:.2f} constraint evaluations")
+          f"{work['constraints'] / ms.size:.2f} constraint evaluations, "
+          f"{work['bounds'] / ms.size:.2f} bounds calls")
     print("rows in converged working sets: "
           + (", ".join(f"{k} {v}" for k, v in work["rows"].most_common()) or "none"))
     return int(bool(counts["aborts"] or counts["unwitnessed"] or counts["shortfalls"])), flagged

@@ -23,7 +23,7 @@ import pytest
 from b92sim import _sectors
 from b92sim.protocol import ProtocolParams, run_protocol1
 from b92sim.quantum import depolarizing_channel
-from b92sim.security import SlackVector, delta_param
+from b92sim.security import ObservedRates, SlackVector, delta_param, phase_error_bound
 from stress_slacked import draws, watched
 from test_security import witnessed
 
@@ -138,6 +138,69 @@ def test_grid_node_values_match_the_scalar_objective(family):
     assert nodes == 40 * 25 * 25 and feasible >= 20
 
 
+def boxes(rng, count: int):
+    """The first grid's cells and ``count`` random boxes as (a0, b0, a1, b1):
+    squares of width 2^-k of a first-grid cell (k = 1-12), half of them
+    centred on a line where a band's slope k vanishes (p0 = p1 for s, p0 +
+    p1 = pi/2 for f), so that it crosses them."""
+    q0, q1 = _sectors._square()[:2]
+    i, j = np.divmod(np.arange(_sectors._N0 ** 2), _sectors._N0)
+    edges = [q0[0, i], q0[0, i + 1], q1[0, j], q1[0, j + 1]]
+    width = 0.5 * math.pi / _sectors._N0 * 2.0 ** -rng.integers(1, 13, count)
+    p0 = rng.uniform(width, 0.5 * math.pi - width)
+    p1 = np.where(rng.random(count) < 0.5, rng.uniform(width, 0.5 * math.pi - width),
+                  np.where(rng.random(count) < 0.5, p0, 0.5 * math.pi - p0))
+    p1 = p1 + rng.uniform(-0.25, 0.25, count) * width
+    extra = [p0 - 0.5 * width, p0 + 0.5 * width, p1 - 0.5 * width, p1 + 0.5 * width]
+    return [np.concatenate((e, x)) for e, x in zip(edges, extra)]
+
+
+def band_ranges(sec, a0, b0, a1, b1, n: int):
+    """Each band side's range (low, top) of x in [0, 1] at the nodes of the
+    boxes cut n x n, from its row (empty where low > top)."""
+    _, _, c0, k, _ = _sectors._geometry(a0, b0, a1, b1, n)
+    up, down = _sectors._limits(*sec.rows(c0, k, None, None))
+    return np.maximum(down, 0.0), np.minimum(up, 1.0)
+
+
+@pytest.mark.parametrize("family", ["mixed", "one-zero-band"])
+def test_each_band_side_binds_at_its_corner(family):
+    # on the first grid's cells and on boxes down to 1/4096 of a cell, many
+    # crossed by a slope's zero: each band side's range of x over a box, read
+    # at the corner _band_corners picks, against the hull of its ranges at 9
+    # x 9 points of the box (its edges included): the same to rounding.  The
+    # cell bound of bounds() is then at most the objective's bound from the
+    # sampled band ranges alone, and at least the objective at every sampled
+    # node (bounds()' node values, value() to 1e-13), on cells a slope's
+    # zero crosses too
+    rng, sides = np.random.default_rng(9), 0
+    for sec in problems(family, 35, 16):
+        a0, b0, a1, b1 = box = boxes(rng, 64)
+        low, top = band_ranges(sec, *box, 1)
+        corner_low = np.stack(_sectors._band_corners(low))[:, :, 0, 0]
+        corner_top = np.stack(_sectors._band_corners(top))[:, :, 0, 0]
+        low, top = band_ranges(sec, *box, 8)
+        held = low <= top
+        hull_low = np.where(held, low, np.inf).min(axis=(2, 3))
+        hull_top = np.where(held, top, -np.inf).max(axis=(2, 3))
+        held = held.any(axis=(2, 3))
+        # a range that closes to rounding may read either way
+        assert ((corner_low <= corner_top) == held)[np.abs(corner_low - corner_top) > 1e-12].all()
+        both = held & (corner_low <= corner_top)
+        assert np.abs(corner_low[both] - hull_low[both]).max() <= 1e-12
+        assert np.abs(corner_top[both] - hull_top[both]).max() <= 1e-12
+        sides += int(both.sum())
+        _, _, bound, _ = sec.bounds(*box, 1)
+        _, _, _, nodes = sec.bounds(*box, 8)
+        bound, top_p1 = bound[:, 0, 0], 1.0 - sec.gap * np.cos(2.0 * b1)
+        x_low = np.maximum(np.where(held, hull_low, np.inf).max(axis=0), 0.0)
+        x_top = np.minimum(np.where(held, hull_top, -np.inf).min(axis=0), 1.0)
+        loose = np.where(x_low <= x_top + 1e-12, (x_top + 1e-12) * top_p1, -np.inf)
+        assert (bound <= loose).all()
+        assert (bound >= nodes.max(axis=(1, 2)) - 1e-13).all()
+    assert sides >= 20000
+
+
 def benchmark_shaped(seed: int, count: int):
     """Slacked calls shaped like the benchmark's: p in [0, 0.05], alpha^2 in
     [0.05, 0.45], n on the odd rungs of 10^(4 + k/4), every slack in
@@ -168,6 +231,160 @@ def test_newton_work_per_slacked_call_stays_low():
             work[key] += seen[key]
     assert work["searches"] / len(calls) <= 2.6
     assert work["constraints"] / len(calls) <= 11.6
+
+
+def convex_draws(seed: int, count: int):
+    """Stress draws (the mixed family) with eps3 and eps6 set to 0: the
+    problem is then convex in (x, a, d), and r_ph_bar is (x + gap d)/2."""
+    for tallies, alpha, eps in draws("mixed", seed, count):
+        yield tallies, alpha, eps[:2] + (0.0,) + eps[3:5] + (0.0,) + eps[6:]
+
+
+def ceiling(tallies, alpha, eps):
+    """r_ph_bar (None if infeasible) and whether the call ended open."""
+    res, _, seen = watched(tuple(tallies), alpha, tuple(eps))
+    return (res.r_ph_bar if res.feasible else None), seen["open"]
+
+
+def concavity_breaks(triples) -> tuple[int, list]:
+    """The feasible (lo, mid, hi) triples and those whose midpoint falls below
+    the ends' mean by more than 1e-12 relative plus the rounding allowance."""
+    feasible, breaks = 0, []
+    for alpha, ends in triples:
+        values = [ceiling(tallies, alpha, eps) for tallies, eps in ends]
+        if any(v is None for v, _ in values):
+            continue
+        feasible += 1
+        (lo, _), (mid, _), (hi, _) = values
+        if 0.5 * (lo + hi) - mid > 1e-12 * max(lo, mid, hi) + 1e-14:
+            breaks.append((ends, [is_open for _, is_open in values]))
+    return feasible, breaks
+
+
+def test_ceiling_is_concave_at_zero_eps6():
+    # at eps6 = 0 the problem is convex, and eps2, eps4, eps5 shift its
+    # right-hand sides and the tallies its limits and filter band, so the
+    # ceiling is concave along any nonnegative slack direction and any tally
+    # direction; a midpoint may fall short only where an end over-reports
+    # from open cells, and each such break is printed and counted
+    rng, triples = np.random.default_rng(13), []
+    for tallies, alpha, eps in convex_draws(300, 240):
+        step = rng.uniform(0.0, 1.0, 3) * 10 ** rng.uniform(-5, -2)
+        ends = [list(eps) for _ in range(3)]
+        for t, end in enumerate(ends):
+            for j, u in zip((1, 3, 4), step):
+                end[j] += t * u
+        triples.append((alpha, [(tallies, end) for end in ends]))
+    for (n_err, n_fil, n), alpha, eps in convex_draws(400, 240):
+        de, df = (int(rng.integers(-c // 20 - 2, c // 20 + 3)) for c in (n_err, n_fil))
+        ends = [(n_err + t * de, n_fil + t * df, n) for t in (-1, 0, 1)]
+        if all(0 <= a <= n and 0 <= b <= n for a, b, _ in ends):
+            triples.append((alpha, [(end, eps) for end in ends]))
+    feasible, breaks = concavity_breaks(triples)
+    for ends, flags in breaks:
+        print(f"concavity break, ends open {flags}: {ends}")
+    print(f"{len(breaks)} concavity breaks in {feasible} feasible triples")
+    assert feasible >= 350
+    assert all(flags[0] or flags[2] for _, flags in breaks)
+
+
+def test_pinned_ceiling_is_the_closed_form():
+    # with eps2 = eps4 = eps6 = 0 both bands pin the skews, and where the
+    # lower windows are unclipped at the optimum (sin^2(p - theta) >= eps7 in
+    # both sectors) and the widened error weight 2 r = 2 (r_err + eps5 +
+    # eps7/2) stays within r_fil, the L check is phase_error_bound's
+    # constraint at r: the ceiling lies between that bound at r and at r +
+    # 1e-14, which covers the limits' FEAS_TOL, each to 1e-12 relative
+    compared = 0
+    for tallies, alpha, eps in list(convex_draws(302, 200)) + list(convex_draws(303, 200)):
+        eps = (eps[0], 0.0, 0.0, 0.0, eps[4], 0.0, eps[6], eps[7])
+        (n_err, n_fil, n), e5, e7 = tallies, eps[4], eps[6]
+        r = n_err / n + e5 + 0.5 * e7
+        value, is_open = ceiling(tallies, alpha, eps)
+        if value is None or n_fil / n < 2.0 * r:
+            continue
+        sec = _sectors.Sectors(alpha, n_err / n, delta_param(n_fil / n, alpha), eps)
+        x = watched(tallies, alpha, eps)[0].x_star
+        if not 0.0 < x < 1.0 or min(math.sin(p - sec.theta) ** 2 for p in sec.angles(x)) < e7:
+            continue
+        lo, hi = (phase_error_bound(ObservedRates(r_err=r + dr, r_fil=n_fil / n, alpha=alpha))
+                  for dr in (0.0, 1e-14))
+        assert not is_open and lo.feasible
+        assert lo.r_ph_bar <= value * (1.0 + 1e-12), (tallies, alpha, eps)
+        assert value <= hi.r_ph_bar * (1.0 + 1e-12), (tallies, alpha, eps)
+        compared += 1
+    assert compared >= 250
+
+
+def wave(m: float, shift: float, offset: float):
+    """m sin^2(p + shift) + offset as (A, B, C) of A + B cos 2p + C sin 2p."""
+    return np.array([0.5 * m + offset, -0.5 * m * math.cos(2.0 * shift),
+                     0.5 * m * math.sin(2.0 * shift)])
+
+
+def lagrangian_top(sec, names, multipliers) -> float:
+    """The largest x (1 - gap cos 2p1) - sum mu g over x in [0, 1] and the
+    angle square, the rows g named as in Sectors.constraints at eps6 = 0
+    (the check's mass y = x) with the multipliers mu; a band side's negative
+    multiplier (a zero-width band) moves to its other side, and the bounds
+    on x and the angles drop out, as the domain.  Every row is (1 - x) F(p0)
+    + x G(p1) with F and G of the form A + B cos 2p + C sin 2p, and so is the
+    objective, so the largest value is that of F or of G, each in closed
+    form.  For mu >= 0 it bounds the ceiling x + gap d from above."""
+    one, cos = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+    F, G = np.zeros(3), one - sec.gap * cos
+    # s = a + d = -(1 - x) cos 2p0 - x cos 2p1 and f = a - d, as (F, G) pairs
+    (slo, shi), (flo, fhi) = sec.bands
+    rows = {"shi": (-shi * one - cos, -shi * one - cos), "slo": (slo * one + cos, slo * one + cos),
+            "fhi": (-fhi * one - cos, -fhi * one + cos), "flo": (flo * one + cos, flo * one - cos)}
+    other = {"shi": "slo", "slo": "shi", "fhi": "flo", "flo": "fhi"}
+    # each check's window (lower sin^2(p - theta) - eps7, upper negated),
+    # its clip, and its limit; 00 mixes the windows, 01 and 10 hold one
+    windows = {"L": (wave(1.0, -sec.theta, -sec.e7), 0.0, sec.lims[0]),
+               "U": (wave(-1.0, sec.theta, -sec.e8), -1.0, sec.lims[1])}
+    for name, mu in zip(names, multipliers):
+        if name in rows and mu < 0.0:
+            name, mu = other[name], -mu
+        if name in rows:
+            g0, g1 = rows[name]
+        elif name[0] in windows:
+            w, clip, lim = windows[name[0]]
+            g0, g1 = ((w if held == "0" else clip * one) - lim * one for held in name[1:])
+        else:
+            continue
+        F, G = F - max(mu, 0.0) * g0, G - max(mu, 0.0) * g1
+
+    def top(A, B, C):
+        # over 2p in [0, pi]: the ends, and the crest at atan2(C, B) if C >= 0
+        return max(A + B, A - B, A + math.hypot(B, C) if C >= 0.0 else -math.inf)
+
+    return max(top(*F), top(*G))
+
+
+def test_lagrangian_at_the_solver_multipliers_bounds_the_ceiling():
+    # at eps6 = 0, with the multipliers of each converged working set, the
+    # Lagrangian's largest value over the domain bounds the ceiling from
+    # above; at a convex program's KKT point it equals the ceiling, so it
+    # checks the solver without an oracle (ROADMAP item 5's eps6 = 0 half).
+    # It lies at most 5e-14 under the ceiling (x_top's rounding allowance;
+    # 1.5e-14 at worst on 2228 such stress draws) and 1e-8 relative over it
+    # (the multipliers solve a least-squares system; 5.8e-9 at worst), and
+    # within 1e-12 relative on nine draws in ten (98 % of the 2228)
+    compared = close = 0
+    for tallies, alpha, eps in convex_draws(500, 600):
+        if eps[1] == eps[3] == 0.0:
+            continue
+        res, _, seen = watched(tallies, alpha, eps)
+        if not res.feasible or seen["open"] or not seen["kkt"]:
+            continue
+        (n_err, n_fil, n) = tallies
+        sec = _sectors.Sectors(alpha, n_err / n, delta_param(n_fil / n, alpha), eps)
+        value = 2.0 * res.r_ph_bar
+        top = min(lagrangian_top(sec, names, mu) for names, mu in seen["kkt"])
+        assert value - 5e-14 <= top <= value * (1.0 + 1e-8), (tallies, alpha, eps)
+        compared += 1
+        close += top <= value * (1.0 + 1e-12)
+    assert compared >= 250 and close >= 0.9 * compared
 
 
 def test_pinned_top_reaches_a_fine_scan():
