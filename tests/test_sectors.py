@@ -300,18 +300,18 @@ def test_pinned_ceiling_is_the_closed_form():
         eps = (eps[0], 0.0, 0.0, 0.0, eps[4], 0.0, eps[6], eps[7])
         (n_err, n_fil, n), e5, e7 = tallies, eps[4], eps[6]
         r = n_err / n + e5 + 0.5 * e7
-        value, is_open = ceiling(tallies, alpha, eps)
-        if value is None or n_fil / n < 2.0 * r:
+        res, _, seen = watched(tallies, alpha, eps)
+        if not res.feasible or n_fil / n < 2.0 * r:
             continue
         sec = _sectors.Sectors(alpha, n_err / n, delta_param(n_fil / n, alpha), eps)
-        x = watched(tallies, alpha, eps)[0].x_star
+        x = res.x_star
         if not 0.0 < x < 1.0 or min(math.sin(p - sec.theta) ** 2 for p in sec.angles(x)) < e7:
             continue
         lo, hi = (phase_error_bound(ObservedRates(r_err=r + dr, r_fil=n_fil / n, alpha=alpha))
                   for dr in (0.0, 1e-14))
-        assert not is_open and lo.feasible
-        assert lo.r_ph_bar <= value * (1.0 + 1e-12), (tallies, alpha, eps)
-        assert value <= hi.r_ph_bar * (1.0 + 1e-12), (tallies, alpha, eps)
+        assert not seen["open"] and lo.feasible
+        assert lo.r_ph_bar <= res.r_ph_bar * (1.0 + 1e-12), (tallies, alpha, eps)
+        assert res.r_ph_bar <= hi.r_ph_bar * (1.0 + 1e-12), (tallies, alpha, eps)
         compared += 1
     assert compared >= 250
 
