@@ -16,7 +16,7 @@ Cell bounds close every part of the square that cannot beat the best point
 found, except the cells within a shrinking distance of the KKT point that
 gives it; a cell still open when the refinement budget runs out raises the
 ceiling to its bound, so outside that zone a miss shows as an over-report,
-never a shortfall.
+never a shortfall.  With (a, d) pinned, x alone is searched, by bisection.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ class Sectors:
     rows() is its constraint table; x_top() solves it for x at given angles,
     bounds() on cells of the angle square, polish() on its active rows
     (constraints()) by Newton steps; interior() combines them, pinned_top()
-    scans x when both bands pin the skews and edge() solves an empty sector."""
+    searches x when both bands pin the skews and edge() solves an empty sector."""
 
     def __init__(self, alpha: float, r_err: float, delta: float, slacks: tuple[float, ...]):
         _, e2, _, e4, e5, self.e6, self.e7, self.e8 = slacks
@@ -174,16 +174,13 @@ class Sectors:
                         np.array(self.checks).T, np.array(self.lims))
         # the zero-slack skews (a, d), which zero-width bands pin
         self.skews = (delta - gap, delta)
-        self.pinned = e2 == e4 == 0.0
         # a zero-width band's sides are one surface, its multiplier of either sign
         self.equal = {"s": e2 == 0.0, "f": e4 == 0.0}
 
-    def angles(self, x, lib=math):
-        """Sector angles at x for the zero-slack skews: cos 2p0 = -a/(1-x), cos 2p1 = -d/x."""
-        cos = (-self.skews[0] / (1.0 - x), -self.skews[1] / x)
-        if lib is math:
-            return tuple(0.5 * math.acos(min(max(c, -1.0), 1.0)) for c in cos)
-        return tuple(0.5 * np.arccos(np.clip(c, -1.0, 1.0)) for c in cos)
+    def angles(self, x: float):
+        """Sector angles at x for the zero-slack skews, None for an empty sector's."""
+        return tuple(0.5 * math.acos(min(max(-skew / mass, -1.0), 1.0)) if mass > 0.0 else None
+                     for skew, mass in zip(self.skews, (1.0 - x, x)))
 
     def _windows(self, p, lib=math):
         """Each check's window at sector angle p, held at its clip: on floats,
@@ -425,34 +422,38 @@ class Sectors:
                 W.pop(min(signed)[1])
         return best, False
 
-    def pinned_feasible(self, x):
-        """Whether each x of an array meets every check row when both bands
-        pin the skews, an empty sector's window being the clip."""
-        p0, p1 = self.angles(x, np)
-        clip = self.columns[1][3][:, None]
-        w0 = np.where(x >= 1.0, clip, self._windows(p0[None], np))
-        w1 = np.where(x <= 0.0, clip, self._windows(p1[None], np))
-        y0, y1 = np.clip(x - self.e6, 0.0, 1.0), np.clip(x + self.e6, 0.0, 1.0)
-        num, den, _ = self.rows(None, None, w0, w1)
-        return (np.minimum(y0 * den, y1 * den) <= num).all(axis=0)
+    def shortfall(self, x: float) -> float:
+        """The largest check-row shortfall y den - num at x when both bands pin the
+        skews, <= 0 where x is feasible: y is x -+ eps6 clipped to [0, 1], an empty
+        sector's window its clip."""
+        clip = [check[3] for check in self.checks]
+        w0, w1 = (clip if p is None else self._windows(p) for p in self.angles(x))
+        ys = [min(max(x + e, 0.0), 1.0) for e in (-self.e6, self.e6)]
+        return max(min(y * den for y in ys) - num for num, den, _ in self.rows(None, None, w0, w1))
 
-    def pinned_top(self):
-        """The largest feasible x when both bands pin the skews: the highest
-        of 4097 x, then of 65 in the step above it, again and again until no
-        float lies inside that step; None if no scanned x is feasible."""
+    def pinned_top(self, seed):
+        """The largest feasible x when both bands pin the skews, or None: the
+        domain's top if feasible, else bisection, until no float lies between
+        the ends, up from the zero-slack x if it is feasible, else from the first
+        feasible x of a golden section on the shortfall (convex at eps6 = 0)."""
         lo, hi = abs(self.skews[1]), 1.0 - abs(self.skews[0])
-        if lo > hi:
-            return None
-        top, points = None, 4097
-        while True:
-            x = np.linspace(lo, hi, points)
-            ok = np.flatnonzero(self.pinned_feasible(x))
-            if not ok.size:
-                return top
-            top = float(x[ok[-1]])
-            if ok[-1] == points - 1 or math.nextafter(top, 2.0) >= x[ok[-1] + 1]:
-                return top
-            lo, hi, points = top, float(x[ok[-1] + 1]), 65
+        if lo > hi or self.shortfall(hi) <= 0.0:
+            return hi if lo <= hi else None
+        if seed is None or self.shortfall(x := min(max(seed[0], lo), hi)) > 0.0:
+            g = functools.cache(self.shortfall)
+            a, b, r = lo, hi, 0.5 * (3.0 - math.sqrt(5.0))
+            c, d = a + r * (b - a), b - r * (b - a)
+            while min(g(c), g(d)) > 0.0:
+                if not a < c < d < b:
+                    return None
+                if g(c) <= g(d):
+                    b, d, c = d, c, a + r * (d - a)
+                else:
+                    a, c, d = c, d, b - r * (b - c)
+            x = c if g(c) <= 0.0 else d
+        while x < (mid := 0.5 * (x + hi)) < hi:
+            x, hi = (mid, hi) if self.shortfall(mid) <= 0.0 else (x, mid)
+        return x
 
     def edge(self, x: float):
         """(x (1 - gap cos 2p), p) at the best angle p of the occupied sector
@@ -524,20 +525,18 @@ class Sectors:
 
     def ceiling(self, seed):
         """The maximizing (x, d) over the interior angles, from those of the
-        zero-slack optimum ``seed`` = (x, delta) if 0 < x < 1, or along x alone
-        when the bands pin the skews, and over the empty-sector edges.  Where
-        a cell stays open above the best point, x + gap d is that cell's
+        zero-slack optimum ``seed`` = (x, delta) if 0 < x < 1, and over the
+        empty-sector edges, or along x alone when the bands pin the skews.
+        Where a cell stays open above the best point, x + gap d is that cell's
         bound; where no point is found, open cells or not, None: no key."""
-        bound = -math.inf
+        if self.equal["s"] and self.equal["f"]:
+            x = self.pinned_top(seed)
+            return None if x is None else (x, self.skews[1])
+        start = self.angles(seed[0]) if seed is not None and 0.0 < seed[0] < 1.0 else None
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if self.pinned:
-                x, d = self.pinned_top(), self.skews[1]
-                point = (-math.inf, 0.0, 0.0) if x is None else (x + self.gap * d, x, d)
-            else:
-                start = self.angles(seed[0]) if seed is not None and 0.0 < seed[0] < 1.0 else None
-                (value, p0, p1), bound = self.interior(start)
-                x = self.x_top(p0, p1)[0]
-                point = (value, x, -x * math.cos(2.0 * p1))
+            (value, p0, p1), bound = self.interior(start)
+        x = self.x_top(p0, p1)[0]
+        point = (value, x, -x * math.cos(2.0 * p1))
         for side in (1.0, 0.0):
             found = self.edge(side)
             if found is not None and found[0] > point[0]:

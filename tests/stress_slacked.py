@@ -12,8 +12,9 @@ least of ``--passes`` runs) and watched: an abort is an exception, an open
 call ends with cells open above its best point (an over-report), a stuck one
 had a Newton search run out of steps, a slow one took over ``--slow-ms``;
 the Newton searches, constraint evaluations and cell-bound (Sectors.bounds)
-calls per call are printed with the time per call, and on the next line how
-often each row was in the working set of a converged search.  Every
+calls per call are printed with the time per call and the pinned searches'
+count and mean time (Sectors.pinned_top), and on the next line how often
+each row was in the working set of a converged search.  Every
 reported point that is not an over-report must be witnessed
 (test_security.witnessed).  The oracle (finite_size_oracle,
 about 0.2 s a draw) checks the flagged draws and every k-th one; a shortfall is
@@ -70,22 +71,23 @@ def watched(tallies, alpha, eps, passes: int = 1):
     """finite_size_bound's result, the least time of ``passes`` calls in ms,
     and what one call did: whether it ended open ("open"), whether a search
     stuck ("stuck"), its Newton searches ("searches"), constraint evaluations
-    ("constraints") and cell-bound calls ("bounds"), how often each row was in
+    ("constraints"), cell-bound calls ("bounds"), pinned searches ("pinned")
+    and their time in ms ("pinned_ms"), how often each row was in
     the working set of a converged search ("rows", a Counter), and each such
     search's working set with its multipliers ("kkt", (names, multipliers)
     pairs)."""
     seen = {"open": False, "stuck": False}
     sectors = _sectors.Sectors
-    interior, search, constraints, bounds = (
-        sectors.interior, sectors._search, sectors.constraints, sectors.bounds)
+    original = {name: getattr(sectors, name)
+                for name in ("interior", "_search", "constraints", "bounds", "pinned_top")}
 
-    def interior_watch(self, start):
-        best, bound = interior(self, start)
+    def interior(self, start):
+        best, bound = original["interior"](self, start)
         seen["open"] |= bound > -math.inf
         return best, bound
 
-    def search_watch(self, *args):
-        out = search(self, *args)
+    def _search(self, *args):
+        out = original["_search"](self, *args)
         seen["stuck"] |= out[3] == "stuck"
         seen["searches"] += 1
         if out[3] is None:
@@ -93,28 +95,35 @@ def watched(tallies, alpha, eps, passes: int = 1):
             seen["kkt"].append((tuple(args[0]), tuple(out[2])))
         return out
 
-    def constraints_watch(self, *args):
+    def constraints(self, *args):
         seen["constraints"] += 1
-        return constraints(self, *args)
+        return original["constraints"](self, *args)
 
-    def bounds_watch(self, *args):
+    def bounds(self, *args):
         seen["bounds"] += 1
-        return bounds(self, *args)
+        return original["bounds"](self, *args)
 
-    sectors.interior, sectors._search, sectors.constraints, sectors.bounds = (
-        interior_watch, search_watch, constraints_watch, bounds_watch)
+    def pinned_top(self, *args):
+        start = time.perf_counter()
+        out = original["pinned_top"](self, *args)
+        seen["pinned"] += 1
+        seen["pinned_ms"] += 1e3 * (time.perf_counter() - start)
+        return out
+
+    for watch in (interior, _search, constraints, bounds, pinned_top):
+        setattr(sectors, watch.__name__, watch)
     try:
         times = []
         for _ in range(passes):
             # every pass does the same work; the last one's is counted
-            seen["searches"] = seen["constraints"] = seen["bounds"] = 0
-            seen["rows"], seen["kkt"] = Counter(), []
+            seen.update(searches=0, constraints=0, bounds=0, pinned=0, pinned_ms=0.0,
+                        rows=Counter(), kkt=[])
             start = time.perf_counter()
             res = finite_size_bound(*tallies, alpha, SlackVector(*eps))
             times.append(1e3 * (time.perf_counter() - start))
     finally:
-        sectors.interior, sectors._search, sectors.constraints, sectors.bounds = (
-            interior, search, constraints, bounds)
+        for name, method in original.items():
+            setattr(sectors, name, method)
     return res, min(times), seen
 
 
@@ -129,7 +138,8 @@ def stress(args) -> tuple[int, list[dict]]:
     counts = dict.fromkeys(("draws", "aborts", "infeasible", "open", "stuck", "slow",
                             "unwitnessed", "oracle checks", "shortfalls"), 0)
     times, flagged, worst = [], [], 0.0
-    work = {"searches": 0, "constraints": 0, "bounds": 0, "rows": Counter()}
+    work = {"searches": 0, "constraints": 0, "bounds": 0, "pinned": 0, "pinned_ms": 0.0,
+            "rows": Counter()}
     for i, (tallies, alpha, eps) in enumerate(draws(args.family, args.seed, args.count)):
         counts["draws"] += 1
         row = {"tallies": list(tallies), "alpha": alpha, "eps": list(eps)}
@@ -173,7 +183,8 @@ def stress(args) -> tuple[int, list[dict]]:
     print(f"time per call: mean {ms.mean():.3f} ms, p99 {np.percentile(ms, 99):.3f} ms, "
           f"max {ms.max():.3f} ms; per call {work['searches'] / ms.size:.2f} Newton searches, "
           f"{work['constraints'] / ms.size:.2f} constraint evaluations, "
-          f"{work['bounds'] / ms.size:.2f} bounds calls")
+          f"{work['bounds'] / ms.size:.2f} bounds calls; {work['pinned']} pinned calls, mean "
+          f"{work['pinned_ms'] / max(work['pinned'], 1):.3f} ms")
     print("rows in converged working sets: "
           + (", ".join(f"{k} {v}" for k, v in work["rows"].most_common()) or "none"))
     return int(bool(counts["aborts"] or counts["unwitnessed"] or counts["shortfalls"])), flagged
