@@ -30,14 +30,23 @@ ln((S + |V|) / (S - |V|)) >= 0 at every lam, so:
 
 Each answer is certified: the point reproduces the counts to CERT_TOL, and
 its exponent exceeds the weak-duality bound at lam_0 = ln(alpha(n_0) / m),
-taken at both ends of k_frac with Z_q from singlet_pair_probs itself, by at
-most GAP_TOL.  Otherwise min_exponent raises DomainError.
+taken at both ends of k_frac with the singlet reference Z_q, by at most
+GAP_TOL.  Otherwise min_exponent raises DomainError.
+
+A query runs on plain floats: an instance reads its four outcome kets, their
+Bloch axes v_bj, its four count fractions and its Bloch fit once, and the
+solver builds arrays only for the point it returns.  The array functions
+singlet_pair_probs, remainder_probs, count_residual, exponent_direct and
+bloch_fit_radius wrap the same float kernels: beta in its determinant form
+(so impossible pairs are exactly 0) and alpha_i(n) = (1 + n.v_i) / 4.  A
+point's floats are q as a 4x4 matrix [b j][b' j'] and p flattened [b j].
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,55 +54,60 @@ from ._brent import brent_root
 from .errors import DomainError, ParameterError
 
 LN2 = math.log(2.0)
+SQRT2 = math.sqrt(2.0)
 # largest count residual of a point that certifies an exponent value
 CERT_TOL = 1e-8
 # largest primal-dual gap that certifies a point as the global minimum
 GAP_TOL = 1e-8
 _ZERO_REGION_EDGE = 1.0 + 1e-9  # largest Bloch-fit radius in the zero region
-_ANTISYM = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def _as_basis(mat) -> np.ndarray:
     """Validate a 2x2 array whose rows are an orthonormal ket pair."""
-    b = np.asarray(mat, dtype=complex)
+    b = np.array(mat, dtype=complex)
     if b.shape != (2, 2):
         raise ParameterError("a basis is a 2x2 array of row kets")
-    gram = b @ b.conj().T
+    (a0, a1), (c0, c1) = b.tolist()
+    gram = (abs(a0) ** 2 + abs(a1) ** 2 - 1.0, abs(c0) ** 2 + abs(c1) ** 2 - 1.0,
+            a0 * c0.conjugate() + a1 * c1.conjugate())
     # written so that a nan entry fails too
-    if not np.max(np.abs(gram - np.eye(2))) <= 1e-12:
+    if not all(abs(g) <= 1e-12 for g in gram):
         raise ParameterError("basis rows are not orthonormal to 1e-12")
-    out = b.copy()
-    out.setflags(write=False)
-    return out
+    b.setflags(write=False)
+    return b
 
 
 def basis_from_bloch(theta: float, phi: float = 0.0) -> np.ndarray:
     """Basis whose outcome-1 ket points along Bloch angles (theta, phi)."""
     if not (math.isfinite(theta) and math.isfinite(phi)):
         raise ParameterError("Bloch angles must be finite")
-    return basis_from_ket(np.array([math.cos(theta / 2.0),
-                                    math.sin(theta / 2.0) * np.exp(1j * phi)]))
+    return basis_from_ket((math.cos(theta / 2.0),
+                           math.sin(theta / 2.0) * complex(math.cos(phi), math.sin(phi))))
 
 
-def basis_from_ket(one: np.ndarray) -> np.ndarray:
+def basis_from_ket(one) -> np.ndarray:
     """Basis whose outcome-1 ket is the unit ket ``one``, completed by the
     orthogonal ket (-conj(one[1]), conj(one[0]))."""
-    zero = np.array([-one[1].conjugate(), one[0].conjugate()])
-    return np.stack([zero, one])
+    a0, a1 = complex(one[0]), complex(one[1])
+    return np.array([[-a1.conjugate(), a0.conjugate()], [a0, a1]])
+
+
+def _bloch(a0: complex, a1: complex) -> tuple[float, float, float]:
+    cross = a0.conjugate() * a1
+    return 2.0 * cross.real, 2.0 * cross.imag, abs(a0) ** 2 - abs(a1) ** 2
 
 
 def bloch_vector(ket: np.ndarray) -> np.ndarray:
-    a0, a1 = complex(ket[0]), complex(ket[1])
-    cross = a0.conjugate() * a1
-    return np.array([2.0 * cross.real, 2.0 * cross.imag, abs(a0) ** 2 - abs(a1) ** 2])
+    return np.array(_bloch(complex(ket[0]), complex(ket[1])))
 
 
-def ket_from_bloch(n: np.ndarray) -> np.ndarray:
-    nx, ny, nz = (float(v) for v in n)
-    # atan2 keeps full precision near the poles, where acos(n_z) loses ~sqrt(eps)
-    theta = math.atan2(math.hypot(nx, ny), nz)
-    phi = math.atan2(ny, nx)
-    return np.array([math.cos(theta / 2.0), math.sin(theta / 2.0) * np.exp(1j * phi)])
+def _dot(u, v) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _comb(s: float, u, t: float, v) -> list[float]:
+    """The 3-vector s u + t v."""
+    return [s * u[0] + t * v[0], s * u[1] + t * v[1], s * u[2] + t * v[2]]
 
 
 @dataclass(frozen=True)
@@ -132,14 +146,7 @@ class TwoBasisSampling:
 
     def count_fractions(self) -> np.ndarray:
         """(2, 2) array m[b, j] of observed count fractions n_{b,j} / M."""
-        m = self.m_total
-        w0, w1 = self.m0 / m, self.m1 / m
-        return np.array(
-            [
-                [w0 * (1.0 - self.delta0), w0 * self.delta0],
-                [w1 * (1.0 - self.delta1), w1 * self.delta1],
-            ]
-        )
+        return np.array(self._fractions).reshape(2, 2)
 
     def weight_entropy(self) -> float:
         """Entropy of the basis-choice weights, in nats."""
@@ -149,6 +156,49 @@ class TwoBasisSampling:
             w = mb / m
             out -= w * math.log(w)
         return out
+
+    @cached_property
+    def _fractions(self) -> list[float]:
+        """The count fractions, flattened [b, j]."""
+        m = self.m_total
+        w0, w1 = self.m0 / m, self.m1 / m
+        return [w0 * (1.0 - self.delta0), w0 * self.delta0,
+                w1 * (1.0 - self.delta1), w1 * self.delta1]
+
+    @cached_property
+    def _axes(self) -> list[tuple[float, float, float]]:
+        """Outcome Bloch axes v_bj, flattened [b, j]."""
+        return [_bloch(*ket) for ket in self.basis0.tolist() + self.basis1.tolist()]
+
+    @cached_property
+    def _beta(self) -> list[list[float]]:
+        """singlet_pair_probs as a 4x4 matrix [b j][b' j']: |det[u; v]*|^2 / 8."""
+        kets = [(u.conjugate(), v.conjugate())
+                for u, v in self.basis0.tolist() + self.basis1.tolist()]
+        return [[abs((u0 * v1 - u1 * v0) / SQRT2) ** 2 / 4.0 for v0, v1 in kets]
+                for u0, u1 in kets]
+
+    @cached_property
+    def _fit(self) -> tuple[float, list[float] | None]:
+        """Norm and vector of the smallest Bloch vector r reproducing both
+        outcome means, r.u_b = c_b = 2 delta_b - 1: r = c_0 u_0 + r_b b in the
+        orthonormal axes (u_0, b) of _plane, with r_b = (c_1 - c_0 cos w) / u_1.b,
+        or c_0 u_0 when the two are collinear.  Solving in those axes divides
+        by sin w, not by the sin^2 w of the Gram solve, so bases a few
+        microradians from aligned or antipodal still reproduce both means to
+        rounding.  (inf, None) when they are collinear but the observed
+        fractions disagree (no state gives two different means of one
+        observable)."""
+        u0, u1 = self._axes[1], self._axes[3]
+        c0, c1 = 2.0 * self.delta0 - 1.0, 2.0 * self.delta1 - 1.0
+        cos_w = min(max(_dot(u0, u1), -1.0), 1.0)
+        if 1.0 - cos_w * cos_w < 1e-12:
+            if abs(c0 - c1 if cos_w > 0.0 else c0 + c1) > 1e-9:
+                return math.inf, None
+            return abs(c0), [c0 * x for x in u0]
+        b = _plane(u0, u1)
+        r_b = (c1 - c0 * cos_w) / _dot(u1, b)
+        return math.hypot(c0, r_b), _comb(c0, u0, r_b, b)
 
 
 @dataclass(frozen=True)
@@ -172,16 +222,17 @@ class ExponentPoint:
         n = np.asarray(self.bloch_n, dtype=float)
         q = np.asarray(self.q, dtype=float)
         p = np.asarray(self.p, dtype=float)
-        if not all(np.all(np.isfinite(arr)) for arr in (n, q, p)):
+        if n.shape != (3,) or q.shape != (2, 2, 2, 2) or p.shape != (2, 2):
+            raise ParameterError("bloch_n must be a 3-vector, q (2,2,2,2) and p (2,2)")
+        flat_n, flat_q, flat_p = n.tolist(), q.ravel().tolist(), p.ravel().tolist()
+        if not all(map(math.isfinite, flat_n + flat_q + flat_p)):
             raise ParameterError("bloch_n, q and p must be finite")
-        if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > 1e-9:
+        if abs(math.hypot(*flat_n) - 1.0) > 1e-9:
             raise ParameterError("bloch_n must be a unit 3-vector")
-        if q.shape != (2, 2, 2, 2) or p.shape != (2, 2):
-            raise ParameterError("q must be (2,2,2,2) and p (2,2)")
-        for arr, name in ((q, "q"), (p, "p")):
-            if np.any(arr < -1e-15):
+        for flat, name in ((flat_q, "q"), (flat_p, "p")):
+            if min(flat) < -1e-15:
                 raise ParameterError(f"{name} has negative entries")
-            if abs(arr.sum() - 1.0) > 1e-12:
+            if abs(sum(flat) - 1.0) > 1e-12:
                 raise ParameterError(f"{name} does not sum to 1")
         for arr, name in ((n, "bloch_n"), (q, "q"), (p, "p")):
             arr.setflags(write=False)
@@ -238,43 +289,80 @@ class SolverOptions:
             raise ParameterError("seed must be finite and nonnegative")
 
 
+def _alpha(axes, n) -> list[float]:
+    """Remainder reference (1 + n.v_i) / 4 over axes v_i, for the unit vector
+    along n."""
+    norm = math.sqrt(_dot(n, n))
+    return [max(0.0, 1.0 + _dot(n, v) / norm) / 4.0 for v in axes]
+
+
 def singlet_pair_probs(problem: TwoBasisSampling) -> np.ndarray:
     """Reference pair distribution beta[b, b', j, j'] = S / 4, where S is the
     probability of outcomes (j, j') when a singlet pair is measured in bases
     (b, b').  The singlet amplitude of kets u (x) v is det[u; v]* / sqrt 2."""
-    kets = problem.kets().conj()
-    det = np.einsum("bjx,xy,cky->bcjk", kets, _ANTISYM, kets)
-    return np.abs(det / math.sqrt(2.0)) ** 2 / 4.0
+    return np.array(problem._beta).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
 
 
 def remainder_probs(problem: TwoBasisSampling, bloch_n: np.ndarray) -> np.ndarray:
-    """Reference remainder distribution alpha[b, j] = |<b,j|n>|^2 / 2."""
-    ket_n = ket_from_bloch(np.asarray(bloch_n, dtype=float))
-    kets = problem.kets()
-    amps = np.einsum("bjk,k->bj", kets.conj(), ket_n)
-    return np.abs(amps) ** 2 / 2.0
+    """Reference remainder distribution alpha[b, j] = |<b,j|n>|^2 / 2
+    = (1 + n.v_bj) / 4."""
+    n = np.asarray(bloch_n, dtype=float).tolist()
+    return np.array(_alpha(problem._axes, n)).reshape(2, 2)
+
+
+def _divergence(p, q) -> float:
+    """D(p || q) in nats over flat sequences."""
+    if any(a > 0.0 >= b for a, b in zip(p, q)):
+        return math.inf
+    return sum(a * math.log(a / b) for a, b in zip(p, q) if a > 0.0)
 
 
 def _rel_entropy_nats(p: np.ndarray, q: np.ndarray) -> float:
-    mask = p > 0.0
-    if np.any(mask & (q <= 0.0)):
-        return math.inf
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+    return _divergence(np.ravel(p).tolist(), np.ravel(q).tolist())
+
+
+def _point_floats(point: ExponentPoint) -> tuple[float, list, list, list]:
+    """(k_frac, n, q [b j][b' j'], p [b j]) of a point."""
+    return (point.k_frac, point.bloch_n.tolist(),
+            point.q.transpose(0, 2, 1, 3).reshape(4, 4).tolist(), point.p.reshape(4).tolist())
+
+
+def _residual(k: float, q4, p4, m4) -> float:
+    """Largest gap between implied counts (1 - 2k) p + k (q row + q column
+    sums) and the observed fractions m4."""
+    xi1 = 1.0 - 2.0 * k
+    return max(abs(xi1 * p4[i] + k * sum(q4[i]) + k * sum(row[i] for row in q4) - m4[i])
+               for i in range(4))
+
+
+def _check_residual(residual: float) -> float:
+    if not residual <= CERT_TOL:
+        raise DomainError(
+            f"point does not reproduce the observed counts (max deviation {residual:.3e})"
+        )
+    return residual
 
 
 def count_residual(point: ExponentPoint, problem: TwoBasisSampling) -> float:
     """Largest gap between the point's implied count fractions and the
     observed ones (0 for a point that reproduces the counts)."""
-    gapv = point.implied_count_fractions() - problem.count_fractions()
-    return float(np.max(np.abs(gapv)))
+    k, _, q4, p4 = _point_floats(point)
+    return _residual(k, q4, p4, problem._fractions)
 
 
 def _check_count_matching(point: ExponentPoint, problem: TwoBasisSampling) -> None:
-    residual = count_residual(point, problem)
-    if not residual <= CERT_TOL:
-        raise DomainError(
-            f"point does not reproduce the observed counts (max deviation {residual:.3e})"
-        )
+    _check_residual(count_residual(point, problem))
+
+
+def _direct(problem: TwoBasisSampling, k: float, n, q4, p4) -> float:
+    """exponent_direct on a point's floats."""
+    r = problem.weight_entropy()
+    if k > 0.0:
+        r += k * (_divergence(sum(q4, []), sum(problem._beta, [])) - 2.0 * LN2)
+    xi1 = 1.0 - 2.0 * k
+    if xi1 > 0.0:
+        r += xi1 * (_divergence(p4, _alpha(problem._axes, n)) - LN2)
+    return r
 
 
 def exponent_direct(point: ExponentPoint, problem: TwoBasisSampling) -> float:
@@ -283,16 +371,9 @@ def exponent_direct(point: ExponentPoint, problem: TwoBasisSampling) -> float:
     Weight entropy plus the paired and remainder relative-entropy blocks,
     each offset by the log-size of its reference alphabet.
     """
-    _check_count_matching(point, problem)
-    xi2 = point.k_frac
-    xi1 = point.xi1
-    r = problem.weight_entropy()
-    if xi2 > 0.0:
-        r += xi2 * (_rel_entropy_nats(point.q, singlet_pair_probs(problem)) - 2.0 * LN2)
-    if xi1 > 0.0:
-        alpha_ref = remainder_probs(problem, point.bloch_n)
-        r += xi1 * (_rel_entropy_nats(point.p, alpha_ref) - LN2)
-    return r
+    k, n, q4, p4 = _point_floats(point)
+    _check_residual(_residual(k, q4, p4, problem._fractions))
+    return _direct(problem, k, n, q4, p4)
 
 
 def exponent_decomposed(point: ExponentPoint, problem: TwoBasisSampling) -> float:
@@ -348,41 +429,15 @@ def exponent_decomposed(point: ExponentPoint, problem: TwoBasisSampling) -> floa
     return r
 
 
-def _bloch_fit(problem: TwoBasisSampling) -> tuple[float, np.ndarray | None]:
-    """Norm and vector of the smallest Bloch vector r reproducing both
-    outcome means, r.u_b = 2 delta_b - 1: r = c_0 u_0 + r_b b in the
-    orthonormal axes (u_0, b) of _plane, with r_b = (c_1 - c_0 cos w) / u_1.b,
-    or c_0 u_0 when the two are collinear.  Solving in those axes divides by
-    sin w, not by the sin^2 w of the Gram solve, so bases a few microradians
-    from aligned or antipodal still reproduce both means to rounding.
-    (inf, None) when they are collinear but the observed fractions disagree
-    (no state gives two different means of one observable)."""
-    u0 = bloch_vector(problem.basis0[1])
-    u1 = bloch_vector(problem.basis1[1])
-    c0 = 2.0 * problem.delta0 - 1.0
-    c1 = 2.0 * problem.delta1 - 1.0
-    cos_w = float(np.clip(np.dot(u0, u1), -1.0, 1.0))
-    sin_sq = 1.0 - cos_w * cos_w
-    if sin_sq < 1e-12:
-        aligned = cos_w > 0.0
-        mismatch = abs(c0 - c1) if aligned else abs(c0 + c1)
-        if mismatch > 1e-9:
-            return math.inf, None
-        return abs(c0), c0 * u0
-    _, b = _plane(u0, u1)
-    r_b = (c1 - c0 * cos_w) / (u1 @ b)
-    return math.hypot(c0, r_b), c0 * u0 + r_b * b
-
-
 def bloch_fit_radius(problem: TwoBasisSampling) -> float:
     """Norm of the smallest Bloch vector reproducing both outcome means
     (infinite when none does)."""
-    return _bloch_fit(problem)[0]
+    return problem._fit[0]
 
 
 def zero_region_contains(problem: TwoBasisSampling) -> bool:
     """Whether a single-qubit state reproduces both observed fractions."""
-    return bloch_fit_radius(problem) <= _ZERO_REGION_EDGE
+    return problem._fit[0] <= _ZERO_REGION_EDGE
 
 
 def b92_angle_bounds(theta_l: float, theta: float, eps7: float = 0.0, eps8: float = 0.0) -> tuple[float, float]:
@@ -427,35 +482,39 @@ def iid_probability(sigma: np.ndarray, problem: TwoBasisSampling) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _zero_region_point(problem: TwoBasisSampling, r: np.ndarray) -> ExponentPoint:
+def _zero_region_point(problem: TwoBasisSampling, r) -> tuple[float, list, list, list]:
     """The R = 0 point of a Bloch fit r with |r| <= 1: k_frac = (1 - |r|) / 2,
     n = r / |r|, q = w_b w_b' 4 beta_bb' and p = w_b |<b,j|n>|^2.  Pairs then
     add k_frac w_b to every cell, so the implied counts are
     w_b (1 + r.v_bj) / 2, the observed ones."""
-    norm = float(np.linalg.norm(r))
-    n = r / norm if norm > 1e-12 else bloch_vector(problem.basis0[1])
-    w = np.array([problem.m0, problem.m1]) / problem.m_total
-    q = 4.0 * np.einsum("b,c,bcjk->bcjk", w, w, singlet_pair_probs(problem))
-    p = 2.0 * w[:, None] * remainder_probs(problem, n)
-    return ExponentPoint(k_frac=max(0.0, (1.0 - norm) / 2.0), bloch_n=n, q=q, p=p)
+    norm = math.sqrt(_dot(r, r))
+    n = [x / norm for x in r] if norm > 1e-12 else list(problem._axes[1])
+    w = [problem.m0 / problem.m_total] * 2 + [problem.m1 / problem.m_total] * 2
+    q4 = [[4.0 * (w[i] * w[j] * problem._beta[i][j]) for j in range(4)] for i in range(4)]
+    p4 = [2.0 * w[i] * a for i, a in enumerate(_alpha(problem._axes, n))]
+    return max(0.0, (1.0 - norm) / 2.0), n, q4, p4
 
 
-def _plane(u0: np.ndarray, u1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal axes (u0, b) of the plane through u0 and u1; b is any axis
+def _plane(u0, u1) -> list[float]:
+    """Unit axis b normal to u0 in the plane through u0 and u1; any axis
     normal to u0 when the two are collinear to rounding.  The second
     Gram-Schmidt pass removes what rounding leaves of u0 in b, which at a
     1e-9 rad basis offset is of the order of b itself."""
-    b = u1 - (u1 @ u0) * u0
-    if np.linalg.norm(b) <= 1e-12:
-        b = np.cross(u0, np.eye(3)[int(np.argmin(np.abs(u0)))])
-    b = b - (b @ u0) * u0
-    return u0, b / np.linalg.norm(b)
+    b = _comb(1.0, u1, -_dot(u1, u0), u0)
+    if math.hypot(*b) <= 1e-12:
+        # u0 x e_k for the axis e_k of u0's smallest component
+        k = min(range(3), key=lambda i: abs(u0[i]))
+        b = [0.0, 0.0, 0.0]
+        b[(k + 1) % 3], b[(k + 2) % 3] = u0[(k + 2) % 3], -u0[(k + 1) % 3]
+    b = _comb(1.0, b, -_dot(b, u0), u0)
+    norm = math.hypot(*b)
+    return [x / norm for x in b]
 
 
-def _circle_fit(m: np.ndarray, axes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _circle_fit(m, axes, a, b) -> list[float]:
     """Unit n = cos(phi) a + sin(phi) b minimizing D(m || alpha(n)), that is
-    -sum m_i ln(1 + n.v_i), for weights m (K,) > 0 on axes v (K, 3) in the
-    plane of a and b.
+    -sum m_i ln(1 + n.v_i), for weights m_i > 0 on axes v_i in the plane of
+    a and b.
 
     With psi_i the angle of v_i in the plane, 1 + n.v_i = 2 cos^2((phi -
     psi_i) / 2), so the slope in phi is sum m_i tan((phi - psi_i) / 2): it
@@ -467,25 +526,24 @@ def _circle_fit(m: np.ndarray, axes: np.ndarray, a: np.ndarray, b: np.ndarray) -
     cosine is still far above its rounding.  An arc with no sign change
     there (narrower than about 1e-11 rad, or with its minimum that close to
     a pole) is skipped; should its minimum be the global one, the
-    certificate in min_exponent fails.
+    certificate in min_exponent fails.  A direction on an axis's antipode
+    (1 + n.v_i <= 0) scores +inf.
     """
-    psi = np.arctan2(axes @ b, axes @ a)
-    poles = sorted(np.mod(psi + math.pi, 2.0 * math.pi).tolist())
-    psi_list, weights = psi.tolist(), m.tolist()
+    psi = [math.atan2(_dot(v, b), _dot(v, a)) for v in axes]
+    poles = sorted((s + math.pi) % (2.0 * math.pi) for s in psi)
 
     def scaled_slope(phi: float) -> float:
-        half = [(phi - s) / 2.0 for s in psi_list]
-        cos_h = [math.cos(h) for h in half]
-        total = 0.0
-        for i, h in enumerate(half):
-            term = weights[i] * math.sin(h)
-            for j, c in enumerate(cos_h):
-                if j != i:
-                    term *= c
-            total += term
+        # sum_i m_i sin(h_i) prod_{j != i} cos(h_j), one cell at a time:
+        # ``prod`` is the product of the cosines seen so far
+        total, prod = 0.0, 1.0
+        for w, s in zip(m, psi):
+            h = (phi - s) / 2.0
+            c = math.cos(h)
+            total = total * c + w * math.sin(h) * prod
+            prod *= c
         return total
 
-    best = (math.inf, a)
+    best = (math.inf, list(a))
     for lo, hi in zip(poles, poles[1:] + [poles[0] + 2.0 * math.pi]):
         if hi - lo <= 4e-12:
             continue
@@ -493,44 +551,43 @@ def _circle_fit(m: np.ndarray, axes: np.ndarray, a: np.ndarray, b: np.ndarray) -
             phi = brent_root(scaled_slope, lo + 1e-12, hi - 1e-12, xtol=1e-15)
         except DomainError:
             continue
-        n = math.cos(phi) * a + math.sin(phi) * b
-        with np.errstate(divide="ignore"):
-            value = -float(m @ np.log(np.clip(1.0 + axes @ n, 0.0, None)))
+        n = _comb(math.cos(phi), a, math.sin(phi), b)
+        cells = [1.0 + _dot(n, v) for v in axes]
+        if min(cells) <= 0.0:
+            continue
+        value = -sum(w * math.log(c) for w, c in zip(m, cells))
         if value < best[0]:
             best = (value, n)
     return best[1]
 
 
-def _exterior_point(problem: TwoBasisSampling) -> tuple[ExponentPoint, float]:
+def _exterior_point(problem: TwoBasisSampling) -> tuple[tuple[float, list, list, list], float]:
     """Outside the zero region: the point k_frac = 0, p = m at the circle
     fit n0, and the weak-duality bound at lam0 = ln(alpha(n0) / m) on the
     free cells, minimized over n in closed form and over k_frac at both ends
-    of [0, 1/2] (Z_q from singlet_pair_probs; the k_frac = 1/2 end drops
-    when no pair of outcomes with nonzero counts is possible)."""
-    m = problem.count_fractions().reshape(4)
-    free = m > 0.0
-    # outcome Bloch axes v, flattened [b, j]: alpha = (1 + n.v) / 4
-    axes = np.array([bloch_vector(ket) for ket in problem.kets().reshape(4, 2)])
-    n = _circle_fit(m[free], axes[free], *_plane(axes[1], axes[3]))
-    alpha = (1.0 + axes @ n) / 4.0
-    if not np.all(alpha[free] > 0.0):
+    of [0, 1/2] (the k_frac = 1/2 end drops when no pair of outcomes with
+    nonzero counts is possible)."""
+    m, axes, beta = problem._fractions, problem._axes, problem._beta
+    free = [i for i in range(4) if m[i] > 0.0]
+    n = _circle_fit([m[i] for i in free], [axes[i] for i in free],
+                    axes[1], _plane(axes[1], axes[3]))
+    alpha = _alpha(axes, n)
+    if not all(alpha[i] > 0.0 for i in free):
         raise DomainError("exponent not certified: the remainder misses an observed outcome")
     # w = exp(-lam0) on the free cells, 0 on the others
-    w = np.zeros(4)
-    w[free] = m[free] / alpha[free]
-    beta = singlet_pair_probs(problem).transpose(0, 2, 1, 3).reshape(4, 4)
-    z_q = float(w @ beta @ w)
-    z_p = (w.sum() + float(np.linalg.norm(w @ axes))) / 4.0
-    base = problem.weight_entropy() - LN2 + float(m[free] @ np.log(w[free]))
+    w = [m[i] / alpha[i] if i in free else 0.0 for i in range(4)]
+    z_q = sum(w[i] * beta[i][j] * w[j] for i in free for j in free)
+    big_v = [sum(w[i] * axes[i][x] for i in free) for x in range(3)]
+    z_p = (sum(w) + math.sqrt(_dot(big_v, big_v))) / 4.0
+    base = problem.weight_entropy() - LN2 + sum(m[i] * math.log(w[i]) for i in free)
     lower = base - math.log(z_p)
     if z_q > 0.0:
         lower = min(lower, base - 0.5 * math.log(z_q))
-        q = beta * np.outer(w, w) / z_q
+        q4 = [[beta[i][j] * (w[i] * w[j]) / z_q for j in range(4)] for i in range(4)]
     else:
         # no pair fits the counts; at k_frac = 0 any q stands in
-        q = np.full((4, 4), 1.0 / 16.0)
-    q = q.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
-    return ExponentPoint(k_frac=0.0, bloch_n=n, q=q, p=problem.count_fractions()), lower
+        q4 = [[1.0 / 16.0] * 4 for _ in range(4)]
+    return (0.0, n, q4, m), lower
 
 
 def min_exponent(problem: TwoBasisSampling, options: SolverOptions | None = None) -> ExponentSolution:
@@ -543,22 +600,19 @@ def min_exponent(problem: TwoBasisSampling, options: SolverOptions | None = None
     misses the counts by more than CERT_TOL or the gap is larger.
     ``options`` is accepted for compatibility and steers nothing.
     """
-    norm, r = _bloch_fit(problem)
+    norm, r = problem._fit
     if norm <= _ZERO_REGION_EDGE:
-        point, lower = _zero_region_point(problem, r), 0.0
+        (k, n, q4, p4), lower = _zero_region_point(problem, r), 0.0
     else:
-        point, lower = _exterior_point(problem)
-    r_primal = exponent_direct(point, problem)
+        (k, n, q4, p4), lower = _exterior_point(problem)
+    residual = _check_residual(_residual(k, q4, p4, problem._fractions))
+    r_primal = _direct(problem, k, n, q4, p4)
     gap = r_primal - lower
     if not gap <= GAP_TOL:
         raise DomainError(f"exponent not certified: primal-dual gap {gap:.3e}")
     r_nats = max(lower, 0.0)
-    return ExponentSolution(
-        point=point,
-        r_nats=r_nats,
-        r_bits=r_nats / LN2,
-        converged=True,
-        residual=count_residual(point, problem),
-        r_primal=r_primal,
-        gap=gap,
-    )
+    point = ExponentPoint(k_frac=k, bloch_n=np.array(n),
+                          q=np.array(q4).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3),
+                          p=np.array(p4).reshape(2, 2))
+    return ExponentSolution(point=point, r_nats=r_nats, r_bits=r_nats / LN2, converged=True,
+                            residual=residual, r_primal=r_primal, gap=gap)

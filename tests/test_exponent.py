@@ -679,11 +679,44 @@ def assert_gap_certified(sol, prob):
     assert sol.converged and sol.gap <= 1e-8
 
 
+def dual_bound(prob, n):
+    """min_exponent's weak-duality bound outside the zero region, at
+    lam0 = ln(alpha(n) / m) on the free cells, from the public array
+    functions: base - max(ln Z_p*, ln Z_q / 2)."""
+    m = prob.count_fractions().reshape(4)
+    free = m > 0.0
+    w = np.zeros(4)
+    w[free] = m[free] / remainder_probs(prob, n).reshape(4)[free]
+    beta = singlet_pair_probs(prob).transpose(0, 2, 1, 3).reshape(4, 4)
+    axes = np.array([bloch_vector(ket) for ket in prob.kets().reshape(4, 2)])
+    z_q = float(w @ beta @ w)
+    z_p = (w.sum() + np.linalg.norm(w @ axes)) / 4.0
+    base = prob.weight_entropy() - math.log(2.0) + float(m[free] @ np.log(w[free]))
+    lower = base - math.log(z_p)
+    return min(lower, base - 0.5 * math.log(z_q)) if z_q > 0.0 else lower
+
+
 class TestDualFirstSolver:
     @pytest.mark.parametrize("instances", [criterion_10_instances, benchmark_instances])
     def test_certified_without_the_scan(self, instances):
         for prob in instances():
             assert_gap_certified(min_exponent(prob), prob)
+
+    def test_diagnostics_match_the_returned_arrays(self):
+        # the solver works on floats and builds the point's arrays last; its
+        # residual, primal value and gap are those of the returned arrays,
+        # and the array method agrees (a transposed q index [b, b', j, j']
+        # moves the implied counts)
+        near = [prob for prob, _, _ in near_collinear_batch(size=60, seed=2031)]
+        for prob in list(certification_batch(size=60, seed=2030)) + near:
+            sol = min_exponent(prob)
+            assert sol.residual == count_residual(sol.point, prob)
+            implied = sol.point.implied_count_fractions() - prob.count_fractions()
+            assert np.max(np.abs(implied)) == pytest.approx(sol.residual, abs=1e-15)
+            assert sol.r_primal == exponent_direct(sol.point, prob)
+            lower = 0.0 if zero_region_contains(prob) else dual_bound(prob, sol.point.bloch_n)
+            assert sol.gap == pytest.approx(sol.r_primal - lower, abs=1e-12)
+            assert sol.r_nats == pytest.approx(max(lower, 0.0), abs=1e-12)
 
     def test_collinear_candidate_meets_closed_form(self):
         basis = basis_from_bloch(*COLLINEAR_ANGLES)
