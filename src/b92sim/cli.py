@@ -253,8 +253,8 @@ def cmd_exponent(basis0_spec: str, basis1_spec: str, m0: int, m1: int,
         "converged": sol.converged,
         "point": {
             "k_frac": jf(sol.point.k_frac),
-            "bloch_n": [jf(v) for v in sol.point.bloch_n],
-            "p": [[jf(v) for v in row] for row in sol.point.p],
+            "bloch_n": [jf(v) for v in sol.point.bloch_n.tolist()],
+            "p": [[jf(v) for v in row] for row in sol.point.p.tolist()],
             "q": (sol.point.q.round(12) + 0.0).tolist(),
         },
     }
@@ -330,6 +330,30 @@ def _render(fields: tuple[str, ...], rows: list[tuple], fmt_name: str,
     if not many:
         return objs[0] + "\n"
     return "[\n  " + ",\n  ".join(objs) + "\n]\n"
+
+
+def _dump(value, pad: str = "") -> str:
+    """json.dumps(value, indent=2), byte for byte, of the nested dicts,
+    lists, Python ints, bools, None and finite Python floats that simulate
+    and exponent print (keys are plain names), without json's pure-Python
+    indent encoder."""
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [f'"{key}": {_dump(v, inner)}' for key, v in value.items()]
+        ends = "{}"
+    elif isinstance(value, list):
+        # a float, the common leaf, skips the recursion
+        items = [repr(v) if type(v) is float else _dump(v, inner) for v in value]
+        ends = "[]"
+    elif value is None:
+        return "null"
+    elif isinstance(value, bool):
+        return "true" if value else "false"
+    else:
+        return repr(value)
+    if not items:
+        return ends
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{ends[1]}"
 
 
 def _float(text: str) -> float:
@@ -412,13 +436,11 @@ def _run(args) -> int:
     elif args.command == "simulate":
         _require(args, "p", "n")
         slacks = SlackVector(*(getattr(args, f"eps{i}") for i in range(1, 9)))
-        result = cmd_simulate(args.p, _resolve_alpha_sq(args), args.n, args.seed, slacks)
-        text = json.dumps(result, indent=2) + "\n"
+        text = _dump(cmd_simulate(args.p, _resolve_alpha_sq(args), args.n, args.seed, slacks)) + "\n"
     else:  # COMMANDS holds no other command
         _require(args, "basis0", "basis1", "m0", "m1", "delta0", "delta1")
-        result = cmd_exponent(args.basis0, args.basis1, args.m0, args.m1,
-                              args.delta0, args.delta1, args.seed)
-        text = json.dumps(result, indent=2) + "\n"
+        text = _dump(cmd_exponent(args.basis0, args.basis1, args.m0, args.m1,
+                                  args.delta0, args.delta1, args.seed)) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:
