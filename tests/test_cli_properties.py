@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from b92sim.cli import RateReport, _render, jf, main
+from b92sim.cli import RateReport, _dump, _render, jf, main
 
 # floats with the edge values drawn often: negatives, zeros, nan, +-inf, and
 # the ranges where the commands succeed
@@ -191,6 +191,45 @@ ROW_VALUES = st.one_of(
 )
 
 
+def jf_tree(value):
+    """value with every float leaf replaced by jf of it."""
+    if isinstance(value, dict):
+        return {key: jf_tree(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [jf_tree(v) for v in value]
+    return jf(value) if isinstance(value, float) else value
+
+
+# the leaves and containers that simulate and exponent print: nested dicts
+# with plain keys, lists (empty ones too), ints, bools, None and floats
+NESTED = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-10**20, 10**20), ROW_VALUES),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.from_regex(r"[a-z_][a-z0-9_]{0,7}", fullmatch=True), children,
+                        max_size=4)),
+    max_leaves=40,
+)
+SIMULATE_SHAPE = {
+    "params": {"p": 0.03, "alpha_sq": -0.0, "n_pairs": 1000, "seed": 0,
+               "eps": [0.0, 1e-310, 0.0, 0.001, 0.0, 0.0, 0.0, 0.0]},
+    "tallies": {"n_err": 0, "n_fil": 12, "n_bit": 3, "n_ph": 5,
+                "n_xx": [[1, 2], [3, 4]], "m_check": []},
+    "bound": {"feasible": False, "r_ph_bar": math.nan, "x_star": math.inf,
+              "delta": -math.inf},
+    "key_length": 1e300,
+    "failure_budget": -1e300,
+}
+EXPONENT_SHAPE = {
+    "r_nats": 0.1234567890123456, "r_bits": 1.0 / 3.0,
+    "zero_region_member": True, "converged": True,
+    "point": {"k_frac": 0.0, "bloch_n": [0.6, -0.0, 0.8],
+              "p": [[0.25, 0.25], [math.nan, 0.5]],
+              "q": [[[[1.0 / 16.0, 0.0], [2e-13, -1e-13]]] * 2] * 2},
+    "empty": {},
+}
+
+
 class TestJsonRows:
     @settings(max_examples=500, deadline=None)
     @given(rows=st.lists(st.tuples(*[ROW_VALUES] * 9), min_size=1, max_size=3),
@@ -206,3 +245,14 @@ class TestJsonRows:
         out = _render(fields, rows, "json", many=many)
         assert out == expected
         json.loads(out, parse_constant=reject)
+
+    @settings(max_examples=500, deadline=None)
+    @given(value=NESTED)
+    @example(value=SIMULATE_SHAPE)
+    @example(value=EXPONENT_SHAPE)
+    def test_nested_values_are_json_dumps_with_indent(self, value):
+        mapped = jf_tree(value)
+        out = _dump(mapped)
+        assert out == json.dumps(mapped, indent=2)
+        json.loads(out, parse_constant=reject)
+
