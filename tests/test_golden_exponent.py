@@ -32,7 +32,8 @@ import numpy as np
 import pytest
 
 from b92sim.cli import parse_basis
-from b92sim.exponent import CERT_TOL, GAP_TOL, TwoBasisSampling, bloch_vector, min_exponent
+from b92sim.exponent import (CERT_TOL, GAP_TOL, TwoBasisSampling, bloch_vector,
+                             exponent_decomposed, exponent_direct, min_exponent)
 from test_golden import run
 
 FIXTURE = Path(__file__).with_name("golden_exponent.json")
@@ -171,6 +172,17 @@ def test_output_matches_fixture(case):
     else:
         _close(point, want_point, "point", max(1e-12, 1e-15 / sin_w))
     _close(got, want, "out")
+
+
+@pytest.mark.parametrize("case", cases(), ids=lambda case: " ".join(case["argv"][1:]))
+def test_decomposed_form_matches_direct_at_the_solver_point(case):
+    # the solver's points hold what random points do not: counts at 0 or m,
+    # k_frac = 0 (no pairs) and collinear bases, so every zero branch of the
+    # regrouped form runs
+    problem = _problem(case["argv"])
+    point = min_exponent(problem).point
+    assert exponent_decomposed(point, problem) == pytest.approx(
+        exponent_direct(point, problem), rel=0.0, abs=1e-12)
 
 
 if __name__ == "__main__":
