@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .exponent import b92_angle_bounds
+from .exponent import _dot, b92_angle_bounds
 
 # the bands and error-weight limits are widened by FEAS_TOL in their own
 # units; ROUND, the rounding allowance, widens each bound on x in its row's
@@ -49,10 +49,6 @@ _N0, _RADIUS, _LEVELS, _CAP = 24, 0.5, 16, 1024
 # about 11 such solves; the benchmark's 96 slacked calls take 0.48-0.49 ms on
 # average (in-process, least of 7 passes, 2-core VM), 0.49-0.50 ms when each
 # check also had a row for its clip (17 Newton rows, not 15)
-def _dot(u, v) -> float:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
 def _norm(g) -> float:
     """Length of a constraint's gradient."""
     return math.sqrt(g[1] * g[1] + g[2] * g[2] + g[3] * g[3])

@@ -1,9 +1,10 @@
 """Command-line front end: rate queries, channel sweeps, nonorthogonality
 optimization, protocol simulation, and sampling-exponent queries.
 
-Analytic commands are deterministic byte-for-byte for a given invocation:
-floating-point output uses 12 significant digits and CSV rows use LF line
-endings with the fixed column order
+Output is deterministic byte-for-byte for a given invocation: every
+command prints its floats at 12 significant digits (-0 as 0; nan and +-inf
+as null in JSON), and CSV rows use LF line endings with the fixed column
+order
 
     alpha_sq,overlap,p,r_fil,r_err,r_ph_bar,r_ph_actual,r_bit_actual,G
 
@@ -209,11 +210,11 @@ def cmd_simulate(p: float, alpha_sq: float, n_pairs: int, seed: int,
     budget = failure_budget(n_pairs, slacks, 0, 0.0)
     return {
         "params": {
-            "p": jf(p),
-            "alpha_sq": jf(alpha_sq),
+            "p": p,
+            "alpha_sq": alpha_sq,
             "n_pairs": n_pairs,
             "seed": seed,
-            "eps": [jf(e) for e in slacks.as_tuple()],
+            "eps": list(slacks.as_tuple()),
         },
         "tallies": {
             "n_err": t.n_err,
@@ -225,12 +226,12 @@ def cmd_simulate(p: float, alpha_sq: float, n_pairs: int, seed: int,
         },
         "bound": {
             "feasible": bound.feasible,
-            "r_ph_bar": jf(bound.r_ph_bar),
-            "x_star": jf(bound.x_star),
-            "delta": jf(bound.delta),
+            "r_ph_bar": bound.r_ph_bar,
+            "x_star": bound.x_star,
+            "delta": bound.delta,
         },
-        "key_length": jf(key_length),
-        "failure_budget": jf(budget),
+        "key_length": key_length,
+        "failure_budget": budget,
     }
 
 
@@ -247,15 +248,15 @@ def cmd_exponent(basis0_spec: str, basis1_spec: str, m0: int, m1: int,
     )
     sol = min_exponent(problem, SolverOptions(seed=seed))
     return {
-        "r_nats": jf(sol.r_nats),
-        "r_bits": jf(sol.r_bits),
+        "r_nats": sol.r_nats,
+        "r_bits": sol.r_bits,
         "zero_region_member": zero_region_contains(problem),
         "converged": sol.converged,
         "point": {
-            "k_frac": jf(sol.point.k_frac),
-            "bloch_n": [jf(v) for v in sol.point.bloch_n.tolist()],
-            "p": [[jf(v) for v in row] for row in sol.point.p.tolist()],
-            "q": (sol.point.q.round(12) + 0.0).tolist(),
+            "k_frac": sol.point.k_frac,
+            "bloch_n": sol.point.bloch_n.tolist(),
+            "p": sol.point.p.tolist(),
+            "q": sol.point.q.tolist(),
         },
     }
 
@@ -312,45 +313,42 @@ def _grid(lo: float, hi: float, steps: int) -> tuple[float, ...]:
 
 def _render(fields: tuple[str, ...], rows: list[tuple], fmt_name: str,
             *, many: bool = False) -> str:
-    """CSV with a header line, or JSON: a list of objects when ``many``,
-    else the one row's object."""
-    if fmt_name == "csv":
-        lines = [",".join(fields)] + [",".join(map(fmt, row)) for row in rows]
-        return "\n".join(lines) + "\n"
-    # json.dumps(..., indent=2) of the jf values, written here: json spells a
-    # float as repr(x) and None as null, and its indent encoder is pure Python
-    pad = "    " if many else "  "
-    objs = []
-    for row in rows:
-        items = []
-        for name, v in zip(fields, row):
-            x = jf(v)
-            items.append(f'{pad}"{name}": {"null" if x is None else repr(x)}')
-        objs.append("{\n" + ",\n".join(items) + "\n" + pad[2:] + "}")
-    if not many:
-        return objs[0] + "\n"
-    return "[\n  " + ",\n  ".join(objs) + "\n]\n"
+    """CSV with a header line, or JSON (_dump): a list of objects when
+    ``many``, else the one row's object."""
+    if fmt_name == "json":
+        objs = [dict(zip(fields, row)) for row in rows]
+        return _dump(objs if many else objs[0]) + "\n"
+    lines = [",".join(fields)] + [",".join(map(fmt, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _number(v: float) -> str:
+    """A float as JSON: jf of it, spelled as json.dumps spells it."""
+    x = jf(v)
+    return "null" if x is None else repr(x)
 
 
 def _dump(value, pad: str = "") -> str:
     """json.dumps(value, indent=2), byte for byte, of the nested dicts,
-    lists, Python ints, bools, None and finite Python floats that simulate
-    and exponent print (keys are plain names), without json's pure-Python
-    indent encoder."""
+    lists, Python ints, bools and None that the commands print (keys are
+    plain names), with each float (np.float64 too) replaced by jf of it.
+    The one JSON writer, and the one place that jf's rule is applied,
+    without json's pure-Python indent encoder."""
     inner = pad + "  "
+    # a float, the common leaf, skips the recursion
     if isinstance(value, dict):
-        items = [f'"{key}": {_dump(v, inner)}' for key, v in value.items()]
+        items = [f'"{key}": {_number(v) if isinstance(v, float) else _dump(v, inner)}'
+                 for key, v in value.items()]
         ends = "{}"
     elif isinstance(value, list):
-        # a float, the common leaf, skips the recursion
-        items = [repr(v) if type(v) is float else _dump(v, inner) for v in value]
+        items = [_number(v) if isinstance(v, float) else _dump(v, inner) for v in value]
         ends = "[]"
     elif value is None:
         return "null"
     elif isinstance(value, bool):
         return "true" if value else "false"
     else:
-        return repr(value)
+        return _number(value) if isinstance(value, float) else repr(value)
     if not items:
         return ends
     return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{ends[1]}"

@@ -36,10 +36,12 @@ GAP_TOL.  Otherwise min_exponent raises DomainError.
 A query runs on plain floats: an instance reads its four outcome kets, their
 Bloch axes v_bj, its four count fractions and its Bloch fit once, and the
 solver builds arrays only for the point it returns.  The array functions
-singlet_pair_probs, remainder_probs, count_residual, exponent_direct and
-bloch_fit_radius wrap the same float kernels: beta in its determinant form
-(so impossible pairs are exactly 0) and alpha_i(n) = (1 + n.v_i) / 4.  A
-point's floats are q as a 4x4 matrix [b j][b' j'] and p flattened [b j].
+singlet_pair_probs, remainder_probs, count_residual, exponent_direct,
+exponent_decomposed and bloch_fit_radius wrap the same float kernels: beta
+in its determinant form (so impossible pairs are exactly 0), alpha_i(n) =
+(1 + n.v_i) / 4 and the divergence _divergence, which
+security.relative_entropy reads too.  A point's floats are q as a 4x4
+matrix [b j][b' j'] and p flattened [b j].
 """
 
 from __future__ import annotations
@@ -238,10 +240,6 @@ class ExponentPoint:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def xi1(self) -> float:
-        return 1.0 - 2.0 * self.k_frac
-
     def pair_marginal_first(self) -> np.ndarray:
         return self.q.sum(axis=(1, 3))
 
@@ -249,12 +247,9 @@ class ExponentPoint:
         return self.q.sum(axis=(0, 2))
 
     def implied_count_fractions(self) -> np.ndarray:
-        xi2 = self.k_frac
-        return (
-            self.xi1 * self.p
-            + xi2 * self.pair_marginal_first()
-            + xi2 * self.pair_marginal_second()
-        )
+        k = self.k_frac
+        pairs = self.pair_marginal_first() + self.pair_marginal_second()
+        return (1.0 - 2.0 * k) * self.p + k * pairs
 
 
 @dataclass(frozen=True)
@@ -317,10 +312,6 @@ def _divergence(p, q) -> float:
     return sum(a * math.log(a / b) for a, b in zip(p, q) if a > 0.0)
 
 
-def _rel_entropy_nats(p: np.ndarray, q: np.ndarray) -> float:
-    return _divergence(np.ravel(p).tolist(), np.ravel(q).tolist())
-
-
 def _point_floats(point: ExponentPoint) -> tuple[float, list, list, list]:
     """(k_frac, n, q [b j][b' j'], p [b j]) of a point."""
     return (point.k_frac, point.bloch_n.tolist(),
@@ -348,10 +339,6 @@ def count_residual(point: ExponentPoint, problem: TwoBasisSampling) -> float:
     observed ones (0 for a point that reproduces the counts)."""
     k, _, q4, p4 = _point_floats(point)
     return _residual(k, q4, p4, problem._fractions)
-
-
-def _check_count_matching(point: ExponentPoint, problem: TwoBasisSampling) -> None:
-    _check_residual(count_residual(point, problem))
 
 
 def _direct(problem: TwoBasisSampling, k: float, n, q4, p4) -> float:
@@ -384,48 +371,41 @@ def exponent_decomposed(point: ExponentPoint, problem: TwoBasisSampling) -> floa
     remainder conditional divergence, and the mutual information between
     the decomposition label and the basis index.
     """
-    _check_count_matching(point, problem)
-    xi2 = point.k_frac
-    xi1 = point.xi1
-    q = point.q
-    p = point.p
+    k, n, q4, p4 = _point_floats(point)
+    _check_residual(_residual(k, q4, p4, problem._fractions))
+    xi1 = 1.0 - 2.0 * k
+    cells = ((0, 1), (2, 3))  # the cells [b j] of basis b
+    # pair masses q_bb[b][b'] of bases (b, b'), and their marginals q_b, q_b'
+    q_bb = [[sum(q4[i][j] for i in rows for j in cols) for cols in cells] for rows in cells]
+    q_b, q_bp = [sum(row) for row in q_bb], [sum(col) for col in zip(*q_bb)]
+    p_b = [p4[i] + p4[j] for i, j in cells]
     r = 0.0
 
-    if xi2 > 0.0:
-        beta_ref = singlet_pair_probs(problem)
-        q_bb = q.sum(axis=(2, 3))
-        q_b = q_bb.sum(axis=1)
-        q_bp = q_bb.sum(axis=0)
-        r += xi2 * _rel_entropy_nats(q_bb, np.outer(q_b, q_bp))
-        beta_bb = beta_ref.sum(axis=(2, 3))
-        for b in (0, 1):
-            for bp in (0, 1):
-                if q_bb[b, bp] <= 0.0:
+    if k > 0.0:
+        beta = problem._beta
+        r += k * _divergence(sum(q_bb, []), [a * c for a in q_b for c in q_bp])
+        for b, rows in enumerate(cells):
+            for bp, cols in enumerate(cells):
+                if q_bb[b][bp] <= 0.0:
                     continue
-                cond_q = q[b, bp] / q_bb[b, bp]
-                cond_beta = beta_ref[b, bp] / beta_bb[b, bp]
-                r += xi2 * q_bb[b, bp] * _rel_entropy_nats(cond_q, cond_beta)
+                beta_bb = sum(beta[i][j] for i in rows for j in cols)
+                r += k * q_bb[b][bp] * _divergence(
+                    [q4[i][j] / q_bb[b][bp] for i in rows for j in cols],
+                    [beta[i][j] / beta_bb for i in rows for j in cols])
 
     if xi1 > 0.0:
-        alpha_ref = remainder_probs(problem, point.bloch_n)
-        p_b = p.sum(axis=1)
-        alpha_b = alpha_ref.sum(axis=1)
-        for b in (0, 1):
+        alpha = _alpha(problem._axes, n)
+        for b, (i, j) in enumerate(cells):
             if p_b[b] <= 0.0:
                 continue
-            r += xi1 * p_b[b] * _rel_entropy_nats(p[b] / p_b[b], alpha_ref[b] / alpha_b[b])
+            alpha_b = alpha[i] + alpha[j]
+            r += xi1 * p_b[b] * _divergence([p4[i] / p_b[b], p4[j] / p_b[b]],
+                                            [alpha[i] / alpha_b, alpha[j] / alpha_b])
 
     # decomposition-label vs basis-index mutual information
-    gamma = np.stack(
-        [
-            xi1 * p.sum(axis=1),
-            xi2 * point.pair_marginal_first().sum(axis=1),
-            xi2 * point.pair_marginal_second().sum(axis=1),
-        ]
-    )
-    gamma_a = gamma.sum(axis=1)
-    gamma_b = gamma.sum(axis=0)
-    r += _rel_entropy_nats(gamma, np.outer(gamma_a, gamma_b))
+    gamma = [[xi1 * x for x in p_b], [k * x for x in q_b], [k * x for x in q_bp]]
+    gamma_b = [sum(col) for col in zip(*gamma)]
+    r += _divergence(sum(gamma, []), [sum(row) * c for row in gamma for c in gamma_b])
     return r
 
 

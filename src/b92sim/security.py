@@ -14,6 +14,7 @@ import numpy as np
 
 from ._sectors import Sectors
 from .errors import DomainError, ParameterError, SingularityError
+from .exponent import LN2, _divergence
 from .quantum import check_alpha
 
 GRAZE_TOL = 1e-12
@@ -87,7 +88,8 @@ def binary_entropy(p: float) -> float:
 
 
 def relative_entropy(p, q, *, allow_infinite: bool = False) -> float:
-    """Kullback-Leibler divergence sum_i p_i log2(p_i / q_i) in bits.
+    """Kullback-Leibler divergence sum_i p_i log2(p_i / q_i) in bits: the
+    exponent module's float kernel, in nats, over ln 2.
 
     With ``allow_infinite`` a support violation (p_i > 0 where q_i = 0)
     returns +inf instead of raising.
@@ -96,15 +98,14 @@ def relative_entropy(p, q, *, allow_infinite: bool = False) -> float:
     qa = np.asarray(q, dtype=float)
     if pa.shape != qa.shape:
         raise DomainError("distributions must have equal length")
-    if np.any(pa < 0.0) or np.any(qa < 0.0):
-        raise DomainError("distributions must be nonnegative")
-    bad = (pa > 0.0) & (qa == 0.0)
-    if np.any(bad):
+    flat_p, flat_q = pa.ravel().tolist(), qa.ravel().tolist()
+    if not all(0.0 <= x < math.inf for x in flat_p + flat_q):
+        raise DomainError("distributions must be finite and nonnegative")
+    if any(a > 0.0 == b for a, b in zip(flat_p, flat_q)):
         if allow_infinite:
             return math.inf
         raise DomainError("support violation: p_i > 0 where q_i = 0")
-    mask = pa > 0.0
-    return float(np.sum(pa[mask] * np.log2(pa[mask] / qa[mask])))
+    return _divergence(flat_p, flat_q) / LN2
 
 
 def _gap(a2: float) -> float:

@@ -8,6 +8,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -200,6 +201,15 @@ def jf_tree(value):
     return jf(value) if isinstance(value, float) else value
 
 
+def np64_tree(value):
+    """value with every float leaf as an np.float64."""
+    if isinstance(value, dict):
+        return {key: np64_tree(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [np64_tree(v) for v in value]
+    return np.float64(value) if isinstance(value, float) else value
+
+
 # the leaves and containers that simulate and exponent print: nested dicts
 # with plain keys, lists (empty ones too), ints, bools, None and floats
 NESTED = st.recursive(
@@ -252,7 +262,10 @@ class TestJsonRows:
     @example(value=EXPONENT_SHAPE)
     def test_nested_values_are_json_dumps_with_indent(self, value):
         mapped = jf_tree(value)
-        out = _dump(mapped)
-        assert out == json.dumps(mapped, indent=2)
-        json.loads(out, parse_constant=reject)
+        expected = json.dumps(mapped, indent=2)
+        # the writer applies jf itself, to Python floats and np.float64 alike
+        for given in (mapped, value, np64_tree(value)):
+            out = _dump(given)
+            assert out == expected
+            json.loads(out, parse_constant=reject)
 
