@@ -89,6 +89,14 @@ class TestRelativeEntropy:
             relative_entropy([0.5, 0.5], [1.0, 0.0])
         assert relative_entropy([0.5, 0.5], [1.0, 0.0], allow_infinite=True) == math.inf
 
+    @pytest.mark.parametrize("p, q", [([math.nan, 1.0], [0.5, 0.5]), ([0.5, 0.5], [math.inf, 1.0]),
+                                      ([math.inf, 0.0], [0.5, 0.5]), ([0.5, 0.5], [math.nan, 0.5])])
+    def test_non_finite_entries_raise(self, p, q):
+        # a nan cell would drop out of the sum, and an infinite q_i would
+        # reach log(0)
+        with pytest.raises(DomainError):
+            relative_entropy(p, q, allow_infinite=True)
+
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_scipy_entropy(self, seed):
         # seeded p and q with zero cells, flat and as 2x2 arrays; a p cell
