@@ -221,6 +221,70 @@ def test_each_band_side_binds_at_its_corner(family):
     assert sides >= 20000
 
 
+def cell_bounds(sec, cells) -> list[float]:
+    """The objective's bound on each cell (lo0, hi0, lo1, hi1)."""
+    a0, b0, a1, b1 = (np.array(edges) for edges in zip(*cells))
+    return sec.bounds(a0, b0, a1, b1, 1)[2][:, 0, 0].tolist()
+
+
+def split(cell):
+    """A cell's four children, its edges cut at a + (b - a) {0, 1/2, 1}."""
+    e0, e1 = ([a + (b - a) * t for t in (0.0, 0.5, 1.0)] for a, b in (cell[:2], cell[2:]))
+    return [(e0[i], e0[i + 1], e1[j], e1[j + 1]) for i in (0, 1) for j in (0, 1)]
+
+
+@pytest.mark.parametrize("family", ["benchmark", "mixed", "one-zero-band"])
+def test_a_coarse_cell_bounds_its_children(family):
+    # a cell's bound is at least each of its four children's, exactly: on the
+    # 3 x 3, 6 x 6 and 12 x 12 cuts of the first grid's own edges, and down
+    # chains of 2 x 2 splits from first-grid cells to 2^-13 of one.  So the
+    # first-grid cells that a search from the 3 x 3 cut reaches, halving each
+    # cell whose bound beats the best point, are all those whose bound does
+    if family == "benchmark":
+        secs = [_sectors.Sectors(alpha, n_err / n, delta_param(n_fil / n, alpha), eps.as_tuple())
+                for n_err, n_fil, n, alpha, eps in benchmark_shaped(19, 30)]
+    else:
+        secs = list(problems(family, 37, 60))
+    edge = (0.5 * math.pi * np.linspace(0.0, 1.0, _sectors._N0 + 1)).tolist()
+    rng, splits, finite = np.random.default_rng(23), 0, 0
+    for sec in (s for s in secs if not (s.equal["s"] and s.equal["f"])):
+        for step in (8, 4, 2):
+            cells = [(edge[i], edge[i + step], edge[j], edge[j + step])
+                     for i in range(0, _sectors._N0, step) for j in range(0, _sectors._N0, step)]
+            half = step // 2
+            children = [(edge[i + u], edge[i + u + half], edge[j + v], edge[j + v + half])
+                        for i in range(0, _sectors._N0, step) for j in range(0, _sectors._N0, step)
+                        for u in (0, half) for v in (0, half)]
+            parents, kids = cell_bounds(sec, cells), cell_bounds(sec, children)
+            for c, parent in enumerate(parents):
+                assert all(kid <= parent for kid in kids[4 * c:4 * c + 4]), (step, cells[c])
+            splits += len(parents)
+            finite += sum(kid > -math.inf for kid in kids)
+        # chains from up to 8 first-grid cells with a finite bound, each step
+        # to a random child with one, while there is one
+        grid = [(edge[i], edge[i + 1], edge[j], edge[j + 1])
+                for i in range(_sectors._N0) for j in range(_sectors._N0)]
+        live = [c for c, b in zip(grid, cell_bounds(sec, grid)) if b > -math.inf]
+        chains = [live[k] for k in rng.choice(len(live), min(8, len(live)), replace=False)]
+        for _ in range(13):
+            if not chains:
+                break
+            parents = cell_bounds(sec, chains)
+            children = [kid for cell in chains for kid in split(cell)]
+            kids = cell_bounds(sec, children)
+            nxt = []
+            for c, parent in enumerate(parents):
+                assert all(kid <= parent for kid in kids[4 * c:4 * c + 4]), chains[c]
+                live = [children[k] for k in range(4 * c, 4 * c + 4) if kids[k] > -math.inf]
+                if live:
+                    nxt.append(live[int(rng.integers(len(live)))])
+            splits += len(parents)
+            finite += sum(kid > -math.inf for kid in kids)
+            chains = nxt
+    print(f"{splits} splits, {finite} children with a finite bound")
+    assert splits >= 7000 and finite >= 6000
+
+
 def benchmark_shaped(seed: int, count: int):
     """Slacked calls shaped like the benchmark's: p in [0, 0.05], alpha^2 in
     [0.05, 0.45], n on the odd rungs of 10^(4 + k/4), every slack in
