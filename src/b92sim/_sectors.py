@@ -12,19 +12,18 @@ eps6 of x need only sit at the end of its range where the windows mix
 best.  The largest feasible x is a minimum of ratios (Sectors.x_top), and
 the ceiling is the maximum of x (1 - gap cos 2p1) over the angle square.
 
-Cell bounds close every part of the square that cannot beat the best point
-found, except the cells within a shrinking distance of the KKT point that
-gives it; a cell still open when the refinement budget runs out raises the
-ceiling to its bound, so outside that zone a miss shows as an over-report,
-never a shortfall.  With (a, d) pinned, x alone is searched, by bisection.
+Cell bounds, read from the same table and reached coarse to fine, close
+every part of the square that cannot beat the best point found, except the
+cells within a shrinking distance of the KKT point that gives it; a cell
+still open when the work budget runs out raises the ceiling to its bound, so
+outside that zone a miss shows as an over-report, never a shortfall.  With
+(a, d) pinned, x alone is searched, by bisection.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-
-import numpy as np
 
 from .exponent import _dot, b92_angle_bounds
 
@@ -39,16 +38,14 @@ _HALF_PI = 0.5 * math.pi
 # the first grid of cells over the angle square; the factor r of the distance
 # r sqrt(w) within which a KKT point explains a cell of width w, as a cell's
 # bound overshoots by O(w) and the objective falls off quadratically along a
-# ridge through the point; the refinement levels, the cells a level allowed
-# (a level is bounded in one call, about 2 MB of arrays at _CAP cells)
+# ridge through the point; the refinement levels, and the open cells a level
+# may refine (a work budget: a cell bound takes a few us)
 _N0, _RADIUS, _LEVELS, _CAP = 24, 0.5, 16, 1024
 
 
 # 1-3 dimensional algebra in plain floats: numpy.linalg.solve and an SVD null
 # space cost 6-8 us a call against 0.4-3.4 us here, and a slacked call makes
-# about 11 such solves; the benchmark's 96 slacked calls take 0.48-0.49 ms on
-# average (in-process, least of 7 passes, 2-core VM), 0.49-0.50 ms when each
-# check also had a row for its clip (17 Newton rows, not 15)
+# about 11 such solves
 def _norm(g) -> float:
     """Length of a constraint's gradient."""
     return math.sqrt(g[1] * g[1] + g[2] * g[2] + g[3] * g[3])
@@ -99,53 +96,20 @@ def _clash(a: str, b: str) -> bool:
     return a == b or ({a[-2:], b[-2:]} == {"hi", "lo"} and a[:-2] == b[:-2])
 
 
-def _slopes(p0, p1, lib=math):
+def _slopes(p0, p1):
     """cos 2p0 and the bands' slopes in x, k = c0 -+ c1 with c1 = cos 2p1,
     in forms free of cancellation."""
-    return lib.cos(2.0 * p0), (-2.0 * lib.sin(p0 + p1) * lib.sin(p0 - p1),
-                               2.0 * lib.cos(p0 + p1) * lib.cos(p0 - p1))
-
-
-def _geometry(a0, b0, a1, b1, n: int):
-    """The boxes [a0, b0] x [a1, b1] cut into n x n cells: the cell edges, and
-    cos 2p0, the slopes k and cos 2p1 at the nodes."""
-    t = np.linspace(0.0, 1.0, n + 1)
-    q0, q1 = a0[:, None] + (b0 - a0)[:, None] * t, a1[:, None] + (b1 - a1)[:, None] * t
-    c0, k = _slopes(q0[:, :, None], q1[:, None, :], np)
-    return q0, q1, c0, np.stack(k), np.cos(2.0 * q1[:, None, :])
-
-
-def _limits(num, den, shift):
-    """Each row's bounds on x from above and below, as Sectors.rows reads it
-    (+-inf where none, and -inf above where it misses by over ROUND)."""
-    ratio = num / np.where(den == 0.0, 1.0, den)
-    up = np.where(num < np.minimum(den, 0.0) - ROUND, -np.inf,
-                  np.where(den > 0.0, ratio + shift, np.inf))
-    return up, np.where(den < 0.0, ratio - shift, -np.inf)
-
-
-def _band_corners(v):
-    """The band sides' node values v (shi, slo, fhi, flo; m, n+1, n+1), each at
-    its corner of every cell, (p0, p1) = (lo, lo), (hi, hi), (lo, hi), (hi, lo):
-    at any x in [0, 1], s = a + d rises with both angles and f = a - d with
-    p0 and against p1, so a side holds somewhere on a cell just where it
-    holds there."""
-    lo, hi = slice(None, -1), slice(1, None)
-    return v[0, :, lo, lo], v[1, :, hi, hi], v[2, :, lo, hi], v[3, :, hi, lo]
-
-
-@functools.lru_cache(maxsize=1)
-def _square():
-    """_geometry of the angle square cut into _N0 x _N0 cells; read only."""
-    return _geometry(np.zeros(1), np.full(1, _HALF_PI), np.zeros(1), np.full(1, _HALF_PI), _N0)
+    return math.cos(2.0 * p0), (-2.0 * math.sin(p0 + p1) * math.sin(p0 - p1),
+                                2.0 * math.cos(p0 + p1) * math.cos(p0 - p1))
 
 
 class Sectors:
     """The slacked estimation problem for one set of tallies and slacks:
     rows() is its constraint table; x_top() solves it for x at given angles,
-    bounds() on cells of the angle square, polish() on its active rows
-    (constraints()) by Newton steps; interior() combines them, pinned_top()
-    searches x when both bands pin the skews and edge() solves an empty sector."""
+    cell() bounds it on a cell of angles and bounds() on a level of cells,
+    polish() solves it on its active rows (constraints()) by Newton steps;
+    interior() combines them, pinned_top() searches x when both bands pin the
+    skews and edge() solves an empty sector."""
 
     def __init__(self, alpha: float, r_err: float, delta: float, slacks: tuple[float, ...]):
         _, e2, _, e4, e5, self.e6, self.e7, self.e8 = slacks
@@ -164,10 +128,7 @@ class Sectors:
         self.lims = (2.0 * r_err + 2.0 * e5 + FEAS_TOL, -2.0 * r_err + 2.0 * e5 + FEAS_TOL)
         self.checks = ((1.0, -theta, -self.e7, 0.0, theta),
                        (-1.0, theta, -self.e8, -1.0, _HALF_PI - theta))
-        # the table's constants as columns, for its array evaluations
-        self.columns = (np.array([[A for _, A, _, _ in self.band_rows],
-                                  [s for _, _, s, _ in self.band_rows]]),
-                        np.array(self.checks).T, np.array(self.lims))
+        self.seen = {}
         # the zero-slack skews (a, d), which zero-width bands pin
         self.skews = (delta - gap, delta)
         # a zero-width band's sides are one surface, its multiplier of either sign
@@ -178,34 +139,24 @@ class Sectors:
         return tuple(0.5 * math.acos(min(max(-skew / mass, -1.0), 1.0)) if mass > 0.0 else None
                      for skew, mass in zip(self.skews, (1.0 - x, x)))
 
-    def _windows(self, p, lib=math):
-        """Each check's window at sector angle p, held at its clip: on floats,
-        exponent.b92_angle_bounds' lo and -hi; on an array whose first axis runs
-        over the checks (1 long for one angle for both), stacked on that axis."""
-        if lib is math:
+    def _windows(self, p):
+        """Each check's window at sector angle p, held at its clip:
+        exponent.b92_angle_bounds' lo and -hi, kept per angle."""
+        if p not in self.seen:
             lo, hi = b92_angle_bounds(p, self.theta, self.e7, self.e8)
-            return [lo, -hi]
-        m, shift, offset, clip, _ = self.columns[1].reshape((5, 2) + (1,) * (p.ndim - 1))
-        return np.maximum(m * np.sin(p + shift) ** 2 + offset, clip)
+            self.seen[p] = (lo, -hi)
+        return self.seen[p]
 
-    def rows(self, c0, k, a, b):
-        """The row table, floats or arrays: each constraint as (num, den,
-        shift), met where x <= num/den + shift if den > 0, x >= num/den -
-        shift if den < 0, and nowhere if num < min(den, 0).  The band rows
-        (none if c0 is None), lo <= -c0 + x k <= hi: (hi + c0, k), (-lo - c0,
-        -k); then a row per check and its windows a, b in the two sectors,
-        the checks in turn: some y in [0, 1] within eps6 of x with a + y (b -
-        a) <= lim, (lim - a, b - a).  On arrays, either the band rows (a None)
-        or the check rows (c0 None), stacked on a new first axis: the checks'
-        windows come stacked on it already."""
-        if isinstance(c0, np.ndarray):
-            A, s = self.columns[0].reshape((2, 4) + (1,) * c0.ndim)
-            return A + s * c0, s * k[[0, 0, 1, 1]], 0.0
-        if isinstance(a, np.ndarray):
-            lim = self.columns[2].reshape((2,) + (1,) * (a.ndim - 1))
-            return lim - a, b - a, self.e6
-        out = [] if c0 is None else [(A + s * c0, s * k[j], 0.0) for _, A, s, j in self.band_rows]
-        return out + [(lim - u, v - u, self.e6) for lim, u, v in zip(self.lims, a, b)]
+    def rows(self, slopes, a, b):
+        """The row table: each constraint as (num, den, shift), met where x <=
+        num/den + shift if den > 0, x >= num/den - shift if den < 0, and
+        nowhere if num < min(den, 0).  The band rows, shi, slo, fhi, flo, each
+        at its (c0, k) in ``slopes`` (none if it is empty), lo <= -c0 + x k <=
+        hi: (hi + c0, k), (-lo - c0, -k); then a row per check and its windows
+        a, b in the two sectors: some y in [0, 1] within eps6 of x with a + y
+        (b - a) <= lim, (lim - a, b - a)."""
+        return ([(A + s * c0, s * k[j], 0.0) for (_, A, s, j), (c0, k) in zip(self.band_rows, slopes)]
+                + [(lim - u, v - u, self.e6) for lim, u, v in zip(self.lims, a, b)])
 
     def x_top(self, p0: float, p1: float) -> tuple[float, float]:
         """The largest x at (p0, p1) meeting each row that bounds x from above
@@ -214,7 +165,7 @@ class Sectors:
         by more everywhere).  Not in x: a check whose windows nearly vanish
         moves little with x, so rounding can move its bound far past a band's."""
         top, lows = 1.0, [(0.0, 1.0)]
-        for num, den, shift in self.rows(*_slopes(p0, p1), self._windows(p0), self._windows(p1)):
+        for num, den, shift in self.rows((_slopes(p0, p1),) * 4, self._windows(p0), self._windows(p1)):
             if num < (den if den < 0.0 else 0.0) - ROUND:
                 return 0.0, math.inf
             if den > 0.0:
@@ -228,32 +179,60 @@ class Sectors:
         top, short = self.x_top(p0, p1)
         return top * (1.0 - self.gap * math.cos(2.0 * p1)) if short <= ROUND else -math.inf
 
-    def bounds(self, a0, b0, a1, b1, n: int):
-        """Upper bounds (m, n, n) of the objective on the boxes [a0, b0] x [a1, b1]
-        cut into n x n cells (the whole square cut _N0 x _N0 when a0 is None),
-        their edges (m, n+1) on each axis, and the objective (m, n+1, n+1) at
-        the cell corners.  A band side's bound on a cell is its row's at one
-        corner (_band_corners), whatever the slope does elsewhere on the cell.
-        A check row's bound falls as the lower windows grow and rises with the
-        upper ones, so the loosest windows on the cell's sides bound it.  Node
-        values only seed polish(); value() alone reports a point."""
-        q0, q1, c0, k, cos1 = _square() if a0 is None else _geometry(a0, b0, a1, b1, n)
-        up, down = _limits(*self.rows(c0, k, None, None))
-        # the windows (check, sector, m, cell or node): the loosest on each
-        # cell's sides, and those at the nodes
-        q = np.stack((q0, q1))
-        target = self.columns[1][4].reshape(2, 1, 1, 1)
-        sides = [(functools.reduce(np.minimum, _band_corners(up)),
-                  functools.reduce(np.maximum, _band_corners(down)), cos1[:, :, 1:], 0.0,
-                  self._windows(np.minimum(np.maximum(target, q[:, :, :-1]), q[:, :, 1:]), np)),
-                 (up.min(axis=0), down.max(axis=0), cos1, ROUND, self._windows(q[None], np))]
-        out = []
-        for top, low, cos, tol, w in sides:
-            up, down = _limits(*self.rows(None, None, w[:, 0, :, :, None], w[:, 1, :, None, :]))
-            top = np.minimum(np.minimum(top, 1.0), up.min(axis=0))
-            low = np.maximum(np.maximum(low, 0.0), down.max(axis=0))
-            out.append(np.where(low <= top + tol, top * (1.0 - self.gap * cos), -np.inf))
-        return q0, q1, out[0], out[1]
+    def cell(self, lo0: float, hi0: float, lo1: float, hi1: float, tol: float) -> float:
+        """An upper bound of the objective on the cell [lo0, hi0] x [lo1, hi1],
+        -inf where no x in [0, 1] meets every row to within tol in x.  At any
+        x, s = a + d rises with both angles and f = a - d with p0 and against
+        p1, so a band side holds somewhere on the cell just where it holds at
+        one corner, (lo, lo) for shi, (hi, hi) slo, (lo, hi) fhi, (hi, lo)
+        flo; a check holds where it does at the loosest windows on the cell's
+        sides; the objective rises with p1.  On a point with tol ROUND it is a
+        node value, value() to within x_top's allowance, that seeds polish()."""
+        w, t0, t1 = self._windows, self.checks[0][4], self.checks[1][4]
+        a = (w(min(max(t0, lo0), hi0))[0], w(min(max(t1, lo0), hi0))[1])
+        b = (w(min(max(t0, lo1), hi1))[0], w(min(max(t1, lo1), hi1))[1])
+        top, low = 1.0, 0.0
+        for num, den, shift in self.rows((_slopes(lo0, lo1), _slopes(hi0, hi1), _slopes(lo0, hi1),
+                                          _slopes(hi0, lo1)), a, b):
+            if num < (den if den < 0.0 else 0.0) - ROUND:
+                return -math.inf
+            if den > 0.0:
+                top = min(top, num / den + shift)
+            elif den < 0.0:
+                low = max(low, num / den - shift)
+        return top * (1.0 - self.gap * math.cos(2.0 * hi1)) if low <= top + tol else -math.inf
+
+    def bounds(self, boxes, best: float, n: int):
+        """The cells whose bound beats ``best`` when each box (lo0, hi0, lo1,
+        hi1) is cut n x n at a + (b - a) t, t as numpy.linspace(0, 1, n + 1)
+        makes it, reached coarse to fine: from n's odd part (at least 2) cells
+        a side, each cell that beats best is halved (a child's bound never
+        exceeds its cell's).  Returns them as (bound, lo0, hi0, lo1, hi1), box
+        by box in grid order; the first largest node value of their nodes in
+        that order, (value, p0, p1, h) with h its box's cell width, if it beats
+        best (no other node can), else None; and the first box's cell width."""
+        t = [k * (1.0 / n) for k in range(n)] + [1.0]
+        edges = [tuple([lo + (hi - lo) * u for u in t] for lo, hi in (b[:2], b[2:])) for b in boxes]
+        size = max(n // (n & -n), 2)
+        keys = [(m, i, j) for m in range(len(edges)) for i in range(size) for j in range(size)]
+        while True:
+            step, cells = n // size, []
+            for m, i, j in keys:
+                e0, e1 = edges[m]
+                edge = (e0[i * step], e0[(i + 1) * step], e1[j * step], e1[(j + 1) * step])
+                if (bound := self.cell(*edge, 0.0)) > best:
+                    cells.append((m, i, j, bound, edge))
+            if size == n:
+                break
+            size *= 2
+            keys = [(m, 2 * i + u, 2 * j + v) for m, i, j, _, _ in cells for u in (0, 1) for v in (0, 1)]
+        cells.sort()
+        node, top = None, best
+        for m, i, j in sorted({(m, i + u, j + v) for m, i, j, *_ in cells for u in (0, 1) for v in (0, 1)}):
+            e0, e1 = edges[m]
+            if (value := self.cell(e0[i], e0[i], e1[j], e1[j], ROUND)) > top:
+                node, top = (value, e0[i], e1[j], e0[1] - e0[0]), value
+        return [(bound, *edge) for *_, bound, edge in cells], node, edges[0][0][1] - edges[0][0][0]
 
     def constraints(self, x: float, p0: float, p1: float) -> dict:
         """Every constraint g <= 0 at (x, p0, p1) as name -> (g, its gradient,
@@ -425,7 +404,7 @@ class Sectors:
         clip = [check[3] for check in self.checks]
         w0, w1 = (clip if p is None else self._windows(p) for p in self.angles(x))
         ys = [min(max(x + e, 0.0), 1.0) for e in (-self.e6, self.e6)]
-        return max(min(y * den for y in ys) - num for num, den, _ in self.rows(None, None, w0, w1))
+        return max(min(y * den for y in ys) - num for num, den, _ in self.rows((), w0, w1))
 
     def pinned_top(self, seed):
         """The largest feasible x when both bands pin the skews, or None: the
@@ -480,12 +459,12 @@ class Sectors:
         """The best (value, p0, p1) found over the open angle square, and the
         largest bound of a cell left open (-inf if none).  Polish from
         ``start`` (the zero-slack optimum's angles), else from the best node
-        of a first _N0 x _N0 grid; then bound its cells and refine, 2 x 2 a
-        level, each cell whose bound beats the best value, polishing from the
-        best node a level finds.  A cell within _RADIUS sqrt(w) of the KKT
-        point giving the best value, w the level's cell width (in p1 alone on
-        the x = 1 face), is that point's own.  Cells stay open when more than
-        _CAP of them, or more than _LEVELS levels, would be needed."""
+        of a first _N0 x _N0 grid; then refine, 2 x 2 a level, its cells
+        whose bound beats the best value, polishing from the best node a
+        level finds.  A cell within _RADIUS sqrt(w) of the KKT point giving
+        the best value, w the level's cell width (in p1 alone on the x = 1
+        face), is that point's own.  Cells stay open when more than _CAP of
+        them, or more than _LEVELS levels, would be needed."""
         best, centre = (-math.inf, 0.0, 0.0), None
         if start is not None:
             # from the zero-slack optimum: first on two rows that bind there,
@@ -497,27 +476,24 @@ class Sectors:
                 if kkt:
                     centre = cand[1:]
                     break
-        q0, q1, ub, val = self.bounds(None, None, None, None, _N0)
+        cells, node, width = self.bounds([(0.0, _HALF_PI, 0.0, _HALF_PI)], best[0], _N0)
         for level in range(_LEVELS + 1):
-            if val.max() > best[0]:
-                m, i, j = np.unravel_index(int(np.argmax(val)), val.shape)
-                h = float(q0[m, 1] - q0[m, 0])
-                cand, kkt = self.polish(float(q0[m, i]), float(q1[m, j]), h)
+            if node is not None:
+                cand, kkt = self.polish(*node[1:])
                 if cand[0] > best[0]:
                     best, centre = cand, (cand[1:] if kkt else None)
-            m, i, j = np.nonzero(ub > best[0])
+            cells = [c for c in cells if c[0] > best[0]]
             if centre is not None:
-                r = _RADIUS * math.sqrt(float(q0[0, 1] - q0[0, 0]))
-                far = (q1[m, j] - r > centre[1]) | (q1[m, j + 1] + r < centre[1])
+                r = _RADIUS * math.sqrt(width)
                 # at x = 1 the empty sector's angle p0 is free along the face
-                if self.x_top(*centre)[0] < 1.0:
-                    far |= (q0[m, i] - r > centre[0]) | (q0[m, i + 1] + r < centre[0])
-                m, i, j = m[far], i[far], j[far]
-            if not len(m):
+                face = self.x_top(*centre)[0] >= 1.0
+                cells = [c for c in cells if c[3] - r > centre[1] or c[4] + r < centre[1]
+                         or not face and (c[1] - r > centre[0] or c[2] + r < centre[0])]
+            if not cells:
                 return best, -math.inf
-            if level == _LEVELS or len(m) > _CAP:
-                return best, float(ub[m, i, j].max())
-            q0, q1, ub, val = self.bounds(q0[m, i], q0[m, i + 1], q1[m, j], q1[m, j + 1], 2)
+            if level == _LEVELS or len(cells) > _CAP:
+                return best, max(c[0] for c in cells)
+            cells, node, width = self.bounds([c[1:] for c in cells], best[0], 2)
 
     def ceiling(self, seed):
         """The maximizing (x, d) over the interior angles, from those of the
@@ -529,8 +505,7 @@ class Sectors:
             x = self.pinned_top(seed)
             return None if x is None else (x, self.skews[1])
         start = self.angles(seed[0]) if seed is not None and 0.0 < seed[0] < 1.0 else None
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            (value, p0, p1), bound = self.interior(start)
+        (value, p0, p1), bound = self.interior(start)
         x = self.x_top(p0, p1)[0]
         point = (value, x, -x * math.cos(2.0 * p1))
         for side in (1.0, 0.0):

@@ -11,9 +11,10 @@ one-zero-band family then zeroes eps2 or eps4.  Every call is timed (the
 least of ``--passes`` runs) and watched: an abort is an exception, an open
 call ends with cells open above its best point (an over-report), a stuck one
 had a Newton search run out of steps, a slow one took over ``--slow-ms``;
-the Newton searches, constraint evaluations and cell-bound (Sectors.bounds)
-calls per call are printed with the time per call and the pinned searches'
-count and mean time (Sectors.pinned_top), and on the next line how often
+the Newton searches, constraint evaluations and levels of cells bounded
+(Sectors.bounds calls, one a level) per call are printed with the time per
+call and the pinned searches' count and mean time (Sectors.pinned_top), and
+on the next line how often
 each row was in the working set of a converged search.  Every
 reported point that is not an over-report must be witnessed
 (test_security.witnessed).  The oracle (finite_size_oracle,
@@ -71,7 +72,7 @@ def watched(tallies, alpha, eps, passes: int = 1):
     """finite_size_bound's result, the least time of ``passes`` calls in ms,
     and what one call did: whether it ended open ("open"), whether a search
     stuck ("stuck"), its Newton searches ("searches"), constraint evaluations
-    ("constraints"), cell-bound calls ("bounds"), pinned searches ("pinned")
+    ("constraints"), levels of cells bounded ("bounds"), pinned searches ("pinned")
     and their time in ms ("pinned_ms"), how often each row was in
     the working set of a converged search ("rows", a Counter), and each such
     search's working set with its multipliers ("kkt", (names, multipliers)

@@ -141,18 +141,22 @@ def test_constraint_rows_match_their_differences(family):
     assert checked >= 5000
 
 
+# the first grid's edges on each axis, as Sectors.bounds makes them
+EDGES = 0.5 * math.pi * np.linspace(0.0, 1.0, _sectors._N0 + 1)
+
+
 @pytest.mark.parametrize("family", ["mixed", "one-zero-band"])
 def test_grid_node_values_match_the_scalar_objective(family):
-    # the array path's objective at the first grid's nodes is value() there,
-    # infeasible at the same nodes; value() alone widens each bound on x by
-    # x_top's rounding allowance, so they agree to 1e-13 absolute (1.5e-14
-    # at worst over 250 000 nodes), up to 5e-13 relative where x is small
+    # a node value, a zero-width cell's bound at tolerance ROUND, at the
+    # first grid's nodes is value() there, infeasible at the same nodes;
+    # value() alone widens each bound on x by x_top's rounding allowance, so
+    # they agree to 1e-13 absolute (1.5e-14 at worst over 250 000 nodes), up
+    # to 5e-13 relative where x is small
     nodes = feasible = 0
     for sec in problems(family, 32, 40):
-        q0, q1, _, val = sec.bounds(None, None, None, None, _sectors._N0)
-        for i, p0 in enumerate(q0[0]):
-            for j, p1 in enumerate(q1[0]):
-                want, got = sec.value(float(p0), float(p1)), float(val[0, i, j])
+        for i, p0 in enumerate(EDGES.tolist()):
+            for j, p1 in enumerate(EDGES.tolist()):
+                want, got = sec.value(p0, p1), sec.cell(p0, p0, p1, p1, _sectors.ROUND)
                 assert (got == want == -math.inf) or abs(got - want) <= 1e-13, (i, j)
                 nodes, feasible = nodes + 1, feasible + (got > -math.inf)
     assert nodes == 40 * 25 * 25 and feasible >= 20
@@ -163,9 +167,8 @@ def boxes(rng, count: int):
     squares of width 2^-k of a first-grid cell (k = 1-12), half of them
     centred on a line where a band's slope k vanishes (p0 = p1 for s, p0 +
     p1 = pi/2 for f), so that it crosses them."""
-    q0, q1 = _sectors._square()[:2]
     i, j = np.divmod(np.arange(_sectors._N0 ** 2), _sectors._N0)
-    edges = [q0[0, i], q0[0, i + 1], q1[0, j], q1[0, j + 1]]
+    edges = [EDGES[i], EDGES[i + 1], EDGES[j], EDGES[j + 1]]
     width = 0.5 * math.pi / _sectors._N0 * 2.0 ** -rng.integers(1, 13, count)
     p0 = rng.uniform(width, 0.5 * math.pi - width)
     p1 = np.where(rng.random(count) < 0.5, rng.uniform(width, 0.5 * math.pi - width),
@@ -175,30 +178,45 @@ def boxes(rng, count: int):
     return [np.concatenate((e, x)) for e, x in zip(edges, extra)]
 
 
+def grid(a0, b0, a1, b1, n: int):
+    """The nodes of the boxes cut n x n, (m, n+1) on each axis."""
+    t = np.linspace(0.0, 1.0, n + 1)
+    return a0[:, None] + (b0 - a0)[:, None] * t, a1[:, None] + (b1 - a1)[:, None] * t
+
+
 def band_ranges(sec, a0, b0, a1, b1, n: int):
     """Each band side's range (low, top) of x in [0, 1] at the nodes of the
-    boxes cut n x n, from its row (empty where low > top)."""
-    _, _, c0, k, _ = _sectors._geometry(a0, b0, a1, b1, n)
-    up, down = _sectors._limits(*sec.rows(c0, k, None, None))
-    return np.maximum(down, 0.0), np.minimum(up, 1.0)
+    boxes cut n x n, (side, m, n+1, n+1), from its row in the row table
+    (empty where low > top): _slopes on arrays, then the bounds on x that
+    x_top reads, less its rounding allowance."""
+    q0, q1 = grid(a0, b0, a1, b1, n)
+    p0, p1 = q0[:, :, None], q1[:, None, :]
+    slopes = np.cos(2.0 * p0), (-2.0 * np.sin(p0 + p1) * np.sin(p0 - p1),
+                                2.0 * np.cos(p0 + p1) * np.cos(p0 - p1))
+    num, den, _ = (np.stack(np.broadcast_arrays(*v)) for v in zip(*sec.rows((slopes,) * 4, (), ())))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = num / den
+    up = np.where(num < np.minimum(den, 0.0) - _sectors.ROUND, -np.inf,
+                  np.where(den > 0.0, ratio, np.inf))
+    return np.maximum(np.where(den < 0.0, ratio, -np.inf), 0.0), np.minimum(up, 1.0)
 
 
 @pytest.mark.parametrize("family", ["mixed", "one-zero-band"])
 def test_each_band_side_binds_at_its_corner(family):
     # on the first grid's cells and on boxes down to 1/4096 of a cell, many
     # crossed by a slope's zero: each band side's range of x over a box, read
-    # at the corner _band_corners picks, against the hull of its ranges at 9
-    # x 9 points of the box (its edges included): the same to rounding.  The
-    # cell bound of bounds() is then at most the objective's bound from the
-    # sampled band ranges alone, and at least the objective at every sampled
-    # node (bounds()' node values, value() to 1e-13), on cells a slope's
-    # zero crosses too
+    # at the corner Sectors.cell picks, (p0, p1) = (lo, lo), (hi, hi), (lo,
+    # hi), (hi, lo) for shi, slo, fhi, flo, against the hull of its ranges at
+    # 9 x 9 points of the box (its edges included): the same to rounding.
+    # The cell bound is then at most the objective's bound from the sampled
+    # band ranges alone, and at least the objective at every sampled node
+    # (node values, value() to 1e-13), on cells a slope's zero crosses too
     rng, sides = np.random.default_rng(9), 0
+    corner = (0, 1, 0, 1), (0, 1, 1, 0)
     for sec in problems(family, 35, 16):
         a0, b0, a1, b1 = box = boxes(rng, 64)
         low, top = band_ranges(sec, *box, 1)
-        corner_low = np.stack(_sectors._band_corners(low))[:, :, 0, 0]
-        corner_top = np.stack(_sectors._band_corners(top))[:, :, 0, 0]
+        corner_low, corner_top = (v[np.arange(4), :, corner[0], corner[1]] for v in (low, top))
         low, top = band_ranges(sec, *box, 8)
         held = low <= top
         hull_low = np.where(held, low, np.inf).min(axis=(2, 3))
@@ -210,9 +228,17 @@ def test_each_band_side_binds_at_its_corner(family):
         assert np.abs(corner_low[both] - hull_low[both]).max() <= 1e-12
         assert np.abs(corner_top[both] - hull_top[both]).max() <= 1e-12
         sides += int(both.sum())
-        _, _, bound, _ = sec.bounds(*box, 1)
-        _, _, _, nodes = sec.bounds(*box, 8)
-        bound, top_p1 = bound[:, 0, 0], 1.0 - sec.gap * np.cos(2.0 * b1)
+        bound = np.array([sec.cell(*cell, 0.0) for cell in zip(*(e.tolist() for e in box))])
+        # a node value is at most the objective at its band rows' top, and
+        # -inf where they alone leave no x; the other nodes are evaluated
+        q0, q1 = grid(*box, 8)
+        node_top = np.minimum(top.min(axis=0), 1.0) * (1.0 - sec.gap * np.cos(2.0 * q1))[:, None, :]
+        m, i, j = np.nonzero((low.max(axis=0) <= top.min(axis=0) + 1e-12)
+                             & (node_top > bound[:, None, None]))
+        nodes = np.full(low.shape[1:], -np.inf)
+        nodes[m, i, j] = [sec.cell(p0, p0, p1, p1, _sectors.ROUND)
+                          for p0, p1 in zip(q0[m, i].tolist(), q1[m, j].tolist())]
+        top_p1 = 1.0 - sec.gap * np.cos(2.0 * b1)
         x_low = np.maximum(np.where(held, hull_low, np.inf).max(axis=0), 0.0)
         x_top = np.minimum(np.where(held, hull_top, -np.inf).min(axis=0), 1.0)
         loose = np.where(x_low <= x_top + 1e-12, (x_top + 1e-12) * top_p1, -np.inf)
@@ -223,8 +249,7 @@ def test_each_band_side_binds_at_its_corner(family):
 
 def cell_bounds(sec, cells) -> list[float]:
     """The objective's bound on each cell (lo0, hi0, lo1, hi1)."""
-    a0, b0, a1, b1 = (np.array(edges) for edges in zip(*cells))
-    return sec.bounds(a0, b0, a1, b1, 1)[2][:, 0, 0].tolist()
+    return [sec.cell(*cell, 0.0) for cell in cells]
 
 
 def split(cell):
@@ -245,7 +270,7 @@ def test_a_coarse_cell_bounds_its_children(family):
                 for n_err, n_fil, n, alpha, eps in benchmark_shaped(19, 30)]
     else:
         secs = list(problems(family, 37, 60))
-    edge = (0.5 * math.pi * np.linspace(0.0, 1.0, _sectors._N0 + 1)).tolist()
+    edge = EDGES.tolist()
     rng, splits, finite = np.random.default_rng(23), 0, 0
     for sec in (s for s in secs if not (s.equal["s"] and s.equal["f"])):
         for step in (8, 4, 2):
