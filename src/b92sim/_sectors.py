@@ -35,11 +35,11 @@ from .exponent import _dot, b92_angle_bounds
 FEAS_TOL, ROUND = 5e-15, 1e-15
 
 _HALF_PI = 0.5 * math.pi
-# the first grid of cells over the angle square; the factor r of the distance
-# r sqrt(w) within which a KKT point explains a cell of width w, as a cell's
-# bound overshoots by O(w) and the objective falls off quadratically along a
-# ridge through the point; the refinement levels, and the open cells a level
-# may refine (a work budget: a cell bound takes a few us)
+# the first grid of float-bounded cells over the angle square, reached coarse
+# to fine from 3 x 3; the factor r of the distance r sqrt(w) within which a
+# KKT point explains a cell of width w, as a cell's bound overshoots by O(w)
+# and the objective falls off quadratically along a ridge through the point;
+# the refinement levels, and the open cells a level may refine (a work budget)
 _N0, _RADIUS, _LEVELS, _CAP = 24, 0.5, 16, 1024
 
 
