@@ -104,12 +104,11 @@ def _slopes(p0, p1):
 
 
 class Sectors:
-    """The slacked estimation problem for one set of tallies and slacks:
-    rows() is its constraint table; x_top() solves it for x at given angles,
-    cell() bounds it on a cell of angles and bounds() on a level of cells,
-    polish() solves it on its active rows (constraints()) by Newton steps;
-    interior() combines them, pinned_top() searches x when both bands pin the
-    skews and edge() solves an empty sector."""
+    """The slacked estimation problem for one set of tallies and slacks: rows()
+    is its constraint table; x_top() solves it for x at given angles, cell()
+    bounds it on a cell of angles and bounds() on a level of cells, polish() by
+    Newton steps on its active rows (constraints()); interior() combines them,
+    pinned_top() searches x when both bands pin the skews, edge() an empty sector."""
 
     def __init__(self, alpha: float, r_err: float, delta: float, slacks: tuple[float, ...]):
         _, e2, _, e4, e5, self.e6, self.e7, self.e8 = slacks
@@ -118,7 +117,7 @@ class Sectors:
         self.bands = ((2.0 * delta - gap - 2.0 * e2 / gap - FEAS_TOL,
                        2.0 * delta - gap + 2.0 * e2 / gap + FEAS_TOL),
                       (-gap - 2.0 * e4 - FEAS_TOL, -gap + 2.0 * e4 + FEAS_TOL))
-        # the band rows in scalar form, (name, A, s, j): num = A + s c0, den = s k_j
+        # the band rows as (name, A, s, j): num = A + s c0, den = s k_j
         (slo, shi), (flo, fhi) = self.bands
         self.band_rows = (("shi", shi, 1.0, 0), ("slo", -slo, -1.0, 0),
                           ("fhi", fhi, 1.0, 1), ("flo", -flo, -1.0, 1))
@@ -128,7 +127,6 @@ class Sectors:
         self.lims = (2.0 * r_err + 2.0 * e5 + FEAS_TOL, -2.0 * r_err + 2.0 * e5 + FEAS_TOL)
         self.checks = ((1.0, -theta, -self.e7, 0.0, theta),
                        (-1.0, theta, -self.e8, -1.0, _HALF_PI - theta))
-        self.seen = {}
         # the zero-slack skews (a, d), which zero-width bands pin
         self.skews = (delta - gap, delta)
         # a zero-width band's sides are one surface, its multiplier of either sign
@@ -140,12 +138,9 @@ class Sectors:
                      for skew, mass in zip(self.skews, (1.0 - x, x)))
 
     def _windows(self, p):
-        """Each check's window at sector angle p, held at its clip:
-        exponent.b92_angle_bounds' lo and -hi, kept per angle."""
-        if p not in self.seen:
-            lo, hi = b92_angle_bounds(p, self.theta, self.e7, self.e8)
-            self.seen[p] = (lo, -hi)
-        return self.seen[p]
+        """Each check's window at sector angle p, held at its clip: b92_angle_bounds' lo and -hi."""
+        lo, hi = b92_angle_bounds(p, self.theta, self.e7, self.e8)
+        return lo, -hi
 
     def rows(self, slopes, a, b):
         """The row table: each constraint as (num, den, shift), met where x <=
@@ -179,40 +174,46 @@ class Sectors:
         top, short = self.x_top(p0, p1)
         return top * (1.0 - self.gap * math.cos(2.0 * p1)) if short <= ROUND else -math.inf
 
-    def cell(self, lo0: float, hi0: float, lo1: float, hi1: float, tol: float) -> float:
-        """An upper bound of the objective on the cell [lo0, hi0] x [lo1, hi1],
-        -inf where no x in [0, 1] meets every row to within tol in x.  At any
-        x, s = a + d rises with both angles and f = a - d with p0 and against
-        p1, so a band side holds somewhere on the cell just where it holds at
-        one corner, (lo, lo) for shi, (hi, hi) slo, (lo, hi) fhi, (hi, lo)
-        flo; a check holds where it does at the loosest windows on the cell's
-        sides; the objective rises with p1.  On a point with tol ROUND it is a
-        node value, value() to within x_top's allowance, that seeds polish()."""
-        w, t0, t1 = self._windows, self.checks[0][4], self.checks[1][4]
-        a = (w(min(max(t0, lo0), hi0))[0], w(min(max(t1, lo0), hi0))[1])
-        b = (w(min(max(t0, lo1), hi1))[0], w(min(max(t1, lo1), hi1))[1])
+    def cell(self, lo0, hi0, lo1, hi1, w):
+        """Upper bounds of the objective on the cell [lo0, hi0] x [lo1, hi1],
+        -inf where no x in [0, 1] meets every row to within 0, and ROUND, in x;
+        on a point the second is its node value, value() to x_top's allowance.
+        s = a + d rises with both angles and f = a - d with p0 and against p1,
+        so a band side holds on the cell just where it holds at one corner,
+        (lo, lo) for shi, (hi, hi) slo, (lo, hi) fhi, (hi, lo) flo; a check
+        holds where it does at its loosest windows on the cell's sides, w
+        (_windows or a cache of it); the objective rises with p1."""
+        t0, t1 = self.checks[0][4], self.checks[1][4]
+        a = (w(lo0 if t0 < lo0 else hi0 if t0 > hi0 else t0)[0],
+             w(lo0 if t1 < lo0 else hi0 if t1 > hi0 else t1)[1])
+        b = (w(lo1 if t0 < lo1 else hi1 if t0 > hi1 else t0)[0],
+             w(lo1 if t1 < lo1 else hi1 if t1 > hi1 else t1)[1])
         top, low = 1.0, 0.0
         for num, den, shift in self.rows((_slopes(lo0, lo1), _slopes(hi0, hi1), _slopes(lo0, hi1),
                                           _slopes(hi0, lo1)), a, b):
             if num < (den if den < 0.0 else 0.0) - ROUND:
-                return -math.inf
-            if den > 0.0:
-                top = min(top, num / den + shift)
-            elif den < 0.0:
-                low = max(low, num / den - shift)
-        return top * (1.0 - self.gap * math.cos(2.0 * hi1)) if low <= top + tol else -math.inf
+                return -math.inf, -math.inf
+            if den > 0.0 and (v := num / den + shift) < top:
+                top = v
+            elif den < 0.0 and (v := num / den - shift) > low:
+                low = v
+        bound = top * (1.0 - self.gap * math.cos(2.0 * hi1)) if low <= top + ROUND else -math.inf
+        return bound if low <= top else -math.inf, bound
 
     def bounds(self, boxes, best: float, n: int):
         """The cells whose bound beats ``best`` when each box (lo0, hi0, lo1,
         hi1) is cut n x n at a + (b - a) t, t as numpy.linspace(0, 1, n + 1)
-        makes it, reached coarse to fine: from n's odd part (at least 2) cells
-        a side, each cell that beats best is halved (a child's bound never
-        exceeds its cell's).  Returns them as (bound, lo0, hi0, lo1, hi1), box
-        by box in grid order; the first largest node value of their nodes in
-        that order, (value, p0, p1, h) with h its box's cell width, if it beats
-        best (no other node can), else None; and the first box's cell width."""
+        makes it, reached coarse to fine from n's odd part (at least 2) cells a
+        side by halving each cell whose bound to within ROUND beats best (a
+        child's bounds never exceed its cell's): (bound, lo0, hi0, lo1, hi1)
+        box by box in grid order; the first largest value of the nodes of the
+        cells last halved, in that order, (value, p0, p1, h) with h its box's
+        cell width, if it beats best (no other node's can), else None; and the
+        first box's cell width."""
         t = [k * (1.0 / n) for k in range(n)] + [1.0]
         edges = [tuple([lo + (hi - lo) * u for u in t] for lo, hi in (b[:2], b[2:])) for b in boxes]
+        # a level's cells share their sides: nine window lookups in ten repeat
+        w = functools.cache(self._windows)
         size = max(n // (n & -n), 2)
         keys = [(m, i, j) for m in range(len(edges)) for i in range(size) for j in range(size)]
         while True:
@@ -220,19 +221,19 @@ class Sectors:
             for m, i, j in keys:
                 e0, e1 = edges[m]
                 edge = (e0[i * step], e0[(i + 1) * step], e1[j * step], e1[(j + 1) * step])
-                if (bound := self.cell(*edge, 0.0)) > best:
-                    cells.append((m, i, j, bound, edge))
+                if (bound := self.cell(*edge, w))[1] > best:
+                    cells.append((m, i, j, bound[0], edge))
             if size == n:
                 break
             size *= 2
             keys = [(m, 2 * i + u, 2 * j + v) for m, i, j, _, _ in cells for u in (0, 1) for v in (0, 1)]
-        cells.sort()
         node, top = None, best
         for m, i, j in sorted({(m, i + u, j + v) for m, i, j, *_ in cells for u in (0, 1) for v in (0, 1)}):
             e0, e1 = edges[m]
-            if (value := self.cell(e0[i], e0[i], e1[j], e1[j], ROUND)) > top:
+            if (value := self.cell(e0[i], e0[i], e1[j], e1[j], w)[1]) > top:
                 node, top = (value, e0[i], e1[j], e0[1] - e0[0]), value
-        return [(bound, *edge) for *_, bound, edge in cells], node, edges[0][0][1] - edges[0][0][0]
+        kept = [(bound, *edge) for *_, bound, edge in sorted(cells) if bound > best]
+        return kept, node, edges[0][0][1] - edges[0][0][0]
 
     def constraints(self, x: float, p0: float, p1: float) -> dict:
         """Every constraint g <= 0 at (x, p0, p1) as name -> (g, its gradient,

@@ -145,6 +145,11 @@ def test_constraint_rows_match_their_differences(family):
 EDGES = 0.5 * math.pi * np.linspace(0.0, 1.0, _sectors._N0 + 1)
 
 
+def cell_bound(sec, lo0, hi0, lo1, hi1):
+    """Sectors.cell on one cell, its windows uncached."""
+    return sec.cell(lo0, hi0, lo1, hi1, sec._windows)
+
+
 @pytest.mark.parametrize("family", ["mixed", "one-zero-band"])
 def test_grid_node_values_match_the_scalar_objective(family):
     # a node value, a zero-width cell's bound at tolerance ROUND, at the
@@ -156,7 +161,7 @@ def test_grid_node_values_match_the_scalar_objective(family):
     for sec in problems(family, 32, 40):
         for i, p0 in enumerate(EDGES.tolist()):
             for j, p1 in enumerate(EDGES.tolist()):
-                want, got = sec.value(p0, p1), sec.cell(p0, p0, p1, p1, _sectors.ROUND)
+                want, got = sec.value(p0, p1), cell_bound(sec, p0, p0, p1, p1)[1]
                 assert (got == want == -math.inf) or abs(got - want) <= 1e-13, (i, j)
                 nodes, feasible = nodes + 1, feasible + (got > -math.inf)
     assert nodes == 40 * 25 * 25 and feasible >= 20
@@ -228,7 +233,7 @@ def test_each_band_side_binds_at_its_corner(family):
         assert np.abs(corner_low[both] - hull_low[both]).max() <= 1e-12
         assert np.abs(corner_top[both] - hull_top[both]).max() <= 1e-12
         sides += int(both.sum())
-        bound = np.array([sec.cell(*cell, 0.0) for cell in zip(*(e.tolist() for e in box))])
+        bound = np.array([cell_bound(sec, *cell)[0] for cell in zip(*(e.tolist() for e in box))])
         # a node value is at most the objective at its band rows' top, and
         # -inf where they alone leave no x; the other nodes are evaluated
         q0, q1 = grid(*box, 8)
@@ -236,7 +241,7 @@ def test_each_band_side_binds_at_its_corner(family):
         m, i, j = np.nonzero((low.max(axis=0) <= top.min(axis=0) + 1e-12)
                              & (node_top > bound[:, None, None]))
         nodes = np.full(low.shape[1:], -np.inf)
-        nodes[m, i, j] = [sec.cell(p0, p0, p1, p1, _sectors.ROUND)
+        nodes[m, i, j] = [cell_bound(sec, p0, p0, p1, p1)[1]
                           for p0, p1 in zip(q0[m, i].tolist(), q1[m, j].tolist())]
         top_p1 = 1.0 - sec.gap * np.cos(2.0 * b1)
         x_low = np.maximum(np.where(held, hull_low, np.inf).max(axis=0), 0.0)
@@ -247,9 +252,15 @@ def test_each_band_side_binds_at_its_corner(family):
     assert sides >= 20000
 
 
-def cell_bounds(sec, cells) -> list[float]:
-    """The objective's bound on each cell (lo0, hi0, lo1, hi1)."""
-    return [sec.cell(*cell, 0.0) for cell in cells]
+def cell_bounds(sec, cells) -> list[tuple[float, float]]:
+    """The objective's bounds on each cell (lo0, hi0, lo1, hi1), to within 0
+    and to within ROUND."""
+    return [cell_bound(sec, *cell) for cell in cells]
+
+
+def within(kid, parent) -> bool:
+    """Whether both of a cell's bounds are at most its parent's."""
+    return kid[0] <= parent[0] and kid[1] <= parent[1]
 
 
 def split(cell):
@@ -258,20 +269,40 @@ def split(cell):
     return [(e0[i], e0[i + 1], e1[j], e1[j + 1]) for i in (0, 1) for j in (0, 1)]
 
 
+def nodes_within(sec, cells, e0, e1, n: int) -> int:
+    """Assert that the value of each node of an n x n cut, edges e0 x e1, is
+    at most the bound to within ROUND of each of its cells (``cells``, in
+    grid order) it is a corner of; the number of such pairs."""
+    pairs = 0
+    for i in range(n + 1):
+        for j in range(n + 1):
+            value = cell_bound(sec, e0[i], e0[i], e1[j], e1[j])[1]
+            for u in (i - 1, i):
+                for v in (j - 1, j):
+                    if 0 <= u < n and 0 <= v < n:
+                        assert value <= cells[u * n + v][1], (e0[i], e1[j])
+                        pairs += 1
+    return pairs
+
+
 @pytest.mark.parametrize("family", ["benchmark", "mixed", "one-zero-band"])
 def test_a_coarse_cell_bounds_its_children(family):
-    # a cell's bound is at least each of its four children's, exactly: on the
-    # 3 x 3, 6 x 6 and 12 x 12 cuts of the first grid's own edges, and down
-    # chains of 2 x 2 splits from first-grid cells to 2^-13 of one.  So the
-    # first-grid cells that a search from the 3 x 3 cut reaches, halving each
-    # cell whose bound beats the best point, are all those whose bound does
+    # a cell's bounds, to within 0 and to within ROUND, are at least each of
+    # its four children's, exactly: on the 3 x 3, 6 x 6 and 12 x 12 cuts of
+    # the first grid's own edges, and down chains of 2 x 2 splits from
+    # first-grid cells to 2^-13 of one.  So the first-grid cells that a search
+    # from the 3 x 3 cut reaches, halving each cell whose bound to within
+    # ROUND beats the best point, are all those whose bound does.  A node's
+    # value is at most that bound of each cell it is a corner of, on the first
+    # grid and on each split, so a node that beats the best is a corner of a
+    # cell that the search reaches
     if family == "benchmark":
         secs = [_sectors.Sectors(alpha, n_err / n, delta_param(n_fil / n, alpha), eps.as_tuple())
                 for n_err, n_fil, n, alpha, eps in benchmark_shaped(19, 30)]
     else:
         secs = list(problems(family, 37, 60))
     edge = EDGES.tolist()
-    rng, splits, finite = np.random.default_rng(23), 0, 0
+    rng, splits, finite, pairs = np.random.default_rng(23), 0, 0, 0
     for sec in (s for s in secs if not (s.equal["s"] and s.equal["f"])):
         for step in (8, 4, 2):
             cells = [(edge[i], edge[i + step], edge[j], edge[j + step])
@@ -282,14 +313,16 @@ def test_a_coarse_cell_bounds_its_children(family):
                         for u in (0, half) for v in (0, half)]
             parents, kids = cell_bounds(sec, cells), cell_bounds(sec, children)
             for c, parent in enumerate(parents):
-                assert all(kid <= parent for kid in kids[4 * c:4 * c + 4]), (step, cells[c])
+                assert all(within(kid, parent) for kid in kids[4 * c:4 * c + 4]), (step, cells[c])
             splits += len(parents)
-            finite += sum(kid > -math.inf for kid in kids)
+            finite += sum(kid[0] > -math.inf for kid in kids)
         # chains from up to 8 first-grid cells with a finite bound, each step
         # to a random child with one, while there is one
         grid = [(edge[i], edge[i + 1], edge[j], edge[j + 1])
                 for i in range(_sectors._N0) for j in range(_sectors._N0)]
-        live = [c for c, b in zip(grid, cell_bounds(sec, grid)) if b > -math.inf]
+        grid_bounds = cell_bounds(sec, grid)
+        pairs += nodes_within(sec, grid_bounds, edge, edge, _sectors._N0)
+        live = [c for c, b in zip(grid, grid_bounds) if b[0] > -math.inf]
         chains = [live[k] for k in rng.choice(len(live), min(8, len(live)), replace=False)]
         for _ in range(13):
             if not chains:
@@ -299,15 +332,18 @@ def test_a_coarse_cell_bounds_its_children(family):
             kids = cell_bounds(sec, children)
             nxt = []
             for c, parent in enumerate(parents):
-                assert all(kid <= parent for kid in kids[4 * c:4 * c + 4]), chains[c]
-                live = [children[k] for k in range(4 * c, 4 * c + 4) if kids[k] > -math.inf]
+                assert all(within(kid, parent) for kid in kids[4 * c:4 * c + 4]), chains[c]
+                e0, e1 = ([a + (b - a) * t for t in (0.0, 0.5, 1.0)]
+                          for a, b in (chains[c][:2], chains[c][2:]))
+                pairs += nodes_within(sec, kids[4 * c:4 * c + 4], e0, e1, 2)
+                live = [children[k] for k in range(4 * c, 4 * c + 4) if kids[k][0] > -math.inf]
                 if live:
                     nxt.append(live[int(rng.integers(len(live)))])
             splits += len(parents)
-            finite += sum(kid > -math.inf for kid in kids)
+            finite += sum(kid[0] > -math.inf for kid in kids)
             chains = nxt
-    print(f"{splits} splits, {finite} children with a finite bound")
-    assert splits >= 7000 and finite >= 6000
+    print(f"{splits} splits, {finite} children with a finite bound, {pairs} node-cell pairs")
+    assert splits >= 7000 and finite >= 6000 and pairs >= 100000
 
 
 def benchmark_shaped(seed: int, count: int):
