@@ -203,13 +203,12 @@ class Sectors:
     def bounds(self, boxes, best: float, n: int):
         """The cells whose bound beats ``best`` when each box (lo0, hi0, lo1,
         hi1) is cut n x n at a + (b - a) t, t as numpy.linspace(0, 1, n + 1)
-        makes it, reached coarse to fine from n's odd part (at least 2) cells a
-        side by halving each cell whose bound to within ROUND beats best (a
-        child's bounds never exceed its cell's): (bound, lo0, hi0, lo1, hi1)
-        box by box in grid order; the first largest value of the nodes of the
-        cells last halved, in that order, (value, p0, p1, h) with h its box's
-        cell width, if it beats best (no other node's can), else None; and the
-        first box's cell width."""
+        makes it, reached coarse to fine from n's odd part (at least 2) cells
+        a side, halving each cell whose bound to within ROUND beats best (a
+        child's bounds never exceed its cell's): (bound, lo0, hi0, lo1, hi1),
+        box by box in grid order; the first largest value of the last cells'
+        nodes, in that order, (value, p0, p1, h), h its box's cell width, if it
+        beats best (no other node's can), else None; the first box's width."""
         t = [k * (1.0 / n) for k in range(n)] + [1.0]
         edges = [tuple([lo + (hi - lo) * u for u in t] for lo, hi in (b[:2], b[2:])) for b in boxes]
         # a level's cells share their sides: nine window lookups in ten repeat
