@@ -19,9 +19,7 @@ import json
 import math
 import sys
 from types import SimpleNamespace
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from ._brent import brent_root
 from .errors import ConsistencyError, DomainError, ParameterError
@@ -41,6 +39,9 @@ from .security import (  # noqa: F401
     finite_size_bound,
     phase_error_bound,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ALPHA_SQ_MIN = 0.01
 ALPHA_SQ_MAX = 0.49
@@ -264,6 +265,8 @@ def cmd_exponent(basis0_spec: str, basis1_spec: str, m0: int, m1: int,
 def parse_basis(spec: str) -> np.ndarray:
     """Basis from "theta[,phi]" Bloch angles or four amplitude components
     "re0,im0,re1,im1" of the outcome-1 ket."""
+    import numpy as np
+
     from .exponent import basis_from_bloch, basis_from_ket
 
     try:
@@ -296,6 +299,8 @@ def _resolve_alpha_sq(args) -> float:
 
 
 def _grid(lo: float, hi: float, steps: int) -> tuple[float, ...]:
+    import numpy as np
+
     if steps < 1 or hi < lo:
         raise CliUsageError("grid bounds must be ordered with steps >= 1")
     if steps == 1:

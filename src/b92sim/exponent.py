@@ -49,11 +49,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._brent import brent_root
 from .errors import DomainError, ParameterError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 LN2 = math.log(2.0)
 SQRT2 = math.sqrt(2.0)
@@ -66,6 +68,8 @@ _ZERO_REGION_EDGE = 1.0 + 1e-9  # largest Bloch-fit radius in the zero region
 
 def _as_basis(mat) -> np.ndarray:
     """Validate a 2x2 array whose rows are an orthonormal ket pair."""
+    import numpy as np
+
     b = np.array(mat, dtype=complex)
     if b.shape != (2, 2):
         raise ParameterError("a basis is a 2x2 array of row kets")
@@ -90,6 +94,8 @@ def basis_from_bloch(theta: float, phi: float = 0.0) -> np.ndarray:
 def basis_from_ket(one) -> np.ndarray:
     """Basis whose outcome-1 ket is the unit ket ``one``, completed by the
     orthogonal ket (-conj(one[1]), conj(one[0]))."""
+    import numpy as np
+
     a0, a1 = complex(one[0]), complex(one[1])
     return np.array([[-a1.conjugate(), a0.conjugate()], [a0, a1]])
 
@@ -100,6 +106,8 @@ def _bloch(a0: complex, a1: complex) -> tuple[float, float, float]:
 
 
 def bloch_vector(ket: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     return np.array(_bloch(complex(ket[0]), complex(ket[1])))
 
 
@@ -144,10 +152,14 @@ class TwoBasisSampling:
 
     def kets(self) -> np.ndarray:
         """(2, 2, 2) array of kets indexed [b, j]."""
+        import numpy as np
+
         return np.stack([self.basis0, self.basis1])
 
     def count_fractions(self) -> np.ndarray:
         """(2, 2) array m[b, j] of observed count fractions n_{b,j} / M."""
+        import numpy as np
+
         return np.array(self._fractions).reshape(2, 2)
 
     def weight_entropy(self) -> float:
@@ -219,6 +231,8 @@ class ExponentPoint:
     p: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         if not 0.0 <= self.k_frac <= 0.5:
             raise ParameterError("k_frac must lie in [0, 1/2]")
         n = np.asarray(self.bloch_n, dtype=float)
@@ -295,12 +309,16 @@ def singlet_pair_probs(problem: TwoBasisSampling) -> np.ndarray:
     """Reference pair distribution beta[b, b', j, j'] = S / 4, where S is the
     probability of outcomes (j, j') when a singlet pair is measured in bases
     (b, b').  The singlet amplitude of kets u (x) v is det[u; v]* / sqrt 2."""
+    import numpy as np
+
     return np.array(problem._beta).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
 
 
 def remainder_probs(problem: TwoBasisSampling, bloch_n: np.ndarray) -> np.ndarray:
     """Reference remainder distribution alpha[b, j] = |<b,j|n>|^2 / 2
     = (1 + n.v_bj) / 4."""
+    import numpy as np
+
     n = np.asarray(bloch_n, dtype=float).tolist()
     return np.array(_alpha(problem._axes, n)).reshape(2, 2)
 
@@ -434,6 +452,8 @@ def b92_angle_bounds(theta_l: float, theta: float, eps7: float = 0.0, eps8: floa
 def iid_probability(sigma: np.ndarray, problem: TwoBasisSampling) -> float:
     """Exact probability of the observed fractions for i.i.d. inputs
     sigma^(x)M: a product of two binomial point masses."""
+    import numpy as np
+
     if problem.m_total > 60:
         raise DomainError("exact oracle limited to m0 + m1 <= 60")
     s = np.asarray(sigma, dtype=complex)
@@ -580,6 +600,8 @@ def min_exponent(problem: TwoBasisSampling, options: SolverOptions | None = None
     misses the counts by more than CERT_TOL or the gap is larger.
     ``options`` is accepted for compatibility and steers nothing.
     """
+    import numpy as np
+
     norm, r = problem._fit
     if norm <= _ZERO_REGION_EDGE:
         (k, n, q4, p4), lower = _zero_region_point(problem, r), 0.0

@@ -14,11 +14,11 @@ simulator can, and the estimation tests need them.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ParameterError
 # check_pair_basis, error_povm_element and nonmax_entangled_state are not
@@ -37,6 +37,9 @@ from .quantum import (  # noqa: F401
     ket_z,
     nonmax_entangled_state,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # the largest pair budget: the samplers draw counts as int64
 _MAX_PAIRS = 2**63 - 1
@@ -84,6 +87,8 @@ class Tallies:
     m_check: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         for name in ("n_xx", "m_check"):
             arr = np.array(getattr(self, name), dtype=np.int64)
             if arr.shape != (2, 2):
@@ -144,9 +149,14 @@ assert _CHUNK % 64 == 0
 _DOUBLE_SCALE = 2.0**53
 _LOW_BITS = 37
 
-# S = sqrt 2 H for the Hadamard H, which maps Z-basis coordinates to X-basis
-# ones and back
-_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])
+
+@functools.cache
+def _signs() -> np.ndarray:
+    """S = sqrt 2 H for the Hadamard H, which maps Z-basis coordinates to
+    X-basis ones and back."""
+    import numpy as np
+
+    return np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
 def _weights(amps: np.ndarray) -> np.ndarray:
@@ -170,15 +180,18 @@ def _born_table(alpha: float, channel: KrausChannel) -> tuple[np.ndarray, ...]:
     cell, whatever the scale of alpha.  The Z x Z amplitudes S (M F) S leave
     the Hadamard's 1/sqrt 2 factors out, as one 1/4 on their weights.
     """
+    import numpy as np
+
     beta = math.sqrt(1.0 - alpha * alpha)
-    kraus_x = 0.5 * (_SIGNS @ np.asarray(channel.kraus_ops) @ _SIGNS)
+    signs = _signs()
+    kraus_x = 0.5 * (signs @ np.asarray(channel.kraus_ops) @ signs)
     amps = np.array([[beta], [alpha]]) * np.swapaxes(kraus_x, 1, 2)
     m00, m01, m10, m11 = amps.reshape(-1, 4).T
     check = np.stack([beta * m00 + alpha * m11, beta * m01 - alpha * m10,
                       alpha * m01 + beta * m10, alpha * m00 - beta * m11], axis=-1)
     filtered = amps * np.array([alpha, beta])
     return (_weights(amps), _weights(check.reshape(amps.shape)),
-            0.25 * _weights(_SIGNS @ filtered @ _SIGNS), _weights(filtered))
+            0.25 * _weights(signs @ filtered @ signs), _weights(filtered))
 
 
 def _normalized(w: np.ndarray) -> np.ndarray:
@@ -235,6 +248,8 @@ def depolarizing_rates(alpha: float, p: float) -> ExpectedRates:
     The scalar rates come from _depolarizing_scalars, and r_bit = r_err = t;
     the X x X and check-basis outcome distributions are added here.
     """
+    import numpy as np
+
     check_strength(p)
     check_alpha(alpha)
     r_fil, t, r_ph, _, _ = _depolarizing_scalars(alpha, p)
@@ -264,6 +279,8 @@ def run_protocol1(params: ProtocolParams) -> Tallies:
     n_fil pairs that passed).  The draws come in that order from one seeded
     generator, so identical parameters give identical tallies.
     """
+    import numpy as np
+
     rng = np.random.Generator(np.random.Philox(params.seed))
     n = params.n_pairs
     xx, check, zz_f, xx_f = _born_table(params.alpha, params.channel)
@@ -300,6 +317,8 @@ def _uniform_thresholds(c: np.ndarray) -> np.ndarray:
     2**53 (never fires).  Comparing integers cannot round differently, and
     lets run_b92 split k into a lane and refinement bits.
     """
+    import numpy as np
+
     return np.clip(np.ceil(c * _DOUBLE_SCALE), 0.0, _DOUBLE_SCALE).astype(np.int64)
 
 
@@ -326,6 +345,8 @@ def run_b92(params: ProtocolParams) -> B92Record:
     costs about 17 random bits.  Work is done in chunks, so memory is the
     two outputs plus O(1).
     """
+    import numpy as np
+
     bits, lanes, refine = map(np.random.PCG64, np.random.SeedSequence(params.seed).spawn(3))
     n = params.n_pairs
     # A's Z outcome j, of probability 1/2, leaves B in the sent state j, so
@@ -381,6 +402,8 @@ def reduction_equivalence(rho_b: DensityMatrix, alpha: float) -> tuple[np.ndarra
     Returns (three-outcome measurement, filter-then-Z measurement), each as
     probabilities over (0, 1, fail/null); the two must coincide.
     """
+    import numpy as np
+
     if rho_b.dim != 2:
         raise ParameterError("expected a single-qubit state")
     pv = b92_povm(alpha)

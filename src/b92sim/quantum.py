@@ -9,12 +9,15 @@ rate laws read their own X-basis Born table (protocol._born_table) instead.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConsistencyError, ParameterError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ALPHA_SUP = 1.0 / math.sqrt(2.0)
 
@@ -23,16 +26,36 @@ HERM_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 
-KET_0Z = np.array([1.0, 0.0], dtype=complex)
-KET_1Z = np.array([0.0, 1.0], dtype=complex)
-KET_0X = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-KET_1X = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
+_ARRAYS = ("KET_0Z", "KET_1Z", "KET_0X", "KET_1X", "PAULI_X", "PAULI_Y", "PAULI_Z")
 
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+@functools.cache
+def _arrays() -> dict[str, np.ndarray]:
+    """The Z- and X-basis kets and the Pauli matrices, by their names in _ARRAYS."""
+    import numpy as np
+
+    return dict(zip(_ARRAYS, (
+        np.array([1.0, 0.0], dtype=complex),
+        np.array([0.0, 1.0], dtype=complex),
+        np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0),
+        np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0),
+        np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+        np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+        np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+    )))
+
+
+def __getattr__(name: str):
+    """The constants KET_0Z, ..., PAULI_Z, built on first use; any other name,
+    such as the __path__ that import machinery asks for, is AttributeError."""
+    if name in _ARRAYS:
+        return _arrays()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     out = np.array(a, dtype=complex)
     out.setflags(write=False)
     return out
@@ -47,6 +70,8 @@ def check_alpha(alpha: float, *, include_sup: bool = False) -> None:
 
 def projector(ket: np.ndarray) -> np.ndarray:
     """Rank-1 projector |psi><psi| of a state vector."""
+    import numpy as np
+
     v = np.asarray(ket, dtype=complex)
     return np.outer(v, v.conj())
 
@@ -63,6 +88,8 @@ class StateVector:
     basis_label: str = "Z"
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         amp = _frozen(self.amplitudes)
         if amp.shape not in ((2,), (4,)):
             raise ParameterError(f"state dimension must be 2 or 4, got shape {amp.shape}")
@@ -87,6 +114,8 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         m = _frozen(self.entries)
         if m.shape not in ((2, 2), (4, 4)):
             raise ParameterError(f"density matrix must be 2x2 or 4x4, got {m.shape}")
@@ -110,6 +139,8 @@ class Povm:
     elements: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         elems = tuple(_frozen(e) for e in self.elements)
         if not elems:
             raise ParameterError("POVM needs at least one element")
@@ -132,6 +163,8 @@ class Povm:
 
     def outcome_probabilities(self, rho: DensityMatrix | np.ndarray) -> np.ndarray:
         """Weights Tr[rho F_k]; ``rho`` may carry leading batch axes."""
+        import numpy as np
+
         m = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
         return np.einsum("...ij,kji->...k", m, np.asarray(self.elements)).real
 
@@ -144,6 +177,8 @@ class FilterOp:
     alpha: float
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         check_alpha(self.alpha)
         m = _frozen(self.matrix)
         if not np.isfinite(m).all():
@@ -165,6 +200,8 @@ class KrausChannel:
     kraus_ops: tuple[np.ndarray, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         ops = tuple(_frozen(k) for k in self.kraus_ops)
         if not ops:
             raise ParameterError("channel needs at least one Kraus operator")
@@ -174,21 +211,25 @@ class KrausChannel:
         object.__setattr__(self, "kraus_ops", ops)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         m = np.asarray(rho, dtype=complex)
         return sum(k @ m @ k.conj().T for k in self.kraus_ops)
 
 
 def identity_channel() -> KrausChannel:
+    import numpy as np
+
     return KrausChannel((np.eye(2, dtype=complex),))
 
 
 def ket_x(j: int) -> np.ndarray:
     """X-basis state |j_x> as computational-basis amplitudes."""
-    return KET_0X if j == 0 else KET_1X
+    return _arrays()["KET_0X" if j == 0 else "KET_1X"]
 
 
 def ket_z(j: int) -> np.ndarray:
-    return KET_0Z if j == 0 else KET_1Z
+    return _arrays()["KET_0Z" if j == 0 else "KET_1Z"]
 
 
 def signal_state(j: int, alpha: float) -> StateVector:
@@ -197,7 +238,7 @@ def signal_state(j: int, alpha: float) -> StateVector:
     if j not in (0, 1):
         raise ParameterError("bit value must be 0 or 1")
     beta = math.sqrt(1.0 - alpha**2)
-    return StateVector(beta * KET_0X + (-1) ** j * alpha * KET_1X, basis_label="X")
+    return StateVector(beta * ket_x(0) + (-1) ** j * alpha * ket_x(1), basis_label="X")
 
 
 def dual_state(j: int, alpha: float) -> StateVector:
@@ -210,7 +251,7 @@ def dual_state(j: int, alpha: float) -> StateVector:
 
 def _dual_ket(j: int, alpha: float) -> np.ndarray:
     beta = math.sqrt(1.0 - alpha**2)
-    return alpha * KET_0X - (-1) ** j * beta * KET_1X
+    return alpha * ket_x(0) - (-1) ** j * beta * ket_x(1)
 
 
 def b92_povm(alpha: float) -> Povm:
@@ -220,6 +261,8 @@ def b92_povm(alpha: float) -> Povm:
     conclusive outcome identifies the sent bit; the null element absorbs the
     rest of the identity.
     """
+    import numpy as np
+
     check_alpha(alpha)
     f0 = projector(_dual_ket(1, alpha)) / 2.0
     f1 = projector(_dual_ket(0, alpha)) / 2.0
@@ -233,7 +276,7 @@ def filter_op(alpha: float) -> FilterOp:
     """Local filter diagonal in the X basis with eigenvalues (alpha, beta)."""
     check_alpha(alpha)
     beta = math.sqrt(1.0 - alpha**2)
-    return FilterOp(alpha * projector(KET_0X) + beta * projector(KET_1X), alpha)
+    return FilterOp(alpha * projector(ket_x(0)) + beta * projector(ket_x(1)), alpha)
 
 
 def check_pair_basis(alpha: float) -> tuple[StateVector, StateVector, StateVector, StateVector]:
@@ -249,8 +292,11 @@ def check_pair_basis(alpha: float) -> tuple[StateVector, StateVector, StateVecto
 
 def _check_kets(alpha: float) -> tuple[np.ndarray, ...]:
     """Kets of check_pair_basis(alpha) in index order, for any alpha in (0, 1/sqrt(2)]."""
+    import numpy as np
+
     beta = math.sqrt(1.0 - alpha**2)
-    xx00, xx01, xx10, xx11 = (np.kron(a, b) for a in (KET_0X, KET_1X) for b in (KET_0X, KET_1X))
+    kets = ket_x(0), ket_x(1)
+    xx00, xx01, xx10, xx11 = (np.kron(a, b) for a in kets for b in kets)
     return (beta * xx00 + alpha * xx11, beta * xx01 - alpha * xx10,
             alpha * xx01 + beta * xx10, alpha * xx00 - beta * xx11)
 
@@ -279,9 +325,11 @@ def check_strength(p: float) -> None:
 
 def depolarizing_channel(p: float) -> KrausChannel:
     """Channel rho -> (1-p) rho + p/3 sum_a sigma_a rho sigma_a."""
+    import numpy as np
+
     check_strength(p)
     ops = [math.sqrt(1.0 - p) * np.eye(2, dtype=complex)]
-    ops += [math.sqrt(p / 3.0) * s for s in (PAULI_X, PAULI_Y, PAULI_Z)]
+    ops += [math.sqrt(p / 3.0) * _arrays()[f"PAULI_{a}"] for a in "XYZ"]
     return KrausChannel(tuple(ops))
 
 
@@ -294,6 +342,8 @@ def depolarize(rho: DensityMatrix, p: float) -> DensityMatrix:
 
 def apply_channel_on_B(psi_ab: StateVector, channel: KrausChannel) -> DensityMatrix:
     """Send qubit B of a two-qubit pure state through a single-qubit channel."""
+    import numpy as np
+
     if psi_ab.dim != 4:
         raise ParameterError("expected a two-qubit state")
     # (I x K)|psi> = psi.reshape(2, 2) @ K.T, so no 4x4 Kronecker product is formed
@@ -304,6 +354,8 @@ def apply_channel_on_B(psi_ab: StateVector, channel: KrausChannel) -> DensityMat
 
 def measure_sample(rho: DensityMatrix, povm: Povm, rng: np.random.Generator) -> int:
     """Draw one outcome index from the Born distribution Tr[rho F_i]."""
+    import numpy as np
+
     if povm.elements[0].shape[0] != rho.dim:
         raise ParameterError("POVM dimension does not match the state")
     cum = np.maximum(povm.outcome_probabilities(rho), 0.0).cumsum()

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._sectors import Sectors
 from .errors import DomainError, ParameterError, SingularityError
 from .exponent import LN2, _divergence
@@ -94,6 +92,8 @@ def relative_entropy(p, q, *, allow_infinite: bool = False) -> float:
     With ``allow_infinite`` a support violation (p_i > 0 where q_i = 0)
     returns +inf instead of raising.
     """
+    import numpy as np
+
     pa = np.asarray(p, dtype=float)
     qa = np.asarray(q, dtype=float)
     if pa.shape != qa.shape:
@@ -145,6 +145,8 @@ def tradeoff_curve(x, delta: float, alpha: float):
     matrices stay nonnegative, to within GRAZE_TOL * x_hi as in _phase_ceiling.
     Accepts scalars or arrays.
     """
+    import numpy as np
+
     x_lo, x_hi = _domain(delta, alpha)
     xs = np.asarray(x, dtype=float)
     tol = GRAZE_TOL * x_hi

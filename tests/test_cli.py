@@ -901,7 +901,76 @@ class TestTracerTargets:
             assert callable(getattr(module, attr, None)), (module.__name__, attr, span)
 
 
+def _fresh_process(script: str) -> str:
+    """stdout of ``script`` run by a fresh interpreter on this source tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# a fresh process's command runner for the scripts below
+_RUN = """
+import contextlib, io, sys
+import b92sim.cli as cli
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+"""
+
+
 class TestRunTimeImports:
+    def test_public_names_resolve(self):
+        import b92sim
+
+        assert [name for name in b92sim.__all__ if not hasattr(b92sim, name)] == []
+
+    def test_analytic_commands_load_no_numpy(self):
+        # the package and the analytic commands run on stdlib kernels, so a
+        # one-shot rate, optimize or single-p sweep pays no numpy import;
+        # simulate and exponent load it on demand (a grid sweep does too,
+        # through numpy.linspace)
+        script = """
+import sys
+import b92sim
+loaded = ["numpy" in sys.modules]
+""" + _RUN + """
+loaded.append("numpy" in sys.modules)
+for argv in (["rate", "--p", "0.03", "--alpha-sq", "0.2"],
+             ["rate", "--p", "0.03", "--alpha-sq", "0.2", "--format", "json"],
+             ["optimize", "--p", "0.03"],
+             ["sweep", "--p", "0.03"],
+             ["sweep", "--p", "0.03", "--alpha-sq", "0.2"],
+             ["simulate", "--p", "0.03", "--alpha-sq", "0.2", "--n", "10000"],
+             ["exponent", "--basis0", "0", "--basis1", "0.9273", "--m0", "20", "--m1", "20",
+              "--delta0", "0.1", "--delta1", "0.8"]):
+    run(argv)
+    loaded.append("numpy" in sys.modules)
+print(loaded)
+"""
+        assert _fresh_process(script) == str([False] * 7 + [True] * 2) + "\n"
+
+    def test_warm_ops_load_no_package_module(self):
+        # the benchmark times its ops after import b92sim.cli and one rate:
+        # an op that loaded a package module would compile it inside its time
+        script = _RUN + """
+import math
+run(["rate", "--p", "0.03", "--alpha-sq", "0.2"])
+warm = set(sys.modules)
+run(["simulate", "--p", "0.03", "--alpha-sq", "0.2", "--n", "10000"])
+run(["simulate", "--p", "0.03", "--alpha-sq", "0.2", "--n", "10000"]
+    + [f"--eps{i}=1e-3" for i in range(1, 9)])
+run(["exponent", "--basis0", "0", "--basis1", "0.9273", "--m0", "20", "--m1", "20",
+     "--delta0", "0.1", "--delta1", "0.8"])
+import b92sim.protocol as protocol
+import b92sim.quantum as quantum
+protocol.run_b92(protocol.ProtocolParams(alpha=math.sqrt(0.2), n_pairs=1000,
+                                         channel=quantum.depolarizing_channel(0.03)))
+print(sorted(m for m in set(sys.modules) - warm if m.split(".")[0] == "b92sim"))
+"""
+        assert _fresh_process(script) == "[]\n"
+
     def test_no_command_loads_scipy(self):
         # a fresh process runs each command once: optimize and sweep run the
         # root finder on the key rate's slope; simulate with slacks (the
@@ -930,11 +999,7 @@ for argv in runs:
         assert cli.main(argv) == 0, argv
 print(sorted(set(calls)), sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "argparse")))
 """ % [list(argv) for argv in NEAR_COLLINEAR_REPROS]
-        src = str(Path(cli.__file__).resolve().parents[1])
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "['b92sim.cli'] []\n"
+        assert _fresh_process(script) == "['b92sim.cli'] []\n"
 
 
 class TestDeterministicFormatting:

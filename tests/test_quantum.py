@@ -335,3 +335,23 @@ class TestTypeValidation:
     def test_kraus_completeness_enforced(self):
         with pytest.raises(ParameterError):
             KrausChannel((0.5 * np.eye(2),))
+
+
+class TestArrayConstants:
+    def test_kets_and_paulis_resolve_as_module_attributes(self):
+        from b92sim import quantum
+
+        np.testing.assert_array_equal(quantum.KET_0Z, [1.0, 0.0])
+        np.testing.assert_array_equal(quantum.KET_1Z, [0.0, 1.0])
+        for j, sign in ((0, 1.0), (1, -1.0)):
+            ket = getattr(quantum, f"KET_{j}X")
+            np.testing.assert_allclose(quantum.PAULI_X @ ket, sign * ket, atol=1e-15)
+            assert ket is ket_x(j) and getattr(quantum, f"KET_{j}Z") is ket_z(j)
+        np.testing.assert_array_equal(quantum.PAULI_X @ quantum.PAULI_Y, 1j * quantum.PAULI_Z)
+
+    def test_other_names_raise_attribute_error(self):
+        from b92sim import quantum
+
+        # import machinery probes a module for names such as __path__
+        for name in ("__path__", "KET_2Z", "np"):
+            assert not hasattr(quantum, name)
