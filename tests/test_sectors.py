@@ -1,10 +1,11 @@
 """The slacked ceiling's gate: a committed corpus of draws with their stored
 results, and the consistency of the sector problem's constraint rows.
 
-slacked_corpus.json holds every pinned slacked draw of test_security.py and
+slacked_corpus.json holds every pinned slacked draw of test_security.py,
 the stress draws (stress_slacked.py) that ended open, stuck, slow or short,
-or that the oracle sampled, each with finite_size_bound's stored r_ph_bar,
-x_star and open-cell flag and finite_size_oracle's value.  A change that
+or that the oracle sampled, and the 96 benchmark-shaped calls
+(benchmark_shaped(11, 96), stored as tallies), each with finite_size_bound's
+stored r_ph_bar, x_star and open-cell flag and finite_size_oracle's value.  A change that
 moves a row regenerates the file with
 
     PYTHONPATH=src python tests/stress_slacked.py --regenerate tests/slacked_corpus.json
