@@ -12,12 +12,14 @@ eps6 of x need only sit at the end of its range where the windows mix
 best.  The largest feasible x is a minimum of ratios (Sectors.x_top), and
 the ceiling is the maximum of x (1 - gap cos 2p1) over the angle square.
 
-Cell bounds, read from the same table and reached coarse to fine, close
-every part of the square that cannot beat the best point found, except the
-cells within a shrinking distance of the KKT point that gives it; a cell
-still open when the work budget runs out raises the ceiling to its bound, so
-outside that zone a miss shows as an over-report, never a shortfall.  With
-(a, d) pinned, x alone is searched, by bisection.
+One refinement loop closes every part of the square that cannot beat the
+best point found: from a 3 x 3 cut, it halves each cell whose bound, read
+from the same table, beats the best, polishes from the best node a level
+finds, and leaves to the KKT point giving the best the cells within a
+shrinking distance of it.  A cell still open when the work budget runs out
+raises the ceiling to its bound, so outside that zone a miss shows as an
+over-report, never a shortfall.  With (a, d) pinned, x alone is searched,
+by bisection.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from .exponent import _dot, b92_angle_bounds
 FEAS_TOL, ROUND = 5e-15, 1e-15
 
 _HALF_PI = 0.5 * math.pi
-# the first grid of float-bounded cells over the angle square, reached coarse
-# to fine from 3 x 3; the factor r of the distance r sqrt(w) within which a
+# the cells a side at refinement level 0, reached by halving a 3 x 3 cut of
+# the angle square; the factor r of the distance r sqrt(w) within which a
 # KKT point explains a cell of width w, as a cell's bound overshoots by O(w)
 # and the objective falls off quadratically along a ridge through the point;
 # the refinement levels, and the open cells a level may refine (a work budget)
@@ -106,8 +108,8 @@ def _slopes(p0, p1):
 class Sectors:
     """The slacked estimation problem for one set of tallies and slacks: rows()
     is its constraint table; x_top() solves it for x at given angles, cell()
-    bounds it on a cell of angles and bounds() on a level of cells, polish() by
-    Newton steps on its active rows (constraints()); interior() combines them,
+    bounds it on a cell of angles, polish() by Newton steps on its active rows
+    (constraints()); interior() refines cells and polishes nodes in one loop,
     pinned_top() searches x when both bands pin the skews, edge() an empty sector."""
 
     def __init__(self, alpha: float, r_err: float, delta: float, slacks: tuple[float, ...]):
@@ -199,40 +201,6 @@ class Sectors:
                 low = v
         bound = top * (1.0 - self.gap * math.cos(2.0 * hi1)) if low <= top + ROUND else -math.inf
         return bound if low <= top else -math.inf, bound
-
-    def bounds(self, boxes, best: float, n: int):
-        """The cells whose bound beats ``best`` when each box (lo0, hi0, lo1,
-        hi1) is cut n x n at a + (b - a) t, t as numpy.linspace(0, 1, n + 1)
-        makes it, reached coarse to fine from n's odd part (at least 2) cells
-        a side, halving each cell whose bound to within ROUND beats best (a
-        child's bounds never exceed its cell's): (bound, lo0, hi0, lo1, hi1),
-        box by box in grid order; the first largest value of the last cells'
-        nodes, in that order, (value, p0, p1, h), h its box's cell width, if it
-        beats best (no other node's can), else None; the first box's width."""
-        t = [k * (1.0 / n) for k in range(n)] + [1.0]
-        edges = [tuple([lo + (hi - lo) * u for u in t] for lo, hi in (b[:2], b[2:])) for b in boxes]
-        # a level's cells share their sides: nine window lookups in ten repeat
-        w = functools.cache(self._windows)
-        size = max(n // (n & -n), 2)
-        keys = [(m, i, j) for m in range(len(edges)) for i in range(size) for j in range(size)]
-        while True:
-            step, cells = n // size, []
-            for m, i, j in keys:
-                e0, e1 = edges[m]
-                edge = (e0[i * step], e0[(i + 1) * step], e1[j * step], e1[(j + 1) * step])
-                if (bound := self.cell(*edge, w))[1] > best:
-                    cells.append((m, i, j, bound[0], edge))
-            if size == n:
-                break
-            size *= 2
-            keys = [(m, 2 * i + u, 2 * j + v) for m, i, j, _, _ in cells for u in (0, 1) for v in (0, 1)]
-        node, top = None, best
-        for m, i, j in sorted({(m, i + u, j + v) for m, i, j, *_ in cells for u in (0, 1) for v in (0, 1)}):
-            e0, e1 = edges[m]
-            if (value := self.cell(e0[i], e0[i], e1[j], e1[j], w)[1]) > top:
-                node, top = (value, e0[i], e1[j], e0[1] - e0[0]), value
-        kept = [(bound, *edge) for *_, bound, edge in sorted(cells) if bound > best]
-        return kept, node, edges[0][0][1] - edges[0][0][0]
 
     def constraints(self, x: float, p0: float, p1: float) -> dict:
         """Every constraint g <= 0 at (x, p0, p1) as name -> (g, its gradient,
@@ -458,13 +426,15 @@ class Sectors:
     def interior(self, start):
         """The best (value, p0, p1) found over the open angle square, and the
         largest bound of a cell left open (-inf if none).  Polish from
-        ``start`` (the zero-slack optimum's angles), else from the best node
-        of a first _N0 x _N0 grid; then refine, 2 x 2 a level, its cells
-        whose bound beats the best value, polishing from the best node a
-        level finds.  A cell within _RADIUS sqrt(w) of the KKT point giving
-        the best value, w the level's cell width (in p1 alone on the x = 1
-        face), is that point's own.  Cells stay open when more than _CAP of
-        them, or more than _LEVELS levels, would be needed."""
+        ``start`` (the zero-slack optimum's angles); then, from a 3 x 3 cut
+        of the square, halve 2 x 2 each cell whose bound to within ROUND
+        beats the best value (a child's bounds never exceed its cell's).
+        From level 0, whose cells are as wide as an _N0 x _N0 grid's, polish
+        from the best node of the cells kept, drop those whose bound does not
+        beat the best value, and leave to the KKT point giving it each cell
+        within _RADIUS sqrt(w) of it, w the level's cell width (in p1 alone
+        on the x = 1 face).  Cells stay open when more than _CAP of them, or
+        more than _LEVELS levels, would be needed."""
         best, centre = (-math.inf, 0.0, 0.0), None
         if start is not None:
             # from the zero-slack optimum: first on two rows that bind there,
@@ -476,24 +446,42 @@ class Sectors:
                 if kkt:
                     centre = cand[1:]
                     break
-        cells, node, width = self.bounds([(0.0, _HALF_PI, 0.0, _HALF_PI)], best[0], _N0)
-        for level in range(_LEVELS + 1):
-            if node is not None:
-                cand, kkt = self.polish(*node[1:])
-                if cand[0] > best[0]:
-                    best, centre = cand, (cand[1:] if kkt else None)
-            cells = [c for c in cells if c[0] > best[0]]
-            if centre is not None:
-                r = _RADIUS * math.sqrt(width)
-                # at x = 1 the empty sector's angle p0 is free along the face
-                face = self.x_top(*centre)[0] >= 1.0
-                cells = [c for c in cells if c[3] - r > centre[1] or c[4] + r < centre[1]
-                         or not face and (c[1] - r > centre[0] or c[2] + r < centre[0])]
-            if not cells:
-                return best, -math.inf
-            if level == _LEVELS or len(cells) > _CAP:
-                return best, max(c[0] for c in cells)
-            cells, node, width = self.bounds([c[1:] for c in cells], best[0], 2)
+        # one windows cache for the search: a child shares two sides with its cell
+        w = functools.cache(self._windows)
+        t = [_HALF_PI * (k / 3.0) for k in range(3)] + [_HALF_PI]
+        cells = [(t[i], t[i + 1], t[j], t[j + 1]) for i in range(3) for j in range(3)]
+        # the levels below 0 halve the 3 x 3 cut down to the first grid's cells
+        width, level = t[1], 1 - (_N0 // 3).bit_length()
+        while True:
+            kept = [(bound[0], *c) for c in cells if (bound := self.cell(*c, w))[1] > best[0]]
+            if level >= 0:
+                # the kept cells' nodes in cell order, each with its first cell's
+                # width; the first largest is polished (nodes tie along p0 at x = 1)
+                widths = {}
+                for _, lo0, hi0, lo1, hi1 in kept:
+                    for q in ((lo0, lo1), (lo0, hi1), (hi0, lo1), (hi0, hi1)):
+                        widths.setdefault(q, hi0 - lo0)
+                values = {q: self.cell(q[0], q[0], q[1], q[1], w)[1] for q in widths}
+                node = max(values, key=values.get, default=None)
+                if node is not None and values[node] > best[0]:
+                    cand, kkt = self.polish(*node, widths[node])
+                    if cand[0] > best[0]:
+                        best, centre = cand, (cand[1:] if kkt else None)
+                kept = [c for c in kept if c[0] > best[0]]
+                if centre is not None:
+                    r = _RADIUS * math.sqrt(width)
+                    # at x = 1 the empty sector's angle p0 is free along the face
+                    face = self.x_top(*centre)[0] >= 1.0
+                    kept = [c for c in kept if c[3] - r > centre[1] or c[4] + r < centre[1]
+                            or not face and (c[1] - r > centre[0] or c[2] + r < centre[0])]
+                if not kept:
+                    return best, -math.inf
+                if level == _LEVELS or len(kept) > _CAP:
+                    return best, max(c[0] for c in kept)
+            cells = [(e0[u], e0[u + 1], e1[v], e1[v + 1]) for c in kept
+                     for e0, e1 in [[[lo + (hi - lo) * t for t in (0.0, 0.5, 1.0)]
+                                     for lo, hi in (c[1:3], c[3:])]] for u in (0, 1) for v in (0, 1)]
+            width, level = 0.5 * width, level + 1
 
     def ceiling(self, seed):
         """The maximizing (x, d) over the interior angles, from those of the

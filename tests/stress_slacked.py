@@ -11,8 +11,8 @@ one-zero-band family then zeroes eps2 or eps4.  Every call is timed (the
 least of ``--passes`` runs) and watched: an abort is an exception, an open
 call ends with cells open above its best point (an over-report), a stuck one
 had a Newton search run out of steps, a slow one took over ``--slow-ms``;
-the Newton searches, constraint evaluations and levels of cells bounded
-(Sectors.bounds calls, one a level) per call are printed with the time per
+the Newton searches, constraint evaluations and cells bounded (Sectors.cell
+calls on a box, not a point) per call are printed with the time per
 call and the pinned searches' count and mean time (Sectors.pinned_top), and
 on the next line how often
 each row was in the working set of a converged search.  Every
@@ -72,7 +72,7 @@ def watched(tallies, alpha, eps, passes: int = 1):
     """finite_size_bound's result, the least time of ``passes`` calls in ms,
     and what one call did: whether it ended open ("open"), whether a search
     stuck ("stuck"), its Newton searches ("searches"), constraint evaluations
-    ("constraints"), levels of cells bounded ("bounds"), pinned searches ("pinned")
+    ("constraints"), cells bounded ("cells"), pinned searches ("pinned")
     and their time in ms ("pinned_ms"), how often each row was in
     the working set of a converged search ("rows", a Counter), and each such
     search's working set with its multipliers ("kkt", (names, multipliers)
@@ -80,7 +80,7 @@ def watched(tallies, alpha, eps, passes: int = 1):
     seen = {"open": False, "stuck": False}
     sectors = _sectors.Sectors
     original = {name: getattr(sectors, name)
-                for name in ("interior", "_search", "constraints", "bounds", "pinned_top")}
+                for name in ("interior", "_search", "constraints", "cell", "pinned_top")}
 
     def interior(self, start):
         best, bound = original["interior"](self, start)
@@ -100,9 +100,9 @@ def watched(tallies, alpha, eps, passes: int = 1):
         seen["constraints"] += 1
         return original["constraints"](self, *args)
 
-    def bounds(self, *args):
-        seen["bounds"] += 1
-        return original["bounds"](self, *args)
+    def cell(self, lo0, hi0, lo1, hi1, w):
+        seen["cells"] += lo0 != hi0 or lo1 != hi1
+        return original["cell"](self, lo0, hi0, lo1, hi1, w)
 
     def pinned_top(self, *args):
         start = time.perf_counter()
@@ -111,13 +111,13 @@ def watched(tallies, alpha, eps, passes: int = 1):
         seen["pinned_ms"] += 1e3 * (time.perf_counter() - start)
         return out
 
-    for watch in (interior, _search, constraints, bounds, pinned_top):
+    for watch in (interior, _search, constraints, cell, pinned_top):
         setattr(sectors, watch.__name__, watch)
     try:
         times = []
         for _ in range(passes):
             # every pass does the same work; the last one's is counted
-            seen.update(searches=0, constraints=0, bounds=0, pinned=0, pinned_ms=0.0,
+            seen.update(searches=0, constraints=0, cells=0, pinned=0, pinned_ms=0.0,
                         rows=Counter(), kkt=[])
             start = time.perf_counter()
             res = finite_size_bound(*tallies, alpha, SlackVector(*eps))
@@ -139,7 +139,7 @@ def stress(args) -> tuple[int, list[dict]]:
     counts = dict.fromkeys(("draws", "aborts", "infeasible", "open", "stuck", "slow",
                             "unwitnessed", "oracle checks", "shortfalls"), 0)
     times, flagged, worst = [], [], 0.0
-    work = {"searches": 0, "constraints": 0, "bounds": 0, "pinned": 0, "pinned_ms": 0.0,
+    work = {"searches": 0, "constraints": 0, "cells": 0, "pinned": 0, "pinned_ms": 0.0,
             "rows": Counter()}
     for i, (tallies, alpha, eps) in enumerate(draws(args.family, args.seed, args.count)):
         counts["draws"] += 1
@@ -184,7 +184,7 @@ def stress(args) -> tuple[int, list[dict]]:
     print(f"time per call: mean {ms.mean():.3f} ms, p99 {np.percentile(ms, 99):.3f} ms, "
           f"max {ms.max():.3f} ms; per call {work['searches'] / ms.size:.2f} Newton searches, "
           f"{work['constraints'] / ms.size:.2f} constraint evaluations, "
-          f"{work['bounds'] / ms.size:.2f} bounds calls; {work['pinned']} pinned calls, mean "
+          f"{work['cells'] / ms.size:.2f} cells bounded; {work['pinned']} pinned calls, mean "
           f"{work['pinned_ms'] / max(work['pinned'], 1):.3f} ms")
     print("rows in converged working sets: "
           + (", ".join(f"{k} {v}" for k, v in work["rows"].most_common()) or "none"))

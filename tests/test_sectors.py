@@ -142,7 +142,7 @@ def test_constraint_rows_match_their_differences(family):
     assert checked >= 5000
 
 
-# the first grid's edges on each axis, as Sectors.bounds makes them
+# the first grid's edges on each axis, k/_N0 of the square as numpy.linspace cuts it
 EDGES = 0.5 * math.pi * np.linspace(0.0, 1.0, _sectors._N0 + 1)
 
 
