@@ -399,8 +399,8 @@ class Sectors:
         return x
 
     def edge(self, x: float):
-        """(x (1 - gap cos 2p), p) at the best angle p of the occupied sector
-        when x = 0 or 1 empties the other; None if no angle is feasible."""
+        """x (1 - gap cos 2p) at the best angle p of the occupied sector when
+        x = 0 or 1 empties the other; None if no angle is feasible."""
         m = min(self.e6, 1.0)
         (slo, shi), (flo, fhi) = self.bands
         # s = -c, and f = -c at x = 0 or c at x = 1
@@ -410,7 +410,7 @@ class Sectors:
         lo, hi = 0.5 * math.acos(min(c_hi, 1.0)), 0.5 * math.acos(max(c_lo, -1.0))
         # the check mixes a window with an empty sector's: (1-m) L <= Wh, (1-m) U + m >= Wl
         if m == 1.0:
-            return None if -self.lims[1] > 1.0 else (x * (1.0 - self.gap * math.cos(2.0 * hi)), hi)
+            return None if -self.lims[1] > 1.0 else x * (1.0 - self.gap * math.cos(2.0 * hi))
         cap, need = self.lims[0] / (1.0 - m) + self.e7, (-self.lims[1] - m) / (1.0 - m)
         if need > 1.0:
             return None
@@ -421,7 +421,7 @@ class Sectors:
             r = math.asin(math.sqrt(need - self.e8))
             lo, hi = max(lo, r - self.theta), min(hi, math.pi - r - self.theta)
         # an angle window that closes to rounding is a touching point
-        return None if lo > hi + ROUND else (x * (1.0 - self.gap * math.cos(2.0 * hi)), hi)
+        return None if lo > hi + ROUND else x * (1.0 - self.gap * math.cos(2.0 * hi))
 
     def interior(self, start):
         """The best (value, p0, p1) found over the open angle square, and the
@@ -450,7 +450,7 @@ class Sectors:
         w = functools.cache(self._windows)
         t = [_HALF_PI * (k / 3.0) for k in range(3)] + [_HALF_PI]
         cells = [(t[i], t[i + 1], t[j], t[j + 1]) for i in range(3) for j in range(3)]
-        # the levels below 0 halve the 3 x 3 cut down to the first grid's cells
+        # the levels below 0 halve the 3 x 3 cut to _N0 cells a side (_N0 / 3 a power of 2)
         width, level = t[1], 1 - (_N0 // 3).bit_length()
         while True:
             kept = [(bound[0], *c) for c in cells if (bound := self.cell(*c, w))[1] > best[0]]
@@ -484,22 +484,19 @@ class Sectors:
             width, level = 0.5 * width, level + 1
 
     def ceiling(self, seed):
-        """The maximizing (x, d) over the interior angles, from those of the
-        zero-slack optimum ``seed`` = (x, delta) if 0 < x < 1, and over the
-        empty-sector edges, or along x alone when the bands pin the skews.
-        Where a cell stays open above the best point, x + gap d is that cell's
-        bound; where no point is found, open cells or not, None: no key."""
+        """(value, x, open bound): the best witnessed x + gap d, over the
+        interior angles, from those of the zero-slack optimum ``seed`` = (x,
+        delta) if 0 < x < 1, and over the empty-sector edges, or along x alone
+        when the bands pin the skews; its x; and the largest bound of a cell
+        left open (-inf if none).  None where no point is found, open cells
+        or not: no key."""
         if self.equal["s"] and self.equal["f"]:
             x = self.pinned_top(seed)
-            return None if x is None else (x, self.skews[1])
+            return None if x is None else (x + self.gap * self.skews[1], x, -math.inf)
         start = self.angles(seed[0]) if seed is not None and 0.0 < seed[0] < 1.0 else None
         (value, p0, p1), bound = self.interior(start)
-        x = self.x_top(p0, p1)[0]
-        point = (value, x, -x * math.cos(2.0 * p1))
+        point = (value, self.x_top(p0, p1)[0])
         for side in (1.0, 0.0):
-            found = self.edge(side)
-            if found is not None and found[0] > point[0]:
-                point = (found[0], side, -side * math.cos(2.0 * found[1]))
-        if point[0] == -math.inf:
-            return None
-        return (point[1], (bound - point[1]) / self.gap) if bound > point[0] else point[1:]
+            if (found := self.edge(side)) is not None and found > point[0]:
+                point = (found, side)
+        return None if point[0] == -math.inf else (*point, bound)

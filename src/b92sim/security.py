@@ -299,17 +299,19 @@ def finite_size_bound(
     constraints are exactly those of phase_error_bound, whose optimum is
     used directly (error weights above 1/2 are infeasible).  Otherwise the
     problem is solved over the two sectors' outcome angles (_sectors), where
-    every constraint is linear in x: cell bounds on the angle square find the
-    basin, and Newton steps on the active constraints, started at the
-    zero-slack optimum, solve it to rounding.  The reported point meets every
-    constraint to within 6e-15 in that constraint's own units (the bands and
-    error-weight limits widened by _sectors.FEAS_TOL, and each bound on x by
-    the rounding allowance _sectors.ROUND more), under the 1e-14 of a
-    feasibility check.  Where cells of the angle square stay open above the
-    best point after the refinement budget, the ceiling is the largest of
-    their bounds instead, an over-report, and ``x_star`` stays the best
-    point's x.  ``x_star`` is the point's x and ``delta`` the filter-rate
-    excess of the observed tallies.
+    every constraint is linear in x: Newton steps on the active constraints,
+    started at the zero-slack optimum, solve it to rounding, and one loop of
+    cell bounds, halving cells from a 3 x 3 cut of the angle square and
+    polishing from the best node of each level, closes the rest of the
+    square.  The reported point meets every constraint to within 6e-15 in
+    that constraint's own units (the bands and error-weight limits widened by
+    _sectors.FEAS_TOL, and each bound on x by the rounding allowance
+    _sectors.ROUND more), under the 1e-14 of a feasibility check.  Every path
+    gives the best witnessed x + gap*d and the largest bound of a cell left
+    open above it after the refinement budget (-inf if none); r_ph_bar is
+    half the larger plus eps3, so an open cell is an over-report.  ``x_star``
+    is the best point's x and ``delta`` the filter-rate excess of the
+    observed tallies.
     """
     if slacks is None:
         slacks = SlackVector()
@@ -327,13 +329,13 @@ def finite_size_bound(
         seed = (exact.x_star, delta) if exact.feasible else None
     # eps1 enters the key length and eps3 only lifts the ceiling
     if not any((slacks.eps2, slacks.eps4, slacks.eps5, slacks.eps6, slacks.eps7, slacks.eps8)):
-        point = seed
+        point = None if seed is None else (seed[0] + gap * delta, seed[0], -math.inf)
     else:
         point = Sectors(alpha, r_err, delta, slacks.as_tuple()).ceiling(seed)
     if point is None:
         return BoundResult(r_ph_bar=math.nan, x_star=math.nan, delta=delta, feasible=False)
-    x, d = point
-    return BoundResult(r_ph_bar=max(0.5 * (x + gap * d) + slacks.eps3, 0.0), x_star=x,
+    value, x, open_bound = point
+    return BoundResult(r_ph_bar=max(0.5 * max(value, open_bound) + slacks.eps3, 0.0), x_star=x,
                        delta=delta, feasible=True)
 
 
