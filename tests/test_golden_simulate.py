@@ -30,6 +30,8 @@ CI_SMOKE = [
     " --eps8 0.000026 --seed 17",
     "--p 1e-12 --alpha-sq 1e-20 --n 100000 --seed 1",
     "--p 0 --alpha-sq 1e-300 --n 1000 --seed 2",
+    "--p 0.03 --alpha-sq 0.2 --n 100000000000000 --seed 1",
+    "--p 0.03 --alpha-sq 0.2 --n 100000000000000000 --seed 1",
 ]
 SLIVER_SEEDS = (0, 1, 2, 3, 4, 5, 18, 24, 34, 76, 100, 117, 121, 169)
 BENCH_SEEDS = range(1, 9)
