@@ -328,9 +328,30 @@ def _render(fields: tuple[str, ...], rows: list[tuple], fmt_name: str,
 
 
 def _number(v: float) -> str:
-    """A float as JSON: jf of it, spelled as json.dumps spells it."""
-    x = jf(v)
-    return "null" if x is None else repr(x)
+    """A float as JSON: repr(jf(v)), or null when jf gives None, from one
+    float-to-text conversion.
+
+    s = fmt(v) holds the digits that repr(float(s)) prints. In the normal
+    range a decimal of at most 15 significant digits maps to a double that
+    reads back to it (DBL_DIG = 15), so two such decimals never share a
+    double: no digit string shorter than s reaches float(s), and repr, the
+    shortest string that round-trips, spells exactly s's digits. Only the
+    layout differs, and is mended here: repr appends .0 to an integral
+    value, and it prints positionally up to 1e16 where .12g switches to an
+    exponent at 1e12 (below 1e-4 both use one). Subnormals, where fewer than
+    15 digits round-trip, go through jf and repr."""
+    x = float(v) + 0.0
+    s = f"{x:.12g}"
+    if "e" not in s:
+        if "." in s:
+            return s
+        return "null" if s[-1] in "fn" else s + ".0"  # nan, inf, -inf
+    if abs(x) < sys.float_info.min:
+        return repr(jf(x))
+    head, _, power = s.partition("e")
+    if power in ("+12", "+13", "+14", "+15"):
+        return head.replace(".", "").ljust(int(power) + 1 + (x < 0), "0") + ".0"
+    return s
 
 
 def _dump(value, pad: str = "") -> str:
@@ -338,7 +359,8 @@ def _dump(value, pad: str = "") -> str:
     lists, Python ints, bools and None that the commands print (keys are
     plain names), with each float (np.float64 too) replaced by jf of it.
     The one JSON writer, and the one place that jf's rule is applied,
-    without json's pure-Python indent encoder."""
+    without json's pure-Python indent encoder: _number writes each float
+    from one conversion to text."""
     inner = pad + "  "
     # a float, the common leaf, skips the recursion
     if isinstance(value, dict):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from b92sim.cli import RateReport, _dump, _render, jf, main
+from b92sim.cli import RateReport, _dump, _number, _render, jf, main
 
 # floats with the edge values drawn often: negatives, zeros, nan, +-inf, and
 # the ranges where the commands succeed
@@ -246,6 +246,13 @@ class TestJsonRows:
            many=st.booleans())
     @example(rows=[(-0.0, 1e-310, math.nan, math.inf, -math.inf, 1e300, -1e300,
                     123456789012.0, 0.1)], many=False)
+    # where the layout changes: .12g prints an exponent from 1e12 and repr
+    # from 1e16, both below 1e-4; and the ends of the normal range
+    @example(rows=[(1e12, 999999999999.5, 1.23456789012e15, 9.999999999995e15, 1e16,
+                    1e-4, 9.99999999999e-5, 1e-5, 2.0**53),
+                   (1.7976931348623157e308, 2.2250738585072014e-308,
+                    math.nextafter(2.2250738585072014e-308, 0.0), -1.23456789012e15,
+                    -1e12, -9.999999999995e15, -1e-5, 5e-324, 0.0)], many=True)
     def test_rows_are_json_dumps_with_indent(self, rows, many):
         if not many:
             rows = rows[:1]
@@ -255,6 +262,16 @@ class TestJsonRows:
         out = _render(fields, rows, "json", many=many)
         assert out == expected
         json.loads(out, parse_constant=reject)
+
+    def test_number_is_repr_of_jf_on_a_seeded_sweep(self):
+        digits = ("1", "1.5", "9.99999999999", "9.999999999995", "1.23456789012345")
+        values = [float(f"{sign}{d}e{e}") for e in range(-324, 309) for d in digits
+                  for sign in ("", "-")]
+        bits = np.random.default_rng(44).integers(0, 2**64, 10**5, dtype=np.uint64)
+        floats = bits.view(np.float64)
+        for x in [*values, *floats.tolist(), *floats]:
+            y = jf(x)
+            assert _number(x) == ("null" if y is None else repr(y)), repr(x)
 
     @settings(max_examples=500, deadline=None)
     @given(value=NESTED)
