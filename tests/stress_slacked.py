@@ -24,9 +24,12 @@ unwitnessed point or a shortfall.
 
 ``--add CORPUS`` appends this run's flagged and oracle-sampled draws to a
 corpus file and
-``--regenerate CORPUS`` recomputes every row of one (r_ph_bar, x_star, the
-open flag and the oracle's value), printing the rows that moved; name those
-in CHANGES.md.
+``--regenerate CORPUS`` recomputes every row of one (r_ph_bar, x_star and the
+open flag), printing the rows that moved; name those in CHANGES.md.  The
+oracle's value is computed only for a row that has none, a new one: the
+oracle shares no code with the solver, so a stored value cannot move with
+it.  After a change to finite_size_oracle, delete the stored ``oracle``
+values first, and regenerate.
 """
 
 from __future__ import annotations
@@ -193,7 +196,8 @@ def stress(args) -> tuple[int, list[dict]]:
 
 def regenerate(path: Path, extra: list[dict]) -> None:
     """Recompute every row of the corpus at ``path`` (plus ``extra``, rows
-    whose inputs it lacks), print the rows that moved, and write it back."""
+    whose inputs it lacks), print the rows that moved, and write it back;
+    the oracle runs only on a row without an ``oracle`` value."""
     rows = json.loads(path.read_text()) if path.exists() else []
     known = {json.dumps([r["tallies"], r["alpha"], r["eps"]]) for r in rows}
     rows += [r for r in extra if json.dumps([r["tallies"], r["alpha"], r["eps"]]) not in known]
@@ -201,8 +205,9 @@ def regenerate(path: Path, extra: list[dict]) -> None:
         tallies, alpha, eps = tuple(row["tallies"]), row["alpha"], tuple(row["eps"])
         res, _, seen = watched(tallies, alpha, eps)
         new = {"r_ph_bar": res.r_ph_bar if res.feasible else None,
-               "x_star": res.x_star if res.feasible else None, "open": seen["open"],
-               "oracle": oracle(tallies, alpha, eps)}
+               "x_star": res.x_star if res.feasible else None, "open": seen["open"]}
+        if "oracle" not in row:
+            new["oracle"] = oracle(tallies, alpha, eps)
         moved = {k: (row[k], v) for k, v in new.items() if k in row and row[k] != v}
         if moved:
             print(f"moved {row['source']}: {moved}")
