@@ -334,12 +334,12 @@ def _number(v: float) -> str:
     s = fmt(v) holds the digits that repr(float(s)) prints. In the normal
     range a decimal of at most 15 significant digits maps to a double that
     reads back to it (DBL_DIG = 15), so two such decimals never share a
-    double: no digit string shorter than s reaches float(s), and repr, the
-    shortest string that round-trips, spells exactly s's digits. Only the
-    layout differs, and is mended here: repr appends .0 to an integral
-    value, and it prints positionally up to 1e16 where .12g switches to an
-    exponent at 1e12 (below 1e-4 both use one). Subnormals, where fewer than
-    15 digits round-trip, go through jf and repr."""
+    double: no other string of as many digits as s or fewer reaches
+    float(s), and repr, the shortest string that round-trips, spells exactly
+    s's digits. Only the layout differs, and is mended here: repr appends .0
+    to an integral value, and it prints positionally up to 1e16 where .12g
+    switches to an exponent at 1e12 (below 1e-4 both use one). Subnormals,
+    where fewer than 15 digits round-trip, go through jf and repr."""
     x = float(v) + 0.0
     s = f"{x:.12g}"
     if "e" not in s:
