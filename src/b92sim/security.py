@@ -300,18 +300,18 @@ def finite_size_bound(
     used directly (error weights above 1/2 are infeasible).  Otherwise the
     problem is solved over the two sectors' outcome angles (_sectors), where
     every constraint is linear in x: Newton steps on the active constraints,
-    started at the zero-slack optimum, solve it to rounding, and one loop of
-    cell bounds, halving cells from a 3 x 3 cut of the angle square and
-    polishing from the best node of each level, closes the rest of the
-    square.  The reported point meets every constraint to within 6e-15 in
-    that constraint's own units (the bands and error-weight limits widened by
-    _sectors.FEAS_TOL, and each bound on x by the rounding allowance
-    _sectors.ROUND more), under the 1e-14 of a feasibility check.  Every path
-    gives the best witnessed x + gap*d and the largest bound of a cell left
-    open above it after the refinement budget (-inf if none); r_ph_bar is
-    half the larger plus eps3, so an open cell is an over-report.  ``x_star``
-    is the best point's x and ``delta`` the filter-rate excess of the
-    observed tallies.
+    started at the zero-slack optimum, solve it to rounding, and a branch and
+    bound over x alone certifies it, each interval of x closed by a
+    closed-form Lagrangian bound to within _sectors.TOL (1e-12 in x + gap*d)
+    of the best point or by a Farkas ray.  The reported point meets every
+    constraint to within 6e-15 in that constraint's own units (the bands and
+    error-weight limits widened by _sectors.FEAS_TOL, and each bound on x by
+    the rounding allowance _sectors.ROUND more), under the 1e-14 of a
+    feasibility check.  Every path gives the best witnessed x + gap*d and the
+    largest bound of an interval left open above it after the work budget
+    (-inf if none); r_ph_bar is half the larger plus eps3, so an open
+    interval is an over-report.  ``x_star`` is the best point's x and
+    ``delta`` the filter-rate excess of the observed tallies.
     """
     if slacks is None:
         slacks = SlackVector()

@@ -9,12 +9,13 @@ n log-uniform in 1e3-1e7, tallies from run_protocol1 under the depolarizing
 channel, and each slack 0 with probability 1/2, else U(0, 10^U(-5, -1)).  The
 one-zero-band family then zeroes eps2 or eps4.  Every call is timed (the
 least of ``--passes`` runs) and watched: an abort is an exception, an open
-call ends with cells open above its best point (an over-report), a stuck one
-had a Newton search run out of steps, a slow one took over ``--slow-ms``;
-the Newton searches, constraint evaluations and cells bounded (Sectors.cell
-calls on a box, not a point) per call are printed with the time per
-call and the pinned searches' count and mean time (Sectors.pinned_top), and
-on the next line how often
+call ends with x-intervals open above its best point (an over-report), a
+stuck one had a Newton search run out of steps, a slow one took over
+``--slow-ms``; the Newton searches, constraint evaluations, x-intervals
+worked (Sectors._cert), bound evaluations (Sectors.lagrangian) and fixed-x
+solves (Sectors.fixed) per call are printed with the time per call and the
+pinned searches' count and mean time (Sectors.pinned_top), and on the next
+line how often
 each row was in the working set of a converged search.  Every
 reported point that is not an over-report must be witnessed
 (test_security.witnessed).  The oracle (finite_size_oracle,
@@ -73,22 +74,23 @@ def draws(family: str, seed: int, count: int):
 
 def watched(tallies, alpha, eps, passes: int = 1):
     """finite_size_bound's result, the least time of ``passes`` calls in ms,
-    and what one call did: whether it ended open ("open"), whether a search
-    stuck ("stuck"), its Newton searches ("searches"), constraint evaluations
-    ("constraints"), cells bounded ("cells"), pinned searches ("pinned")
-    and their time in ms ("pinned_ms"), how often each row was in
+    and what one call did: whether it ended open ("open"), whether a Newton
+    search stuck ("stuck"), its Newton searches ("searches"), constraint
+    evaluations ("constraints"), x-intervals worked ("intervals"), fixed-x
+    solves ("solves"), bound evaluations ("bounds"), pinned searches
+    ("pinned") and their time in ms ("pinned_ms"), how often each row was in
     the working set of a converged search ("rows", a Counter), and each such
-    search's working set with its multipliers ("kkt", (names, multipliers)
-    pairs)."""
+    search's working set with its multipliers and point ("kkt", (names,
+    multipliers, (x, p0, p1)) triples)."""
     seen = {"open": False, "stuck": False}
     sectors = _sectors.Sectors
-    original = {name: getattr(sectors, name)
-                for name in ("interior", "_search", "constraints", "cell", "pinned_top")}
+    original = {name: getattr(sectors, name) for name in
+                ("search", "_search", "constraints", "_cert", "fixed", "lagrangian", "pinned_top")}
 
-    def interior(self, start):
-        best, bound = original["interior"](self, start)
+    def search(self, *args):
+        point, bound = original["search"](self, *args)
         seen["open"] |= bound > -math.inf
-        return best, bound
+        return point, bound
 
     def _search(self, *args):
         out = original["_search"](self, *args)
@@ -96,16 +98,15 @@ def watched(tallies, alpha, eps, passes: int = 1):
         seen["searches"] += 1
         if out[3] is None:
             seen["rows"].update(args[0])
-            seen["kkt"].append((tuple(args[0]), tuple(out[2])))
+            seen["kkt"].append((tuple(args[0]), tuple(out[2]), tuple(out[0])))
         return out
 
-    def constraints(self, *args):
-        seen["constraints"] += 1
-        return original["constraints"](self, *args)
-
-    def cell(self, lo0, hi0, lo1, hi1, w):
-        seen["cells"] += lo0 != hi0 or lo1 != hi1
-        return original["cell"](self, lo0, hi0, lo1, hi1, w)
+    def counted(name, key):
+        def method(self, *args, **kwargs):
+            seen[key] += 1
+            return original[name](self, *args, **kwargs)
+        method.__name__ = name
+        return method
 
     def pinned_top(self, *args):
         start = time.perf_counter()
@@ -114,14 +115,15 @@ def watched(tallies, alpha, eps, passes: int = 1):
         seen["pinned_ms"] += 1e3 * (time.perf_counter() - start)
         return out
 
-    for watch in (interior, _search, constraints, cell, pinned_top):
+    for watch in (search, _search, counted("constraints", "constraints"), counted("_cert", "intervals"),
+                  counted("fixed", "solves"), counted("lagrangian", "bounds"), pinned_top):
         setattr(sectors, watch.__name__, watch)
     try:
         times = []
         for _ in range(passes):
             # every pass does the same work; the last one's is counted
-            seen.update(searches=0, constraints=0, cells=0, pinned=0, pinned_ms=0.0,
-                        rows=Counter(), kkt=[])
+            seen.update(searches=0, constraints=0, intervals=0, solves=0, bounds=0, pinned=0,
+                        pinned_ms=0.0, rows=Counter(), kkt=[])
             start = time.perf_counter()
             res = finite_size_bound(*tallies, alpha, SlackVector(*eps))
             times.append(1e3 * (time.perf_counter() - start))
@@ -142,8 +144,8 @@ def stress(args) -> tuple[int, list[dict]]:
     counts = dict.fromkeys(("draws", "aborts", "infeasible", "open", "stuck", "slow",
                             "unwitnessed", "oracle checks", "shortfalls"), 0)
     times, flagged, worst = [], [], 0.0
-    work = {"searches": 0, "constraints": 0, "cells": 0, "pinned": 0, "pinned_ms": 0.0,
-            "rows": Counter()}
+    work = {"searches": 0, "constraints": 0, "intervals": 0, "solves": 0, "bounds": 0, "pinned": 0,
+            "pinned_ms": 0.0, "rows": Counter()}
     for i, (tallies, alpha, eps) in enumerate(draws(args.family, args.seed, args.count)):
         counts["draws"] += 1
         row = {"tallies": list(tallies), "alpha": alpha, "eps": list(eps)}
@@ -187,7 +189,8 @@ def stress(args) -> tuple[int, list[dict]]:
     print(f"time per call: mean {ms.mean():.3f} ms, p99 {np.percentile(ms, 99):.3f} ms, "
           f"max {ms.max():.3f} ms; per call {work['searches'] / ms.size:.2f} Newton searches, "
           f"{work['constraints'] / ms.size:.2f} constraint evaluations, "
-          f"{work['cells'] / ms.size:.2f} cells bounded; {work['pinned']} pinned calls, mean "
+          f"{work['intervals'] / ms.size:.2f} x-intervals, {work['bounds'] / ms.size:.2f} bound "
+          f"evaluations, {work['solves'] / ms.size:.2f} fixed-x solves; {work['pinned']} pinned calls, mean "
           f"{work['pinned_ms'] / max(work['pinned'], 1):.3f} ms")
     print("rows in converged working sets: "
           + (", ".join(f"{k} {v}" for k, v in work["rows"].most_common()) or "none"))

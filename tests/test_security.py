@@ -579,8 +579,8 @@ class TestFiniteSizeBound:
     def test_newton_solves_end_on_their_surfaces(self, monkeypatch):
         # each active-set solve the slacked search reports as converged ends
         # on every surface of its working set to rounding, with the objective
-        # stationary along them: the point the ceiling reports is one of these
-        # or a node of the cell grid
+        # stationary along them: the point the ceiling reports is one of these,
+        # a point of a fixed-x solve, or an empty-sector edge
         ends = []
 
         def checked(self, W, z, cons, rho):
@@ -876,17 +876,14 @@ class TestFiniteSizeProperties:
         if res.feasible:
             assert more.feasible and more.r_ph_bar >= res.r_ph_bar - 1e-12
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 10: at eps6 = 0 the smaller eps2 "
-                       "ends with cells open, and their bound over-reports")
     def test_doubling_eps2_never_lowers_an_open_ceiling(self):
         # a pair that test_slacks_only_relax drew (n=551, fil=0.5546875,
-        # err=0.5, alpha^2=1/3, idx=1, factor=2).  At eps2 = 10^-2.75 the cell
-        # search ends open: best x + gap d 1.1103689, open bound 1.1113488,
-        # reported 0.55567442.  At twice eps2 it closes at 1.1113219
-        # (0.55566096), which bounds the smaller set too, so the break is a
-        # flagged over-report, not a missed maximum; finite_size_oracle finds
-        # no point for either.  Item 10's convex solve leaves no cell open at
-        # eps6 = 0, and this test then passes.
+        # err=0.5, alpha^2=1/3, idx=1, factor=2).  At eps2 = 10^-2.75 a search
+        # over angle cells once ended open: best x + gap d 1.1103689, open
+        # bound 1.1113488, reported 0.55567442.  At twice eps2 it closed at
+        # 1.1113219 (0.55566096), which bounds the smaller set too;
+        # finite_size_oracle finds no point for either.  The x search closes
+        # both, and the larger eps2 never reports less
         alpha, eps = math.sqrt(1.0 / 3.0), [0.0, 10.0 ** -2.75, 0.0, 10.0 ** -3.5, 0.0, 0.0, 0.0, 0.0]
         res = finite_size_bound(275, 305, 551, alpha, SlackVector(*eps))
         eps[1] *= 2.0
