@@ -132,6 +132,40 @@ def test_constraint_rows_match_their_differences(family):
     assert checked >= 5000
 
 
+# a grid's edges on each axis, 24 steps across the angle square
+EDGES = 0.5 * math.pi * np.linspace(0.0, 1.0, 25)
+
+
+@pytest.mark.parametrize("family", ["mixed", "one-zero-band"])
+def test_grid_node_values_match_the_scalar_objective(family):
+    # value() at the grid's nodes and at the angles of each KKT point that
+    # polish() reaches, read from the row table (x_top), against
+    # constraints(), which computes each row afresh: where the point is
+    # feasible, the largest row at x_top lies within 1e-14 of 0 (some row
+    # binds, or x = 1 does; 1.1e-15 at worst); where it is -inf, some row
+    # misses at x_top, at x = 0 and at x = 1.  Only bands bind at the grid's
+    # 197 feasible nodes; a check binds at most KKT points
+    nodes = feasible = polished = 0
+    for (n_err, n_fil, n), alpha, eps in draws(family, 32, 40):
+        sec = _sectors.Sectors(alpha, n_err / n, delta_param(n_fil / n, alpha), eps)
+        kkt = [tuple(min(max(p, 0.0), 0.5 * math.pi) for p in z[1:])
+               for _, _, z in watched((n_err, n_fil, n), alpha, eps)[2]["kkt"]]
+        for p0, p1 in itertools.chain(itertools.product(EDGES.tolist(), repeat=2), kkt):
+            top = sec.x_top(p0, p1)[0]
+            worst = [max(g[0] for g in sec.constraints(x, p0, p1).values())
+                     for x in (min(max(top, 0.0), 1.0), 0.0, 1.0)]
+            value = sec.value(p0, p1)
+            if value > -math.inf:
+                assert value == top * (1.0 - sec.gap * math.cos(2.0 * p1)), (p0, p1)
+                assert abs(worst[0]) <= 1e-14, (p0, p1)
+                feasible += 1
+            else:
+                assert min(worst) > 0.0, (p0, p1)
+            nodes += 1
+        polished += len(kkt)
+    assert nodes == 40 * 25 * 25 + polished and feasible >= 20 + polished // 2
+
+
 def benchmark_shaped(seed: int, count: int):
     """Slacked calls shaped like the benchmark's: p in [0, 0.05], alpha^2 in
     [0.05, 0.45], n on the odd rungs of 10^(4 + k/4), every slack in
@@ -397,6 +431,47 @@ def test_in_package_lagrangian_matches_the_numpy_oracle():
             assert abs(psi - lagrangian_at(sec, names, values, x, ends, False)) <= 1e-13, (x, ends, mu)
             compared += 1
     assert compared == 1200
+
+
+@pytest.mark.parametrize("family", ["benchmark", "mixed", "one-zero-band"])
+def test_an_interval_bound_covers_its_points(family):
+    # what closing an x-interval by its ends relies on, for seeded
+    # nonnegative multipliers on random sets of rows and seeded check ends:
+    # on each piece of [0, 1] between the clips at eps6 and 1 - eps6, the
+    # bound and its objective-free part at 7 inner points of an interval are
+    # at most their larger value at its ends (convexity; 2.8e-16 over at
+    # worst, relative to 1 + sum mu), and the bound at x_top, each check's
+    # mass at its end there, is at least value() at every feasible grid node
+    # (weak duality)
+    if family == "benchmark":
+        secs = [_sectors.Sectors(alpha, n_err / n, delta_param(n_fil / n, alpha), eps.as_tuple())
+                for n_err, n_fil, n, alpha, eps in benchmark_shaped(19, 30)]
+    else:
+        secs = list(problems(family, 37, 60))
+    rng, inner, nodes = np.random.default_rng(23), 0, 0
+    for sec in secs:
+        cuts = sorted({0.0, 1.0} | {v for v in (sec.e6, 1.0 - sec.e6) if 0.0 < v < 1.0})
+        points = [(sec.value(p0, p1), sec.x_top(p0, p1)[0], p0, p1)
+                  for p0 in EDGES.tolist() for p1 in EDGES.tolist()]
+        points = [p for p in points if p[0] > -math.inf]
+        for _ in range(8):
+            rows = rng.choice(len(_sectors.NAMES), int(rng.integers(1, 5)), replace=False)
+            mu = {int(r): float(m) for r, m in zip(rows, rng.exponential(1.0, len(rows)))}
+            ends = tuple(float(v) for v in rng.choice([-sec.e6, sec.e6], 2))
+            slack = 1e-15 * (1.0 + sum(mu.values()))
+            for lo, hi in zip(cuts, cuts[1:]):
+                a, b = sorted(rng.uniform(lo, hi, 2).tolist()) if rng.random() < 0.5 else (lo, hi)
+                at_a, at_b = sec.lagrangian(a, ends, mu), sec.lagrangian(b, ends, mu)
+                for x in np.linspace(a, b, 9)[1:-1].tolist():
+                    for k, got in enumerate(sec.lagrangian(x, ends, mu)):
+                        assert got <= max(at_a[k], at_b[k]) + slack, (x, ends, mu)
+                    inner += 1
+            for value, x, p0, p1 in points:
+                phi = sec.lagrangian(x, optimum_ends(sec, (x, p0, p1)), mu)[0]
+                assert phi >= value - slack, (p0, p1, ends, mu)
+                nodes += 1
+    print(f"{inner} inner points, {nodes} node bounds")
+    assert inner >= 5000 and nodes >= 700
 
 
 def test_pinned_top_reaches_the_pinned_oracle():
